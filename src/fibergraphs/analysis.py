@@ -69,30 +69,12 @@ def bfs_distances(graph: GraphLike, source: int) -> list[int]:
 
 def distance_between(graph: GraphLike, u: int, v: int) -> int:
     """BFS distance from u to v, -1 when unreachable."""
-    if u == v:
-        return 0
-    adj = adjacency_of(graph)
-    dist = [-1] * len(adj)
-    dist[u] = 0
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                if y == v:
-                    return dist[y]
-                queue.append(y)
-    return -1
+    return bfs_distances(graph, u)[v]
 
 
 def _csr(adj: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    indptr = np.zeros(len(adj) + 1, dtype=np.int64)
-    for u, row in enumerate(adj):
-        indptr[u + 1] = indptr[u] + len(row)
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    for u, row in enumerate(adj):
-        indices[indptr[u]:indptr[u + 1]] = row
+    indptr = np.cumsum([0, *map(len, adj)])
+    indices = np.fromiter((v for row in adj for v in row), dtype=np.int64, count=indptr[-1])
     return indptr, indices
 
 
@@ -100,16 +82,21 @@ def diameter(graph: GraphLike) -> int:
     """Largest BFS distance over all source vertices.
 
     Vectorized frontier expansion over a CSR layout keeps the all-sources
-    sweep fast enough for desk-scale fibers (thousands of vertices).
-    Raises DisconnectedGraphError when some pair is unreachable.
+    sweep fast enough for desk-scale fibers (thousands of vertices).  Fiber
+    graphs are read in their own CSR form; plain adjacency lists are
+    converted.  Raises DisconnectedGraphError when some pair is unreachable.
     """
-    adj = adjacency_of(graph)
-    n = len(adj)
+    if isinstance(graph, OrientedFiberGraph):
+        graph = graph.base
+    if isinstance(graph, FiberGraph):
+        indptr, indices = graph.indptr, graph.indices
+    else:
+        indptr, indices = _csr(adjacency_of(graph))
+    n = len(indptr) - 1
     if n == 0:
         raise InvalidDimensionError("diameter of an empty graph is undefined")
     if n == 1:
         return 0
-    indptr, indices = _csr(adj)
     best = 0
     for s in range(n):
         dist = np.full(n, -1, dtype=np.int64)
@@ -433,17 +420,7 @@ def liu_check(graph: GraphLike, k: int, workers: int = 1) -> LiuCheckResult:
     # capping every search there keeps the reported minimum exact
     degrees = [len(row) for row in adj]
     cap = min(min(degrees[s], degrees[t]) for s, t in pairs)
-    if workers > 1:
-        flows = _pair_flows(adj, pairs, bound=cap, workers=workers)
-    else:
-        # adaptive: once some pair realizes the running minimum, later pairs
-        # only need to reach it
-        net = SplitNetwork(adj)
-        flows = []
-        for s, t in pairs:
-            flow, _ = net.max_flow(s, t, cap)
-            flows.append(flow)
-            cap = min(cap, flow)
+    flows = _pair_flows(adj, pairs, bound=cap, workers=workers)
     best = min(flows)
     # a capped pair can report the minimum without attaining it; re-verify
     # candidates uncapped until one's exact flow equals the minimum
@@ -477,33 +454,19 @@ def min_common_moves_over_close_pairs(
 ) -> tuple[int, tuple[int, int]] | None:
     """Minimum number of shared valid moves over all pairs within the distance.
 
-    Valid-move sets are packed into per-vertex bitmasks once, so each pair
+    Each valid move gives exactly one arc, so a vertex's valid-move set is
+    the move ids of its CSR row, packed into one bitmask; each pair then
     costs a single AND + popcount.  Returns (count, (u, v)) for the first
     minimizing pair, or None when no qualifying pair exists.
     """
     if max_distance != 2:
         raise InvalidDimensionError("only max_distance=2 is supported")
-    fiber = graph.fiber
-    if fiber.n < 2:
-        return None
-    moves = enumerate_basis_moves(fiber.n)
-    masks = []
-    for t in fiber:
-        mask = 0
-        for bit, m in enumerate(moves):
-            if is_valid_move(t, m):
-                mask |= 1 << bit
-        masks.append(mask)
-    pairs = []
-    for u, row in enumerate(graph.neighbor_lists()):
-        pairs.extend((u, v) for v in row if v > u)
-    pairs.extend(distance_two_pairs(graph))
-    best: tuple[int, tuple[int, int]] | None = None
-    for u, v in pairs:
-        count = (masks[u] & masks[v]).bit_count()
-        if best is None or count < best[0]:
-            best = (count, (u, v))
-    return best
+    ptr, ids = graph.indptr.tolist(), graph.move_ids.tolist()
+    masks = [sum(1 << k for k in ids[a:b]) for a, b in zip(ptr, ptr[1:])]
+    pairs = graph.edges() + distance_two_pairs(graph)
+    # min keeps the first of several minimizing pairs
+    shared = (((masks[u] & masks[v]).bit_count(), (u, v)) for u, v in pairs)
+    return min(shared, key=lambda item: item[0], default=None)
 
 
 # --- detour paths between distance-2 vertices ---

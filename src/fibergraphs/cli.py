@@ -490,31 +490,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the main output to this path")
-    common.add_argument(
+    sized = argparse.ArgumentParser(add_help=False)
+    sized.add_argument(
         "--cap", type=int, default=enumeration.DEFAULT_CAP,
         help="vertex-count resource guard (default %(default)s)",
     )
-    common.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for parallelizable sweeps (default 1)",
-    )
 
-    p = sub.add_parser("enumerate", parents=[common], help="enumerate a fiber")
+    p = sub.add_parser("enumerate", parents=[common, sized], help="enumerate a fiber")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("graph", parents=[common], help="build and export a fiber graph")
+    p = sub.add_parser("graph", parents=[common, sized], help="build and export a fiber graph")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--format", choices=("edge-list", "dot"), default="edge-list")
     p.add_argument("--oriented", action="store_true", help="orient edges by the standard weight")
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("verify", parents=[common], help="run the theorem-instance checks")
+    p = sub.add_parser("verify", parents=[common, sized], help="run the theorem-instance checks")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes for the max-flow sweeps (default 1)",
+    )
     p.add_argument(
         "--checks", help=f"comma-separated subset of: {','.join(CHECK_NAMES)}"
     )

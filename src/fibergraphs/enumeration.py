@@ -12,32 +12,33 @@ The two must agree; tests and the CLI cross-check them on every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
     InvalidDimensionError,
     SizeLimitExceededError,
     UnboundedFiberError,
 )
-from .tables import ContingencyTable, Entries
+from .tables import ContingencyTable
 
 DEFAULT_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
 class Fiber:
-    """All tables with the given margins, in canonical (row-major lex) order."""
+    """All tables with the given margins, in canonical (row-major lex) order.
+
+    ``tables`` is the API and file-format view; graph code reads the
+    ``cells`` array instead, which is built on first use.
+    """
 
     n: int
     r: int
     tables: tuple[ContingencyTable, ...]
-    _index: dict[Entries, int] = field(repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self._index:
-            self._index.update({t.entries: k for k, t in enumerate(self.tables)})
 
     def __len__(self) -> int:
         return len(self.tables)
@@ -48,12 +49,41 @@ class Fiber:
     def __getitem__(self, vertex_id: int) -> ContingencyTable:
         return self.tables[vertex_id]
 
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """Row-major entries of every table, row k holding vertex k.
+
+        Entries are big-endian unsigned ints of one fixed width, so comparing
+        the bytes of two rows compares their tables in canonical order.
+        """
+        flat = [x for t in self.tables for row in t.entries for x in row]
+        dtype = np.min_scalar_type(self.r).newbyteorder(">")
+        return np.array(flat, dtype=dtype).reshape(len(self), self.n**2)
+
+    def ids_of(self, rows: np.ndarray) -> np.ndarray:
+        """Vertex ids of (k, n^2) row-major entry rows; KeyError names the first miss."""
+        row_key = np.dtype((np.void, self.n**2 * self.cells.itemsize))
+        keys = self.cells.view(row_key)[:, 0]
+        probe = np.ascontiguousarray(rows, dtype=self.cells.dtype).view(row_key)[:, 0]
+        ids = np.searchsorted(keys, probe)
+        found = ids < len(self)
+        found[found] = keys[ids[found]] == probe[found]
+        if not found.all():
+            raise KeyError(tuple(rows[np.argmin(found)].tolist()))
+        return ids
+
     def index_of(self, t: ContingencyTable) -> int:
         """Dense vertex id of a table; KeyError when t is not in the fiber."""
-        return self._index[t.entries]
+        if t.n != self.n or t.r != self.r:
+            raise KeyError(t.entries)
+        return int(self.ids_of(np.array([t.row_major()], dtype=self.cells.dtype))[0])
 
     def contains(self, t: ContingencyTable) -> bool:
-        return t.entries in self._index
+        try:
+            self.index_of(t)
+        except KeyError:
+            return False
+        return True
 
 
 def _row_compositions(total: int, budgets: Sequence[int]) -> Iterator[tuple[int, ...]]:

@@ -1,9 +1,11 @@
 """Explicit fiber graphs, their weight orientation, and export formats.
 
 Vertices are the fiber tables under their canonical dense ids; two vertices
-are adjacent when one move maps one table to the other.  Adjacency is built
-by applying every basis move at every vertex and hashing the result into the
-fiber index, which is O(|V| * n^4) instead of O(|V|^2).
+are adjacent when one move maps one table to the other.  The graph is one
+CSR adjacency whose arcs are labelled by basis-move id.  It is built one
+basis move at a time: the move is added to every row of the fiber's cell
+array whose two subtracted cells are positive, and the results are looked
+up in the fiber by binary search, O(|V| log |V|) per move.
 
 Orienting every edge toward the strictly smaller value of a weight vector
 turns the graph into a DAG; with the standard weight (row + col)^2 the DAG
@@ -13,34 +15,31 @@ has a unique sink, located at the anti-diagonal table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .enumeration import Fiber
 from .errors import SizeLimitExceededError, UnsupportedFormatError, ZeroWeightEdgeError
-from .tables import ContingencyTable, MarkovMove, enumerate_basis_moves, apply_move, is_valid_move
+from .tables import ContingencyTable, MarkovMove, enumerate_basis_moves
 
 DOT_VERTEX_LIMIT = 500
 
 
-class EdgeOut(NamedTuple):
-    neighbor: int
-    move: MarkovMove  # canonically least move mapping this vertex to neighbor
-    multiplicity: int  # number of distinct basis moves connecting the pair
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiberGraph:
-    """Undirected simple graph on a fiber with move-labelled edges."""
+    """Undirected simple graph on a fiber, as CSR arcs labelled by move.
+
+    The arcs of u are ``indptr[u]:indptr[u + 1]``, sorted by neighbour;
+    ``move_ids[a]`` indexes ``enumerate_basis_moves(n)``.  Each valid move
+    gives exactly one arc, because distinct moves are distinct matrices.
+    """
 
     fiber: Fiber
-    adjacency: tuple[tuple[EdgeOut, ...], ...]
-    _neighbor_ids: tuple[tuple[int, ...], ...] = field(repr=False, compare=False, default=())
-
-    def __post_init__(self) -> None:
-        if not self._neighbor_ids:
-            ids = tuple(tuple(e.neighbor for e in row) for row in self.adjacency)
-            object.__setattr__(self, "_neighbor_ids", ids)
+    indptr: np.ndarray
+    indices: np.ndarray
+    move_ids: np.ndarray
 
     @property
     def vertex_count(self) -> int:
@@ -48,48 +47,50 @@ class FiberGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(row) for row in self.adjacency) // 2
+        return len(self.indices) // 2
 
     def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
+        return int(self.indptr[u + 1] - self.indptr[u])
 
     def degrees(self) -> list[int]:
-        return [len(row) for row in self.adjacency]
+        return np.diff(self.indptr).tolist()
+
+    @cached_property
+    def _neighbors(self) -> tuple[tuple[int, ...], ...]:
+        ptr, idx = self.indptr.tolist(), self.indices.tolist()
+        return tuple(tuple(idx[a:b]) for a, b in zip(ptr, ptr[1:]))
 
     def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
-        """Plain adjacency (neighbor ids only), for the graph algorithms."""
-        return self._neighbor_ids
+        """Plain adjacency (neighbor ids as Python ints), for the graph algorithms."""
+        return self._neighbors
 
-    def edges(self) -> list[tuple[int, int, int]]:
-        """Sorted (u, v, multiplicity) triples with u < v."""
-        out = []
-        for u, row in enumerate(self.adjacency):
-            for e in row:
-                if u < e.neighbor:
-                    out.append((u, e.neighbor, e.multiplicity))
-        return out
+    def edges(self) -> list[tuple[int, int]]:
+        """Sorted (u, v) pairs with u < v."""
+        sources = np.repeat(np.arange(self.vertex_count), np.diff(self.indptr))
+        upper = sources < self.indices
+        return list(zip(sources[upper].tolist(), self.indices[upper].tolist()))
 
 
 def build_graph(fiber: Fiber) -> FiberGraph:
-    """Adjacency of the fiber graph: v adjacent to u iff v = u + m for a basis move m."""
-    n = fiber.n
-    if n < 2 or len(fiber) == 0:
-        return FiberGraph(fiber, tuple(() for _ in fiber))
-    moves = enumerate_basis_moves(n)
-    adjacency: list[tuple[EdgeOut, ...]] = []
-    for t in fiber:
-        by_neighbor: dict[int, list[MarkovMove]] = {}
-        for m in moves:
-            if is_valid_move(t, m):
-                v = fiber.index_of(apply_move(t, m))
-                by_neighbor.setdefault(v, []).append(m)
-        adjacency.append(
-            tuple(
-                EdgeOut(v, min(ms), len(ms))
-                for v, ms in sorted(by_neighbor.items())
-            )
-        )
-    return FiberGraph(fiber, tuple(adjacency))
+    """Adjacency of the fiber graph: v adjacent to u iff v = u + m for a basis move m.
+
+    Raises KeyError when some u + m is missing from the fiber.
+    """
+    n, count = fiber.n, len(fiber)
+    empty = np.zeros(0, dtype=np.intp)
+    sources, targets, labels = [empty], [empty], [empty]
+    if n >= 2:
+        cells = fiber.cells
+        for k, m in enumerate(enumerate_basis_moves(n)):
+            (a, b), (c, d) = m.subtracted_cells()
+            at = np.flatnonzero((cells[:, a * n + b] >= 1) & (cells[:, c * n + d] >= 1))
+            sources.append(at)
+            targets.append(fiber.ids_of(cells[at] + np.ravel(m.as_matrix(n))))
+            labels.append(np.full(len(at), k, dtype=np.intp))
+    u, v = np.concatenate(sources), np.concatenate(targets)
+    order = np.lexsort((v, u))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(u, minlength=count))))
+    return FiberGraph(fiber, indptr, v[order], np.concatenate(labels)[order])
 
 
 @dataclass(frozen=True)
@@ -132,9 +133,6 @@ class OrientedFiberGraph:
     weight: WeightVector
     out_edges: tuple[tuple[int, ...], ...]
 
-    def out_degree(self, u: int) -> int:
-        return len(self.out_edges[u])
-
 
 def orient(graph: FiberGraph, w: WeightVector) -> OrientedFiberGraph:
     """Direct every edge toward the strictly smaller w-value.
@@ -144,21 +142,22 @@ def orient(graph: FiberGraph, w: WeightVector) -> OrientedFiberGraph:
     orientation is automatically acyclic: w.v strictly decreases along
     every directed edge.
     """
-    if w.n != graph.fiber.n:
+    n = graph.fiber.n
+    if w.n != n:
         raise ZeroWeightEdgeError(
-            f"weight vector is for n={w.n}, graph is for n={graph.fiber.n}"
+            f"weight vector is for n={w.n}, graph is for n={n}"
         )
-    out: list[list[int]] = [[] for _ in range(graph.vertex_count)]
-    for u, row in enumerate(graph.adjacency):
-        for e in row:
-            delta = w.move_weight(e.move)
-            if delta == 0:
-                raise ZeroWeightEdgeError(
-                    f"edge {u} -- {e.neighbor} has zero weight change under w"
-                )
-            if delta < 0:
-                out[u].append(e.neighbor)
-    return OrientedFiberGraph(graph, w, tuple(tuple(sorted(o)) for o in out))
+    weights = [w.move_weight(m) for m in enumerate_basis_moves(n)] if n >= 2 else []
+    zero = np.array([x == 0 for x in weights], dtype=bool)[graph.move_ids]
+    if zero.any():
+        arc = int(np.argmax(zero))
+        u = int(np.searchsorted(graph.indptr, arc, side="right")) - 1
+        raise ZeroWeightEdgeError(f"edge {u} -- {graph.indices[arc]} has zero weight change under w")
+    down = np.array([x < 0 for x in weights], dtype=bool)[graph.move_ids]
+    ptr = np.concatenate(([0], np.cumsum(down)))[graph.indptr].tolist()
+    heads = graph.indices[down].tolist()
+    out = tuple(tuple(heads[a:b]) for a, b in zip(ptr, ptr[1:]))
+    return OrientedFiberGraph(graph, w, out)
 
 
 def find_sinks(og: OrientedFiberGraph) -> list[int]:
@@ -188,22 +187,20 @@ def is_acyclic(og: OrientedFiberGraph) -> bool:
 def export_graph(graph: FiberGraph | OrientedFiberGraph, fmt: str) -> str:
     """Deterministic rendering of a graph.
 
-    ``edge-list``: one line per edge, "u v" (plus a multiplicity column when
-    it exceeds 1); directed graphs list u -> v pairs.  ``dot``: Graphviz
-    source with tables as node labels, guarded to 500 vertices.
+    Edges are read from the graph's CSR rows, so they come out sorted by
+    (u, v).  ``edge-list``: one "u v" line per edge with u < v; directed
+    graphs list u -> v pairs.  There is no multiplicity column, because each
+    edge comes from exactly one move.  ``dot``: Graphviz source with tables
+    as node labels, guarded to 500 vertices.
     """
     oriented = isinstance(graph, OrientedFiberGraph)
     base = graph.base if oriented else graph
+    if oriented:
+        pairs = [(u, v) for u, outs in enumerate(graph.out_edges) for v in outs]
+    else:
+        pairs = base.edges()
     if fmt == "edge-list":
-        lines = []
-        if oriented:
-            for u, outs in enumerate(graph.out_edges):
-                for v in outs:
-                    lines.append(f"{u} {v}")
-        else:
-            for u, v, mult in base.edges():
-                lines.append(f"{u} {v}" if mult == 1 else f"{u} {v} {mult}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(f"{u} {v}\n" for u, v in pairs)
     if fmt == "dot":
         if base.vertex_count > DOT_VERTEX_LIMIT:
             raise SizeLimitExceededError(DOT_VERTEX_LIMIT, context="dot export")
@@ -213,13 +210,7 @@ def export_graph(graph: FiberGraph | OrientedFiberGraph, fmt: str) -> str:
         for u, t in enumerate(base.fiber):
             label = "\\n".join(" ".join(str(x) for x in row) for row in t.entries)
             lines.append(f'  {u} [label="{label}"];')
-        if oriented:
-            for u, outs in enumerate(graph.out_edges):
-                for v in outs:
-                    lines.append(f"  {u} {arrow} {v};")
-        else:
-            for u, v, _ in base.edges():
-                lines.append(f"  {u} {arrow} {v};")
+        lines.extend(f"  {u} {arrow} {v};" for u, v in pairs)
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise UnsupportedFormatError(f"unknown graph format {fmt!r}")

@@ -11,8 +11,22 @@ import json
 from pathlib import Path
 
 from .enumeration import Fiber
-from .errors import InvalidDimensionError
+from .errors import FiberGraphsError, InvalidDimensionError
 from .tables import ContingencyTable, validate_table
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise FiberGraphsError(f"cannot read {str(path)!r}: {exc.strerror}") from None
+
+
+def _integer(value: object, where: str) -> int:
+    """value itself when it is an int; booleans, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidDimensionError(f"{where} is not an integer: {value!r}")
+    return value
 
 
 def parse_rows_csv(text: str) -> list[list[int]]:
@@ -63,7 +77,7 @@ def parse_table_json(text: str) -> ContingencyTable:
 def load_table(path: str | Path) -> ContingencyTable:
     """Load a table, dispatching on the .json / .csv extension."""
     path = Path(path)
-    text = path.read_text()
+    text = _read_text(path)
     if path.suffix.lower() == ".json":
         return parse_table_json(text)
     if path.suffix.lower() == ".csv":
@@ -74,25 +88,22 @@ def load_table(path: str | Path) -> ContingencyTable:
 def load_rows(path: str | Path) -> list[list[int]]:
     """Raw rows from either format, without margin validation."""
     path = Path(path)
-    text = path.read_text()
+    text = _read_text(path)
     if path.suffix.lower() == ".json":
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidDimensionError(f"invalid JSON: {exc}") from None
         rows = payload.get("rows") if isinstance(payload, dict) else payload
-        if not isinstance(rows, list):
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise InvalidDimensionError("JSON input does not contain a rows array")
-        return [[int(x) for x in row] for row in rows]
+        return [[_integer(x, f"entry at row {i}, column {j}") for j, x in enumerate(row, 1)]
+                for i, row in enumerate(rows, 1)]
     return parse_rows_csv(text)
 
 
 def table_to_json(t: ContingencyTable) -> str:
     return json.dumps({"n": t.n, "r": t.r, "rows": t.rows()}, separators=(",", ":"))
-
-
-def table_to_csv(t: ContingencyTable) -> str:
-    return "\n".join(",".join(str(x) for x in row) for row in t.entries) + "\n"
 
 
 def fiber_to_jsonl(fiber: Fiber) -> str:
@@ -116,20 +127,21 @@ def fiber_to_csv(fiber: Fiber) -> str:
 
 def load_matrix_json(path: str | Path) -> list[list[int]]:
     """Integer matrix from {"rows": [[int, ...], ...]} (general fiber input)."""
-    text = Path(path).read_text()
+    text = _read_text(Path(path))
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidDimensionError(f"invalid JSON: {exc}") from None
     rows = payload.get("rows") if isinstance(payload, dict) else None
-    if not isinstance(rows, list) or not rows:
+    if not isinstance(rows, list) or not rows or not all(isinstance(row, list) for row in rows):
         raise InvalidDimensionError('matrix JSON must be {"rows": [[int, ...], ...]}')
     width = len(rows[0])
     out = []
     for i, row in enumerate(rows, start=1):
         if len(row) != width:
             raise InvalidDimensionError(f"matrix row {i} has length {len(row)}, expected {width}")
-        out.append([int(x) for x in row])
+        out.append([_integer(x, f"matrix entry at row {i}, column {j}")
+                    for j, x in enumerate(row, start=1)])
     return out
 
 
@@ -137,7 +149,7 @@ def parse_constraints(value: str) -> list[tuple[int, int]]:
     """Constraint list from a JSON array literal or from a JSON file path."""
     text = value
     if not value.lstrip().startswith("["):
-        text = Path(value).read_text()
+        text = _read_text(Path(value))
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -148,5 +160,6 @@ def parse_constraints(value: str) -> list[tuple[int, int]]:
     for k, pair in enumerate(payload, start=1):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise InvalidDimensionError(f"constraint {k} is not an [i, j] pair")
-        out.append((int(pair[0]), int(pair[1])))
+        out.append((_integer(pair[0], f"constraint {k} row"),
+                    _integer(pair[1], f"constraint {k} column")))
     return out

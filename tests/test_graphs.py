@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from fibergraphs.enumeration import enumerate_fiber
@@ -15,12 +16,19 @@ from fibergraphs.graphs import (
     orient,
     vertex_map_json,
 )
-from fibergraphs.tables import degree, scaled_permutation, validate_table
+from fibergraphs.tables import (
+    ContingencyTable,
+    degree,
+    enumerate_basis_moves,
+    scaled_permutation,
+    valid_moves,
+    validate_table,
+)
 
 
 def test_g22_is_a_path(graph_2_2):
     assert graph_2_2.vertex_count == 3
-    assert graph_2_2.edges() == [(0, 1, 1), (1, 2, 1)]
+    assert graph_2_2.edges() == [(0, 1), (1, 2)]
 
 
 def test_g32_vertex_count_and_min_degree(graph_3_2):
@@ -53,10 +61,30 @@ def test_adjacency_symmetric_no_loops(graph_3_2):
 
 def test_pair_multiplicity_is_one(graph_3_3):
     # distinct basis moves are distinct matrices, so a vertex pair is never
-    # connected by two different moves
-    for row in graph_3_3.adjacency:
-        for edge in row:
-            assert edge.multiplicity == 1
+    # connected by two different moves: each valid move gives exactly one arc
+    basis = enumerate_basis_moves(3)
+    g = graph_3_3
+    for u, t in enumerate(g.fiber):
+        row = g.indices[g.indptr[u]:g.indptr[u + 1]]
+        assert (np.diff(row) > 0).all()
+        labels = g.move_ids[g.indptr[u]:g.indptr[u + 1]]
+        assert sorted(labels.tolist()) == [basis.index(m) for m in valid_moves(t)]
+
+
+def test_wide_keys_on_a_long_path():
+    # 70,001 tables whose entries need 32 bits; (r+1)^4 > 2^63, so a table
+    # cannot be packed into one int64 and the lookup must compare wide keys
+    graph = build_graph(enumerate_fiber(2, 70_000))
+    fiber = graph.fiber
+    assert graph.vertex_count == 70_001
+    assert graph.edges() == [(k, k + 1) for k in range(70_000)]
+    for k in (0, 35_000, 70_000):
+        assert fiber.index_of(fiber[k]) == k
+    with pytest.raises(KeyError):
+        fiber.index_of(validate_table(2, 69_999, [[0, 69_999], [69_999, 0]]))
+    with pytest.raises(KeyError):
+        # same n and r, but no such row in the fiber: the byte-key search misses
+        fiber.index_of(ContingencyTable(2, 70_000, ((35_000, 35_001), (35_001, 35_000))))
 
 
 def test_standard_weight_values():

@@ -60,6 +60,20 @@ def test_load_matrix_json(tmp_path):
         io.load_matrix_json(path)
 
 
+def test_json_inputs_reject_non_integers(tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text('{"rows": [[1, 0], [0, true]]}')
+    with pytest.raises(InvalidDimensionError, match="row 2, column 2"):
+        io.load_rows(path)
+    path.write_text('{"rows": [[1, 1], [0, 2.0]]}')
+    with pytest.raises(InvalidDimensionError, match="row 2, column 2"):
+        io.load_matrix_json(path)
+    with pytest.raises(InvalidDimensionError, match="constraint 2 row"):
+        io.parse_constraints('[[1, 2], ["1.5", 1]]')
+    with pytest.raises(InvalidDimensionError, match="constraint 1 column"):
+        io.parse_constraints("[[1, false]]")
+
+
 def test_matrix_json_feeds_general_fiber(tmp_path):
     from fibergraphs.enumeration import enumerate_general_fiber, margin_matrix
 
@@ -219,6 +233,32 @@ def test_cli_test_margin_mismatch(tmp_path, capsys):
     table = tmp_path / "bad.csv"
     table.write_text("1,0\n0,2\n")
     assert main(["test", "--table", str(table), "--steps", "10", "--seed", "1"]) == 1
+
+
+def test_cli_test_rejects_fractional_table(tmp_path, capsys):
+    # int() used to truncate this to the identity table and exit 0
+    table = tmp_path / "t.json"
+    table.write_text("[[1.7, 0.3], [0.3, 1.7]]")
+    assert main(["test", "--table", str(table), "--steps", "10", "--seed", "1"]) == 1
+    assert "row 1, column 1 is not an integer: 1.7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["test", "sample"])
+def test_cli_missing_table_file(tmp_path, capsys, command):
+    missing = tmp_path / "absent.json"
+    argv = [command, "--table", str(missing), "--steps", "10", "--seed", "1"]
+    assert main(argv) == 1
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_cli_rejects_options_the_subcommand_ignores(tmp_path, capsys):
+    table = tmp_path / "d.csv"
+    table.write_text("1,0\n0,1\n")
+    argv = ["sample", "--table", str(table), "--steps", "3", "--seed", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--workers", "7", "--cap", "3"])
+    assert exc.value.code == 2
+    assert main(argv) == 0
 
 
 def test_cli_hemmecke(capsys):
