@@ -1,21 +1,23 @@
 """Distances, connectivity, common moves, and detour-path structure of fiber graphs.
 
-Everything here runs on plain adjacency lists, so the same machinery serves
-fiber graphs, the double-cube counterexample graph, and the random graphs the
-test oracles throw at it.  Local connectivity is Menger's count of internally
-vertex-disjoint paths, computed as unit-capacity max-flow on the vertex-split
-network.  Global vertex connectivity uses the classical exact scheme: one
-minimum-degree vertex against all its non-neighbors, then all non-adjacent
-pairs among its neighbors.
+A graph arrives as a fiber graph or as plain adjacency lists, so the same
+machinery serves fiber graphs, the double-cube counterexample graph, and the
+random graphs the test oracles throw at it.  Every distance and connectivity
+question is answered by one vectorized frontier BFS over CSR arrays: a fiber
+graph's own, or arrays built once from the lists.  Local connectivity is
+Menger's count of internally vertex-disjoint paths, computed as unit-capacity
+max-flow on the vertex-split network.  Global vertex connectivity uses the
+classical exact scheme: one minimum-degree vertex against all its
+non-neighbors, then all non-adjacent pairs among its neighbors.  Both it and
+Liu's criterion sweep their pairs serially, each search capped at the least
+flow found so far.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .errors import (
     InvalidDimensionError,
     NotDistanceTwoError,
 )
-from .graphs import FiberGraph, OrientedFiberGraph
+from .graphs import FiberGraph
 from .tables import (
     ContingencyTable,
     MarkovMove,
@@ -38,86 +40,82 @@ from .tables import (
 )
 
 AdjacencyList = Sequence[Sequence[int]]
-GraphLike = Union[FiberGraph, OrientedFiberGraph, AdjacencyList]
+GraphLike = Union[FiberGraph, AdjacencyList]
 
 
 def adjacency_of(graph: GraphLike) -> tuple[tuple[int, ...], ...]:
     """Normalize any supported graph input to immutable adjacency lists."""
-    if isinstance(graph, OrientedFiberGraph):
-        return graph.base.neighbor_lists()
     if isinstance(graph, FiberGraph):
         return graph.neighbor_lists()
     return tuple(tuple(row) for row in graph)
 
 
+def _csr(graph: GraphLike) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices): a fiber graph's own arrays, or built from adjacency lists."""
+    if isinstance(graph, FiberGraph):
+        return graph.indptr, graph.indices
+    indptr = np.cumsum([0, *map(len, graph)])
+    indices = np.fromiter((v for row in graph for v in row), dtype=np.int64, count=indptr[-1])
+    return indptr, indices
+
+
 # --- distances ---
+
+def _bfs(
+    indptr: np.ndarray, indices: np.ndarray, source: int, removed: Iterable[int] = ()
+) -> np.ndarray:
+    """Distances from source by level-synchronous frontier expansion; -1 marks
+    unreachable vertices.  The search never enters a vertex in ``removed``."""
+    n = len(indptr) - 1
+    dist = np.full(n, -1, dtype=np.int64)
+    blocked = list(removed)
+    dist[blocked] = n  # reads as already reached, so no level enters it
+    dist[source] = 0
+    frontier = np.array([source], dtype=np.int64)
+    level = 0
+    while frontier.size:
+        level += 1
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        total = int(counts.sum())
+        if total == 0:
+            break
+        prev = np.cumsum(counts) - counts
+        flat = np.repeat(starts - prev, counts) + np.arange(total)
+        nbrs = indices[flat]
+        fresh = nbrs[dist[nbrs] < 0]
+        if fresh.size == 0:
+            break
+        frontier = np.unique(fresh)
+        dist[frontier] = level
+    dist[blocked] = -1
+    return dist
+
 
 def bfs_distances(graph: GraphLike, source: int) -> list[int]:
     """Shortest-path distances from source; -1 marks unreachable vertices."""
-    adj = adjacency_of(graph)
-    dist = [-1] * len(adj)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+    return _bfs(*_csr(graph), source).tolist()
 
 
 def distance_between(graph: GraphLike, u: int, v: int) -> int:
     """BFS distance from u to v, -1 when unreachable."""
-    return bfs_distances(graph, u)[v]
-
-
-def _csr(adj: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    indptr = np.cumsum([0, *map(len, adj)])
-    indices = np.fromiter((v for row in adj for v in row), dtype=np.int64, count=indptr[-1])
-    return indptr, indices
+    return int(_bfs(*_csr(graph), u)[v])
 
 
 def diameter(graph: GraphLike) -> int:
     """Largest BFS distance over all source vertices.
 
-    Vectorized frontier expansion over a CSR layout keeps the all-sources
-    sweep fast enough for desk-scale fibers (thousands of vertices).  Fiber
-    graphs are read in their own CSR form; plain adjacency lists are
-    converted.  Raises DisconnectedGraphError when some pair is unreachable.
+    One vectorized BFS per source keeps the all-sources sweep fast enough
+    for desk-scale fibers (thousands of vertices).  Raises
+    DisconnectedGraphError when some pair is unreachable.
     """
-    if isinstance(graph, OrientedFiberGraph):
-        graph = graph.base
-    if isinstance(graph, FiberGraph):
-        indptr, indices = graph.indptr, graph.indices
-    else:
-        indptr, indices = _csr(adjacency_of(graph))
+    indptr, indices = _csr(graph)
     n = len(indptr) - 1
     if n == 0:
         raise InvalidDimensionError("diameter of an empty graph is undefined")
-    if n == 1:
-        return 0
     best = 0
     for s in range(n):
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[s] = 0
-        frontier = np.array([s], dtype=np.int64)
-        level = 0
-        while frontier.size:
-            level += 1
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                break
-            prev = np.cumsum(counts) - counts
-            flat = np.repeat(starts - prev, counts) + np.arange(total)
-            nbrs = indices[flat]
-            fresh = nbrs[dist[nbrs] < 0]
-            if fresh.size == 0:
-                break
-            frontier = np.unique(fresh)
-            dist[frontier] = level
+        dist = _bfs(indptr, indices, s)
         if (dist < 0).any():
             raise DisconnectedGraphError(
                 f"vertex {int(np.flatnonzero(dist < 0)[0])} unreachable from {s}"
@@ -136,10 +134,19 @@ def diameter_witness_pair(n: int, r: int) -> tuple[ContingencyTable, Contingency
 
 
 def is_connected(graph: GraphLike) -> bool:
-    adj = adjacency_of(graph)
-    if len(adj) == 0:
+    indptr, indices = _csr(graph)
+    return len(indptr) == 1 or bool((_bfs(indptr, indices, 0) >= 0).all())
+
+
+def _connected_after_removal(
+    indptr: np.ndarray, indices: np.ndarray, removed: frozenset[int]
+) -> bool:
+    """Whether the vertices outside ``removed`` induce a connected graph."""
+    alive = len(indptr) - 1 - len(removed)
+    start = next((x for x in range(len(indptr) - 1) if x not in removed), None)
+    if start is None:
         return True
-    return all(d >= 0 for d in bfs_distances(adj, 0))
+    return int(np.count_nonzero(_bfs(indptr, indices, start, removed) >= 0)) == alive
 
 
 # --- local connectivity via vertex-split max-flow ---
@@ -212,8 +219,14 @@ class SplitNetwork:
         return flow, None
 
     def min_cut_vertices(self, caps: list[int], s: int) -> frozenset[int]:
-        """Split vertices whose in-half is residual-reachable from s_out but whose
-        out-half is not: exactly the vertices of a minimum vertex cut."""
+        """A minimum s-t vertex cut, read from a maximum flow's residual ``caps``.
+
+        Every arc leaving the residual-reachable side is saturated, and there
+        are as many as units of flow.  Each names a vertex: x_in -> x_out
+        names x, and u_out -> v_in names u, or v when u is s (then v is not
+        t, as s and t are non-adjacent).  Every s-t path crosses one of these
+        arcs at the vertex it names, so the named vertices form a cut.
+        """
         source = 2 * s + 1
         seen = [False] * (2 * self.n)
         seen[source] = True
@@ -224,9 +237,12 @@ class SplitNetwork:
                 if caps[a] > 0 and not seen[self.arc_to[a]]:
                     seen[self.arc_to[a]] = True
                     queue.append(self.arc_to[a])
-        return frozenset(
-            x for x in range(self.n) if seen[2 * x] and not seen[2 * x + 1]
-        )
+        cut = set()
+        for a in range(0, len(self.arc_to), 2):  # even arcs are the forward ones
+            tail, head = self.arc_to[a + 1], self.arc_to[a]
+            if seen[tail] and not seen[head]:
+                cut.add((head if tail == source else tail) // 2)
+        return frozenset(cut)
 
 
 def local_connectivity(graph: GraphLike, u: int, v: int) -> int:
@@ -276,109 +292,56 @@ def _connectivity_pairs(adj: Sequence[Sequence[int]]) -> tuple[int, list[tuple[i
     return s0, pairs
 
 
-_POOL_NETWORK: SplitNetwork | None = None
+def _min_flow(
+    net: SplitNetwork, pairs: Sequence[tuple[int, int]], bound: int | None
+) -> tuple[int | None, tuple[int, int] | None, list[int] | None]:
+    """(value, pair, residual) for the first pair whose max-flow is least.
 
-
-def _pool_init(adj: tuple[tuple[int, ...], ...]) -> None:
-    global _POOL_NETWORK
-    _POOL_NETWORK = SplitNetwork(adj)
-
-
-def _pool_flow(job: tuple[int, int, int | None]) -> int:
-    s, t, bound = job
-    assert _POOL_NETWORK is not None
-    flow, _ = _POOL_NETWORK.max_flow(s, t, bound)
-    return flow
-
-
-def _pair_flows(
-    adj: tuple[tuple[int, ...], ...],
-    pairs: list[tuple[int, int]],
-    bound: int | None,
-    workers: int,
-) -> list[int]:
-    """Flow value per pair, each capped at ``bound``; deterministic order.
-
-    With workers > 1 the pairs are evaluated in a fork-based process pool and
-    merged in submission order, so results do not depend on scheduling.
+    Each search is capped at the least flow found so far, the first one at
+    ``bound`` (None leaves it uncapped).  A search that stops below its cap
+    found no augmenting path, so its value is exact and its residual is a
+    maximum flow's.  Returns (bound, None, None) when no pair goes below it.
     """
-    if workers <= 1 or len(pairs) < 4:
-        net = SplitNetwork(adj)
-        out = []
-        cap = bound
-        for s, t in pairs:
-            flow, _ = net.max_flow(s, t, cap)
-            out.append(flow)
-            if cap is not None and flow < cap:
-                cap = flow  # the running minimum caps later searches
-        return out
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        return _pair_flows(adj, pairs, bound, workers=1)
-    jobs = [(s, t, bound) for s, t in pairs]
-    with ProcessPoolExecutor(
-        max_workers=workers, mp_context=ctx, initializer=_pool_init, initargs=(adj,)
-    ) as pool:
-        chunk = max(1, len(jobs) // (workers * 4))
-        return list(pool.map(_pool_flow, jobs, chunksize=chunk))
+    best, best_pair, best_caps = bound, None, None
+    for s, t in pairs:
+        flow, caps = net.max_flow(s, t, best)
+        if caps is not None:
+            best, best_pair, best_caps = flow, (s, t), caps
+    return best, best_pair, best_caps
 
 
-def vertex_connectivity(graph: GraphLike, workers: int = 1) -> ConnectivityReport:
+def vertex_connectivity(graph: GraphLike) -> ConnectivityReport:
     """Exact vertex connectivity with a verified witness cut.
 
     Complete graphs get kappa = |V| - 1 and no cut; disconnected graphs get
     kappa = 0 with the empty cut.  Otherwise kappa is the minimum local
-    connectivity over the certifying pair family, and the witness cut is
-    re-checked by BFS before returning.
+    connectivity over the certifying pair family, swept serially with every
+    search capped at deg(s0) or the least flow found so far.  The witness
+    cut is read from the minimizing search's residual (N(s0) when no pair
+    goes below deg(s0)) and re-checked by BFS before returning.
     """
     adj = adjacency_of(graph)
     n = len(adj)
     if n < 2:
         raise InvalidDimensionError("connectivity needs at least two vertices")
     min_degree = min(len(row) for row in adj)
-    if not is_connected(adj):
+    if not is_connected(graph):
         return ConnectivityReport(0, frozenset(), min_degree, min_degree == 0)
     if _is_complete(adj):
         return ConnectivityReport(n - 1, None, min_degree, min_degree == n - 1, complete=True)
 
     s0, pairs = _connectivity_pairs(adj)
-    kappa = len(adj[s0])
-    flows = _pair_flows(adj, pairs, bound=kappa, workers=workers)
-    min_pair: tuple[int, int] | None = None
-    for pair, flow in zip(pairs, flows):
-        if flow < kappa:
-            kappa = flow
-            min_pair = pair
-
+    net = SplitNetwork(adj)
+    kappa, min_pair, caps = _min_flow(net, pairs, len(adj[s0]))
     if min_pair is None:
         # kappa equals the minimum degree; the neighborhood of s0 is a cut
         witness = frozenset(adj[s0])
     else:
-        net = SplitNetwork(adj)
-        _, caps = net.max_flow(min_pair[0], min_pair[1])
-        assert caps is not None
         witness = net.min_cut_vertices(caps, min_pair[0])
 
     assert len(witness) == kappa, "witness cut size disagrees with kappa"
-    assert not _connected_after_removal(adj, witness), "witness cut does not disconnect"
+    assert not _connected_after_removal(*_csr(graph), witness), "witness cut does not disconnect"
     return ConnectivityReport(kappa, witness, min_degree, kappa == min_degree)
-
-
-def _connected_after_removal(adj: Sequence[Sequence[int]], removed: frozenset[int]) -> bool:
-    n = len(adj)
-    alive = [x for x in range(n) if x not in removed]
-    if len(alive) <= 1:
-        return True
-    seen = {alive[0]}
-    queue = deque([alive[0]])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in removed and y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == len(alive)
 
 
 # --- Liu's criterion and distance-2 structure ---
@@ -406,33 +369,20 @@ class LiuCheckResult:
     min_value: int | None  # None when the graph has no distance-2 pair
 
 
-def liu_check(graph: GraphLike, k: int, workers: int = 1) -> LiuCheckResult:
+def liu_check(graph: GraphLike, k: int) -> LiuCheckResult:
     """Check the k-disjoint-paths hypothesis over every distance-2 pair.
 
-    Returns the minimizing pair and its exact disjoint-path count; passed is
-    True when that minimum is >= k (vacuously true without distance-2 pairs).
+    Returns the first pair, in ``distance_two_pairs`` order, whose exact
+    disjoint-path count is least, with that count; passed is True when the
+    minimum is >= k (vacuously true without distance-2 pairs).  The pairs
+    are swept serially: the first search is uncapped and each later one is
+    capped at the least count found so far.
     """
     adj = adjacency_of(graph)
     pairs = distance_two_pairs(adj)
     if not pairs:
         return LiuCheckResult(True, k, None, None)
-    # min(deg u, deg v) over the pairs bounds the minimum from above, so
-    # capping every search there keeps the reported minimum exact
-    degrees = [len(row) for row in adj]
-    cap = min(min(degrees[s], degrees[t]) for s, t in pairs)
-    flows = _pair_flows(adj, pairs, bound=cap, workers=workers)
-    best = min(flows)
-    # a capped pair can report the minimum without attaining it; re-verify
-    # candidates uncapped until one's exact flow equals the minimum
-    net = SplitNetwork(adj)
-    min_pair = None
-    for pair, flow in zip(pairs, flows):
-        if flow == best:
-            exact, _ = net.max_flow(pair[0], pair[1])
-            if exact == best:
-                min_pair = pair
-                break
-    assert min_pair is not None
+    best, min_pair, _ = _min_flow(SplitNetwork(adj), pairs, None)
     return LiuCheckResult(best >= k, k, min_pair, best)
 
 
@@ -603,9 +553,9 @@ def hemmecke_matrix(k: int) -> tuple[list[list[int]], list[int]]:
 
 def articulation_vertices(graph: GraphLike) -> list[int]:
     """Vertices whose removal disconnects the graph (checked by removal + BFS)."""
-    adj = adjacency_of(graph)
+    indptr, indices = _csr(graph)
     return [
         x
-        for x in range(len(adj))
-        if not _connected_after_removal(adj, frozenset({x}))
+        for x in range(len(indptr) - 1)
+        if not _connected_after_removal(indptr, indices, frozenset({x}))
     ]

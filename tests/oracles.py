@@ -8,6 +8,7 @@ connectivity from exhaustive path packing.
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -50,6 +51,31 @@ def _connected_mask(masks: list[int], alive: int) -> bool:
         seen |= nxt
         frontier = nxt
     return seen == alive
+
+
+def brute_bfs_distances(adj, source: int) -> list[int]:
+    """Distances from source by a plain queue BFS; -1 marks unreachable vertices."""
+    dist = [-1] * len(adj)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def brute_is_connected(adj) -> bool:
+    return _connected_mask(_bitmask_adjacency(adj), (1 << len(adj)) - 1)
+
+
+def brute_articulation_vertices(adj) -> list[int]:
+    """Vertices whose removal leaves the other vertices disconnected."""
+    masks = _bitmask_adjacency(adj)
+    full = (1 << len(adj)) - 1
+    return [x for x in range(len(adj)) if not _connected_mask(masks, full & ~(1 << x))]
 
 
 def brute_vertex_connectivity(adj) -> int:

@@ -30,6 +30,9 @@ from fibergraphs.graphs import build_graph
 from fibergraphs.tables import degree, scaled_permutation, validate_table
 
 from oracles import (
+    brute_articulation_vertices,
+    brute_bfs_distances,
+    brute_is_connected,
     brute_local_connectivity,
     brute_vertex_connectivity,
     complete_bipartite,
@@ -54,9 +57,28 @@ def test_bfs_self_distance_zero(graph_3_2):
 
 
 def test_bfs_matches_vectorized_diameter(graph_3_2):
-    # the numpy all-sources sweep and the plain BFS must agree
+    # the all-sources sweep must agree with the per-source distance lists
     by_bfs = max(max(bfs_distances(graph_3_2, s)) for s in range(graph_3_2.vertex_count))
     assert diameter(graph_3_2) == by_bfs
+
+
+def test_bfs_routines_match_oracles_on_plain_lists():
+    # isolated vertices, empty rows and unsorted rows on the adjacency-list path
+    rng = random.Random(6060)
+    graphs = [[], [[]], [[], []], [[1], [0], []]]
+    for _ in range(120):
+        n = rng.randint(1, 14)
+        adj = [list(row) for row in random_graph(rng, n, rng.uniform(0.0, 3.0) / n)]
+        for row in adj:
+            rng.shuffle(row)
+        graphs.append(adj)
+    for adj in graphs:
+        for s in range(len(adj)):
+            assert bfs_distances(adj, s) == brute_bfs_distances(adj, s), adj
+        assert is_connected(adj) == brute_is_connected(adj), adj
+        assert articulation_vertices(adj) == brute_articulation_vertices(adj), adj
+    assert any(not brute_is_connected(adj) for adj in graphs)
+    assert any(brute_articulation_vertices(adj) for adj in graphs)
 
 
 def test_distance_diag_to_antidiagonal_g32(graph_3_2):
@@ -158,19 +180,24 @@ def test_vertex_connectivity_g31(graph_3_1):
 
 
 def test_witness_cut_disconnects(graph_3_3):
-    report = vertex_connectivity(graph_3_3)
-    adj = graph_3_3.neighbor_lists()
-    removed = report.witness_cut
-    alive = [x for x in range(len(adj)) if x not in removed]
-    seen = {alive[0]}
-    stack = [alive[0]]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in removed and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    assert len(seen) < len(alive)
+    # two triangles chained through the path 4 - 0 - 6: the minimizing pair
+    # (0, 1) saturates the arc from s0 into its neighbour 6, the cut vertex
+    chain = ((4, 6), (5, 6), (3, 4), (2, 4), (0, 2, 3), (1, 6), (0, 1, 5))
+    for adj in (graph_3_3.neighbor_lists(), chain):
+        report = vertex_connectivity(adj)
+        removed = report.witness_cut
+        assert len(removed) == report.kappa == brute_vertex_connectivity(adj)
+        alive = [x for x in range(len(adj)) if x not in removed]
+        seen = {alive[0]}
+        stack = [alive[0]]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in removed and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        assert len(seen) < len(alive)
+    assert report.witness_cut == frozenset({6})
 
 
 def test_vertex_connectivity_complete_marker():
@@ -202,13 +229,6 @@ def test_vertex_connectivity_matches_brute_force_random():
         assert report.kappa <= report.min_degree  # Whitney bound
 
 
-def test_vertex_connectivity_parallel_workers_match(graph_3_3):
-    sequential = vertex_connectivity(graph_3_3, workers=1)
-    parallel = vertex_connectivity(graph_3_3, workers=2)
-    assert parallel.kappa == sequential.kappa
-    assert parallel.min_degree == sequential.min_degree
-
-
 # --- Liu criterion and common moves ---
 
 def test_liu_g33(graph_3_3):
@@ -228,6 +248,29 @@ def test_liu_g32_empirical(graph_3_2):
     # r = 2 sits outside the theorem; record the computed value only
     result = liu_check(graph_3_2, 3)
     assert result.min_value == local_connectivity(graph_3_2, *result.min_pair)
+
+
+def test_liu_reports_first_exact_minimiser(graph_3_3):
+    # the capped sweep must return the first pair, in distance_two_pairs
+    # order, whose uncapped local connectivity is least
+    rng = random.Random(7171)
+    # the double cubes' least pair sits below every pair's smaller degree
+    graphs = [graph_3_3.neighbor_lists(), hemmecke_graph(2)[0], hemmecke_graph(3)[0]]
+    graphs += [random_graph(rng, n, rng.uniform(0.15, 0.7))
+               for n in (rng.randint(5, 14) for _ in range(80))]
+    at_degree_bound = checked = 0
+    for adj in graphs:
+        pairs = distance_two_pairs(adj)
+        if not pairs:
+            continue
+        checked += 1
+        exact = [local_connectivity(adj, s, t) for s, t in pairs]
+        least = min(exact)
+        result = liu_check(adj, 2)
+        assert (result.min_pair, result.min_value) == (pairs[exact.index(least)], least), adj
+        degrees = [len(row) for row in adj]
+        at_degree_bound += least == min(min(degrees[s], degrees[t]) for s, t in pairs)
+    assert 0 < at_degree_bound < checked
 
 
 def test_common_moves_self_is_degree(graph_3_3):

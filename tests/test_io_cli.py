@@ -167,6 +167,21 @@ def test_cli_verify_gates_expensive_without_long(capsys):
     assert suite["results"][0]["skipped"] is True
 
 
+@pytest.mark.parametrize("n, r", [(1, 2), (1, 0), (3, 0)])
+def test_cli_verify_outside_hypotheses_reports(capsys, n, r):
+    assert main(["verify", "--n", str(n), "--r", str(r)]) == 0
+    suite = json.loads(capsys.readouterr().out)
+    assert suite["pass"] is True
+    assert [res["name"] for res in suite["results"]] == [
+        "degrees", "connmax", "maxdeg", "commonchoices", "connectivity",
+        "liu", "diameter", "sink", "dag", "konig", "decomp-constrained",
+    ]
+    for result in suite["results"]:
+        assert result["hypothesis_met"] is False
+        assert result["pass"] is True
+        assert "n >= 2 and r >= 1" in result["reason"]
+
+
 def test_cli_verify_unknown_check(capsys):
     assert main(["verify", "--n", "3", "--r", "2", "--checks", "nope"]) == 2
 
@@ -255,10 +270,17 @@ def test_cli_rejects_options_the_subcommand_ignores(tmp_path, capsys):
     table = tmp_path / "d.csv"
     table.write_text("1,0\n0,1\n")
     argv = ["sample", "--table", str(table), "--steps", "3", "--seed", "1"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--workers", "7", "--cap", "3"])
-    assert exc.value.code == 2
+    out = tmp_path / "x.jsonl"
+    for bad in (
+        argv + ["--workers", "7", "--cap", "3"],
+        argv + ["--out", str(out)],
+        ["verify", "--n", "2", "--r", "1", "--workers", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
     assert main(argv) == 0
+    assert not out.exists()
 
 
 def test_cli_hemmecke(capsys):
@@ -276,3 +298,6 @@ def test_cli_hemmecke(capsys):
 
 def test_cli_hemmecke_guard(capsys):
     assert main(["hemmecke", "--k", "13"]) == 3
+    for k in ("0", "-1"):
+        assert main(["hemmecke", "--k", k]) == 2
+        assert "1 <= k <= 12" in capsys.readouterr().err
