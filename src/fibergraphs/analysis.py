@@ -27,7 +27,7 @@ from .errors import (
     InvalidDimensionError,
     NotDistanceTwoError,
 )
-from .graphs import FiberGraph
+from .graphs import FiberGraph, row_arcs
 from .tables import (
     ContingencyTable,
     MarkovMove,
@@ -75,14 +75,7 @@ def _bfs(
     level = 0
     while frontier.size:
         level += 1
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        prev = np.cumsum(counts) - counts
-        flat = np.repeat(starts - prev, counts) + np.arange(total)
-        nbrs = indices[flat]
+        nbrs = indices[row_arcs(indptr, frontier)]
         fresh = nbrs[dist[nbrs] < 0]
         if fresh.size == 0:
             break

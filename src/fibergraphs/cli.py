@@ -15,7 +15,7 @@ import json
 import random
 import sys
 import time
-from math import comb
+from math import comb, isnan
 from pathlib import Path
 
 from . import analysis, decomposition, enumeration, graphs, io, sampler, tables
@@ -447,11 +447,13 @@ def cmd_test(args: argparse.Namespace) -> int:
     rows = io.load_rows(args.table)
     observed = sampler.as_equal_margin_table(rows)
     result = sampler.exact_test(observed, _walk_config(args, "hypergeometric"))
+    # too few samples leave the estimate or its error NaN, which JSON cannot hold
+    p_value, se = (None if isnan(x) else x for x in (result.p_value_estimate, result.standard_error))
     payload = {
         "statistic": args.statistic,
         "observed_statistic": result.observed_statistic,
-        "p_value_estimate": result.p_value_estimate,
-        "standard_error": result.standard_error,
+        "p_value_estimate": p_value,
+        "standard_error": se,
         "samples_used": result.samples_used,
     }
     _write_output(json.dumps(payload, indent=2) + "\n", args.out)
@@ -548,7 +550,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "cap", 1) < 1:
+        parser.error(f"--cap must be at least 1, got {args.cap}")
     try:
         return args.func(args)
     except SizeLimitExceededError as exc:

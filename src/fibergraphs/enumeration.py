@@ -13,7 +13,7 @@ The two must agree; tests and the CLI cross-check them on every run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -28,37 +28,33 @@ from .tables import ContingencyTable
 DEFAULT_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fiber:
     """All tables with the given margins, in canonical (row-major lex) order.
 
-    ``tables`` is the API and file-format view; graph code reads the
-    ``cells`` array instead, which is built on first use.
+    ``cells`` holds the row-major entries of every table, row k holding
+    vertex k.  Entries are big-endian unsigned ints of one fixed width (an
+    object array of Python ints when r needs more than 64 bits), so
+    comparing the bytes of two rows compares their tables in canonical order.
+    Tables are built from their rows when read, with Python int entries.
     """
 
     n: int
     r: int
-    tables: tuple[ContingencyTable, ...]
+    cells: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.tables)
+        return len(self.cells)
 
     def __iter__(self) -> Iterator[ContingencyTable]:
-        return iter(self.tables)
+        return map(self._table, self.cells.tolist())
 
     def __getitem__(self, vertex_id: int) -> ContingencyTable:
-        return self.tables[vertex_id]
+        return self._table(self.cells[vertex_id].tolist())
 
-    @cached_property
-    def cells(self) -> np.ndarray:
-        """Row-major entries of every table, row k holding vertex k.
-
-        Entries are big-endian unsigned ints of one fixed width, so comparing
-        the bytes of two rows compares their tables in canonical order.
-        """
-        flat = [x for t in self.tables for row in t.entries for x in row]
-        dtype = np.min_scalar_type(self.r).newbyteorder(">")
-        return np.array(flat, dtype=dtype).reshape(len(self), self.n**2)
+    def _table(self, flat: list[int]) -> ContingencyTable:
+        n = self.n
+        return ContingencyTable(n, self.r, tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n)))
 
     def ids_of(self, rows: np.ndarray) -> np.ndarray:
         """Vertex ids of (k, n^2) row-major entry rows; KeyError names the first miss."""
@@ -120,17 +116,18 @@ def enumerate_fiber(n: int, r: int, cap: int = DEFAULT_CAP) -> Fiber:
         raise InvalidDimensionError(f"need n >= 1, got {n}")
     if r < 0:
         raise InvalidDimensionError(f"need r >= 0, got {r}")
-    tables: list[ContingencyTable] = []
+    flat: list[int] = []
     rows: list[tuple[int, ...]] = []
 
     def rec(budgets: tuple[int, ...], rows_left: int) -> None:
         if rows_left == 1:
             # the final row is forced by the column budgets
             if sum(budgets) == r:
-                if len(tables) >= cap:
+                if len(flat) >= cap * n * n:
                     raise SizeLimitExceededError(cap, context="fiber enumeration")
-                ent = tuple(rows) + (budgets,)
-                tables.append(ContingencyTable(n, r, ent))
+                for row in rows:
+                    flat.extend(row)
+                flat.extend(budgets)
             return
         for comp in _row_compositions(r, budgets):
             rows.append(comp)
@@ -138,7 +135,8 @@ def enumerate_fiber(n: int, r: int, cap: int = DEFAULT_CAP) -> Fiber:
             rows.pop()
 
     rec((r,) * n, n)
-    return Fiber(n, r, tuple(tables))
+    dtype = np.min_scalar_type(r).newbyteorder(">")
+    return Fiber(n, r, np.array(flat, dtype=dtype).reshape(-1, n * n))
 
 
 def count_fiber(n: int, r: int) -> int:

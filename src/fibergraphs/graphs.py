@@ -125,13 +125,25 @@ class WeightVector:
         return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrientedFiberGraph:
-    """Edge orientation of a fiber graph: u -> v whenever w.(v - u) < 0."""
+    """Edge orientation of a fiber graph: u -> v whenever w.(v - u) < 0.
+
+    The arcs out of u are ``indices[indptr[u]:indptr[u + 1]]``, the down
+    arcs of the base graph's CSR row u, so each row stays sorted.
+    """
 
     base: FiberGraph
     weight: WeightVector
-    out_edges: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+
+
+def row_arcs(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions in ``indices`` of every arc out of the given CSR rows, row by row."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
 def orient(graph: FiberGraph, w: WeightVector) -> OrientedFiberGraph:
@@ -154,34 +166,27 @@ def orient(graph: FiberGraph, w: WeightVector) -> OrientedFiberGraph:
         u = int(np.searchsorted(graph.indptr, arc, side="right")) - 1
         raise ZeroWeightEdgeError(f"edge {u} -- {graph.indices[arc]} has zero weight change under w")
     down = np.array([x < 0 for x in weights], dtype=bool)[graph.move_ids]
-    ptr = np.concatenate(([0], np.cumsum(down)))[graph.indptr].tolist()
-    heads = graph.indices[down].tolist()
-    out = tuple(tuple(heads[a:b]) for a, b in zip(ptr, ptr[1:]))
-    return OrientedFiberGraph(graph, w, out)
+    indptr = np.concatenate(([0], np.cumsum(down)))[graph.indptr]
+    return OrientedFiberGraph(graph, w, indptr, graph.indices[down])
 
 
 def find_sinks(og: OrientedFiberGraph) -> list[int]:
     """Vertex ids with out-degree 0."""
-    return [u for u, o in enumerate(og.out_edges) if not o]
+    return np.flatnonzero(np.diff(og.indptr) == 0).tolist()
 
 
 def is_acyclic(og: OrientedFiberGraph) -> bool:
-    """Kahn topological sort; True when every vertex gets ordered."""
-    n = len(og.out_edges)
-    indeg = [0] * n
-    for outs in og.out_edges:
-        for v in outs:
-            indeg[v] += 1
-    queue = [u for u in range(n) if indeg[u] == 0]
-    seen = 0
-    while queue:
-        u = queue.pop()
-        seen += 1
-        for v in og.out_edges[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    return seen == n
+    """Kahn's algorithm one level at a time: remove every vertex of in-degree
+    0 together with its arcs, and repeat; True when every vertex is removed."""
+    indeg = np.bincount(og.indices, minlength=len(og.indptr) - 1)
+    level = np.flatnonzero(indeg == 0)
+    removed = 0
+    while level.size:
+        removed += level.size
+        heads, counts = np.unique(og.indices[row_arcs(og.indptr, level)], return_counts=True)
+        indeg[heads] -= counts
+        level = heads[indeg[heads] == 0]
+    return removed == len(indeg)
 
 
 def export_graph(graph: FiberGraph | OrientedFiberGraph, fmt: str) -> str:
@@ -196,7 +201,8 @@ def export_graph(graph: FiberGraph | OrientedFiberGraph, fmt: str) -> str:
     oriented = isinstance(graph, OrientedFiberGraph)
     base = graph.base if oriented else graph
     if oriented:
-        pairs = [(u, v) for u, outs in enumerate(graph.out_edges) for v in outs]
+        tails = np.repeat(np.arange(base.vertex_count), np.diff(graph.indptr))
+        pairs = list(zip(tails.tolist(), graph.indices.tolist()))
     else:
         pairs = base.edges()
     if fmt == "edge-list":

@@ -108,11 +108,9 @@ def table_to_json(t: ContingencyTable) -> str:
 
 def fiber_to_jsonl(fiber: Fiber) -> str:
     """One table per line, canonical order: {"id": k, "rows": [...]}."""
-    lines = [
-        json.dumps({"id": k, "rows": t.rows()}, separators=(",", ":"))
-        for k, t in enumerate(fiber)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    row = ",".join(["%d"] * fiber.n)
+    line = '{"id":%d,"rows":[[' + "],[".join([row] * fiber.n) + "]]}\n"
+    return "".join([line % (k, *cells) for k, cells in enumerate(fiber.cells.tolist())])
 
 
 def fiber_to_csv(fiber: Fiber) -> str:
@@ -120,8 +118,8 @@ def fiber_to_csv(fiber: Fiber) -> str:
     n = fiber.n
     header = "id," + ",".join(f"r{i}c{j}" for i in range(1, n + 1) for j in range(1, n + 1))
     lines = [header]
-    for k, t in enumerate(fiber):
-        lines.append(f"{k}," + ",".join(str(x) for x in t.row_major()))
+    for k, cells in enumerate(fiber.cells.tolist()):
+        lines.append(f"{k}," + ",".join(map(str, cells)))
     return "\n".join(lines) + "\n"
 
 

@@ -8,6 +8,7 @@ import pytest
 from fibergraphs.enumeration import enumerate_fiber
 from fibergraphs.errors import SizeLimitExceededError, UnsupportedFormatError, ZeroWeightEdgeError
 from fibergraphs.graphs import (
+    OrientedFiberGraph,
     WeightVector,
     build_graph,
     export_graph,
@@ -87,6 +88,11 @@ def test_wide_keys_on_a_long_path():
         fiber.index_of(ContingencyTable(2, 70_000, ((35_000, 35_001), (35_001, 35_000))))
 
 
+def _heads(og, u):
+    """Heads of the arcs out of u, as Python ints."""
+    return og.indices[og.indptr[u]:og.indptr[u + 1]].tolist()
+
+
 def test_standard_weight_values():
     w = WeightVector.standard(2)
     assert w.w == ((4, 9), (9, 16))
@@ -105,8 +111,8 @@ def test_orientation_hand_computed_edge(graph_2_2):
     assert w.dot(fiber[diag]) == 40
     assert w.dot(fiber[flat]) == 38
     og = orient(graph_2_2, w)
-    assert flat in og.out_edges[diag]
-    assert diag not in og.out_edges[flat]
+    assert flat in _heads(og, diag)
+    assert diag not in _heads(og, flat)
 
 
 def test_orientation_reversal(graph_3_2):
@@ -115,7 +121,7 @@ def test_orientation_reversal(graph_3_2):
     backward = orient(graph_3_2, w.negate())
     for u in range(graph_3_2.vertex_count):
         for v in graph_3_2.neighbor_lists()[u]:
-            assert (v in forward.out_edges[u]) != (v in backward.out_edges[u])
+            assert (v in _heads(forward, u)) != (v in _heads(backward, u))
 
 
 def test_orientation_is_acyclic(graph_3_2):
@@ -123,12 +129,26 @@ def test_orientation_is_acyclic(graph_3_2):
     assert is_acyclic(og)
 
 
+def test_is_acyclic_detects_a_cycle(graph_3_1):
+    # the arcs 0 -> 1 -> 2 -> 0 form a cycle; 3 -> 4 -> 5 is a path
+    def arcs(heads):
+        indptr = np.cumsum([0] + [len(h) for h in heads])
+        return indptr, np.array([v for h in heads for v in h], dtype=np.intp)
+
+    w = WeightVector.standard(3)
+    cyclic = OrientedFiberGraph(graph_3_1, w, *arcs([[1], [2], [0], [4], [5], []]))
+    assert is_acyclic(cyclic) is False
+    assert find_sinks(cyclic) == [5]
+    path = OrientedFiberGraph(graph_3_1, w, *arcs([[1], [2], [], [4], [5], []]))
+    assert is_acyclic(path) is True
+
+
 def test_every_directed_edge_decreases_weight(graph_3_3):
     w = WeightVector.standard(3)
     og = orient(graph_3_3, w)
     values = [w.dot(t) for t in graph_3_3.fiber]
-    for u, outs in enumerate(og.out_edges):
-        for v in outs:
+    for u in range(graph_3_3.vertex_count):
+        for v in _heads(og, u):
             assert values[v] < values[u]
 
 

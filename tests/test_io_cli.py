@@ -8,6 +8,7 @@ from fibergraphs import io
 from fibergraphs.cli import main
 from fibergraphs.enumeration import enumerate_fiber
 from fibergraphs.errors import InvalidDimensionError, RowSumMismatchError
+from fibergraphs.graphs import build_graph, vertex_map_json
 
 
 def test_parse_table_json_round_trip():
@@ -95,6 +96,15 @@ def test_cli_enumerate_counts(capsys):
     assert capsys.readouterr().out.strip() == "6 tables"
 
 
+def test_outputs_of_an_object_dtype_fiber(tmp_path):
+    # r >= 2**64 does not fit a fixed-width entry, so the fiber holds Python ints
+    fiber = enumerate_fiber(1, 2**64)
+    assert fiber.cells.dtype == object
+    assert io.fiber_to_jsonl(fiber) == '{"id":0,"rows":[[18446744073709551616]]}\n'
+    assert io.fiber_to_csv(fiber) == "id,r1c1\n0,18446744073709551616\n"
+    assert vertex_map_json(build_graph(fiber)) == '{"0":[[18446744073709551616]]}'
+
+
 def test_cli_enumerate_writes_fiber(tmp_path, capsys):
     out = tmp_path / "fiber.jsonl"
     assert main(["enumerate", "--n", "2", "--r", "2", "--out", str(out)]) == 0
@@ -115,6 +125,13 @@ def test_cli_enumerate_csv_format(tmp_path, capsys):
 
 def test_cli_enumerate_cap_exit_code(capsys):
     assert main(["enumerate", "--n", "3", "--r", "3", "--cap", "10"]) == 3
+    # a cap below 1 is a usage error, not a tripped guard
+    for command in ("enumerate", "graph", "verify"):
+        for cap in ("0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--n", "2", "--r", "1", "--cap", cap])
+            assert exc.value.code == 2
+            assert f"--cap must be at least 1, got {cap}" in capsys.readouterr().err
 
 
 def test_cli_usage_error_exit_code():
@@ -242,6 +259,22 @@ def test_cli_test_outputs_result(tmp_path, capsys):
     assert payload["observed_statistic"] == 12.0
     assert payload["samples_used"] == 5000
     assert 0.0 <= payload["p_value_estimate"] <= 1.0
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize("steps", ["0", "1"])
+def test_cli_test_writes_null_for_undefined_estimates(tmp_path, capsys, steps):
+    # with no sample the p-value is undefined, and with one the standard error
+    table = tmp_path / "d.csv"
+    table.write_text("2,0\n0,2\n")
+    assert main(["test", "--table", str(table), "--steps", steps, "--seed", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload["samples_used"] == int(steps)
+    assert payload["standard_error"] is None
+    assert (payload["p_value_estimate"] is None) == (steps == "0")
 
 
 def test_cli_test_margin_mismatch(tmp_path, capsys):
