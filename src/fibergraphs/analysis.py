@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -31,12 +32,9 @@ from .graphs import FiberGraph, row_arcs
 from .tables import (
     ContingencyTable,
     MarkovMove,
-    apply_move,
     enumerate_basis_moves,
     is_valid_move,
-    move_from_difference,
     scaled_permutation,
-    valid_moves,
 )
 
 AdjacencyList = Sequence[Sequence[int]]
@@ -414,6 +412,11 @@ def min_common_moves_over_close_pairs(
 
 # --- detour paths between distance-2 vertices ---
 
+@lru_cache(maxsize=None)
+def _basis_moves(n: int) -> tuple[MarkovMove, ...]:
+    return tuple(enumerate_basis_moves(n))
+
+
 @dataclass(frozen=True)
 class DetourPathReport:
     u: int
@@ -433,66 +436,54 @@ def detour_paths(graph: FiberGraph, u: int, v: int) -> DetourPathReport:
     move equals d2 or -d1), and the four-step detours M, d1, d2, -M for every
     other extra move M.  Candidates are kept first-come in canonical move
     order whenever their interior avoids all previously kept paths.
-    """
-    fiber = graph.fiber
-    tu, tv = fiber[u], fiber[v]
-    adj_u = set(graph.neighbor_lists()[u])
-    if u == v or v in adj_u:
-        raise NotDistanceTwoError(f"vertices {u} and {v} are not at distance 2")
 
-    decomps: list[tuple[MarkovMove, MarkovMove]] = []
-    for m1 in valid_moves(tu):
-        mid = apply_move(tu, m1)
-        m2 = move_from_difference(mid, tv)
-        if m2 is not None:
-            decomps.append((m1, m2))
+    Moves are basis-move ids: the neighbour of x by move k is read from the
+    CSR row of x, and move k ^ 1 is the negation of move k.
+    """
+
+    def arcs(x: int) -> dict[int, int]:
+        """Move id -> neighbour over the CSR row of x (which is sorted by neighbour)."""
+        a, b = graph.indptr[x], graph.indptr[x + 1]
+        return dict(zip(graph.move_ids[a:b].tolist(), graph.indices[a:b].tolist()))
+
+    at_u = arcs(u)
+    if u == v or v in at_u.values():
+        raise NotDistanceTwoError(f"vertices {u} and {v} are not at distance 2")
+    # sorted by move id, so that the canonically first decomposition comes first
+    decomps = [(m1, m2) for m1, x in sorted(at_u.items()) for m2, y in arcs(x).items() if y == v]
     if not decomps:
         raise NotDistanceTwoError(f"vertices {u} and {v} are not at distance 2")
     d1, d2 = decomps[0]
 
-    direct_mid = fiber.index_of(apply_move(tu, d1))
-    kept: list[tuple[int, ...]] = [(u, direct_mid, v)]
-    used_internal: set[int] = {direct_mid}
-    neg_d1, neg_d2 = d1.negate(), d2.negate()
-    alternate_valid = is_valid_move(tu, d2)
+    kept: list[tuple[int, ...]] = [(u, at_u[d1], v)]
+    used_internal: set[int] = {at_u[d1]}
+    moves = _basis_moves(graph.fiber.n)
 
-    for move in enumerate_basis_moves(tu.n):
-        if move == d1 or move == neg_d2:
+    for move in range(len(moves)):
+        if move == d1 or move == d2 ^ 1:
             continue  # these collide with the direct path's interior
-        if move == d2 or move == neg_d1:
+        if move == d2 or move == d1 ^ 1:
             # both stand for the alternate length-2 path u -> u + d2 -> v
-            if not alternate_valid:
+            if d2 not in at_u:
                 continue
-            candidate = (u, fiber.index_of(apply_move(tu, d2)), v)
+            candidate = (u, at_u[d2], v)
         else:
-            if not is_valid_move(tu, move):
+            a = at_u.get(move)
+            b = None if a is None else arcs(a).get(d1)
+            c = None if b is None else arcs(b).get(d2)
+            if c is None:
                 continue
-            a = apply_move(tu, move)
-            if not is_valid_move(a, d1):
+            assert arcs(c).get(move ^ 1) == v, "final leg must land on v"
+            if len({a, b, c}) < 3 or u in (a, b, c) or v in (a, b, c):
                 continue
-            b = apply_move(a, d1)
-            if not is_valid_move(b, d2):
-                continue
-            c = apply_move(b, d2)
-            assert is_valid_move(c, move.negate()), "final leg must land on v"
-            ids = (fiber.index_of(a), fiber.index_of(b), fiber.index_of(c))
-            if len(set(ids)) < 3 or u in ids or v in ids:
-                continue
-            candidate = (u, *ids, v)
+            candidate = (u, a, b, c, v)
         interior = set(candidate[1:-1])
         if interior & used_internal:
             continue
         kept.append(candidate)
         used_internal |= interior
 
-    return DetourPathReport(
-        u=u,
-        v=v,
-        middle_moves=(d1, d2),
-        count_disjoint=len(kept),
-        decomposition_count=len(decomps),
-        paths=tuple(kept),
-    )
+    return DetourPathReport(u, v, (moves[d1], moves[d2]), len(kept), len(decomps), tuple(kept))
 
 
 # --- the double-cube counterexample ---

@@ -58,9 +58,8 @@ class Fiber:
 
     def ids_of(self, rows: np.ndarray) -> np.ndarray:
         """Vertex ids of (k, n^2) row-major entry rows; KeyError names the first miss."""
-        row_key = np.dtype((np.void, self.n**2 * self.cells.itemsize))
-        keys = self.cells.view(row_key)[:, 0]
-        probe = np.ascontiguousarray(rows, dtype=self.cells.dtype).view(row_key)[:, 0]
+        keys = _row_keys(self.cells)
+        probe = _row_keys(np.ascontiguousarray(rows, dtype=self.cells.dtype))
         ids = np.searchsorted(keys, probe)
         found = ids < len(self)
         found[found] = keys[ids[found]] == probe[found]
@@ -80,6 +79,14 @@ class Fiber:
         except KeyError:
             return False
         return True
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One key per row that sorts like the row: its bytes, or for an object
+    array (entries of 2**64 and more) the tuple of its Python ints."""
+    if rows.dtype == object:
+        return np.fromiter(map(tuple, rows.tolist()), dtype=object, count=len(rows))
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
 
 
 def _row_compositions(total: int, budgets: Sequence[int]) -> Iterator[tuple[int, ...]]:

@@ -21,14 +21,14 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InvalidDimensionError, MarginMismatchError
-from .tables import ContingencyTable, MarkovMove, enumerate_basis_moves, validate_table
+from .tables import ContingencyTable, enumerate_basis_moves, validate_table
 
 
 class Target(str, enum.Enum):
@@ -139,7 +139,7 @@ class ChainState:
     r: int
     entries: list[int]  # row-major, mutated in place
     rng: np.random.Generator
-    moves: tuple[MarkovMove, ...]
+    moves: tuple[tuple[int, int, int, int], ...]  # per basis move: flat sub1, sub2, add1, add2
     step_index: int = 0
     accepted_count: int = 0
     visits: VisitCounter = field(default_factory=VisitCounter)
@@ -147,8 +147,12 @@ class ChainState:
     @classmethod
     def from_table(cls, start: ContingencyTable, config: WalkConfig) -> "ChainState":
         rng = np.random.Generator(np.random.PCG64(config.seed))
-        moves = tuple(enumerate_basis_moves(start.n)) if start.n >= 2 else ()
-        return cls(start.n, start.r, list(start.row_major()), rng, moves)
+        n = start.n
+        moves = tuple(
+            tuple(i * n + j for i, j in (*m.subtracted_cells(), *m.added_cells()))
+            for m in (enumerate_basis_moves(n) if n >= 2 else ())
+        )
+        return cls(n, start.r, list(start.row_major()), rng, moves)
 
     @property
     def current(self) -> ContingencyTable:
@@ -186,13 +190,9 @@ def step(state: ChainState, config: WalkConfig) -> ChainState:
         raise InvalidDimensionError("chain state left the fiber (corrupted margins)")
     if not state.moves:
         return state
-    move = state.moves[int(state.rng.integers(len(state.moves)))]
-    (s1r, s1c), (s2r, s2c) = move.subtracted_cells()
-    sub1, sub2 = s1r * n + s1c, s2r * n + s2c
+    sub1, sub2, add1, add2 = state.moves[state.rng.integers(len(state.moves))]
     if entries[sub1] < 1 or entries[sub2] < 1:
         return state  # lazy self-loop
-    (a1r, a1c), (a2r, a2c) = move.added_cells()
-    add1, add2 = a1r * n + a1c, a2r * n + a2c
     if config.target is Target.HYPERGEOMETRIC:
         log_ratio = (
             math.log(entries[sub1])
@@ -281,7 +281,9 @@ def transition_probabilities(
 
 
 def chi_square_statistic(t: ContingencyTable) -> float:
-    """Pearson statistic against the flat expectation r/n in every cell."""
+    """Pearson statistic against the flat expectation r/n in every cell (r >= 1)."""
+    if t.r == 0:
+        raise InvalidDimensionError("chi-square is undefined for r = 0: every expected count is 0")
     expected = Fraction(t.r, t.n)
     total = sum(
         (Fraction(x) - expected) ** 2 / expected
@@ -332,27 +334,25 @@ def exact_test(
     """Monte Carlo exact test of the flat-table null for an equal-margin table.
 
     Samples the hypergeometric target from the observed table and estimates
-    p = P(statistic >= observed), ties included.  The standard error comes
-    from batch means over the thinned sample stream, which accounts for the
-    autocorrelation an i.i.d. binomial formula would ignore.
+    p = P(statistic >= observed), ties included, scoring the running chain at
+    each thinned sample.  The standard error comes from batch means over the
+    scores, which accounts for the autocorrelation an i.i.d. binomial formula
+    would ignore.
     """
     if not isinstance(observed, ContingencyTable):
         observed = as_equal_margin_table(observed)
-    config = WalkConfig(
-        steps=config.steps,
-        seed=config.seed,
-        burn_in=config.burn_in,
-        thinning=config.thinning,
-        target=Target.HYPERGEOMETRIC,
-    )
+    statistic = chi_square_statistic(observed)
+    config = replace(config, target=Target.HYPERGEOMETRIC)
     threshold = _integer_score(observed.n, observed.r, observed.row_major())
-    _, samples = run_walk(observed, config)
-    if not samples:
-        return ExactTestResult(chi_square_statistic(observed), float("nan"), float("nan"), 0)
-    hits = [
-        1.0 if _integer_score(s.n, s.r, s.row_major()) >= threshold else 0.0
-        for s in samples
-    ]
+    state = ChainState.from_table(observed, config)
+    hits: list[bool] = []
+    for _ in range(config.steps):
+        step(state, config)
+        k = state.step_index - config.burn_in
+        if k > 0 and k % config.thinning == 0:
+            hits.append(_integer_score(state.n, state.r, state.entries) >= threshold)
+    if not hits:
+        return ExactTestResult(statistic, float("nan"), float("nan"), 0)
     m = len(hits)
     p_hat = sum(hits) / m
     n_batches = min(100, m)
@@ -367,4 +367,4 @@ def exact_test(
         se = math.sqrt(var / n_batches)
     else:
         se = float("nan")
-    return ExactTestResult(chi_square_statistic(observed), p_hat, se, m)
+    return ExactTestResult(statistic, p_hat, se, m)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from fibergraphs.enumeration import (
@@ -66,6 +67,16 @@ def test_fiber_index_round_trip():
     fiber = enumerate_fiber(3, 2)
     for k, t in enumerate(fiber):
         assert fiber.index_of(t) == k
+
+
+def test_object_dtype_fiber_lookups():
+    # r >= 2**64 leaves Python ints in an object array, which has no byte view
+    fiber = enumerate_fiber(1, 2**64)
+    assert fiber.cells.dtype == object
+    assert fiber.index_of(fiber[0]) == 0
+    assert fiber.contains(fiber[0])
+    with pytest.raises(KeyError):
+        fiber.ids_of(np.array([[2**64 + 1]], dtype=object))
 
 
 def test_fiber_symmetry_invariance():

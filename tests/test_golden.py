@@ -1,19 +1,26 @@
-"""Byte-level regression of the CLI's file outputs on every G(n <= 4, r <= 3).
+"""Byte-level regression of the CLI's file outputs on every G(n <= 4, r <= 3),
+of seeded sample streams and exact-test reports, and of detour-path families.
 
 Each digest is the sha256 of one output kind written for every instance in
 ``INSTANCES`` order, as version 0.1.0 of the package wrote them.  Any change
-to vertex ids, ordering, orientation or formatting shows up here.
+to vertex ids, ordering, orientation or formatting shows up here.  The walk
+and detour digests were taken from the move-object implementations of the
+sampler and of ``detour_paths``, so the array-indexed ones must reproduce
+their random draws, sample streams and path families exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import astuple
 
 import pytest
 
+from fibergraphs.analysis import detour_paths, distance_two_pairs
 from fibergraphs.cli import main
-from fibergraphs.enumeration import count_fiber
-from fibergraphs.graphs import DOT_VERTEX_LIMIT
+from fibergraphs.enumeration import count_fiber, enumerate_fiber
+from fibergraphs.graphs import DOT_VERTEX_LIMIT, build_graph
+from fibergraphs.tables import enumerate_basis_moves
 
 INSTANCES = [(n, r) for n in range(1, 5) for r in range(4)]
 
@@ -64,3 +71,81 @@ def test_cli_output_bytes_unchanged(kind, tmp_path, capsys):
         digest.update((tmp_path / f"out{suffix}").read_bytes())
     capsys.readouterr()
     assert digest.hexdigest() == expected
+
+
+# --- sample streams, exact-test reports and detour-path families ---
+
+WALK_TABLES = {
+    "2x2": "3,1\n1,3\n",
+    "3x3": "3,0,1\n1,2,1\n0,2,2\n",
+    "5x5": "5,3,2,4,1\n2,6,3,1,3\n4,1,5,2,3\n1,4,2,5,3\n3,1,3,3,5\n",
+}
+
+# (subcommand flags after --table, sha256 over every WALK_TABLES entry)
+GOLDEN_WALKS = {
+    "sample-uniform": (
+        ["sample", "--steps", "6000", "--burn-in", "500", "--thin", "7", "--seed", "41"],
+        "b971247e0d04729548c291b2a2d9782b3bbd0cea45b39d94b952a51324f9fa54",
+    ),
+    "sample-hypergeometric": (
+        ["sample", "--steps", "6000", "--burn-in", "500", "--thin", "7", "--seed", "42",
+         "--target", "hypergeometric"],
+        "666c0a7ef25283cb71ec404051332b04f497ec64963eccde2b632297cbdda16f",
+    ),
+    "test": (
+        ["test", "--steps", "20000", "--burn-in", "1000", "--thin", "10", "--seed", "43"],
+        "1439c69fcb9f15b5f6c1886e0268103ceda30410e5a76830463df8bef6c01603",
+    ),
+    "test-short": (
+        ["test", "--steps", "257", "--seed", "44"],
+        "cd3b2ea0d278d9f7a0128d96b2d949ca8107675c1d9a5b123a1eb0e2341d9a3a",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_WALKS))
+def test_walk_output_bytes_unchanged(kind, tmp_path, capsys):
+    """The emitted stream, the stderr summary and the test report, byte for byte."""
+    flags, expected = GOLDEN_WALKS[kind]
+    digest = hashlib.sha256()
+    for name, text in sorted(WALK_TABLES.items()):
+        table = tmp_path / f"{name}.csv"
+        table.write_text(text)
+        out = tmp_path / f"{name}.out"
+        target = ["--emit", str(out)] if flags[0] == "sample" else ["--out", str(out)]
+        assert main([flags[0], "--table", str(table), *flags[1:], *target]) == 0
+        captured = capsys.readouterr()
+        digest.update(f"{name}\n".encode())
+        digest.update(out.read_bytes())
+        digest.update(captured.err.encode())
+    assert digest.hexdigest() == expected
+
+
+# (n, r) -> sha256 of the detour report of every distance-2 pair, in order
+GOLDEN_DETOURS = {
+    (3, 2): "47931867d92f3ad2252d1b27430cf91795015ad6d31690213d205232abb5eb17",
+    (3, 3): "1ce3e3d6ea96e0cf1cfedc4397f4fc827d26c382a910e611bf3fed4bfce60198",
+    (3, 4): "ddc866737862c94282b87ef7daf865fe5f9c12ca9f32df5f3f9e9f46098f7416",
+    (4, 2): "56920bfb4b3fc5fd66636a39c71ae573a2634f017c024f2677bc095b70b5a8af",
+}
+
+
+@pytest.mark.parametrize("n, r", sorted(GOLDEN_DETOURS))
+def test_detour_reports_unchanged(n, r):
+    graph = build_graph(enumerate_fiber(n, r))
+    digest = hashlib.sha256()
+    for u, v in distance_two_pairs(graph):
+        report = detour_paths(graph, u, v)
+        d1, d2 = report.middle_moves
+        digest.update(
+            f"{report.u} {report.v} {astuple(d1)} {astuple(d2)} {report.count_disjoint} "
+            f"{report.decomposition_count} {report.paths!r}\n".encode()
+        )
+    assert digest.hexdigest() == GOLDEN_DETOURS[n, r]
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_move_ids_pair_with_their_negation(n):
+    """Move k ^ 1 is move k's negation, so a CSR walk can undo a move by id."""
+    moves = enumerate_basis_moves(n)
+    assert all(moves[k ^ 1] == moves[k].negate() for k in range(len(moves)))

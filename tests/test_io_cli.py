@@ -283,6 +283,16 @@ def test_cli_test_margin_mismatch(tmp_path, capsys):
     assert main(["test", "--table", str(table), "--steps", "10", "--seed", "1"]) == 1
 
 
+def test_cli_test_zero_margin_is_a_data_error(tmp_path, capsys):
+    # every expected count is 0, so the statistic is undefined
+    table = tmp_path / "z.csv"
+    table.write_text("0,0\n0,0\n")
+    assert main(["test", "--table", str(table), "--steps", "3", "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_test_rejects_fractional_table(tmp_path, capsys):
     # int() used to truncate this to the identity table and exit 0
     table = tmp_path / "t.json"

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from fibergraphs import sampler
 from fibergraphs.enumeration import enumerate_fiber
 from fibergraphs.errors import InvalidDimensionError, MarginMismatchError
 from fibergraphs.sampler import (
@@ -158,6 +163,51 @@ def test_visit_counter_cap_degrades_to_sketch():
 def test_chi_square_statistic_values():
     assert chi_square_statistic(validate_table(3, 3, [[1, 1, 1]] * 3)) == 0.0
     assert chi_square_statistic(validate_table(3, 2, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])) == 12.0
+
+
+def test_zero_margin_fails_before_the_walk(monkeypatch):
+    # every expected count is 0, so the statistic is undefined
+    zero = validate_table(2, 0, [[0, 0], [0, 0]])
+    with pytest.raises(InvalidDimensionError):
+        chi_square_statistic(zero)
+
+    def no_step(state, config):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(sampler, "step", no_step)
+    with pytest.raises(InvalidDimensionError):
+        exact_test([[0, 0], [0, 0]], WalkConfig(steps=3, seed=1))
+
+
+MARGIN_CHECK_SCRIPT = """
+from fibergraphs.errors import InvalidDimensionError
+from fibergraphs.sampler import ChainState, WalkConfig, step
+from fibergraphs.tables import validate_table
+
+config = WalkConfig(steps=0, seed=5)
+state = ChainState.from_table(validate_table(3, 3, [[1, 1, 1]] * 3), config)
+step(state, config)
+state.entries[0] += 1  # row 1 and column 1 now sum to 4
+try:
+    while state.step_index < 4096:
+        step(state, config)
+except AssertionError:
+    print("assert", state.step_index)
+except InvalidDimensionError:
+    print("check", state.step_index)
+"""
+
+
+@pytest.mark.parametrize("flags, expected", [([], "assert 2"), (["-O"], "check 4096")])
+def test_corrupted_margins_are_caught(flags, expected):
+    # the per-step assert fires on the next step; under -O it is stripped and
+    # the unconditional check catches the chain by step 4096
+    env = {**os.environ, "PYTHONPATH": str(Path(sampler.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", MARGIN_CHECK_SCRIPT],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert out.split() == expected.split()
 
 
 def test_as_equal_margin_table_rejects_unequal():
