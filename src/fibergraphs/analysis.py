@@ -11,14 +11,20 @@ classical exact scheme: one minimum-degree vertex against all its
 non-neighbors, then all non-adjacent pairs among its neighbors.  Both it and
 Liu's criterion sweep their pairs serially, each search capped at the least
 flow found so far.
+
+Distances and local connectivity are invariant under graph automorphisms, so
+the diameter, κ and Liu sweeps visit one representative per orbit: the first
+member in sweep order.  A fiber graph brings its symmetry group (checked
+generators, and the stabilizer of one vertex); a plain adjacency list has
+none, so there each vertex and each pair is its own orbit.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from functools import lru_cache, reduce
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -55,6 +61,48 @@ def _csr(graph: GraphLike) -> tuple[np.ndarray, np.ndarray]:
     indptr = np.cumsum([0, *map(len, graph)])
     indices = np.fromiter((v for row in graph for v in row), dtype=np.int64, count=indptr[-1])
     return indptr, indices
+
+
+# --- orbits ---
+
+def _automorphisms(graph: GraphLike) -> tuple[np.ndarray, ...]:
+    """Checked generating vertex permutations of a fiber graph; none for lists."""
+    return graph.automorphisms if isinstance(graph, FiberGraph) else ()
+
+
+def _orbit_labels(size: int, perms: Sequence[np.ndarray]) -> np.ndarray:
+    """The smallest member of each element's orbit under the group the
+    permutations generate: min-label propagation along every i -- perm[i],
+    with pointer jumping, until nothing changes."""
+    labels = np.arange(size)
+    while True:
+        new = labels.copy()
+        for perm in perms:
+            np.minimum(new, new[perm], out=new)
+            new[perm] = np.minimum(new[perm], new)
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+def _pair_images(pairs: np.ndarray, size: int, perms: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """For each vertex permutation, the position in ``pairs`` (a (P, 2)
+    array) of every pair's image, pairs compared unordered (keys min * size + max)."""
+    weights = np.array([size, 1])
+    keys = np.sort(pairs, axis=1) @ weights
+    order = np.argsort(keys)
+    for perm in perms:
+        image = np.sort(perm[pairs], axis=1) @ weights
+        at = np.searchsorted(keys, image, sorter=order)
+        at = order[np.minimum(at, len(keys) - 1, out=at)]
+        assert np.array_equal(keys[at], image), "a symmetry maps a swept pair outside the sweep"
+        yield at
+
+
+def _first_members(labels: np.ndarray) -> np.ndarray:
+    """Positions of the first member of each orbit."""
+    return np.flatnonzero(labels == np.arange(len(labels)))
 
 
 # --- distances ---
@@ -96,16 +144,17 @@ def distance_between(graph: GraphLike, u: int, v: int) -> int:
 def diameter(graph: GraphLike) -> int:
     """Largest BFS distance over all source vertices.
 
-    One vectorized BFS per source keeps the all-sources sweep fast enough
-    for desk-scale fibers (thousands of vertices).  Raises
-    DisconnectedGraphError when some pair is unreachable.
+    Eccentricity is constant on vertex orbits, so one vectorized BFS runs
+    from each orbit's first member (38 sources on G(4,4), not 10,147).
+    Vertex 0 is always one, so a disconnected graph raises
+    DisconnectedGraphError from the first BFS.
     """
     indptr, indices = _csr(graph)
     n = len(indptr) - 1
     if n == 0:
         raise InvalidDimensionError("diameter of an empty graph is undefined")
     best = 0
-    for s in range(n):
+    for s in _first_members(_orbit_labels(n, _automorphisms(graph))).tolist():
         dist = _bfs(indptr, indices, s)
         if (dist < 0).any():
             raise DisconnectedGraphError(
@@ -307,9 +356,12 @@ def vertex_connectivity(graph: GraphLike) -> ConnectivityReport:
     Complete graphs get kappa = |V| - 1 and no cut; disconnected graphs get
     kappa = 0 with the empty cut.  Otherwise kappa is the minimum local
     connectivity over the certifying pair family, swept serially with every
-    search capped at deg(s0) or the least flow found so far.  The witness
-    cut is read from the minimizing search's residual (N(s0) when no pair
-    goes below deg(s0)) and re-checked by BFS before returning.
+    search capped at deg(s0) or the least flow found so far.  Stab(s0) maps
+    the family onto itself, so only the first member of each of its orbits
+    is swept; the first pair of the whole family to reach the minimum is
+    such a member, and every earlier one is above it.  The witness cut is
+    read from the minimizing search's residual (N(s0) when no pair goes
+    below deg(s0)) and re-checked by BFS before returning.
     """
     adj = adjacency_of(graph)
     n = len(adj)
@@ -322,8 +374,13 @@ def vertex_connectivity(graph: GraphLike) -> ConnectivityReport:
         return ConnectivityReport(n - 1, None, min_degree, min_degree == n - 1, complete=True)
 
     s0, pairs = _connectivity_pairs(adj)
+    # Stab(s0) is a group, so an orbit's least position is its least image
+    stabilizer = graph.stabilizer(s0) if isinstance(graph, FiberGraph) else ()
+    images = _pair_images(np.array(pairs, dtype=np.int64), n, stabilizer)
+    labels = reduce(np.minimum, images, np.arange(len(pairs)))
+    firsts = [pairs[i] for i in _first_members(labels).tolist()]
     net = SplitNetwork(adj)
-    kappa, min_pair, caps = _min_flow(net, pairs, len(adj[s0]))
+    kappa, min_pair, caps = _min_flow(net, firsts, len(adj[s0]))
     if min_pair is None:
         # kappa equals the minimum degree; the neighborhood of s0 is a cut
         witness = frozenset(adj[s0])
@@ -365,15 +422,19 @@ def liu_check(graph: GraphLike, k: int) -> LiuCheckResult:
 
     Returns the first pair, in ``distance_two_pairs`` order, whose exact
     disjoint-path count is least, with that count; passed is True when the
-    minimum is >= k (vacuously true without distance-2 pairs).  The pairs
-    are swept serially: the first search is uncapped and each later one is
-    capped at the least count found so far.
+    minimum is >= k (vacuously true without distance-2 pairs).  The first
+    member of each pair orbit is swept serially: the first search is
+    uncapped and each later one is capped at the least count found so far.
+    That first pair to reach the minimum is the first member of its orbit.
     """
     adj = adjacency_of(graph)
-    pairs = distance_two_pairs(adj)
-    if not pairs:
+    # kept as an array: the list of tuples is not held through the sweep
+    pairs = np.array(distance_two_pairs(adj), dtype=np.int64).reshape(-1, 2)
+    if not len(pairs):
         return LiuCheckResult(True, k, None, None)
-    best, min_pair, _ = _min_flow(SplitNetwork(adj), pairs, None)
+    labels = _orbit_labels(len(pairs), list(_pair_images(pairs, len(adj), _automorphisms(graph))))
+    firsts = list(map(tuple, pairs[_first_members(labels)].tolist()))
+    best, min_pair, _ = _min_flow(SplitNetwork(adj), firsts, None)
     return LiuCheckResult(best >= k, k, min_pair, best)
 
 

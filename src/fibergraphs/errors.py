@@ -65,6 +65,10 @@ class UnsupportedFormatError(FiberGraphsError):
     pass
 
 
+class NotAnAutomorphismError(FiberGraphsError):
+    pass
+
+
 # --- graph analysis ---
 
 class DisconnectedGraphError(FiberGraphsError):

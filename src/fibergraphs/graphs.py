@@ -7,6 +7,11 @@ basis move at a time: the move is added to every row of the fiber's cell
 array whose two subtracted cells are positive, and the results are looked
 up in the fiber by binary search, O(|V| log |V|) per move.
 
+Row permutations, column permutations and the transpose map basis moves to
+basis moves, so they act on the graph as automorphisms: a group of order
+2(n!)^2, generated by a row swap, a row n-cycle and the transpose.  Each
+acts on a table's row-major cells as one permutation of the n^2 cells.
+
 Orienting every edge toward the strictly smaller value of a weight vector
 turns the graph into a DAG; with the standard weight (row + col)^2 the DAG
 has a unique sink, located at the anti-diagonal table.
@@ -17,11 +22,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations
+from typing import Iterator
 
 import numpy as np
 
 from .enumeration import Fiber
-from .errors import SizeLimitExceededError, UnsupportedFormatError, ZeroWeightEdgeError
+from .errors import (
+    NotAnAutomorphismError,
+    SizeLimitExceededError,
+    UnsupportedFormatError,
+    ZeroWeightEdgeError,
+)
 from .tables import ContingencyTable, MarkovMove, enumerate_basis_moves
 
 DOT_VERTEX_LIMIT = 500
@@ -69,6 +81,59 @@ class FiberGraph:
         sources = np.repeat(np.arange(self.vertex_count), np.diff(self.indptr))
         upper = sources < self.indices
         return list(zip(sources[upper].tolist(), self.indices[upper].tolist()))
+
+    def _vertex_permutation(self, cell_perm: np.ndarray) -> np.ndarray:
+        """The vertex map x -> the table whose row-major cells are
+        ``cells[x][cell_perm]``, for a permutation of the n^2 cells."""
+        return self.fiber.ids_of(self.fiber.cells[:, cell_perm])
+
+    @cached_property
+    def automorphisms(self) -> tuple[np.ndarray, ...]:
+        """Vertex permutations of a row swap, a row n-cycle and the transpose.
+
+        Together they generate all 2(n!)^2 row and column permutations, with
+        and without transpose.  Each is checked to be a bijection that maps
+        the arc set onto itself (their sorted u*V + v keys are compared);
+        NotAnAutomorphismError is raised when one does not.
+        """
+        n, size = self.fiber.n, self.vertex_count
+        grid = np.arange(n * n).reshape(n, n)
+        swap = np.arange(n)
+        swap[:2] = swap[1::-1]
+        cell_perms = {"row swap": grid[swap], "row cycle": grid[np.roll(np.arange(n), 1)],
+                      "transpose": grid.T}
+        tails = np.repeat(np.arange(size), np.diff(self.indptr))
+        arcs = np.sort(tails * size + self.indices)
+        generators = []
+        for name, cell_perm in cell_perms.items():
+            perm = self._vertex_permutation(cell_perm.ravel())
+            image = np.sort(perm[tails] * size + perm[self.indices])
+            if not (np.array_equal(np.sort(perm), np.arange(size)) and np.array_equal(image, arcs)):
+                raise NotAnAutomorphismError(f"the {name} does not map the edges onto edges")
+            generators.append(perm)
+        return tuple(generators)
+
+    def stabilizer(self, v: int) -> Iterator[np.ndarray]:
+        """Vertex permutations of every symmetry that fixes vertex v.
+
+        All 2(n!)^2 cell permutations are filtered on the one table v.  Each
+        is a product of ``automorphisms``, which are checked first.
+        """
+        self.automorphisms  # raises unless the generators are automorphisms
+        table = self.fiber.cells[v]
+        for block in _cell_permutations(self.fiber.n):
+            for cell_perm in block[(table[block] == table).all(axis=1)]:
+                yield self._vertex_permutation(cell_perm)
+
+
+def _cell_permutations(n: int) -> Iterator[np.ndarray]:
+    """All 2(n!)^2 row/column permutations of an n x n table, with and without
+    transpose, as row-major cell permutations: n! rows of n^2 at a time."""
+    grid = np.arange(n * n).reshape(n, n)
+    perms = np.array(list(permutations(range(n))))
+    for g in (grid, grid.T):
+        for rows in g[perms]:
+            yield rows[:, perms].transpose(1, 0, 2).reshape(len(perms), n * n)
 
 
 def build_graph(fiber: Fiber) -> FiberGraph:

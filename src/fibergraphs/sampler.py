@@ -21,8 +21,10 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
+import struct
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -77,6 +79,11 @@ VISIT_COUNTER_CAP = 100_000
 _KMV_SIZE = 256
 
 
+@lru_cache(maxsize=None)
+def _packer(length: int) -> struct.Struct:
+    return struct.Struct(f">{length}q")
+
+
 class VisitCounter:
     """Exact per-table visit counts up to a cap, then a distinct-count sketch.
 
@@ -93,10 +100,14 @@ class VisitCounter:
 
     @staticmethod
     def _hash(key: tuple[int, ...]) -> int:
-        digest = hashlib.blake2b(
-            ",".join(map(str, key)).encode(), digest_size=8
-        ).digest()
-        return int.from_bytes(digest, "big")
+        """blake2b of the entries packed as signed 8-byte big-endian ints;
+        an entry of 2**63 or more widens every entry of its key."""
+        try:
+            packed = _packer(len(key)).pack(*key)
+        except struct.error:
+            width = max(x.bit_length() for x in key) // 8 + 1
+            packed = b"".join(x.to_bytes(width, "big", signed=True) for x in key)
+        return int.from_bytes(hashlib.blake2b(packed, digest_size=8).digest(), "big")
 
     def record(self, key: tuple[int, ...]) -> None:
         if key in self.counts:

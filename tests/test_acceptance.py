@@ -1,7 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``; add ``--long`` for the
-expensive G(4,3) connectivity instance.
+Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 from __future__ import annotations
@@ -10,8 +9,6 @@ import random
 import time
 from fractions import Fraction
 from math import comb, sqrt
-
-import pytest
 
 from fibergraphs.analysis import (
     diameter,
@@ -65,7 +62,6 @@ def test_acceptance_1_connectivity_theorem(graph_3_3, graph_3_4):
     print("ACCEPTANCE 1: kappa(G(3,3)) = kappa(G(3,4)) = 3, exact: PASS")
 
 
-@pytest.mark.long
 def test_acceptance_1_long_g43(graph_4_3):
     assert len(graph_4_3.fiber) == count_fiber(4, 3) == 2008
     start = time.perf_counter()
@@ -73,7 +69,8 @@ def test_acceptance_1_long_g43(graph_4_3):
     elapsed = time.perf_counter() - start
     assert report.kappa == 6 == comb(4, 2)
     assert elapsed < 600.0, f"took {elapsed:.1f}s"
-    print(f"ACCEPTANCE 1 (long): kappa(G(4,3)) = 6 on 2008 vertices in {elapsed:.0f}s: PASS")
+    assert liu_check(graph_4_3, 6).passed
+    print(f"ACCEPTANCE 1 (G(4,3)): kappa = 6 on 2008 vertices in {elapsed:.1f}s, Liu >= 6: PASS")
 
 
 def test_acceptance_2_degree_lemma():

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
+import numpy as np
 import pytest
 
 from fibergraphs.analysis import (
+    SplitNetwork,
+    _bfs,
+    _connectivity_pairs,
+    _min_flow,
+    _orbit_labels,
     articulation_vertices,
     bfs_distances,
     common_moves,
@@ -376,3 +383,92 @@ def test_hemmecke_articulation_bridge_ends():
 def test_hemmecke_matches_brute_force():
     adj, report = hemmecke_graph(2)
     assert brute_vertex_connectivity(adj) == report.kappa == 1
+
+
+# --- orbit sweeps against the unreduced sweeps ---
+
+def _full_sweeps(graph):
+    """diameter, (kappa, witness cut) and Liu's (value, pair), every vertex and pair swept."""
+    adj = graph.neighbor_lists()
+    diam = max(int(_bfs(graph.indptr, graph.indices, s).max()) for s in range(len(adj)))
+    net = SplitNetwork(adj)
+    s0, family = _connectivity_pairs(adj)
+    kappa, pair, caps = _min_flow(net, family, len(adj[s0]))
+    cut = frozenset(adj[s0]) if pair is None else net.min_cut_vertices(caps, pair[0])
+    liu_value, liu_pair, _ = _min_flow(net, distance_two_pairs(adj), None)
+    return diam, (kappa, cut), (liu_value, liu_pair)
+
+
+def _orbit_sweeps(graph):
+    report, liu = vertex_connectivity(graph), liu_check(graph, 3)
+    return diameter(graph), (report.kappa, report.witness_cut), (liu.min_value, liu.min_pair)
+
+
+@pytest.mark.parametrize("n,r", [(3, 3), (3, 4), (3, 5), (3, 6), (3, 7), (4, 2)])
+def test_orbit_sweeps_match_full_sweeps(n, r):
+    graph = build_graph(enumerate_fiber(n, r))
+    assert _orbit_sweeps(graph) == _full_sweeps(graph)
+
+
+@pytest.mark.long
+def test_orbit_sweeps_match_full_sweeps_g43(graph_4_3):
+    assert _orbit_sweeps(graph_4_3) == _full_sweeps(graph_4_3)
+
+
+def _canonical(table):
+    """The least image of a table under row/column permutations and transpose."""
+    perms = list(permutations(range(table.n)))
+    moved = [table.permute(rows, cols) for rows in perms for cols in perms]
+    return min(min(t.entries, t.transpose().entries) for t in moved)
+
+
+@pytest.mark.parametrize("n,r", [(3, 3), (3, 4), (4, 2)])
+def test_vertex_orbits_are_the_table_classes(n, r):
+    graph = build_graph(enumerate_fiber(n, r))
+    labels = _orbit_labels(graph.vertex_count, graph.automorphisms).tolist()
+    classes = [_canonical(table) for table in graph.fiber]
+    first_of_class: dict = {}
+    for x, key in enumerate(classes):
+        first_of_class.setdefault(key, x)
+    assert labels == [first_of_class[key] for key in classes]
+
+
+@pytest.mark.parametrize("n,r", [(3, 3), (3, 4), (4, 2)])
+def test_sweeps_run_one_max_flow_per_orbit(n, r, monkeypatch):
+    graph = build_graph(enumerate_fiber(n, r))
+    tables = list(graph.fiber)
+    ids = {t: x for x, t in enumerate(tables)}
+    perms = list(permutations(range(n)))
+    group = [lambda t, rows=rows, cols=cols: t.permute(rows, cols)
+             for rows in perms for cols in perms]
+    group += [lambda t, g=g: g(t).transpose() for g in group]
+
+    def first_members(pairs, elements):
+        # the orbits of unordered pairs, found from the tables themselves
+        seen: set = set()
+        for u, v in pairs:
+            if tuple(sorted((u, v))) not in seen:
+                seen |= {tuple(sorted((ids[g(tables[u])], ids[g(tables[v])]))) for g in elements}
+                yield u, v
+
+    flows = []
+    original = SplitNetwork.max_flow
+
+    def counted(net, s, t, bound=None):
+        flows.append((s, t))
+        return original(net, s, t, bound)
+
+    monkeypatch.setattr(SplitNetwork, "max_flow", counted)
+    s0, family = _connectivity_pairs(graph.neighbor_lists())
+    vertex_connectivity(graph)
+    assert flows == list(first_members(family, [g for g in group if g(tables[s0]) == tables[s0]]))
+    flows.clear()
+    liu_check(graph, 3)
+    assert flows == list(first_members(distance_two_pairs(graph), group))
+
+
+def test_orbit_labels_of_plain_permutations():
+    # orbits {0, 3, 5} and {1, 4} under the two cycles; 2 is fixed
+    perms = [np.array([3, 1, 2, 5, 4, 0]), np.array([0, 4, 2, 3, 1, 5])]
+    assert _orbit_labels(6, perms).tolist() == [0, 1, 2, 0, 1, 0]
+    assert _orbit_labels(4, []).tolist() == [0, 1, 2, 3]

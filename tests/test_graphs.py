@@ -1,13 +1,22 @@
 from __future__ import annotations
 
 import json
+from itertools import permutations
+from math import factorial
 
 import numpy as np
 import pytest
 
+from fibergraphs.analysis import diameter, liu_check, vertex_connectivity
 from fibergraphs.enumeration import enumerate_fiber
-from fibergraphs.errors import SizeLimitExceededError, UnsupportedFormatError, ZeroWeightEdgeError
+from fibergraphs.errors import (
+    NotAnAutomorphismError,
+    SizeLimitExceededError,
+    UnsupportedFormatError,
+    ZeroWeightEdgeError,
+)
 from fibergraphs.graphs import (
+    FiberGraph,
     OrientedFiberGraph,
     WeightVector,
     build_graph,
@@ -216,3 +225,67 @@ def test_degree_multiset_invariant_under_relabeling(graph_3_2):
         graph_3_2.degree(fiber.index_of(t.permute(perm, perm))) for t in fiber
     )
     assert relabeled == degrees
+
+
+# --- the symmetry group ---
+
+def _edge_set(graph, perm=None):
+    perm = np.arange(graph.vertex_count) if perm is None else perm
+    return {tuple(sorted((int(perm[u]), int(perm[v])))) for u, v in graph.edges()}
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in (2, 3, 4) for r in range(4)])
+def test_generators_are_automorphisms(n, r):
+    graph = build_graph(enumerate_fiber(n, r))
+    swap, cycle, transpose = graph.automorphisms
+    rows = list(range(n))
+    rows[:2] = rows[1::-1]
+    # the same action as ContingencyTable.permute and transpose on each table
+    actions = (
+        lambda t: t.permute(rows, list(range(n))),
+        lambda t: t.permute([(i - 1) % n for i in range(n)], list(range(n))),
+        ContingencyTable.transpose,
+    )
+    edges = _edge_set(graph)
+    for perm, act in zip((swap, cycle, transpose), actions):
+        assert sorted(perm.tolist()) == list(range(graph.vertex_count))
+        assert _edge_set(graph, perm) == edges
+        assert all(graph.fiber[int(perm[x])] == act(t) for x, t in enumerate(graph.fiber))
+
+
+@pytest.mark.parametrize("n,r", [(3, 2), (3, 3), (4, 2)])
+def test_stabilizer_is_every_symmetry_fixing_the_vertex(n, r):
+    graph = build_graph(enumerate_fiber(n, r))
+    fiber, edges = graph.fiber, _edge_set(graph)
+    identity = fiber.index_of(scaled_permutation(n, r, list(range(n))))
+    perms = list(permutations(range(n)))
+    for v in (0, identity, len(fiber) // 2):
+        table = fiber[v]
+        moved = [table.permute(rows, cols) for rows in perms for cols in perms]
+        images = set(moved) | {t.transpose() for t in moved}
+        fixing = list(graph.stabilizer(v))
+        # orbit-stabilizer: |Stab(v)| = |G| / |orbit of v|
+        assert len(fixing) * len(images) == 2 * factorial(n) ** 2
+        for perm in fixing:
+            assert perm[v] == v
+            assert _edge_set(graph, perm) == edges
+    assert len(list(graph.stabilizer(identity))) == 2 * factorial(n)
+
+
+def _without_edge(graph, u, v):
+    keep = np.ones(len(graph.indices), dtype=bool)
+    for a, b in ((u, v), (v, u)):
+        row = np.arange(graph.indptr[a], graph.indptr[a + 1])
+        keep[row[graph.indices[row] == b]] = False
+    indptr = np.concatenate(([0], np.cumsum(keep)))[graph.indptr]
+    return FiberGraph(graph.fiber, indptr, graph.indices[keep], graph.move_ids[keep])
+
+
+def test_a_broken_symmetry_is_refused(graph_3_2):
+    u, v = graph_3_2.edges()[0]
+    broken = _without_edge(graph_3_2, u, v)
+    assert broken.edge_count == graph_3_2.edge_count - 1
+    for use in (lambda g: g.automorphisms, diameter, vertex_connectivity,
+                lambda g: liu_check(g, 3), lambda g: list(g.stabilizer(0))):
+        with pytest.raises(NotAnAutomorphismError):
+            use(broken)

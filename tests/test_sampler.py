@@ -160,6 +160,16 @@ def test_visit_counter_cap_degrades_to_sketch():
     assert 200 <= estimate <= 800  # sketch accuracy, not exactness
 
 
+def test_visit_counter_sketch_takes_entries_past_64_bits():
+    counter = VisitCounter(cap=10)
+    keys = [(x, 2**64 - 1 - x) for x in range(200)] + [(2**70 + x, x) for x in range(200)]
+    for key in keys:
+        counter.record(key)
+    hashes = {VisitCounter._hash(key) for key in keys}
+    assert len(hashes) == len(keys)
+    assert 200 <= counter.distinct_estimate() <= 800
+
+
 def test_chi_square_statistic_values():
     assert chi_square_statistic(validate_table(3, 3, [[1, 1, 1]] * 3)) == 0.0
     assert chi_square_statistic(validate_table(3, 2, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])) == 12.0
