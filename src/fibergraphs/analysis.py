@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from math import comb
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -34,7 +35,7 @@ from .errors import (
     InvalidDimensionError,
     NotDistanceTwoError,
 )
-from .graphs import FiberGraph, row_arcs
+from .graphs import FiberGraph, row_arcs, two_hop_pairs
 from .tables import (
     ContingencyTable,
     MarkovMove,
@@ -45,6 +46,9 @@ from .tables import (
 
 AdjacencyList = Sequence[Sequence[int]]
 GraphLike = Union[FiberGraph, AdjacencyList]
+
+_POPCOUNT = np.array([bin(x).count("1") for x in range(256)], dtype=np.uint8)
+_PAIR_CHUNK = 1 << 16  # pairs scored at a time by min_common_moves_over_close_pairs
 
 
 def adjacency_of(graph: GraphLike) -> tuple[tuple[int, ...], ...]:
@@ -394,19 +398,13 @@ def vertex_connectivity(graph: GraphLike) -> ConnectivityReport:
 
 # --- Liu's criterion and distance-2 structure ---
 
-def distance_two_pairs(graph: GraphLike) -> list[tuple[int, int]]:
-    """All unordered pairs at distance exactly 2, via two-hop neighborhoods."""
-    adj = adjacency_of(graph)
-    adj_sets = [set(row) for row in adj]
-    pairs = []
-    for u in range(len(adj)):
-        two_hop: set[int] = set()
-        for x in adj[u]:
-            two_hop.update(adj[x])
-        for w in sorted(two_hop):
-            if w > u and w not in adj_sets[u]:
-                pairs.append((u, w))
-    return pairs
+def distance_two_pairs(graph: GraphLike) -> np.ndarray:
+    """All unordered pairs at distance exactly 2, as a (P, 2) int64 array
+    sorted by (u, w) with u < w: one CSR two-hop sweep (``two_hop_pairs``),
+    which a fiber graph runs once and keeps."""
+    if isinstance(graph, FiberGraph):
+        return graph.distance_two
+    return two_hop_pairs(*_csr(graph))
 
 
 @dataclass(frozen=True)
@@ -428,8 +426,7 @@ def liu_check(graph: GraphLike, k: int) -> LiuCheckResult:
     That first pair to reach the minimum is the first member of its orbit.
     """
     adj = adjacency_of(graph)
-    # kept as an array: the list of tuples is not held through the sweep
-    pairs = np.array(distance_two_pairs(adj), dtype=np.int64).reshape(-1, 2)
+    pairs = distance_two_pairs(graph)
     if not len(pairs):
         return LiuCheckResult(True, k, None, None)
     labels = _orbit_labels(len(pairs), list(_pair_images(pairs, len(adj), _automorphisms(graph))))
@@ -457,18 +454,29 @@ def min_common_moves_over_close_pairs(
     """Minimum number of shared valid moves over all pairs within the distance.
 
     Each valid move gives exactly one arc, so a vertex's valid-move set is
-    the move ids of its CSR row, packed into one bitmask; each pair then
-    costs a single AND + popcount.  Returns (count, (u, v)) for the first
-    minimizing pair, or None when no qualifying pair exists.
+    the move ids of its CSR row, packed once into bytes.  The edges, then the
+    distance-2 pairs, are scored a chunk at a time by one AND and a byte
+    popcount.  Returns (count, (u, v)) for the first minimizing pair, or None
+    when no qualifying pair exists.
     """
     if max_distance != 2:
         raise InvalidDimensionError("only max_distance=2 is supported")
-    ptr, ids = graph.indptr.tolist(), graph.move_ids.tolist()
-    masks = [sum(1 << k for k in ids[a:b]) for a, b in zip(ptr, ptr[1:])]
-    pairs = graph.edges() + distance_two_pairs(graph)
-    # min keeps the first of several minimizing pairs
-    shared = (((masks[u] & masks[v]).bit_count(), (u, v)) for u, v in pairs)
-    return min(shared, key=lambda item: item[0], default=None)
+    size = graph.vertex_count
+    tails = np.repeat(np.arange(size), np.diff(graph.indptr))
+    valid = np.zeros((size, 2 * comb(graph.fiber.n, 2) ** 2), dtype=bool)
+    valid[tails, graph.move_ids] = True
+    masks = np.packbits(valid, axis=1)
+    upper = tails < graph.indices
+    close = distance_two_pairs(graph)
+    best = None
+    for first, second in ((tails[upper], graph.indices[upper]), (close[:, 0], close[:, 1])):
+        for start in range(0, len(first), _PAIR_CHUNK):
+            u, v = first[start:start + _PAIR_CHUNK], second[start:start + _PAIR_CHUNK]
+            shared = _POPCOUNT[masks[u] & masks[v]].sum(axis=1)
+            at = int(np.argmin(shared))  # the first of several minimizing pairs
+            if best is None or shared[at] < best[0]:
+                best = (int(shared[at]), (int(u[at]), int(v[at])))
+    return best
 
 
 # --- detour paths between distance-2 vertices ---

@@ -140,8 +140,17 @@ class MatchingDecomposition:
         return True
 
 
+def _require_parts(table: ContingencyTable) -> None:
+    if table.r < 1:
+        raise NoPerfectMatchingError("a table with margin 0 has no permutation parts")
+
+
 def decompose(table: ContingencyTable) -> MatchingDecomposition:
-    """Split a table into r permutation patterns by repeated matchings."""
+    """Split a table into r permutation patterns by repeated matchings.
+
+    Raises NoPerfectMatchingError for a table with margin 0, which has no parts.
+    """
+    _require_parts(table)
     parts = []
     residual = table
     for _ in range(table.r):
@@ -163,13 +172,15 @@ def decompose_constrained(
 
     Raises ConstraintInfeasibleError when the table does not entrywise
     dominate the constraint cells (with multiplicity) or when there are more
-    constraints than parts.
+    constraints than parts, and NoPerfectMatchingError for a table with
+    margin 0.
     """
     positions = tuple((int(i), int(j)) for i, j in positions)
     if len(positions) > table.r:
         raise ConstraintInfeasibleError(
             f"{len(positions)} constraints but only {table.r} parts"
         )
+    _require_parts(table)
     demand: dict[Position, int] = {}
     for pos in positions:
         i, j = pos

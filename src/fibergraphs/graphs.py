@@ -82,36 +82,30 @@ class FiberGraph:
         upper = sources < self.indices
         return list(zip(sources[upper].tolist(), self.indices[upper].tolist()))
 
-    def _vertex_permutation(self, cell_perm: np.ndarray) -> np.ndarray:
-        """The vertex map x -> the table whose row-major cells are
-        ``cells[x][cell_perm]``, for a permutation of the n^2 cells."""
-        return self.fiber.ids_of(self.fiber.cells[:, cell_perm])
-
     @cached_property
     def automorphisms(self) -> tuple[np.ndarray, ...]:
-        """Vertex permutations of a row swap, a row n-cycle and the transpose.
+        """The ``symmetry_generators`` of the fiber, checked on the graph.
 
-        Together they generate all 2(n!)^2 row and column permutations, with
-        and without transpose.  Each is checked to be a bijection that maps
-        the arc set onto itself (their sorted u*V + v keys are compared);
-        NotAnAutomorphismError is raised when one does not.
+        Each is checked to be a bijection that maps the arc set onto itself
+        (their sorted u*V + v keys are compared); NotAnAutomorphismError is
+        raised when one does not.
         """
-        n, size = self.fiber.n, self.vertex_count
-        grid = np.arange(n * n).reshape(n, n)
-        swap = np.arange(n)
-        swap[:2] = swap[1::-1]
-        cell_perms = {"row swap": grid[swap], "row cycle": grid[np.roll(np.arange(n), 1)],
-                      "transpose": grid.T}
+        size = self.vertex_count
         tails = np.repeat(np.arange(size), np.diff(self.indptr))
         arcs = np.sort(tails * size + self.indices)
-        generators = []
-        for name, cell_perm in cell_perms.items():
-            perm = self._vertex_permutation(cell_perm.ravel())
+        generators = symmetry_generators(self.fiber)
+        for name, perm in generators.items():
             image = np.sort(perm[tails] * size + perm[self.indices])
             if not (np.array_equal(np.sort(perm), np.arange(size)) and np.array_equal(image, arcs)):
                 raise NotAnAutomorphismError(f"the {name} does not map the edges onto edges")
-            generators.append(perm)
-        return tuple(generators)
+        return tuple(generators.values())
+
+    @cached_property
+    def distance_two(self) -> np.ndarray:
+        """The ``two_hop_pairs`` of the CSR, computed once per graph (read-only)."""
+        pairs = two_hop_pairs(self.indptr, self.indices)
+        pairs.flags.writeable = False
+        return pairs
 
     def stabilizer(self, v: int) -> Iterator[np.ndarray]:
         """Vertex permutations of every symmetry that fixes vertex v.
@@ -123,7 +117,30 @@ class FiberGraph:
         table = self.fiber.cells[v]
         for block in _cell_permutations(self.fiber.n):
             for cell_perm in block[(table[block] == table).all(axis=1)]:
-                yield self._vertex_permutation(cell_perm)
+                yield _vertex_permutation(self.fiber, cell_perm)
+
+
+def _vertex_permutation(fiber: Fiber, cell_perm: np.ndarray) -> np.ndarray:
+    """The vertex map x -> the table whose row-major cells are
+    ``cells[x][cell_perm]``, for a permutation of the n^2 cells."""
+    return fiber.ids_of(fiber.cells[:, cell_perm])
+
+
+def symmetry_generators(fiber: Fiber) -> dict[str, np.ndarray]:
+    """Vertex permutations of a row swap, a row n-cycle and the transpose.
+
+    Together they generate all 2(n!)^2 row and column permutations, with and
+    without transpose.  Each maps every table of the fiber to a table of the
+    fiber; whether it is also a graph automorphism is checked by
+    ``FiberGraph.automorphisms``.
+    """
+    n = fiber.n
+    grid = np.arange(n * n).reshape(n, n)
+    swap = np.arange(n)
+    swap[:2] = swap[1::-1]
+    cell_perms = {"row swap": grid[swap], "row cycle": grid[np.roll(np.arange(n), 1)],
+                  "transpose": grid.T}
+    return {name: _vertex_permutation(fiber, p.ravel()) for name, p in cell_perms.items()}
 
 
 def _cell_permutations(n: int) -> Iterator[np.ndarray]:
@@ -209,6 +226,44 @@ def row_arcs(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     starts = indptr[rows]
     counts = indptr[rows + 1] - starts
     return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+
+
+TWO_HOP_BLOCK = 1 << 16  # two-arc walks gathered at a time by two_hop_pairs
+
+
+def two_hop_pairs(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Every pair (u, w), u < w, joined by a two-arc walk but by no arc, as a
+    (P, 2) int64 array sorted by (u, w).
+
+    Source rows are taken in blocks of at most about TWO_HOP_BLOCK walks (a
+    row with more walks is a block of its own).  A block's walk ends w > u
+    become u*V + w keys, which are sorted and deduplicated, and the arcs are
+    dropped by binary search in the sorted arc keys.
+    """
+    size = len(indptr) - 1
+    degree = np.diff(indptr)
+    tails = np.repeat(np.arange(size, dtype=np.int64), degree)
+    arcs = np.sort(tails * size + indices)
+    # walks[u]: the number of two-arc walks out of rows 0 .. u - 1
+    walks = np.concatenate(([0], np.cumsum(degree[indices])))[indptr]
+    blocks, start = [np.zeros(0, dtype=np.int64)], 0
+    while start < size:
+        stop = int(np.searchsorted(walks, walks[start] + TWO_HOP_BLOCK, side="right")) - 1
+        stop = max(stop, start + 1)
+        rows = np.arange(start, stop)
+        mids = indices[row_arcs(indptr, rows)]
+        ends = indices[row_arcs(indptr, mids)]
+        sources = np.repeat(np.repeat(rows, degree[rows]), degree[mids])
+        ahead = ends > sources
+        keys = np.sort(sources[ahead] * size + ends[ahead])
+        # sorted arc keys fall in row order, so the block's rows own these
+        near = arcs[indptr[start]:indptr[stop]]
+        at = np.minimum(np.searchsorted(near, keys), len(near) - 1)
+        keep = near[at] != keys
+        keep[1:] &= keys[1:] != keys[:-1]  # np.unique is many times slower than this
+        blocks.append(keys[keep])
+        start = stop
+    return np.stack(np.divmod(np.concatenate(blocks), max(size, 1)), axis=1)
 
 
 def orient(graph: FiberGraph, w: WeightVector) -> OrientedFiberGraph:

@@ -134,6 +134,29 @@ def brute_local_connectivity(adj, s: int, t: int) -> int:
     return best
 
 
+def brute_distance_two_pairs(adj) -> list[tuple[int, int]]:
+    """Unordered pairs (u, w), u < w, at distance exactly 2, from each vertex's
+    set of two-hop neighbours."""
+    adj_sets = [set(row) for row in adj]
+    pairs = []
+    for u in range(len(adj)):
+        two_hop: set[int] = set()
+        for x in adj[u]:
+            two_hop.update(adj[x])
+        for w in sorted(two_hop):
+            if w > u and w not in adj_sets[u]:
+                pairs.append((u, w))
+    return pairs
+
+
+def brute_min_common_moves(move_sets, pairs) -> tuple[int, tuple[int, int]] | None:
+    """(count, pair) for the first pair whose two move-id sets share the
+    fewest members, each set packed into one integer bitmask; None for no pairs."""
+    masks = [sum(1 << k for k in moves) for moves in move_sets]
+    shared = (((masks[u] & masks[v]).bit_count(), (u, v)) for u, v in pairs)
+    return min(shared, key=lambda item: item[0], default=None)
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> tuple[tuple[int, ...], ...]:
     adj: list[list[int]] = [[] for _ in range(n)]
     for u in range(n):

@@ -27,20 +27,23 @@ from fibergraphs.analysis import (
     min_common_moves_over_close_pairs,
     vertex_connectivity,
 )
+from fibergraphs.cli import main
 from fibergraphs.enumeration import enumerate_fiber
 from fibergraphs.errors import (
     AdjacentPairError,
     DisconnectedGraphError,
     NotDistanceTwoError,
 )
-from fibergraphs.graphs import build_graph
+from fibergraphs.graphs import TWO_HOP_BLOCK, FiberGraph, build_graph, two_hop_pairs
 from fibergraphs.tables import degree, scaled_permutation, validate_table
 
 from oracles import (
     brute_articulation_vertices,
     brute_bfs_distances,
+    brute_distance_two_pairs,
     brute_is_connected,
     brute_local_connectivity,
+    brute_min_common_moves,
     brute_vertex_connectivity,
     complete_bipartite,
     complete_graph,
@@ -131,6 +134,82 @@ def test_local_connectivity_path_ends(graph_2_2):
 def test_local_connectivity_cycle_opposites():
     c4 = cycle_graph(4)
     assert local_connectivity(c4, 0, 2) == 2
+
+
+# --- the array sweeps for distance-2 pairs and shared moves, against oracles ---
+
+ORACLE_FIBERS = [(n, r) for n in range(1, 5) for r in range(4)] + [(3, 7)]
+
+
+def _oracle_graph(n, r, graph_4_3):
+    return graph_4_3 if (n, r) == (4, 3) else build_graph(enumerate_fiber(n, r))
+
+
+def _plain_oracle_graphs():
+    rng = random.Random(3131)
+    graphs = [(), ((), (), ()), ((1,), (0,)), ((1,), (0,), ())]
+    graphs += [random_graph(rng, n, rng.uniform(0.0, 4.0) / n) for n in range(1, 40)]
+    # rows in no particular order, as plain adjacency lists may come
+    graphs += [tuple(tuple(rng.sample(row, len(row))) for row in graph) for graph in graphs[-10:]]
+    return graphs
+
+
+@pytest.mark.parametrize("n,r", ORACLE_FIBERS)
+def test_distance_two_pairs_match_the_two_hop_oracle(n, r, graph_4_3):
+    graph = _oracle_graph(n, r, graph_4_3)
+    expected = brute_distance_two_pairs(graph.neighbor_lists())
+    for pairs in (distance_two_pairs(graph), distance_two_pairs(graph.neighbor_lists())):
+        assert pairs.dtype == np.int64 and pairs.shape == (len(expected), 2)
+        assert list(map(tuple, pairs.tolist())) == expected
+    if (n, r) == (4, 3):
+        # about a million two-arc walks: many blocks of TWO_HOP_BLOCK
+        assert int(np.diff(graph.indptr)[graph.indices].sum()) > 10 * TWO_HOP_BLOCK
+
+
+def test_distance_two_pairs_of_plain_graphs_match_the_two_hop_oracle():
+    for adj in _plain_oracle_graphs():
+        pairs = distance_two_pairs(adj)
+        assert pairs.dtype == np.int64 and pairs.shape[1:] == (2,)
+        assert list(map(tuple, pairs.tolist())) == brute_distance_two_pairs(adj), adj
+
+
+@pytest.mark.parametrize("n,r", ORACLE_FIBERS)
+def test_common_moves_match_the_bitmask_oracle(n, r, graph_4_3):
+    graph = _oracle_graph(n, r, graph_4_3)
+    adj = graph.neighbor_lists()
+    ptr, ids = graph.indptr.tolist(), graph.move_ids.tolist()
+    move_sets = [ids[a:b] for a, b in zip(ptr, ptr[1:])]
+    pairs = [(u, v) for u, row in enumerate(adj) for v in row if u < v]
+    expected = brute_min_common_moves(move_sets, pairs + brute_distance_two_pairs(adj))
+    result = min_common_moves_over_close_pairs(graph)
+    assert result == expected
+    if result is not None:
+        count, (u, v) = result
+        assert type(count) is int and type(u) is int and type(v) is int
+
+
+def test_verify_computes_distance_two_pairs_once(monkeypatch, tmp_path):
+    calls = []
+
+    def counted(indptr, indices):
+        calls.append(len(indptr) - 1)
+        return two_hop_pairs(indptr, indices)
+
+    monkeypatch.setattr("fibergraphs.graphs.two_hop_pairs", counted)
+    argv = ["verify", "--n", "3", "--r", "3", "--checks", "commonchoices,liu,commonchoices",
+            "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 0
+    assert calls == [55]
+
+
+def test_verify_without_flow_checks_builds_no_neighbour_tuples(monkeypatch, tmp_path):
+    def refuse(graph):
+        raise AssertionError("the Python neighbour tuples were built")
+
+    monkeypatch.setattr(FiberGraph, "_neighbors", property(refuse))
+    checks = "degrees,connmax,maxdeg,commonchoices,diameter,sink,dag,konig,decomp-constrained"
+    argv = ["verify", "--n", "3", "--r", "3", "--checks", checks, "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
 
 
 def test_local_connectivity_adjacent_rejected(graph_2_2):
@@ -267,7 +346,7 @@ def test_liu_reports_first_exact_minimiser(graph_3_3):
                for n in (rng.randint(5, 14) for _ in range(80))]
     at_degree_bound = checked = 0
     for adj in graphs:
-        pairs = distance_two_pairs(adj)
+        pairs = [tuple(pair) for pair in distance_two_pairs(adj).tolist()]
         if not pairs:
             continue
         checked += 1

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from fibergraphs.decomposition import (
     decompose_constrained,
     perfect_matching,
 )
+from fibergraphs import cli
 from fibergraphs.enumeration import enumerate_fiber
 from fibergraphs.errors import ConstraintInfeasibleError, NoPerfectMatchingError
 from fibergraphs.tables import validate_table
@@ -76,6 +78,40 @@ def test_decompose_whole_fibers_resum():
             assert dec.resum().entries == t.entries
             for part in dec.parts:
                 validate_table(n, 1, part.entries)
+
+
+@pytest.mark.parametrize("n,r", [(3, 3), (3, 4), (3, 5), (4, 2), (4, 3)])
+def test_konig_orbit_sweep_matches_the_per_table_sweep(n, r):
+    # the reference decomposes every table, not one per orbit
+    fiber = enumerate_fiber(n, r)
+    failures = 0
+    for t in fiber:
+        dec = decompose(t)
+        failures += dec.resum().entries != t.entries or len(dec.parts) != r
+        for part in dec.parts:
+            validate_table(n, 1, part.entries)
+    assert failures == 0
+    report = cli._check_konig(cli._VerifyContext(n, r, len(fiber)))
+    assert report["computed"] == {"tables": len(fiber), "failures": failures}
+
+
+def test_konig_check_builds_no_graph(monkeypatch, tmp_path):
+    def refuse(fiber):
+        raise AssertionError("the konig check built a graph")
+
+    monkeypatch.setattr("fibergraphs.graphs.build_graph", refuse)
+    out = tmp_path / "konig.json"
+    assert cli.main(["verify", "--n", "4", "--r", "3", "--checks", "konig", "--out", str(out)]) == 0
+    (result,) = json.loads(out.read_text())["results"]
+    assert result["computed"] == {"tables": 2008, "failures": 0}
+
+
+def test_decompose_zero_table_has_no_parts():
+    zero = validate_table(2, 0, [[0, 0], [0, 0]])
+    with pytest.raises(NoPerfectMatchingError):
+        decompose(zero)
+    with pytest.raises(NoPerfectMatchingError):
+        decompose_constrained(zero, [])
 
 
 def test_residual_regularity():

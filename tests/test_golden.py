@@ -1,17 +1,21 @@
 """Byte-level regression of the CLI's file outputs on every G(n <= 4, r <= 3),
-of seeded sample streams and exact-test reports, and of detour-path families.
+of seeded sample streams and exact-test reports, of detour-path families, and
+of the ``verify --long`` reports.
 
 Each digest is the sha256 of one output kind written for every instance in
 ``INSTANCES`` order, as version 0.1.0 of the package wrote them.  Any change
 to vertex ids, ordering, orientation or formatting shows up here.  The walk
 and detour digests were taken from the move-object implementations of the
 sampler and of ``detour_paths``, so the array-indexed ones must reproduce
-their random draws, sample streams and path families exactly.
+their random draws, sample streams and path families exactly.  The verify
+digest was taken from the per-table König sweep and the Python loops over
+distance-2 pairs, before they ran on arrays and vertex orbits.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import astuple
 
 import pytest
@@ -71,6 +75,25 @@ def test_cli_output_bytes_unchanged(kind, tmp_path, capsys):
         digest.update((tmp_path / f"out{suffix}").read_bytes())
     capsys.readouterr()
     assert digest.hexdigest() == expected
+
+
+# every check, κ and Liu included, on each instance in this order
+VERIFY_INSTANCES = [(n, r) for n in range(2, 5) for r in range(1, 4)] + [(3, r) for r in range(4, 8)]
+GOLDEN_VERIFY = "8f9acf020db0e739c66b45a65f41b243cb7e052cc1e0e241c0d88f7249ec6876"
+
+
+def test_verify_reports_unchanged(tmp_path):
+    """The verify --long JSON of every instance, with each check's runtime_ms removed."""
+    digest = hashlib.sha256()
+    out = tmp_path / "verify.json"
+    for n, r in VERIFY_INSTANCES:
+        assert main(["verify", "--n", str(n), "--r", str(r), "--long", "--out", str(out)]) == 0
+        suite = json.loads(out.read_text())
+        for result in suite["results"]:
+            del result["runtime_ms"]
+        digest.update(f"{n},{r}\n".encode())
+        digest.update((json.dumps(suite, indent=2) + "\n").encode())
+    assert digest.hexdigest() == GOLDEN_VERIFY
 
 
 # --- sample streams, exact-test reports and detour-path families ---
@@ -134,7 +157,7 @@ GOLDEN_DETOURS = {
 def test_detour_reports_unchanged(n, r):
     graph = build_graph(enumerate_fiber(n, r))
     digest = hashlib.sha256()
-    for u, v in distance_two_pairs(graph):
+    for u, v in distance_two_pairs(graph).tolist():
         report = detour_paths(graph, u, v)
         d1, d2 = report.middle_moves
         digest.update(

@@ -235,6 +235,17 @@ def test_cli_decompose_constrained(tmp_path, capsys):
     assert payload["constraints_satisfied"] is True
 
 
+@pytest.mark.parametrize("constraints", [[], ["--constraints", "[]"]])
+def test_cli_decompose_zero_table_is_a_data_error(tmp_path, capsys, constraints):
+    # a margin-0 table has no permutation parts to list
+    table = tmp_path / "z.csv"
+    table.write_text("0,0\n0,0\n")
+    assert main(["decompose", "--table", str(table), *constraints]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_sample_deterministic(tmp_path, capsys):
     table = tmp_path / "d.csv"
     table.write_text("2,0,0\n0,2,0\n0,0,2\n")
