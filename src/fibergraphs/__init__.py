@@ -40,6 +40,7 @@ from .enumeration import (
     margin_matrix,
 )
 from .graphs import (
+    CsrGraph,
     FiberGraph,
     OrientedFiberGraph,
     WeightVector,

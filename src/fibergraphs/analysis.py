@@ -1,12 +1,12 @@
 """Distances, connectivity, common moves, and detour-path structure of fiber graphs.
 
-A graph arrives as a fiber graph or as plain adjacency lists, so the same
-machinery serves fiber graphs, the double-cube counterexample graph, and the
-random graphs the test oracles throw at it.  Every distance and connectivity
-question is answered by one vectorized frontier BFS over CSR arrays: a fiber
-graph's own, or arrays built once from the lists.  Local connectivity is
-Menger's count of internally vertex-disjoint paths, computed as unit-capacity
-max-flow on the vertex-split network.  Global vertex connectivity uses the
+Every function takes one graph type, a ``CsrGraph``: a fiber graph, the
+double-cube counterexample graph, or a random graph of the test oracles,
+each built as CSR arrays once, at the boundary.  Every distance and
+connectivity question is answered by one vectorized frontier BFS over those
+arrays.  Local connectivity is Menger's count of internally vertex-disjoint
+paths, computed as unit-capacity max-flow on the vertex-split network, whose
+searches read the CSR rows directly.  Global vertex connectivity uses the
 classical exact scheme: one minimum-degree vertex against all its
 non-neighbors, then all non-adjacent pairs among its neighbors.  Both it and
 Liu's criterion sweep their pairs serially, each search capped at the least
@@ -15,17 +15,16 @@ flow found so far.
 Distances and local connectivity are invariant under graph automorphisms, so
 the diameter, κ and Liu sweeps visit one representative per orbit: the first
 member in sweep order.  A fiber graph brings its symmetry group (checked
-generators, and the stabilizer of one vertex); a plain adjacency list has
+generators, and the stabilizer of one vertex); a plain ``CsrGraph`` has
 none, so there each vertex and each pair is its own orbit.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import comb
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .errors import (
     InvalidDimensionError,
     NotDistanceTwoError,
 )
-from .graphs import FiberGraph, row_arcs, two_hop_pairs
+from .graphs import CsrGraph, FiberGraph, row_arcs
 from .tables import (
     ContingencyTable,
     MarkovMove,
@@ -44,35 +43,11 @@ from .tables import (
     scaled_permutation,
 )
 
-AdjacencyList = Sequence[Sequence[int]]
-GraphLike = Union[FiberGraph, AdjacencyList]
-
 _POPCOUNT = np.array([bin(x).count("1") for x in range(256)], dtype=np.uint8)
 _PAIR_CHUNK = 1 << 16  # pairs scored at a time by min_common_moves_over_close_pairs
 
 
-def adjacency_of(graph: GraphLike) -> tuple[tuple[int, ...], ...]:
-    """Normalize any supported graph input to immutable adjacency lists."""
-    if isinstance(graph, FiberGraph):
-        return graph.neighbor_lists()
-    return tuple(tuple(row) for row in graph)
-
-
-def _csr(graph: GraphLike) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, indices): a fiber graph's own arrays, or built from adjacency lists."""
-    if isinstance(graph, FiberGraph):
-        return graph.indptr, graph.indices
-    indptr = np.cumsum([0, *map(len, graph)])
-    indices = np.fromiter((v for row in graph for v in row), dtype=np.int64, count=indptr[-1])
-    return indptr, indices
-
-
 # --- orbits ---
-
-def _automorphisms(graph: GraphLike) -> tuple[np.ndarray, ...]:
-    """Checked generating vertex permutations of a fiber graph; none for lists."""
-    return graph.automorphisms if isinstance(graph, FiberGraph) else ()
-
 
 def _orbit_labels(size: int, perms: Sequence[np.ndarray]) -> np.ndarray:
     """The smallest member of each element's orbit under the group the
@@ -126,26 +101,27 @@ def _bfs(
     while frontier.size:
         level += 1
         nbrs = indices[row_arcs(indptr, frontier)]
-        fresh = nbrs[dist[nbrs] < 0]
+        fresh = np.sort(nbrs[dist[nbrs] < 0])
         if fresh.size == 0:
             break
-        frontier = np.unique(fresh)
+        frontier = fresh[np.diff(fresh, prepend=-1) > 0]  # np.unique is many times slower
         dist[frontier] = level
     dist[blocked] = -1
     return dist
 
 
-def bfs_distances(graph: GraphLike, source: int) -> list[int]:
+def bfs_distances(graph: CsrGraph, source: int) -> list[int]:
     """Shortest-path distances from source; -1 marks unreachable vertices."""
-    return _bfs(*_csr(graph), source).tolist()
+    return _bfs(graph.indptr, graph.indices, graph.check_vertex(source)).tolist()
 
 
-def distance_between(graph: GraphLike, u: int, v: int) -> int:
+def distance_between(graph: CsrGraph, u: int, v: int) -> int:
     """BFS distance from u to v, -1 when unreachable."""
-    return int(_bfs(*_csr(graph), u)[v])
+    u, v = graph.check_vertex(u), graph.check_vertex(v)
+    return int(_bfs(graph.indptr, graph.indices, u)[v])
 
 
-def diameter(graph: GraphLike) -> int:
+def diameter(graph: CsrGraph) -> int:
     """Largest BFS distance over all source vertices.
 
     Eccentricity is constant on vertex orbits, so one vectorized BFS runs
@@ -153,13 +129,12 @@ def diameter(graph: GraphLike) -> int:
     Vertex 0 is always one, so a disconnected graph raises
     DisconnectedGraphError from the first BFS.
     """
-    indptr, indices = _csr(graph)
-    n = len(indptr) - 1
+    n = graph.vertex_count
     if n == 0:
         raise InvalidDimensionError("diameter of an empty graph is undefined")
     best = 0
-    for s in _first_members(_orbit_labels(n, _automorphisms(graph))).tolist():
-        dist = _bfs(indptr, indices, s)
+    for s in _first_members(_orbit_labels(n, graph.automorphisms)).tolist():
+        dist = _bfs(graph.indptr, graph.indices, s)
         if (dist < 0).any():
             raise DisconnectedGraphError(
                 f"vertex {int(np.flatnonzero(dist < 0)[0])} unreachable from {s}"
@@ -177,93 +152,106 @@ def diameter_witness_pair(n: int, r: int) -> tuple[ContingencyTable, Contingency
     return identity, cycle
 
 
-def is_connected(graph: GraphLike) -> bool:
-    indptr, indices = _csr(graph)
-    return len(indptr) == 1 or bool((_bfs(indptr, indices, 0) >= 0).all())
+def is_connected(graph: CsrGraph) -> bool:
+    return graph.vertex_count == 0 or bool((_bfs(graph.indptr, graph.indices, 0) >= 0).all())
 
 
-def _connected_after_removal(
-    indptr: np.ndarray, indices: np.ndarray, removed: frozenset[int]
-) -> bool:
+def _connected_after_removal(graph: CsrGraph, removed: frozenset[int]) -> bool:
     """Whether the vertices outside ``removed`` induce a connected graph."""
-    alive = len(indptr) - 1 - len(removed)
-    start = next((x for x in range(len(indptr) - 1) if x not in removed), None)
+    start = next((x for x in range(graph.vertex_count) if x not in removed), None)
     if start is None:
         return True
-    return int(np.count_nonzero(_bfs(indptr, indices, start, removed) >= 0)) == alive
+    reached = np.count_nonzero(_bfs(graph.indptr, graph.indices, start, removed) >= 0)
+    return int(reached) == graph.vertex_count - len(removed)
 
 
 # --- local connectivity via vertex-split max-flow ---
 
-class SplitNetwork:
-    """Unit-capacity flow network with every vertex split into in/out halves.
+Residual = tuple[int, dict[int, int], set[int]]  # (t, pred, into_t) of a maximum flow
 
-    Built once per graph; each query copies the capacity template.  Flow from
-    u_out to v_in equals the number of internally vertex-disjoint u-v paths.
+
+class SplitNetwork:
+    """Unit-capacity flow network with every vertex x split into x_in = 2x
+    and x_out = 2x + 1, read from the graph's CSR rows.
+
+    The arcs are x_in -> x_out for every vertex and x_out -> y_in for every
+    arc x -> y of the graph, all of capacity 1.  Flow from s_out to t_in
+    equals the number of internally vertex-disjoint s-t paths.  A query
+    keeps its flow as ``pred[y] = x``, one entry for each flow arc x -> y
+    with y != t (a vertex takes in at most one unit), plus the set of t's
+    predecessors; a vertex carries flow exactly when it has a ``pred``.
     """
 
-    def __init__(self, adj: Sequence[Sequence[int]]):
-        n = len(adj)
-        self.n = n
-        self.arc_to: list[int] = []
-        self.arc_cap: list[int] = []
-        self.node_arcs: list[list[int]] = [[] for _ in range(2 * n)]
+    def __init__(self, graph: CsrGraph):
+        self.n = graph.vertex_count
+        self.indptr: list[int] = graph.indptr.tolist()
+        self.indices: list[int] = graph.indices.tolist()
 
-        def add(u: int, v: int, cap: int) -> None:
-            self.node_arcs[u].append(len(self.arc_to))
-            self.arc_to.append(v)
-            self.arc_cap.append(cap)
-            self.node_arcs[v].append(len(self.arc_to))
-            self.arc_to.append(u)
-            self.arc_cap.append(0)
+    def _search(self, s: int, t: int, pred: dict[int, int], into_t: set[int]) -> list[int]:
+        """Parents of the split nodes that one residual BFS from s_out reaches,
+        -1 for the others; the search stops as soon as it reaches t_in.
 
-        for x in range(n):
-            add(2 * x, 2 * x + 1, 1)  # x_in -> x_out
-        for x in range(n):
-            for y in adj[x]:
-                add(2 * x + 1, 2 * y, 1)  # x_out -> y_in
+        From x_out it tries the reverse vertex arc to x_in first, then the
+        arcs to the row's neighbours in row order.  From x_in the one
+        residual arc leads to x_out, or back to pred[x]_out when x carries flow.
+        """
+        indptr, indices = self.indptr, self.indices
+        parent = [-1] * (2 * self.n)
+        source = 2 * s + 1
+        parent[source] = source
+        queue = [source]
+        for node in queue:  # the loop also visits the nodes appended during it
+            x = node >> 1
+            if not node & 1:
+                nxt = 2 * pred[x] + 1 if x in pred else node + 1
+                if parent[nxt] < 0:
+                    parent[nxt] = node
+                    queue.append(nxt)
+                continue
+            if x in pred and parent[node - 1] < 0:
+                parent[node - 1] = node
+                queue.append(node - 1)
+            for y in indices[indptr[x]:indptr[x + 1]]:
+                if parent[2 * y] < 0 and pred.get(y) != x:
+                    if y == t:
+                        if x not in into_t:
+                            parent[2 * y] = node
+                            return parent
+                    else:
+                        parent[2 * y] = node
+                        queue.append(2 * y)
+        return parent
 
-    def max_flow(
-        self, s: int, t: int, bound: int | None = None
-    ) -> tuple[int, list[int] | None]:
+    def max_flow(self, s: int, t: int, bound: int | None = None) -> tuple[int, Residual | None]:
         """Flow value from s_out to t_in, capped at ``bound`` when given.
 
-        Returns (flow, residual_caps); residual_caps is None when the search
-        stopped at the bound (the true value may be larger).
+        Returns (flow, residual); residual is None when the search stopped
+        at the bound (the true value may be larger).
         """
-        caps = self.arc_cap.copy()
+        pred: dict[int, int] = {}
+        into_t: set[int] = set()
         source, sink = 2 * s + 1, 2 * t
-        arc_to, node_arcs = self.arc_to, self.node_arcs
         flow = 0
         while bound is None or flow < bound:
-            parent_arc = [-1] * (2 * self.n)
-            parent_arc[source] = -2
-            queue = deque([source])
-            reached = False
-            while queue and not reached:
-                x = queue.popleft()
-                for a in node_arcs[x]:
-                    if caps[a] > 0:
-                        y = arc_to[a]
-                        if parent_arc[y] == -1:
-                            parent_arc[y] = a
-                            if y == sink:
-                                reached = True
-                                break
-                            queue.append(y)
-            if not reached:
-                return flow, caps
-            x = sink
-            while x != source:
-                a = parent_arc[x]
-                caps[a] -= 1
-                caps[a ^ 1] += 1
-                x = arc_to[a ^ 1]
+            parent = self._search(s, t, pred, into_t)
+            if parent[sink] < 0:
+                return flow, (t, pred, into_t)
+            node = sink
+            while node != source:
+                prev = parent[node]
+                if prev >> 1 != node >> 1:  # a graph arc, not a vertex arc
+                    if not prev & 1:
+                        del pred[prev >> 1]  # back along x -> y: cancel it
+                    elif node == sink:
+                        into_t.add(prev >> 1)
+                    else:
+                        pred[node >> 1] = prev >> 1
+                node = prev
             flow += 1
         return flow, None
 
-    def min_cut_vertices(self, caps: list[int], s: int) -> frozenset[int]:
-        """A minimum s-t vertex cut, read from a maximum flow's residual ``caps``.
+    def min_cut_vertices(self, residual: Residual, s: int) -> frozenset[int]:
+        """A minimum s-t vertex cut, read from a maximum flow's ``residual``.
 
         Every arc leaving the residual-reachable side is saturated, and there
         are as many as units of flow.  Each names a vertex: x_in -> x_out
@@ -271,35 +259,28 @@ class SplitNetwork:
         t, as s and t are non-adjacent).  Every s-t path crosses one of these
         arcs at the vertex it names, so the named vertices form a cut.
         """
-        source = 2 * s + 1
-        seen = [False] * (2 * self.n)
-        seen[source] = True
-        queue = deque([source])
-        while queue:
-            x = queue.popleft()
-            for a in self.node_arcs[x]:
-                if caps[a] > 0 and not seen[self.arc_to[a]]:
-                    seen[self.arc_to[a]] = True
-                    queue.append(self.arc_to[a])
+        seen = self._search(s, *residual)
         cut = set()
-        for a in range(0, len(self.arc_to), 2):  # even arcs are the forward ones
-            tail, head = self.arc_to[a + 1], self.arc_to[a]
-            if seen[tail] and not seen[head]:
-                cut.add((head if tail == source else tail) // 2)
+        for x in range(self.n):
+            if seen[2 * x + 1] >= 0:
+                row = self.indices[self.indptr[x]:self.indptr[x + 1]]
+                cut.update(y if x == s else x for y in row if seen[2 * y] < 0)
+            elif seen[2 * x] >= 0:
+                cut.add(x)
         return frozenset(cut)
 
 
-def local_connectivity(graph: GraphLike, u: int, v: int) -> int:
+def local_connectivity(graph: CsrGraph, u: int, v: int) -> int:
     """Maximum number of internally vertex-disjoint u-v paths (u, v non-adjacent)."""
-    adj = adjacency_of(graph)
+    u, v = graph.check_vertex(u), graph.check_vertex(v)
     if u == v:
         raise InvalidDimensionError("local connectivity needs two distinct vertices")
-    if v in adj[u]:
+    if v in graph.neighbors(u):
         raise AdjacentPairError(
             f"vertices {u} and {v} are adjacent; the split-network reduction "
             "does not define their local connectivity"
         )
-    flow, _ = SplitNetwork(adj).max_flow(u, v)
+    flow, _ = SplitNetwork(graph).max_flow(u, v)
     return flow
 
 
@@ -314,31 +295,22 @@ class ConnectivityReport:
     complete: bool = False
 
 
-def _is_complete(adj: Sequence[Sequence[int]]) -> bool:
-    n = len(adj)
-    return all(len(set(row)) == n - 1 for row in adj)
-
-
-def _connectivity_pairs(adj: Sequence[Sequence[int]]) -> tuple[int, list[tuple[int, int]]]:
-    """The certifying pair family: a minimum-degree vertex s0 vs all its
-    non-neighbors, then all non-adjacent pairs inside N(s0)."""
-    degrees = [len(row) for row in adj]
-    s0 = min(range(len(adj)), key=lambda x: (degrees[x], x))
-    nbrs = set(adj[s0])
-    pairs = [(s0, w) for w in range(len(adj)) if w != s0 and w not in nbrs]
-    sorted_nbrs = sorted(nbrs)
-    adj_sets = [set(row) for row in adj]
-    for a in range(len(sorted_nbrs)):
-        for b in range(a + 1, len(sorted_nbrs)):
-            x, y = sorted_nbrs[a], sorted_nbrs[b]
-            if y not in adj_sets[x]:
-                pairs.append((x, y))
+def _connectivity_pairs(graph: CsrGraph) -> tuple[int, list[tuple[int, int]]]:
+    """The certifying pair family: the first minimum-degree vertex s0 vs all
+    its non-neighbors, then all non-adjacent pairs inside N(s0), in order."""
+    s0 = int(np.argmin(np.diff(graph.indptr)))
+    nbrs = sorted(set(graph.neighbors(s0).tolist()))
+    skip = {s0, *nbrs}
+    pairs = [(s0, w) for w in range(graph.vertex_count) if w not in skip]
+    for a, x in enumerate(nbrs):
+        row = set(graph.neighbors(x).tolist())
+        pairs.extend((x, y) for y in nbrs[a + 1:] if y not in row)
     return s0, pairs
 
 
 def _min_flow(
     net: SplitNetwork, pairs: Sequence[tuple[int, int]], bound: int | None
-) -> tuple[int | None, tuple[int, int] | None, list[int] | None]:
+) -> tuple[int | None, tuple[int, int] | None, Residual | None]:
     """(value, pair, residual) for the first pair whose max-flow is least.
 
     Each search is capped at the least flow found so far, the first one at
@@ -346,15 +318,15 @@ def _min_flow(
     found no augmenting path, so its value is exact and its residual is a
     maximum flow's.  Returns (bound, None, None) when no pair goes below it.
     """
-    best, best_pair, best_caps = bound, None, None
+    best, best_pair, best_residual = bound, None, None
     for s, t in pairs:
-        flow, caps = net.max_flow(s, t, best)
-        if caps is not None:
-            best, best_pair, best_caps = flow, (s, t), caps
-    return best, best_pair, best_caps
+        flow, residual = net.max_flow(s, t, best)
+        if residual is not None:
+            best, best_pair, best_residual = flow, (s, t), residual
+    return best, best_pair, best_residual
 
 
-def vertex_connectivity(graph: GraphLike) -> ConnectivityReport:
+def vertex_connectivity(graph: CsrGraph) -> ConnectivityReport:
     """Exact vertex connectivity with a verified witness cut.
 
     Complete graphs get kappa = |V| - 1 and no cut; disconnected graphs get
@@ -367,44 +339,40 @@ def vertex_connectivity(graph: GraphLike) -> ConnectivityReport:
     read from the minimizing search's residual (N(s0) when no pair goes
     below deg(s0)) and re-checked by BFS before returning.
     """
-    adj = adjacency_of(graph)
-    n = len(adj)
+    n = graph.vertex_count
     if n < 2:
         raise InvalidDimensionError("connectivity needs at least two vertices")
-    min_degree = min(len(row) for row in adj)
+    min_degree = int(np.diff(graph.indptr).min())
     if not is_connected(graph):
         return ConnectivityReport(0, frozenset(), min_degree, min_degree == 0)
-    if _is_complete(adj):
-        return ConnectivityReport(n - 1, None, min_degree, min_degree == n - 1, complete=True)
+    if min_degree == n - 1:  # a simple graph, so complete
+        return ConnectivityReport(n - 1, None, min_degree, True, complete=True)
 
-    s0, pairs = _connectivity_pairs(adj)
+    s0, pairs = _connectivity_pairs(graph)
     # Stab(s0) is a group, so an orbit's least position is its least image
-    stabilizer = graph.stabilizer(s0) if isinstance(graph, FiberGraph) else ()
-    images = _pair_images(np.array(pairs, dtype=np.int64), n, stabilizer)
+    images = _pair_images(np.array(pairs, dtype=np.int64), n, graph.stabilizer(s0))
     labels = reduce(np.minimum, images, np.arange(len(pairs)))
     firsts = [pairs[i] for i in _first_members(labels).tolist()]
-    net = SplitNetwork(adj)
-    kappa, min_pair, caps = _min_flow(net, firsts, len(adj[s0]))
+    net = SplitNetwork(graph)
+    kappa, min_pair, residual = _min_flow(net, firsts, min_degree)
     if min_pair is None:
         # kappa equals the minimum degree; the neighborhood of s0 is a cut
-        witness = frozenset(adj[s0])
+        witness = frozenset(graph.neighbors(s0).tolist())
     else:
-        witness = net.min_cut_vertices(caps, min_pair[0])
+        witness = net.min_cut_vertices(residual, min_pair[0])
 
     assert len(witness) == kappa, "witness cut size disagrees with kappa"
-    assert not _connected_after_removal(*_csr(graph), witness), "witness cut does not disconnect"
+    assert not _connected_after_removal(graph, witness), "witness cut does not disconnect"
     return ConnectivityReport(kappa, witness, min_degree, kappa == min_degree)
 
 
 # --- Liu's criterion and distance-2 structure ---
 
-def distance_two_pairs(graph: GraphLike) -> np.ndarray:
+def distance_two_pairs(graph: CsrGraph) -> np.ndarray:
     """All unordered pairs at distance exactly 2, as a (P, 2) int64 array
     sorted by (u, w) with u < w: one CSR two-hop sweep (``two_hop_pairs``),
-    which a fiber graph runs once and keeps."""
-    if isinstance(graph, FiberGraph):
-        return graph.distance_two
-    return two_hop_pairs(*_csr(graph))
+    which the graph runs once and keeps."""
+    return graph.distance_two
 
 
 @dataclass(frozen=True)
@@ -415,7 +383,7 @@ class LiuCheckResult:
     min_value: int | None  # None when the graph has no distance-2 pair
 
 
-def liu_check(graph: GraphLike, k: int) -> LiuCheckResult:
+def liu_check(graph: CsrGraph, k: int) -> LiuCheckResult:
     """Check the k-disjoint-paths hypothesis over every distance-2 pair.
 
     Returns the first pair, in ``distance_two_pairs`` order, whose exact
@@ -425,13 +393,13 @@ def liu_check(graph: GraphLike, k: int) -> LiuCheckResult:
     uncapped and each later one is capped at the least count found so far.
     That first pair to reach the minimum is the first member of its orbit.
     """
-    adj = adjacency_of(graph)
     pairs = distance_two_pairs(graph)
     if not len(pairs):
         return LiuCheckResult(True, k, None, None)
-    labels = _orbit_labels(len(pairs), list(_pair_images(pairs, len(adj), _automorphisms(graph))))
+    images = _pair_images(pairs, graph.vertex_count, graph.automorphisms)
+    labels = _orbit_labels(len(pairs), list(images))
     firsts = list(map(tuple, pairs[_first_members(labels)].tolist()))
-    best, min_pair, _ = _min_flow(SplitNetwork(adj), firsts, None)
+    best, min_pair, _ = _min_flow(SplitNetwork(graph), firsts, None)
     return LiuCheckResult(best >= k, k, min_pair, best)
 
 
@@ -510,6 +478,8 @@ def detour_paths(graph: FiberGraph, u: int, v: int) -> DetourPathReport:
     CSR row of x, and move k ^ 1 is the negation of move k.
     """
 
+    u, v = graph.check_vertex(u), graph.check_vertex(v)
+
     def arcs(x: int) -> dict[int, int]:
         """Move id -> neighbour over the CSR row of x (which is sorted by neighbour)."""
         a, b = graph.indptr[x], graph.indptr[x + 1]
@@ -557,7 +527,7 @@ def detour_paths(graph: FiberGraph, u: int, v: int) -> DetourPathReport:
 
 # --- the double-cube counterexample ---
 
-def hemmecke_graph(k: int) -> tuple[tuple[tuple[int, ...], ...], ConnectivityReport]:
+def hemmecke_graph(k: int) -> tuple[CsrGraph, ConnectivityReport]:
     """Two k-cube skeletons joined by a single edge between all-zero corners.
 
     Vertex id = side * 2^k + corner_bits.  The graph has 2^(k+1) vertices,
@@ -575,8 +545,8 @@ def hemmecke_graph(k: int) -> tuple[tuple[tuple[int, ...], ...], ConnectivityRep
                 adj[base + mask].append(base + (mask ^ (1 << bit)))
     adj[0].append(size)
     adj[size].append(0)
-    frozen = tuple(tuple(sorted(row)) for row in adj)
-    return frozen, vertex_connectivity(frozen)
+    graph = CsrGraph.from_rows(sorted(row) for row in adj)
+    return graph, vertex_connectivity(graph)
 
 
 def hemmecke_matrix(k: int) -> tuple[list[list[int]], list[int]]:
@@ -604,11 +574,7 @@ def hemmecke_matrix(k: int) -> tuple[list[list[int]], list[int]]:
     return A, b
 
 
-def articulation_vertices(graph: GraphLike) -> list[int]:
+def articulation_vertices(graph: CsrGraph) -> list[int]:
     """Vertices whose removal disconnects the graph (checked by removal + BFS)."""
-    indptr, indices = _csr(graph)
-    return [
-        x
-        for x in range(len(indptr) - 1)
-        if not _connected_after_removal(indptr, indices, frozenset({x}))
-    ]
+    vertices = range(graph.vertex_count)
+    return [x for x in vertices if not _connected_after_removal(graph, frozenset({x}))]

@@ -152,8 +152,8 @@ def _check_connmax(ctx: _VerifyContext) -> dict:
             "hypothesis_met": True,
         }
     vid = ctx.fiber.index_of(tables.scaled_permutation(ctx.n, ctx.r, list(range(ctx.n))))
-    cut = frozenset(graph.indices[graph.indptr[vid]:graph.indptr[vid + 1]].tolist())
-    disconnects = not analysis._connected_after_removal(graph.indptr, graph.indices, cut)
+    cut = frozenset(graph.neighbors(vid).tolist())
+    disconnects = not analysis._connected_after_removal(graph, cut)
     return {
         "expected": {"cut_size": bound, "disconnects": True},
         "computed": {"cut_size": len(cut), "disconnects": disconnects},
@@ -474,14 +474,14 @@ def cmd_hemmecke(args: argparse.Namespace) -> int:
         return 2
     if args.k > HEMMECKE_MAX_K:
         raise SizeLimitExceededError(HEMMECKE_MAX_K, context=f"hemmecke k={args.k}")
-    adjacency, report = analysis.hemmecke_graph(args.k)
+    graph, report = analysis.hemmecke_graph(args.k)
     payload = {
         "k": args.k,
-        "vertices": len(adjacency),
+        "vertices": graph.vertex_count,
         "min_degree": report.min_degree,
         "kappa": report.kappa,
         "conjecture_holds": report.conjecture_holds,
-        "articulation_vertices": analysis.articulation_vertices(adjacency),
+        "articulation_vertices": analysis.articulation_vertices(graph),
     }
     _write_output(json.dumps(payload, indent=2) + "\n", args.out)
     return 0

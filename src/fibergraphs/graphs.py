@@ -20,15 +20,17 @@ has a unique sink, located at the anti-diagonal table.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .enumeration import Fiber
 from .errors import (
+    InvalidDimensionError,
     NotAnAutomorphismError,
     SizeLimitExceededError,
     UnsupportedFormatError,
@@ -40,26 +42,45 @@ DOT_VERTEX_LIMIT = 500
 
 
 @dataclass(frozen=True, eq=False)
-class FiberGraph:
-    """Undirected simple graph on a fiber, as CSR arcs labelled by move.
+class CsrGraph:
+    """Undirected simple graph as CSR: the neighbours of u are
+    ``indices[indptr[u]:indptr[u + 1]]``.
 
-    The arcs of u are ``indptr[u]:indptr[u + 1]``, sorted by neighbour;
-    ``move_ids[a]`` indexes ``enumerate_basis_moves(n)``.  Each valid move
-    gives exactly one arc, because distinct moves are distinct matrices.
+    A plain graph has no known symmetry: ``automorphisms`` is empty and
+    ``stabilizer`` yields nothing, so every vertex and pair is its own orbit.
     """
 
-    fiber: Fiber
     indptr: np.ndarray
     indices: np.ndarray
-    move_ids: np.ndarray
+
+    automorphisms = ()  # unannotated, so a class attribute and not a field
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "CsrGraph":
+        """The graph whose row u lists the neighbours of u, in the given order."""
+        rows = [list(row) for row in rows]
+        indptr = np.cumsum([0, *map(len, rows)], dtype=np.int64)
+        indices = np.fromiter((v for row in rows for v in row), dtype=np.int64, count=indptr[-1])
+        return cls(indptr, indices)
 
     @property
     def vertex_count(self) -> int:
-        return len(self.fiber)
+        return len(self.indptr) - 1
 
     @property
     def edge_count(self) -> int:
         return len(self.indices) // 2
+
+    def check_vertex(self, x: int) -> int:
+        """x as a Python int; InvalidDimensionError unless 0 <= x < vertex_count."""
+        x = operator.index(x)
+        if not 0 <= x < self.vertex_count:
+            raise InvalidDimensionError(f"vertex {x} is not in 0..{self.vertex_count - 1}")
+        return x
+
+    def neighbors(self, u: int) -> np.ndarray:
+        """The CSR row of u."""
+        return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
     def degree(self, u: int) -> int:
         return int(self.indptr[u + 1] - self.indptr[u])
@@ -67,20 +88,35 @@ class FiberGraph:
     def degrees(self) -> list[int]:
         return np.diff(self.indptr).tolist()
 
-    @cached_property
-    def _neighbors(self) -> tuple[tuple[int, ...], ...]:
-        ptr, idx = self.indptr.tolist(), self.indices.tolist()
-        return tuple(tuple(idx[a:b]) for a, b in zip(ptr, ptr[1:]))
-
-    def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
-        """Plain adjacency (neighbor ids as Python ints), for the graph algorithms."""
-        return self._neighbors
-
     def edges(self) -> list[tuple[int, int]]:
         """Sorted (u, v) pairs with u < v."""
         sources = np.repeat(np.arange(self.vertex_count), np.diff(self.indptr))
         upper = sources < self.indices
         return list(zip(sources[upper].tolist(), self.indices[upper].tolist()))
+
+    @cached_property
+    def distance_two(self) -> np.ndarray:
+        """The ``two_hop_pairs`` of the CSR, computed once per graph (read-only)."""
+        pairs = two_hop_pairs(self.indptr, self.indices)
+        pairs.flags.writeable = False
+        return pairs
+
+    def stabilizer(self, v: int) -> Iterator[np.ndarray]:
+        """Vertex permutations of every known symmetry that fixes v: none."""
+        return iter(())
+
+
+@dataclass(frozen=True, eq=False)
+class FiberGraph(CsrGraph):
+    """The graph on a fiber, its CSR arcs labelled by move.
+
+    The arcs of u are sorted by neighbour; ``move_ids[a]`` indexes
+    ``enumerate_basis_moves(n)``.  Each valid move gives exactly one arc,
+    because distinct moves are distinct matrices.
+    """
+
+    fiber: Fiber
+    move_ids: np.ndarray
 
     @cached_property
     def automorphisms(self) -> tuple[np.ndarray, ...]:
@@ -99,13 +135,6 @@ class FiberGraph:
             if not (np.array_equal(np.sort(perm), np.arange(size)) and np.array_equal(image, arcs)):
                 raise NotAnAutomorphismError(f"the {name} does not map the edges onto edges")
         return tuple(generators.values())
-
-    @cached_property
-    def distance_two(self) -> np.ndarray:
-        """The ``two_hop_pairs`` of the CSR, computed once per graph (read-only)."""
-        pairs = two_hop_pairs(self.indptr, self.indices)
-        pairs.flags.writeable = False
-        return pairs
 
     def stabilizer(self, v: int) -> Iterator[np.ndarray]:
         """Vertex permutations of every symmetry that fixes vertex v.
@@ -172,7 +201,7 @@ def build_graph(fiber: Fiber) -> FiberGraph:
     u, v = np.concatenate(sources), np.concatenate(targets)
     order = np.lexsort((v, u))
     indptr = np.concatenate(([0], np.cumsum(np.bincount(u, minlength=count))))
-    return FiberGraph(fiber, indptr, v[order], np.concatenate(labels)[order])
+    return FiberGraph(indptr, v[order], fiber=fiber, move_ids=np.concatenate(labels)[order])
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,12 @@ def brute_fiber(n: int, r: int) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
+def rows_of(graph) -> list[list[int]]:
+    """A CSR graph's rows as plain lists, read from its ``indptr`` and ``indices``."""
+    ptr, idx = graph.indptr.tolist(), graph.indices.tolist()
+    return [idx[a:b] for a, b in zip(ptr, ptr[1:])]
+
+
 def _bitmask_adjacency(adj) -> list[int]:
     masks = [0] * len(adj)
     for u, row in enumerate(adj):

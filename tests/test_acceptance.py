@@ -22,7 +22,7 @@ from fibergraphs.analysis import (
 )
 from fibergraphs.decomposition import decompose, decompose_constrained
 from fibergraphs.enumeration import count_fiber, enumerate_fiber
-from fibergraphs.graphs import WeightVector, build_graph, find_sinks, is_acyclic, orient
+from fibergraphs.graphs import CsrGraph, WeightVector, build_graph, find_sinks, is_acyclic, orient
 from fibergraphs.sampler import (
     Target,
     WalkConfig,
@@ -48,6 +48,7 @@ from oracles import (
     hypergeometric_mass,
     path_graph,
     random_graph,
+    rows_of,
 )
 
 
@@ -184,8 +185,8 @@ def test_acceptance_7_konig_and_constrained():
 
 def test_acceptance_8_hemmecke_counterexample():
     for k in range(1, 7):
-        adj, report = hemmecke_graph(k)
-        assert len(adj) == 2 ** (k + 1)
+        graph, report = hemmecke_graph(k)
+        assert graph.vertex_count == 2 ** (k + 1)
         assert report.min_degree == k
         assert report.kappa == 1
     print("ACCEPTANCE 8: double-cube graphs have min degree k and connectivity 1, "
@@ -200,9 +201,9 @@ def test_acceptance_9_oracle_equivalence():
         complete_graph(6),
         complete_bipartite(3, 5),
         complete_bipartite(2, 2),
-        hemmecke_graph(1)[0],
-        hemmecke_graph(2)[0],
-        hemmecke_graph(3)[0],
+        rows_of(hemmecke_graph(1)[0]),
+        rows_of(hemmecke_graph(2)[0]),
+        rows_of(hemmecke_graph(3)[0]),
     ]
     while len(graphs) < 200:
         n = rng.randint(4, 25)
@@ -210,18 +211,19 @@ def test_acceptance_9_oracle_equivalence():
         graphs.append(random_graph(rng, n, c / n))
     assert len(graphs) == 200
     for adj in graphs:
-        assert vertex_connectivity(adj).kappa == brute_vertex_connectivity(adj)
+        assert vertex_connectivity(CsrGraph.from_rows(adj)).kappa == brute_vertex_connectivity(adj)
 
     checked = 0
     while checked < 100:
         n = rng.randint(4, 12)
         adj = random_graph(rng, n, rng.uniform(0.25, 0.5))
+        graph = CsrGraph.from_rows(adj)
         pairs = [
             (u, v) for u in range(n) for v in range(u + 1, n) if v not in adj[u]
         ]
         rng.shuffle(pairs)
         for u, v in pairs[:3]:
-            assert local_connectivity(adj, u, v) == brute_local_connectivity(adj, u, v)
+            assert local_connectivity(graph, u, v) == brute_local_connectivity(adj, u, v)
             checked += 1
     print("ACCEPTANCE 9: vertex connectivity matches brute-force cutsets on 200 random "
           "graphs; local connectivity matches exhaustive path packing: PASS")

@@ -32,9 +32,10 @@ from fibergraphs.enumeration import enumerate_fiber
 from fibergraphs.errors import (
     AdjacentPairError,
     DisconnectedGraphError,
+    InvalidDimensionError,
     NotDistanceTwoError,
 )
-from fibergraphs.graphs import TWO_HOP_BLOCK, FiberGraph, build_graph, two_hop_pairs
+from fibergraphs.graphs import TWO_HOP_BLOCK, CsrGraph, build_graph, two_hop_pairs
 from fibergraphs.tables import degree, scaled_permutation, validate_table
 
 from oracles import (
@@ -50,6 +51,7 @@ from oracles import (
     cycle_graph,
     path_graph,
     random_graph,
+    rows_of,
 )
 
 
@@ -83,10 +85,11 @@ def test_bfs_routines_match_oracles_on_plain_lists():
             rng.shuffle(row)
         graphs.append(adj)
     for adj in graphs:
+        graph = CsrGraph.from_rows(adj)
         for s in range(len(adj)):
-            assert bfs_distances(adj, s) == brute_bfs_distances(adj, s), adj
-        assert is_connected(adj) == brute_is_connected(adj), adj
-        assert articulation_vertices(adj) == brute_articulation_vertices(adj), adj
+            assert bfs_distances(graph, s) == brute_bfs_distances(adj, s), adj
+        assert is_connected(graph) == brute_is_connected(adj), adj
+        assert articulation_vertices(graph) == brute_articulation_vertices(adj), adj
     assert any(not brute_is_connected(adj) for adj in graphs)
     assert any(brute_articulation_vertices(adj) for adj in graphs)
 
@@ -98,6 +101,24 @@ def test_distance_diag_to_antidiagonal_g32(graph_3_2):
     diag = fiber.index_of(scaled_permutation(3, 2, [0, 1, 2]))
     anti = fiber.index_of(scaled_permutation(3, 2, [2, 1, 0]))
     assert distance_between(graph_3_2, diag, anti) == 2
+
+
+@pytest.mark.parametrize("call,args", [
+    pytest.param(bfs_distances, (-1,), id="bfs_distances(-1)"),
+    pytest.param(bfs_distances, (55,), id="bfs_distances(55)"),
+    pytest.param(distance_between, (0, -1), id="distance_between(0,-1)"),
+    pytest.param(distance_between, (55, 0), id="distance_between(55,0)"),
+    pytest.param(local_connectivity, (0, -1), id="local_connectivity(0,-1)"),
+    pytest.param(local_connectivity, (0, 55), id="local_connectivity(0,55)"),
+    pytest.param(local_connectivity, (-1, 0), id="local_connectivity(-1,0)"),
+    pytest.param(detour_paths, (-1, 2), id="detour_paths(-1,2)"),
+    pytest.param(detour_paths, (0, 55), id="detour_paths(0,55)"),
+])
+def test_out_of_range_vertices_are_refused(graph_3_3, call, args):
+    # G(3,3) has 55 vertices, so -1 and 55 are both outside it
+    assert graph_3_3.vertex_count == 55
+    with pytest.raises(InvalidDimensionError):
+        call(graph_3_3, *args)
 
 
 def test_diameter_formula_small():
@@ -117,7 +138,7 @@ def test_diameter_witness_pair_attains():
 
 def test_diameter_disconnected_raises():
     with pytest.raises(DisconnectedGraphError):
-        diameter(((1,), (0,), ()))
+        diameter(CsrGraph.from_rows(((1,), (0,), ())))
 
 
 def test_fiber_graphs_connected():
@@ -132,7 +153,7 @@ def test_local_connectivity_path_ends(graph_2_2):
 
 
 def test_local_connectivity_cycle_opposites():
-    c4 = cycle_graph(4)
+    c4 = CsrGraph.from_rows(cycle_graph(4))
     assert local_connectivity(c4, 0, 2) == 2
 
 
@@ -157,8 +178,9 @@ def _plain_oracle_graphs():
 @pytest.mark.parametrize("n,r", ORACLE_FIBERS)
 def test_distance_two_pairs_match_the_two_hop_oracle(n, r, graph_4_3):
     graph = _oracle_graph(n, r, graph_4_3)
-    expected = brute_distance_two_pairs(graph.neighbor_lists())
-    for pairs in (distance_two_pairs(graph), distance_two_pairs(graph.neighbor_lists())):
+    expected = brute_distance_two_pairs(rows_of(graph))
+    plain = CsrGraph.from_rows(rows_of(graph))  # the same rows, with no symmetry or cache
+    for pairs in (distance_two_pairs(graph), distance_two_pairs(plain)):
         assert pairs.dtype == np.int64 and pairs.shape == (len(expected), 2)
         assert list(map(tuple, pairs.tolist())) == expected
     if (n, r) == (4, 3):
@@ -168,7 +190,7 @@ def test_distance_two_pairs_match_the_two_hop_oracle(n, r, graph_4_3):
 
 def test_distance_two_pairs_of_plain_graphs_match_the_two_hop_oracle():
     for adj in _plain_oracle_graphs():
-        pairs = distance_two_pairs(adj)
+        pairs = distance_two_pairs(CsrGraph.from_rows(adj))
         assert pairs.dtype == np.int64 and pairs.shape[1:] == (2,)
         assert list(map(tuple, pairs.tolist())) == brute_distance_two_pairs(adj), adj
 
@@ -176,7 +198,7 @@ def test_distance_two_pairs_of_plain_graphs_match_the_two_hop_oracle():
 @pytest.mark.parametrize("n,r", ORACLE_FIBERS)
 def test_common_moves_match_the_bitmask_oracle(n, r, graph_4_3):
     graph = _oracle_graph(n, r, graph_4_3)
-    adj = graph.neighbor_lists()
+    adj = rows_of(graph)
     ptr, ids = graph.indptr.tolist(), graph.move_ids.tolist()
     move_sets = [ids[a:b] for a, b in zip(ptr, ptr[1:])]
     pairs = [(u, v) for u, row in enumerate(adj) for v in row if u < v]
@@ -203,10 +225,10 @@ def test_verify_computes_distance_two_pairs_once(monkeypatch, tmp_path):
 
 
 def test_verify_without_flow_checks_builds_no_neighbour_tuples(monkeypatch, tmp_path):
-    def refuse(graph):
-        raise AssertionError("the Python neighbour tuples were built")
+    def refuse(net, graph):
+        raise AssertionError("the flow engine's Python neighbour lists were built")
 
-    monkeypatch.setattr(FiberGraph, "_neighbors", property(refuse))
+    monkeypatch.setattr(SplitNetwork, "__init__", refuse)
     checks = "degrees,connmax,maxdeg,commonchoices,diameter,sink,dag,konig,decomp-constrained"
     argv = ["verify", "--n", "3", "--r", "3", "--checks", checks, "--out", str(tmp_path / "r.json")]
     assert main(argv) == 0
@@ -228,6 +250,7 @@ def test_local_connectivity_matches_path_packing_oracle():
     for _ in range(60):
         n = rng.randint(4, 12)
         adj = random_graph(rng, n, rng.uniform(0.25, 0.5))
+        graph = CsrGraph.from_rows(adj)
         non_adjacent = [
             (u, v)
             for u in range(n)
@@ -236,7 +259,7 @@ def test_local_connectivity_matches_path_packing_oracle():
         ]
         rng.shuffle(non_adjacent)
         for u, v in non_adjacent[:3]:
-            assert local_connectivity(adj, u, v) == brute_local_connectivity(adj, u, v)
+            assert local_connectivity(graph, u, v) == brute_local_connectivity(adj, u, v)
             checked += 1
     assert checked >= 100
 
@@ -262,15 +285,15 @@ def test_vertex_connectivity_g33(graph_3_3):
 def test_vertex_connectivity_g31(graph_3_1):
     # outside the r > 2 hypothesis; empirical value cross-checked by brute force
     report = vertex_connectivity(graph_3_1)
-    assert report.kappa == brute_vertex_connectivity(graph_3_1.neighbor_lists()) == 3
+    assert report.kappa == brute_vertex_connectivity(rows_of(graph_3_1)) == 3
 
 
 def test_witness_cut_disconnects(graph_3_3):
     # two triangles chained through the path 4 - 0 - 6: the minimizing pair
     # (0, 1) saturates the arc from s0 into its neighbour 6, the cut vertex
     chain = ((4, 6), (5, 6), (3, 4), (2, 4), (0, 2, 3), (1, 6), (0, 1, 5))
-    for adj in (graph_3_3.neighbor_lists(), chain):
-        report = vertex_connectivity(adj)
+    for adj in (rows_of(graph_3_3), chain):
+        report = vertex_connectivity(CsrGraph.from_rows(adj))
         removed = report.witness_cut
         assert len(removed) == report.kappa == brute_vertex_connectivity(adj)
         alive = [x for x in range(len(adj)) if x not in removed]
@@ -287,22 +310,22 @@ def test_witness_cut_disconnects(graph_3_3):
 
 
 def test_vertex_connectivity_complete_marker():
-    report = vertex_connectivity(complete_graph(5))
+    report = vertex_connectivity(CsrGraph.from_rows(complete_graph(5)))
     assert report.kappa == 4
     assert report.complete
     assert report.witness_cut is None
 
 
 def test_vertex_connectivity_disconnected():
-    report = vertex_connectivity(((1,), (0,), ()))
+    report = vertex_connectivity(CsrGraph.from_rows(((1,), (0,), ())))
     assert report.kappa == 0
     assert report.witness_cut == frozenset()
 
 
 def test_vertex_connectivity_structured_graphs():
-    assert vertex_connectivity(cycle_graph(7)).kappa == 2
-    assert vertex_connectivity(path_graph(6)).kappa == 1
-    assert vertex_connectivity(complete_bipartite(3, 4)).kappa == 3
+    assert vertex_connectivity(CsrGraph.from_rows(cycle_graph(7))).kappa == 2
+    assert vertex_connectivity(CsrGraph.from_rows(path_graph(6))).kappa == 1
+    assert vertex_connectivity(CsrGraph.from_rows(complete_bipartite(3, 4))).kappa == 3
 
 
 def test_vertex_connectivity_matches_brute_force_random():
@@ -310,7 +333,7 @@ def test_vertex_connectivity_matches_brute_force_random():
     for trial in range(60):
         n = rng.randint(4, 16)
         adj = random_graph(rng, n, rng.uniform(1.2, 3.5) / n)
-        report = vertex_connectivity(adj)
+        report = vertex_connectivity(CsrGraph.from_rows(adj))
         assert report.kappa == brute_vertex_connectivity(adj), adj
         assert report.kappa <= report.min_degree  # Whitney bound
 
@@ -341,18 +364,19 @@ def test_liu_reports_first_exact_minimiser(graph_3_3):
     # order, whose uncapped local connectivity is least
     rng = random.Random(7171)
     # the double cubes' least pair sits below every pair's smaller degree
-    graphs = [graph_3_3.neighbor_lists(), hemmecke_graph(2)[0], hemmecke_graph(3)[0]]
+    graphs = [rows_of(graph_3_3), rows_of(hemmecke_graph(2)[0]), rows_of(hemmecke_graph(3)[0])]
     graphs += [random_graph(rng, n, rng.uniform(0.15, 0.7))
                for n in (rng.randint(5, 14) for _ in range(80))]
     at_degree_bound = checked = 0
     for adj in graphs:
-        pairs = [tuple(pair) for pair in distance_two_pairs(adj).tolist()]
+        graph = CsrGraph.from_rows(adj)
+        pairs = [tuple(pair) for pair in distance_two_pairs(graph).tolist()]
         if not pairs:
             continue
         checked += 1
-        exact = [local_connectivity(adj, s, t) for s, t in pairs]
+        exact = [local_connectivity(graph, s, t) for s, t in pairs]
         least = min(exact)
-        result = liu_check(adj, 2)
+        result = liu_check(graph, 2)
         assert (result.min_pair, result.min_value) == (pairs[exact.index(least)], least), adj
         degrees = [len(row) for row in adj]
         at_degree_bound += least == min(min(degrees[s], degrees[t]) for s, t in pairs)
@@ -389,7 +413,7 @@ def test_detour_paths_not_distance_two(graph_3_3):
     with pytest.raises(NotDistanceTwoError):
         detour_paths(graph_3_3, 0, 0)
     u = 0
-    v = graph_3_3.neighbor_lists()[0][0]
+    v = rows_of(graph_3_3)[0][0]
     with pytest.raises(NotDistanceTwoError):
         detour_paths(graph_3_3, u, v)
 
@@ -401,7 +425,7 @@ def test_detour_paths_g33_all_pairs(graph_3_3):
 
 
 def test_detour_paths_are_valid_and_disjoint(graph_3_3):
-    adj = graph_3_3.neighbor_lists()
+    adj = rows_of(graph_3_3)
     for u, v in distance_two_pairs(graph_3_3)[:25]:
         report = detour_paths(graph_3_3, u, v)
         interiors: set[int] = set()
@@ -432,49 +456,49 @@ def test_detour_paths_g43_exhaustive(graph_4_3):
 # --- double-cube counterexample ---
 
 def test_hemmecke_k1_path():
-    adj, report = hemmecke_graph(1)
-    assert len(adj) == 4
-    assert sorted(len(row) for row in adj) == [1, 1, 2, 2]
+    graph, report = hemmecke_graph(1)
+    assert graph.vertex_count == 4
+    assert sorted(graph.degrees()) == [1, 1, 2, 2]
     assert report.kappa == 1
     assert report.min_degree == 1
 
 
 def test_hemmecke_k2():
-    adj, report = hemmecke_graph(2)
-    assert len(adj) == 8
+    graph, report = hemmecke_graph(2)
+    assert graph.vertex_count == 8
     assert report.min_degree == 2
     assert report.kappa == 1
 
 
 def test_hemmecke_k3():
-    adj, report = hemmecke_graph(3)
-    assert len(adj) == 16
+    graph, report = hemmecke_graph(3)
+    assert graph.vertex_count == 16
     assert report.min_degree == 3
     assert report.kappa == 1
     assert not report.conjecture_holds
 
 
 def test_hemmecke_articulation_bridge_ends():
-    adj, _ = hemmecke_graph(3)
-    assert articulation_vertices(adj) == [0, 8]
+    graph, _ = hemmecke_graph(3)
+    assert articulation_vertices(graph) == [0, 8]
 
 
 def test_hemmecke_matches_brute_force():
-    adj, report = hemmecke_graph(2)
-    assert brute_vertex_connectivity(adj) == report.kappa == 1
+    graph, report = hemmecke_graph(2)
+    assert brute_vertex_connectivity(rows_of(graph)) == report.kappa == 1
 
 
 # --- orbit sweeps against the unreduced sweeps ---
 
 def _full_sweeps(graph):
     """diameter, (kappa, witness cut) and Liu's (value, pair), every vertex and pair swept."""
-    adj = graph.neighbor_lists()
+    adj = rows_of(graph)
     diam = max(int(_bfs(graph.indptr, graph.indices, s).max()) for s in range(len(adj)))
-    net = SplitNetwork(adj)
-    s0, family = _connectivity_pairs(adj)
-    kappa, pair, caps = _min_flow(net, family, len(adj[s0]))
-    cut = frozenset(adj[s0]) if pair is None else net.min_cut_vertices(caps, pair[0])
-    liu_value, liu_pair, _ = _min_flow(net, distance_two_pairs(adj), None)
+    net = SplitNetwork(graph)
+    s0, family = _connectivity_pairs(graph)
+    kappa, pair, residual = _min_flow(net, family, len(adj[s0]))
+    cut = frozenset(adj[s0]) if pair is None else net.min_cut_vertices(residual, pair[0])
+    liu_value, liu_pair, _ = _min_flow(net, distance_two_pairs(graph), None)
     return diam, (kappa, cut), (liu_value, liu_pair)
 
 
@@ -538,7 +562,7 @@ def test_sweeps_run_one_max_flow_per_orbit(n, r, monkeypatch):
         return original(net, s, t, bound)
 
     monkeypatch.setattr(SplitNetwork, "max_flow", counted)
-    s0, family = _connectivity_pairs(graph.neighbor_lists())
+    s0, family = _connectivity_pairs(graph)
     vertex_connectivity(graph)
     assert flows == list(first_members(family, [g for g in group if g(tables[s0]) == tables[s0]]))
     flows.clear()

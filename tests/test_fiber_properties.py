@@ -1,12 +1,23 @@
-"""Properties of the array-backed fiber: tables read from ``cells`` are exact."""
+"""Properties of the array-backed fiber and of the graphs built on it: tables
+read from ``cells`` are exact, moves come in negated pairs, and connectivity
+on drawn small graphs agrees with the brute-force oracles."""
 
 from __future__ import annotations
 
+from itertools import combinations
+from math import comb
+
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibergraphs.analysis import local_connectivity, vertex_connectivity
 from fibergraphs.enumeration import count_fiber, enumerate_fiber
+from fibergraphs.graphs import CsrGraph, build_graph
 from fibergraphs.tables import validate_table
+
+from oracles import brute_is_connected, brute_local_connectivity, brute_vertex_connectivity
 
 
 @settings(deadline=None)
@@ -23,3 +34,47 @@ def test_tables_read_from_cells_are_exact(n, r):
         assert fiber.index_of(t) == k
     vectors = [t.row_major() for t in tables]
     assert all(a < b for a, b in zip(vectors, vectors[1:]))
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 5) for r in range(4)])
+def test_every_arc_has_its_reverse_by_the_negated_move(n, r):
+    # move k ^ 1 is the negation of move k, so u -> v by k means v -> u by k ^ 1
+    graph = build_graph(enumerate_fiber(n, r))
+    size, moves = graph.vertex_count, 2 * comb(n, 2) ** 2
+    tails = np.repeat(np.arange(size), np.diff(graph.indptr))
+    forward = (tails * size + graph.indices) * moves + graph.move_ids
+    backward = (graph.indices * size + tails) * moves + (graph.move_ids ^ 1)
+    assert np.array_equal(np.sort(forward), np.sort(backward))
+
+
+@st.composite
+def small_graphs(draw) -> list[list[int]]:
+    """Rows of a simple graph on 2 to 8 vertices, each row in drawn order."""
+    n = draw(st.integers(2, 8))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for (u, v), edge in zip(pairs, edges):
+        if edge:
+            rows[u].append(v)
+            rows[v].append(u)
+    return [draw(st.permutations(row)) for row in rows]
+
+
+@settings(deadline=None, max_examples=150)
+@given(rows=small_graphs())
+def test_connectivity_of_small_graphs_matches_the_oracles(rows):
+    graph = CsrGraph.from_rows(rows)
+    report = vertex_connectivity(graph)
+    assert report.kappa == brute_vertex_connectivity(rows)
+    if report.complete:
+        assert report.witness_cut is None
+    else:
+        # the witness cut has kappa vertices and leaves the rest disconnected
+        cut = report.witness_cut
+        assert len(cut) == report.kappa
+        alive = {x: i for i, x in enumerate(x for x in range(len(rows)) if x not in cut)}
+        assert not brute_is_connected([[alive[y] for y in rows[x] if y in alive] for x in alive])
+    for u, v in combinations(range(len(rows)), 2):
+        if v not in rows[u]:
+            assert local_connectivity(graph, u, v) == brute_local_connectivity(rows, u, v)
