@@ -57,6 +57,7 @@ from .sampler import (
     VisitCounter,
     WalkConfig,
     acceptance_ratio,
+    advance,
     as_equal_margin_table,
     chi_square_statistic,
     exact_test,

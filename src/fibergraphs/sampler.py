@@ -10,10 +10,17 @@ kernel symmetric (a lazy walk).  Two stationary targets are supported:
   conditional null distribution used by exact tests; the acceptance ratio
   only involves the four changed cells and is evaluated in log space.
 
-Randomness comes from numpy's PCG64 generator seeded with a 64-bit integer.
-PCG64 streams are stable across platforms and numpy releases, so a (seed,
-config, start) triple pins the trajectory bit for bit; changing the
-generator would be a breaking interface change.
+Randomness comes from numpy's PCG64 bit generator seeded with a 64-bit
+integer.  The walk reads its raw 64-bit outputs in blocks and decodes them
+itself, exactly as ``Generator.integers(M)`` and ``Generator.random()``
+consume the same words: a move id is Lemire's bounded draw on a 32-bit half
+(low half of a fresh word first, high half buffered for the next draw), and
+an acceptance uniform is one whole word, ``(w >> 11) * 2**-53``, leaving any
+buffered half in place.  The trajectory is therefore a function of the
+(seed, config, start) triple and PCG64's raw output alone.  numpy keeps a bit
+generator's raw stream fixed across releases and platforms, while
+``Generator`` methods may change their algorithms; changing the bit
+generator or the decoding would be a breaking interface change.
 """
 
 from __future__ import annotations
@@ -142,28 +149,39 @@ class VisitCounter:
         return max(len(self.counts), int((k - 1) * (2**64) / self._kmv[-1]))
 
 
+_BLOCK = 1024  # raw words fetched from the bit generator at a time
+_LOW32 = 0xFFFFFFFF
+
+
 @dataclass
 class ChainState:
-    """Mutable running state of one chain; current is always a fiber member."""
+    """Mutable running state of one chain; current is always a fiber member.
+
+    The random stream is the bit generator's raw words, read in blocks:
+    ``words`` is the current block, ``cursor`` its next unread word and
+    ``half`` the buffered high 32 bits of a word (-1 when none is buffered).
+    """
 
     n: int
     r: int
     entries: list[int]  # row-major, mutated in place
-    rng: np.random.Generator
+    bitgen: np.random.PCG64
     moves: tuple[tuple[int, int, int, int], ...]  # per basis move: flat sub1, sub2, add1, add2
     step_index: int = 0
     accepted_count: int = 0
     visits: VisitCounter = field(default_factory=VisitCounter)
+    words: list[int] = field(default_factory=list)
+    cursor: int = 0
+    half: int = -1
 
     @classmethod
     def from_table(cls, start: ContingencyTable, config: WalkConfig) -> "ChainState":
-        rng = np.random.Generator(np.random.PCG64(config.seed))
         n = start.n
         moves = tuple(
             tuple(i * n + j for i, j in (*m.subtracted_cells(), *m.added_cells()))
             for m in (enumerate_basis_moves(n) if n >= 2 else ())
         )
-        return cls(n, start.r, list(start.row_major()), rng, moves)
+        return cls(n, start.r, list(start.row_major()), np.random.PCG64(config.seed), moves)
 
     @property
     def current(self) -> ContingencyTable:
@@ -172,6 +190,42 @@ class ChainState:
             tuple(self.entries[i * n : (i + 1) * n]) for i in range(n)
         )
         return ContingencyTable(n, self.r, ent)
+
+
+def _next_word(state: ChainState) -> int:
+    """The next raw 64-bit output of the chain's bit generator."""
+    cursor = state.cursor
+    if cursor == len(state.words):
+        state.words = state.bitgen.random_raw(_BLOCK).tolist()
+        cursor = 0
+    state.cursor = cursor + 1
+    return state.words[cursor]
+
+
+def _draw_index(state: ChainState, m: int) -> int:
+    """A uniform integer in [0, m) for 2 <= m < 2**32, as Generator.integers(m).
+
+    Lemire's multiply-shift on 32-bit halves (Lemire 2019, "Fast random
+    integer generation in an interval"): a draw x is rejected when
+    (x * m) mod 2**32 falls below (2**32 - m) mod m, which is at most m.
+    """
+    while True:
+        x = state.half
+        if x < 0:
+            w = _next_word(state)
+            x = w & _LOW32
+            state.half = w >> 32
+        else:
+            state.half = -1
+        x *= m
+        low = x & _LOW32
+        if low >= m or low >= (2**32 - m) % m:
+            return x >> 32
+
+
+def _draw_uniform(state: ChainState) -> float:
+    """A uniform float in [0, 1) from one whole word, as Generator.random()."""
+    return (_next_word(state) >> 11) * 2.0**-53
 
 
 def _margins_ok(n: int, r: int, entries: list[int]) -> bool:
@@ -183,42 +237,52 @@ def _margins_ok(n: int, r: int, entries: list[int]) -> bool:
     return min(entries) >= 0
 
 
-def step(state: ChainState, config: WalkConfig) -> ChainState:
-    """One Metropolis-Hastings transition; mutates and returns the state.
+def advance(state: ChainState, config: WalkConfig, count: int) -> ChainState:
+    """Run count Metropolis-Hastings transitions; mutates and returns the state.
 
     Invalid proposals are consumed as self-loops.  The uniform target accepts
     every valid proposal; the hypergeometric target accepts with probability
     min(1, prod(old subtracted cells) / prod(new added cells)).
 
-    Margins are re-checked on every step under assertions (stripped by -O)
-    and unconditionally every 4096 steps.
+    Margins are re-checked before every proposal under assertions (stripped
+    by -O) and unconditionally every 4096 steps.  The step and acceptance
+    counters are written back even when a check raises.
     """
-    n = state.n
-    entries = state.entries
-    state.step_index += 1
-    assert _margins_ok(n, state.r, entries)
-    if state.step_index % 4096 == 0 and not _margins_ok(n, state.r, entries):
-        raise InvalidDimensionError("chain state left the fiber (corrupted margins)")
-    if not state.moves:
-        return state
-    sub1, sub2, add1, add2 = state.moves[state.rng.integers(len(state.moves))]
-    if entries[sub1] < 1 or entries[sub2] < 1:
-        return state  # lazy self-loop
-    if config.target is Target.HYPERGEOMETRIC:
-        log_ratio = (
-            math.log(entries[sub1])
-            + math.log(entries[sub2])
-            - math.log(entries[add1] + 1)
-            - math.log(entries[add2] + 1)
-        )
-        if log_ratio < 0 and state.rng.random() >= math.exp(log_ratio):
-            return state
-    entries[sub1] -= 1
-    entries[sub2] -= 1
-    entries[add1] += 1
-    entries[add2] += 1
-    state.accepted_count += 1
+    n, r, entries, moves = state.n, state.r, state.entries, state.moves
+    m = len(moves)
+    hypergeometric = config.target is Target.HYPERGEOMETRIC
+    log, exp = math.log, math.exp
+    t = state.step_index
+    accepted = state.accepted_count
+    try:
+        for t in range(t + 1, t + count + 1):
+            assert _margins_ok(n, r, entries)
+            if t % 4096 == 0 and not _margins_ok(n, r, entries):
+                raise InvalidDimensionError("chain state left the fiber (corrupted margins)")
+            if not m:
+                continue
+            sub1, sub2, add1, add2 = moves[_draw_index(state, m)]
+            a, b = entries[sub1], entries[sub2]
+            if a < 1 or b < 1:
+                continue  # lazy self-loop
+            if hypergeometric:
+                log_ratio = log(a) + log(b) - log(entries[add1] + 1) - log(entries[add2] + 1)
+                if log_ratio < 0 and _draw_uniform(state) >= exp(log_ratio):
+                    continue
+            entries[sub1] = a - 1
+            entries[sub2] = b - 1
+            entries[add1] += 1
+            entries[add2] += 1
+            accepted += 1
+    finally:
+        state.step_index = t
+        state.accepted_count = accepted
     return state
+
+
+def step(state: ChainState, config: WalkConfig) -> ChainState:
+    """One Metropolis-Hastings transition; mutates and returns the state."""
+    return advance(state, config, 1)
 
 
 def run_walk(
@@ -231,12 +295,14 @@ def run_walk(
     """
     state = ChainState.from_table(start, config)
     samples: list[ContingencyTable] = []
-    for _ in range(config.steps):
-        step(state, config)
-        if state.step_index > config.burn_in:
-            state.visits.record(tuple(state.entries))
-            if (state.step_index - config.burn_in) % config.thinning == 0:
-                samples.append(state.current)
+    if not config.steps:
+        return state, samples
+    advance(state, config, config.burn_in)
+    for k in range(1, config.steps - config.burn_in + 1):
+        advance(state, config, 1)
+        state.visits.record(tuple(state.entries))
+        if k % config.thinning == 0:
+            samples.append(state.current)
     return state, samples
 
 
@@ -357,10 +423,10 @@ def exact_test(
     threshold = _integer_score(observed.n, observed.r, observed.row_major())
     state = ChainState.from_table(observed, config)
     hits: list[bool] = []
-    for _ in range(config.steps):
-        step(state, config)
-        k = state.step_index - config.burn_in
-        if k > 0 and k % config.thinning == 0:
+    if config.steps:
+        advance(state, config, config.burn_in)
+        for _ in range(config.samples_expected):
+            advance(state, config, config.thinning)
             hits.append(_integer_score(state.n, state.r, state.entries) >= threshold)
     if not hits:
         return ExactTestResult(statistic, float("nan"), float("nan"), 0)

@@ -9,7 +9,9 @@ and detour digests were taken from the move-object implementations of the
 sampler and of ``detour_paths``, so the array-indexed ones must reproduce
 their random draws, sample streams and path families exactly.  The verify
 digest was taken from the per-table König sweep and the Python loops over
-distance-2 pairs, before they ran on arrays and vertex orbits.
+distance-2 pairs, before they ran on arrays and vertex orbits.  The
+huge-margin walk digests were taken from the kernel that drew through
+numpy's ``Generator`` methods, before it decoded raw PCG64 words itself.
 """
 
 from __future__ import annotations
@@ -126,12 +128,28 @@ GOLDEN_WALKS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(GOLDEN_WALKS))
-def test_walk_output_bytes_unchanged(kind, tmp_path, capsys):
-    """The emitted stream, the stderr summary and the test report, byte for byte."""
-    flags, expected = GOLDEN_WALKS[kind]
+# a margin of 10**15 and entries of 2**64: no per-chain work may grow with r
+HUGE_TABLES = {
+    "margin-1e15": f"{10**15 - 7},7\n7,{10**15 - 7}\n",
+    "entries-2^64": f"{2**64},{2**64}\n{2**64},{2**64}\n",
+}
+
+GOLDEN_HUGE_WALKS = {
+    "sample": (
+        ["sample", "--steps", "200", "--seed", "46"],
+        "24b7a93db7be91b4aef2fc8f7c9e210d82ecc274e701fac9449cc7e4e4d72f71",
+    ),
+    "test": (
+        ["test", "--steps", "3000", "--seed", "45"],
+        "7ef62f8b33abbae4b23b6497748eac4d70ec65d57ce5b7957621bfda4af9bd05",
+    ),
+}
+
+
+def _walk_digest(tables, flags, tmp_path, capsys) -> str:
+    """sha256 of the emitted stream, the stderr summary and the test report of each table."""
     digest = hashlib.sha256()
-    for name, text in sorted(WALK_TABLES.items()):
+    for name, text in sorted(tables.items()):
         table = tmp_path / f"{name}.csv"
         table.write_text(text)
         out = tmp_path / f"{name}.out"
@@ -141,7 +159,19 @@ def test_walk_output_bytes_unchanged(kind, tmp_path, capsys):
         digest.update(f"{name}\n".encode())
         digest.update(out.read_bytes())
         digest.update(captured.err.encode())
-    assert digest.hexdigest() == expected
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_WALKS))
+def test_walk_output_bytes_unchanged(kind, tmp_path, capsys):
+    flags, expected = GOLDEN_WALKS[kind]
+    assert _walk_digest(WALK_TABLES, flags, tmp_path, capsys) == expected
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_HUGE_WALKS))
+def test_huge_margin_walk_output_bytes_unchanged(kind, tmp_path, capsys):
+    flags, expected = GOLDEN_HUGE_WALKS[kind]
+    assert _walk_digest(HUGE_TABLES, flags, tmp_path, capsys) == expected
 
 
 # (n, r) -> sha256 of the detour report of every distance-2 pair, in order

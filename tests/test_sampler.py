@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fibergraphs import sampler
@@ -109,6 +111,22 @@ def test_step_preserves_fiber_membership():
     assert state.accepted_count <= state.step_index
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
+@pytest.mark.parametrize("m", [2, 18, 72, 200, 3 * 2**30])
+def test_raw_word_draws_match_numpy_generator(seed, m):
+    # 2, 18, 72 and 200 are the move counts for n = 2..5; m = 3 * 2**30
+    # rejects a quarter of its 32-bit draws, so only it reaches Lemire's
+    # retry loop, which the walks almost never do
+    state = ChainState.from_table(T1, WalkConfig(steps=0, seed=seed))
+    generator = np.random.Generator(np.random.PCG64(seed))
+    order = random.Random(seed + m)
+    for _ in range(10_000):
+        if order.random() < 0.5:
+            assert sampler._draw_index(state, m) == generator.integers(m)
+        else:
+            assert sampler._draw_uniform(state) == generator.random()
+
+
 def test_uniform_walk_visits_whole_fiber():
     fiber = enumerate_fiber(3, 2)
     state, _ = run_walk(fiber[0], WalkConfig(steps=100_000, seed=7))
@@ -181,10 +199,10 @@ def test_zero_margin_fails_before_the_walk(monkeypatch):
     with pytest.raises(InvalidDimensionError):
         chi_square_statistic(zero)
 
-    def no_step(state, config):
+    def no_walk(state, config, count):
         raise AssertionError("the walk started")
 
-    monkeypatch.setattr(sampler, "step", no_step)
+    monkeypatch.setattr(sampler, "advance", no_walk)
     with pytest.raises(InvalidDimensionError):
         exact_test([[0, 0], [0, 0]], WalkConfig(steps=3, seed=1))
 
