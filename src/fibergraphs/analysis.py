@@ -416,10 +416,8 @@ def common_moves(u: ContingencyTable, v: ContingencyTable) -> list[MarkovMove]:
     ]
 
 
-def min_common_moves_over_close_pairs(
-    graph: FiberGraph, max_distance: int = 2
-) -> tuple[int, tuple[int, int]] | None:
-    """Minimum number of shared valid moves over all pairs within the distance.
+def min_common_moves_over_close_pairs(graph: FiberGraph) -> tuple[int, tuple[int, int]] | None:
+    """Minimum number of shared valid moves over all pairs at distance 1 or 2.
 
     Each valid move gives exactly one arc, so a vertex's valid-move set is
     the move ids of its CSR row, packed once into bytes.  The edges, then the
@@ -427,8 +425,6 @@ def min_common_moves_over_close_pairs(
     popcount.  Returns (count, (u, v)) for the first minimizing pair, or None
     when no qualifying pair exists.
     """
-    if max_distance != 2:
-        raise InvalidDimensionError("only max_distance=2 is supported")
     size = graph.vertex_count
     tails = np.repeat(np.arange(size), np.diff(graph.indptr))
     valid = np.zeros((size, 2 * comb(graph.fiber.n, 2) ** 2), dtype=bool)

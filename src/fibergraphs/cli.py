@@ -15,6 +15,8 @@ import json
 import random
 import sys
 import time
+from dataclasses import dataclass
+from functools import cached_property
 from math import comb, isnan
 from pathlib import Path
 
@@ -75,47 +77,32 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- verify
 
-CHECK_NAMES = (
-    "degrees",
-    "connmax",
-    "maxdeg",
-    "commonchoices",
-    "connectivity",
-    "liu",
-    "diameter",
-    "sink",
-    "dag",
-    "konig",
-    "decomp-constrained",
-)
-
-
+@dataclass
 class _VerifyContext:
-    """Lazily built shared structures for the verify checks."""
+    """The shared structures of the verify checks, each built on first use."""
 
-    def __init__(self, n: int, r: int, cap: int):
-        self.n, self.r, self.cap = n, r, cap
-        self._fiber = None
-        self._graph = None
-        self._oriented = None
+    n: int
+    r: int
+    cap: int
 
-    @property
+    @cached_property
     def fiber(self) -> enumeration.Fiber:
-        if self._fiber is None:
-            self._fiber = enumeration.enumerate_fiber(self.n, self.r, cap=self.cap)
-        return self._fiber
+        return enumeration.enumerate_fiber(self.n, self.r, cap=self.cap)
 
-    @property
+    @cached_property
     def graph(self) -> graphs.FiberGraph:
-        if self._graph is None:
-            self._graph = graphs.build_graph(self.fiber)
-        return self._graph
+        return graphs.build_graph(self.fiber)
 
-    @property
+    @cached_property
     def oriented(self) -> graphs.OrientedFiberGraph:
-        if self._oriented is None:
-            self._oriented = graphs.orient(self.graph, graphs.WeightVector.standard(self.n))
-        return self._oriented
+        return graphs.orient(self.graph, graphs.WeightVector.standard(self.n))
+
+
+def _report(expected: object, computed: object, ok: bool, hypothesis_met: bool = True) -> dict:
+    """One check's result; cmd_verify adds its runtime, name and parameters."""
+    return {
+        "expected": expected, "computed": computed, "pass": ok, "hypothesis_met": hypothesis_met,
+    }
 
 
 def _check_degrees(ctx: _VerifyContext) -> dict:
@@ -131,12 +118,7 @@ def _check_degrees(ctx: _VerifyContext) -> dict:
         "others_raised": bool((degrees[~pattern] >= raised_floor).all()),
     }
     expected = {"min_degree": floor, "patterns_at_floor": True, "others_raised": True}
-    return {
-        "expected": expected,
-        "computed": computed,
-        "pass": computed == expected,
-        "hypothesis_met": True,
-    }
+    return _report(expected, computed, computed == expected)
 
 
 def _check_connmax(ctx: _VerifyContext) -> dict:
@@ -145,62 +127,35 @@ def _check_connmax(ctx: _VerifyContext) -> dict:
     bound = comb(ctx.n, 2)
     graph = ctx.graph
     if graph.vertex_count <= bound + 1:
-        return {
-            "expected": {"upper_bound": bound},
-            "computed": {"upper_bound_holds": True, "reason": "|V| <= bound + 1"},
-            "pass": True,
-            "hypothesis_met": True,
-        }
+        computed = {"upper_bound_holds": True, "reason": "|V| <= bound + 1"}
+        return _report({"upper_bound": bound}, computed, True)
     vid = ctx.fiber.index_of(tables.scaled_permutation(ctx.n, ctx.r, list(range(ctx.n))))
     cut = frozenset(graph.neighbors(vid).tolist())
     disconnects = not analysis._connected_after_removal(graph, cut)
-    return {
-        "expected": {"cut_size": bound, "disconnects": True},
-        "computed": {"cut_size": len(cut), "disconnects": disconnects},
-        "pass": len(cut) == bound and disconnects,
-        "hypothesis_met": True,
-    }
+    return _report(
+        {"cut_size": bound, "disconnects": True},
+        {"cut_size": len(cut), "disconnects": disconnects},
+        len(cut) == bound and disconnects,
+    )
 
 
 def _check_maxdeg(ctx: _VerifyContext) -> dict:
-    n, r = ctx.n, ctx.r
-    bound = tables.max_degree_value(n, r)
+    bound = tables.max_degree_value(ctx.n, ctx.r)
     observed = max(ctx.graph.degrees())
+    computed = {"max_degree": observed, "attained": bound.attained}
     if bound.attained:
-        ok = observed == bound.value
         expected = {"max_degree": bound.value, "attained": True}
-    else:
-        ok = observed < bound.value
-        expected = {"strict_upper_bound": bound.value}
-    return {
-        "expected": expected,
-        "computed": {"max_degree": observed, "attained": bound.attained},
-        "pass": ok,
-        "hypothesis_met": bound.attained,
-    }
+        return _report(expected, computed, observed == bound.value)
+    return _report({"strict_upper_bound": bound.value}, computed, observed < bound.value, False)
 
 
 def _check_commonchoices(ctx: _VerifyContext) -> dict:
-    floor = comb(ctx.n, 2)
-    hypothesis = ctx.r > 2
-    result = analysis.min_common_moves_over_close_pairs(ctx.graph)
-    if result is None:
-        return {
-            "expected": None,
-            "computed": {"pairs": 0},
-            "pass": True,
-            "hypothesis_met": hypothesis,
-        }
-    count, pair = result
+    count, pair = analysis.min_common_moves_over_close_pairs(ctx.graph)
     computed = {"min_common_moves": count, "pair": list(pair)}
-    if not hypothesis:
-        return {"expected": None, "computed": computed, "pass": True, "hypothesis_met": False}
-    return {
-        "expected": {"min_common_moves_at_least": floor},
-        "computed": computed,
-        "pass": count >= floor,
-        "hypothesis_met": True,
-    }
+    if ctx.r <= 2:
+        return _report(None, computed, True, False)
+    floor = comb(ctx.n, 2)
+    return _report({"min_common_moves_at_least": floor}, computed, count >= floor)
 
 
 def _check_connectivity(ctx: _VerifyContext) -> dict:
@@ -211,14 +166,9 @@ def _check_connectivity(ctx: _VerifyContext) -> dict:
         "conjecture_holds": report.conjecture_holds,
     }
     if ctx.r <= 2:
-        return {"expected": None, "computed": computed, "pass": True, "hypothesis_met": False}
+        return _report(None, computed, True, False)
     expected = comb(ctx.n, 2)
-    return {
-        "expected": {"kappa": expected},
-        "computed": computed,
-        "pass": report.kappa == expected,
-        "hypothesis_met": True,
-    }
+    return _report({"kappa": expected}, computed, report.kappa == expected)
 
 
 def _check_liu(ctx: _VerifyContext) -> dict:
@@ -229,13 +179,8 @@ def _check_liu(ctx: _VerifyContext) -> dict:
         "pair": list(result.min_pair) if result.min_pair else None,
     }
     if ctx.r <= 2:
-        return {"expected": None, "computed": computed, "pass": True, "hypothesis_met": False}
-    return {
-        "expected": {"disjoint_paths_at_least": k},
-        "computed": computed,
-        "pass": result.passed,
-        "hypothesis_met": True,
-    }
+        return _report(None, computed, True, False)
+    return _report({"disjoint_paths_at_least": k}, computed, result.passed)
 
 
 def _check_diameter(ctx: _VerifyContext) -> dict:
@@ -243,12 +188,11 @@ def _check_diameter(ctx: _VerifyContext) -> dict:
     diam = analysis.diameter(ctx.graph)
     a, b = analysis.diameter_witness_pair(ctx.n, ctx.r)
     witness = analysis.distance_between(ctx.graph, ctx.fiber.index_of(a), ctx.fiber.index_of(b))
-    return {
-        "expected": {"diameter": expected, "witness_distance": expected},
-        "computed": {"diameter": diam, "witness_distance": witness},
-        "pass": diam == expected and witness == expected,
-        "hypothesis_met": True,
-    }
+    return _report(
+        {"diameter": expected, "witness_distance": expected},
+        {"diameter": diam, "witness_distance": witness},
+        diam == expected and witness == expected,
+    )
 
 
 def _check_sink(ctx: _VerifyContext) -> dict:
@@ -264,17 +208,12 @@ def _check_sink(ctx: _VerifyContext) -> dict:
         if ctx.n == 3:
             expected["sink_is_antidiagonal"] = True
             ok = ok and computed["sink_is_antidiagonal"]
-    return {"expected": expected, "computed": computed, "pass": ok, "hypothesis_met": True}
+    return _report(expected, computed, ok)
 
 
 def _check_dag(ctx: _VerifyContext) -> dict:
     acyclic = graphs.is_acyclic(ctx.oriented)
-    return {
-        "expected": {"acyclic": True},
-        "computed": {"acyclic": acyclic},
-        "pass": acyclic,
-        "hypothesis_met": True,
-    }
+    return _report({"acyclic": True}, {"acyclic": acyclic}, acyclic)
 
 
 def _check_konig(ctx: _VerifyContext) -> dict:
@@ -289,20 +228,15 @@ def _check_konig(ctx: _VerifyContext) -> dict:
         t = fiber[v]
         if decomposition.decompose(t).resum().entries != t.entries:
             failures += int(orbit_sizes[v])
-    return {
-        "expected": {"failures": 0},
-        "computed": {"tables": len(fiber), "failures": failures},
-        "pass": failures == 0,
-        "hypothesis_met": True,
-    }
+    return _report({"failures": 0}, {"tables": len(fiber), "failures": failures}, failures == 0)
 
 
 def _check_decomp_constrained(ctx: _VerifyContext) -> dict:
+    # k <= r cells are drawn from a budget of n * r units, so one is always left
     rng = random.Random(20_240_000 + ctx.n * 100 + ctx.r)
     failures = 0
-    trials = CONSTRAINED_TRIALS
     fiber = ctx.fiber
-    for _ in range(trials):
+    for _ in range(CONSTRAINED_TRIALS):
         t = fiber[rng.randrange(len(fiber))]
         k = rng.randint(0, ctx.r)
         budget = [row[:] for row in t.rows()]
@@ -314,20 +248,14 @@ def _check_decomp_constrained(ctx: _VerifyContext) -> dict:
                 for j in range(ctx.n)
                 if budget[i][j] > 0
             ]
-            if not cells:
-                break
             i, j = rng.choice(cells)
             budget[i - 1][j - 1] -= 1
             positions.append((i, j))
         dec = decomposition.decompose_constrained(t, positions)
         if dec.resum().entries != t.entries or not dec.satisfies_constraints():
             failures += 1
-    return {
-        "expected": {"failures": 0},
-        "computed": {"trials": trials, "failures": failures},
-        "pass": failures == 0,
-        "hypothesis_met": True,
-    }
+    computed = {"trials": CONSTRAINED_TRIALS, "failures": failures}
+    return _report({"failures": 0}, computed, failures == 0)
 
 
 _CHECKS = {
@@ -343,19 +271,9 @@ _CHECKS = {
     "konig": _check_konig,
     "decomp-constrained": _check_decomp_constrained,
 }
+CHECK_NAMES = tuple(_CHECKS)
 
 _EXPENSIVE_CHECKS = {"connectivity", "liu"}
-
-
-def _outside_hypotheses(ctx: _VerifyContext) -> dict:
-    # every check's statement assumes n >= 2 and r >= 1
-    return {
-        "expected": None,
-        "computed": None,
-        "pass": True,
-        "hypothesis_met": False,
-        "reason": f"the checked statements need n >= 2 and r >= 1, got n={ctx.n}, r={ctx.r}",
-    }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -366,7 +284,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return 2
     ctx = _VerifyContext(args.n, args.r, args.cap)
     vertex_count = enumeration.count_fiber(args.n, args.r)
-    in_hypotheses = args.n >= 2 and args.r >= 1
     results = []
     overall = True
     for name in names:
@@ -386,7 +303,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
             continue
         start = time.perf_counter()
-        outcome = _CHECKS[name](ctx) if in_hypotheses else _outside_hypotheses(ctx)
+        if args.n >= 2 and args.r >= 1:
+            outcome = _CHECKS[name](ctx)
+        else:
+            # every check's statement assumes n >= 2 and r >= 1
+            outcome = _report(None, None, True, False)
+            outcome["reason"] = (
+                f"the checked statements need n >= 2 and r >= 1, got n={args.n}, r={args.r}"
+            )
         outcome["runtime_ms"] = round((time.perf_counter() - start) * 1000, 3)
         outcome["name"] = name
         outcome["parameters"] = {"n": args.n, "r": args.r}
@@ -402,10 +326,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     table = io.load_table(args.table)
     constraints = io.parse_constraints(args.constraints) if args.constraints else []
-    if constraints:
-        dec = decomposition.decompose_constrained(table, constraints)
-    else:
-        dec = decomposition.decompose(table)
+    dec = decomposition.decompose_constrained(table, constraints)
     ok = dec.resum().entries == table.entries and dec.satisfies_constraints()
     payload = {
         "parts": [p.rows() for p in dec.parts],

@@ -140,24 +140,12 @@ class MatchingDecomposition:
         return True
 
 
-def _require_parts(table: ContingencyTable) -> None:
-    if table.r < 1:
-        raise NoPerfectMatchingError("a table with margin 0 has no permutation parts")
-
-
 def decompose(table: ContingencyTable) -> MatchingDecomposition:
     """Split a table into r permutation patterns by repeated matchings.
 
     Raises NoPerfectMatchingError for a table with margin 0, which has no parts.
     """
-    _require_parts(table)
-    parts = []
-    residual = table
-    for _ in range(table.r):
-        part = perfect_matching(residual)
-        parts.append(part)
-        residual = _subtract(residual, part)
-    return MatchingDecomposition(tuple(parts))
+    return _decompose(table, ())
 
 
 def decompose_constrained(
@@ -175,12 +163,16 @@ def decompose_constrained(
     constraints than parts, and NoPerfectMatchingError for a table with
     margin 0.
     """
-    positions = tuple((int(i), int(j)) for i, j in positions)
+    return _decompose(table, tuple((int(i), int(j)) for i, j in positions))
+
+
+def _decompose(table: ContingencyTable, positions: tuple[Position, ...]) -> MatchingDecomposition:
     if len(positions) > table.r:
         raise ConstraintInfeasibleError(
             f"{len(positions)} constraints but only {table.r} parts"
         )
-    _require_parts(table)
+    if table.r < 1:
+        raise NoPerfectMatchingError("a table with margin 0 has no permutation parts")
     demand: dict[Position, int] = {}
     for pos in positions:
         i, j = pos
@@ -197,27 +189,20 @@ def decompose_constrained(
     parts: list[ContingencyTable] = []
     residual = table
     remaining = list(positions)
-    while remaining:
-        first = remaining[0]
-        part = perfect_matching(residual, forced=first)
-        # maximal subset of the later constraints already covered by this part
-        consumed = {first}
+    while len(parts) < table.r:
+        part = perfect_matching(residual, forced=remaining[0] if remaining else None)
+        parts.append(part)
+        residual = _subtract(residual, part)
+        # the part covers its forced cell and, greedily in order, each later
+        # constraint on another of its cells; each cell covers one constraint
         available = {
-            (i, j) for i in range(1, table.n + 1) for j in range(1, table.n + 1)
-            if part.entries[i - 1][j - 1] == 1
-        } - {first}
+            (i + 1, j + 1) for i, row in enumerate(part.entries) for j, x in enumerate(row) if x
+        }
         leftovers = []
-        for pos in remaining[1:]:
+        for pos in remaining:
             if pos in available:
                 available.discard(pos)
-                consumed.add(pos)
             else:
                 leftovers.append(pos)
-        parts.append(part)
-        residual = _subtract(residual, part)
         remaining = leftovers
-    while len(parts) < table.r:
-        part = perfect_matching(residual)
-        parts.append(part)
-        residual = _subtract(residual, part)
     return MatchingDecomposition(tuple(parts), positions)

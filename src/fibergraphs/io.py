@@ -22,6 +22,13 @@ def _read_text(path: Path) -> str:
         raise FiberGraphsError(f"cannot read {str(path)!r}: {exc.strerror}") from None
 
 
+def _parse_json(text: str, what: str = "JSON") -> object:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidDimensionError(f"invalid {what}: {exc}") from None
+
+
 def _integer(value: object, where: str) -> int:
     """value itself when it is an int; booleans, floats and strings are refused."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -62,10 +69,7 @@ def parse_table_csv(text: str) -> ContingencyTable:
 
 
 def parse_table_json(text: str) -> ContingencyTable:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidDimensionError(f"invalid JSON: {exc}") from None
+    payload = _parse_json(text)
     if not isinstance(payload, dict):
         raise InvalidDimensionError("table JSON must be an object")
     missing = {"n", "r", "rows"} - payload.keys()
@@ -90,10 +94,7 @@ def load_rows(path: str | Path) -> list[list[int]]:
     path = Path(path)
     text = _read_text(path)
     if path.suffix.lower() == ".json":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidDimensionError(f"invalid JSON: {exc}") from None
+        payload = _parse_json(text)
         rows = payload.get("rows") if isinstance(payload, dict) else payload
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise InvalidDimensionError("JSON input does not contain a rows array")
@@ -125,11 +126,7 @@ def fiber_to_csv(fiber: Fiber) -> str:
 
 def load_matrix_json(path: str | Path) -> list[list[int]]:
     """Integer matrix from {"rows": [[int, ...], ...]} (general fiber input)."""
-    text = _read_text(Path(path))
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidDimensionError(f"invalid JSON: {exc}") from None
+    payload = _parse_json(_read_text(Path(path)))
     rows = payload.get("rows") if isinstance(payload, dict) else None
     if not isinstance(rows, list) or not rows or not all(isinstance(row, list) for row in rows):
         raise InvalidDimensionError('matrix JSON must be {"rows": [[int, ...], ...]}')
@@ -148,10 +145,7 @@ def parse_constraints(value: str) -> list[tuple[int, int]]:
     text = value
     if not value.lstrip().startswith("["):
         text = _read_text(Path(value))
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidDimensionError(f"invalid constraint JSON: {exc}") from None
+    payload = _parse_json(text, "constraint JSON")
     if not isinstance(payload, list):
         raise InvalidDimensionError("constraints must be a JSON array of [i, j] pairs")
     out = []

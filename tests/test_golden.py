@@ -12,18 +12,23 @@ digest was taken from the per-table König sweep and the Python loops over
 distance-2 pairs, before they ran on arrays and vertex orbits.  The
 huge-margin walk digests were taken from the kernel that drew through
 numpy's ``Generator`` methods, before it decoded raw PCG64 words itself.
+The verify-path and decomposition digests were taken from the verify code
+that wrote each result's dict by hand and from the two separate loops of
+``decompose`` and ``decompose_constrained``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 from dataclasses import astuple
 
 import pytest
 
 from fibergraphs.analysis import detour_paths, distance_two_pairs
 from fibergraphs.cli import main
+from fibergraphs.decomposition import decompose, decompose_constrained
 from fibergraphs.enumeration import count_fiber, enumerate_fiber
 from fibergraphs.graphs import DOT_VERTEX_LIMIT, build_graph
 from fibergraphs.tables import enumerate_basis_moves
@@ -84,18 +89,85 @@ VERIFY_INSTANCES = [(n, r) for n in range(2, 5) for r in range(1, 4)] + [(3, r) 
 GOLDEN_VERIFY = "8f9acf020db0e739c66b45a65f41b243cb7e052cc1e0e241c0d88f7249ec6876"
 
 
+def _verify_report(flags, out) -> bytes:
+    """The verify JSON for these flags, with each check's runtime_ms removed."""
+    assert main(["verify", *flags, "--out", str(out)]) == 0
+    suite = json.loads(out.read_text())
+    for result in suite["results"]:
+        result.pop("runtime_ms", None)  # skipped checks have none
+    return (json.dumps(suite, indent=2) + "\n").encode()
+
+
 def test_verify_reports_unchanged(tmp_path):
-    """The verify --long JSON of every instance, with each check's runtime_ms removed."""
     digest = hashlib.sha256()
-    out = tmp_path / "verify.json"
     for n, r in VERIFY_INSTANCES:
-        assert main(["verify", "--n", str(n), "--r", str(r), "--long", "--out", str(out)]) == 0
-        suite = json.loads(out.read_text())
-        for result in suite["results"]:
-            del result["runtime_ms"]
         digest.update(f"{n},{r}\n".encode())
-        digest.update((json.dumps(suite, indent=2) + "\n").encode())
+        flags = ["--n", str(n), "--r", str(r), "--long"]
+        digest.update(_verify_report(flags, tmp_path / "v.json"))
     assert digest.hexdigest() == GOLDEN_VERIFY
+
+
+# verify paths the --long sweep above does not reach: (flag lists, sha256)
+GOLDEN_VERIFY_PATHS = {
+    "outside-hypotheses": (
+        [["--n", "1", "--r", "2"], ["--n", "2", "--r", "0"]],
+        "280f3ab784c165640c7e4c2103fdf4207ba5b3837ed685161d21cb8097479406",
+    ),
+    "skipped-without-long": (
+        [["--n", "4", "--r", "3"]],
+        "d1b4f415a98c78861563f5a938666fb7dacbb41c4ca4fab0bdcd8bfc130e69cc",
+    ),
+    "repeated-checks": (
+        [["--n", "3", "--r", "3", "--checks", "liu,degrees,liu"]],
+        "0629c20c061f39d7efd55ec615c3bab5436279d33f9ff720850f60b18c287f47",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_VERIFY_PATHS))
+def test_verify_path_reports_unchanged(kind, tmp_path):
+    runs, expected = GOLDEN_VERIFY_PATHS[kind]
+    digest = hashlib.sha256()
+    for flags in runs:
+        digest.update((" ".join(flags) + "\n").encode())
+        digest.update(_verify_report(flags, tmp_path / "v.json"))
+    assert digest.hexdigest() == expected
+
+
+# --- permutation parts of every table, with and without prefix constraints ---
+
+DECOMPOSE_INSTANCES = [(3, r) for r in range(1, 5)] + [(4, 1), (4, 2)]
+GOLDEN_DECOMPOSE = {
+    "decompose": "0930e84935cc4cbb9be6fe3d2c0f20fb9b55ceba7e25b25ef69f0e06f543a397",
+    "decompose-constrained": "c14534795380d2ff33fa2ea3faefbf3b043b2e358a3b844e2612009ee78ac9b6",
+}
+
+
+def _drawn_positions(rng, t) -> list:
+    """Constraint cells drawn as verify's decomp-constrained check draws them."""
+    budget = [row[:] for row in t.rows()]
+    positions = []
+    for _ in range(rng.randint(0, t.r)):
+        cells = [(i + 1, j + 1) for i in range(t.n) for j in range(t.n) if budget[i][j] > 0]
+        i, j = rng.choice(cells)
+        budget[i - 1][j - 1] -= 1
+        positions.append((i, j))
+    return positions
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_DECOMPOSE))
+def test_decomposition_parts_unchanged(kind):
+    digest = hashlib.sha256()
+    for n, r in DECOMPOSE_INSTANCES:
+        rng = random.Random(20_240_000 + n * 100 + r)
+        digest.update(f"{n},{r}\n".encode())
+        for t in enumerate_fiber(n, r):
+            if kind == "decompose":
+                dec = decompose(t)
+            else:
+                dec = decompose_constrained(t, _drawn_positions(rng, t))
+            digest.update(f"{dec.constraints} {[p.rows() for p in dec.parts]}\n".encode())
+    assert digest.hexdigest() == GOLDEN_DECOMPOSE[kind]
 
 
 # --- sample streams, exact-test reports and detour-path families ---

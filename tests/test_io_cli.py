@@ -75,6 +75,24 @@ def test_json_inputs_reject_non_integers(tmp_path):
         io.parse_constraints("[[1, false]]")
 
 
+@pytest.mark.parametrize("reader, label", [
+    ("parse_table_json", "JSON"),
+    ("load_rows", "JSON"),
+    ("load_matrix_json", "JSON"),
+    ("parse_constraints", "constraint JSON"),
+])
+def test_json_inputs_report_malformed_json(tmp_path, reader, label):
+    text = "[[1, 2],"
+    with pytest.raises(json.JSONDecodeError) as decode:
+        json.loads(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    argument = text if reader in ("parse_table_json", "parse_constraints") else path
+    with pytest.raises(InvalidDimensionError) as exc:
+        getattr(io, reader)(argument)
+    assert str(exc.value) == f"invalid {label}: {decode.value}"
+
+
 def test_matrix_json_feeds_general_fiber(tmp_path):
     from fibergraphs.enumeration import enumerate_general_fiber, margin_matrix
 
