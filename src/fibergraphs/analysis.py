@@ -6,25 +6,31 @@ each built as CSR arrays once, at the boundary.  Every distance and
 connectivity question is answered by one vectorized frontier BFS over those
 arrays.  Local connectivity is Menger's count of internally vertex-disjoint
 paths, computed as unit-capacity max-flow on the vertex-split network, whose
-searches read the CSR rows directly.  Global vertex connectivity uses the
-classical exact scheme: one minimum-degree vertex against all its
-non-neighbors, then all non-adjacent pairs among its neighbors.  Both it and
-Liu's criterion sweep their pairs serially, each search capped at the least
-flow found so far.
+searches read the CSR rows directly.
+
+Global vertex connectivity is read from Liu's criterion.  In a connected,
+non-complete graph, take a minimum vertex cut S.  Each x in S has
+neighbours a and b in two different components (else S - x would be a
+cut), so d(a, b) = 2 and S separates a from b.  So κ is the least local
+connectivity over the distance-2 pairs, which is the minimum Liu's
+criterion asks for.  One max-flow sweep over those pairs, each search
+capped at the least flow found so far, is run once per graph and answers
+both.
 
 Distances and local connectivity are invariant under graph automorphisms, so
-the diameter, κ and Liu sweeps visit one representative per orbit: the first
-member in sweep order.  A fiber graph brings its symmetry group (checked
-generators, and the stabilizer of one vertex); a plain ``CsrGraph`` has
-none, so there each vertex and each pair is its own orbit.
+the diameter and the distance-2 sweep visit one representative per orbit:
+the first member in sweep order.  A fiber graph brings its symmetry group
+(checked generators); a plain ``CsrGraph`` has none, so there each vertex
+and each pair is its own orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Sequence
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -284,7 +290,46 @@ def local_connectivity(graph: CsrGraph, u: int, v: int) -> int:
     return flow
 
 
-# --- global vertex connectivity ---
+# --- the distance-2 sweep: global connectivity and Liu's criterion ---
+
+def distance_two_pairs(graph: CsrGraph) -> np.ndarray:
+    """All unordered pairs at distance exactly 2, as a (P, 2) int64 array
+    sorted by (u, w) with u < w: one CSR two-hop sweep (``two_hop_pairs``),
+    which the graph runs once and keeps."""
+    return graph.distance_two
+
+
+MinFlow = tuple[int | None, tuple[int, int] | None, Residual | None]  # (value, pair, residual)
+
+_SWEEPS: WeakKeyDictionary[CsrGraph, MinFlow] = WeakKeyDictionary()
+
+
+def _distance_two_sweep(graph: CsrGraph) -> MinFlow:
+    """(value, pair, residual) for the first distance-2 pair, in
+    ``distance_two_pairs`` order, whose max-flow is least; all None when the
+    graph has no distance-2 pair.
+
+    The first member of each pair orbit is swept serially: the first search
+    is uncapped and each later one is capped at the least value found so
+    far.  A search that stops below its cap found no augmenting path, so its
+    value is exact and its residual is a maximum flow's.  The first pair to
+    reach the minimum is the first member of its orbit.  The result is kept
+    for the graph object, so κ and Liu's check share one sweep.
+    """
+    if graph in _SWEEPS:
+        return _SWEEPS[graph]
+    pairs = distance_two_pairs(graph)
+    images = _pair_images(pairs, graph.vertex_count, graph.automorphisms)
+    labels = _orbit_labels(len(pairs), list(images))
+    net = SplitNetwork(graph)
+    best: MinFlow = None, None, None
+    for s, t in pairs[_first_members(labels)].tolist():
+        flow, residual = net.max_flow(s, t, best[0])
+        if residual is not None:
+            best = flow, (s, t), residual
+    _SWEEPS[graph] = best
+    return best
+
 
 @dataclass(frozen=True)
 class ConnectivityReport:
@@ -295,84 +340,37 @@ class ConnectivityReport:
     complete: bool = False
 
 
-def _connectivity_pairs(graph: CsrGraph) -> tuple[int, list[tuple[int, int]]]:
-    """The certifying pair family: the first minimum-degree vertex s0 vs all
-    its non-neighbors, then all non-adjacent pairs inside N(s0), in order."""
-    s0 = int(np.argmin(np.diff(graph.indptr)))
-    nbrs = sorted(set(graph.neighbors(s0).tolist()))
-    skip = {s0, *nbrs}
-    pairs = [(s0, w) for w in range(graph.vertex_count) if w not in skip]
-    for a, x in enumerate(nbrs):
-        row = set(graph.neighbors(x).tolist())
-        pairs.extend((x, y) for y in nbrs[a + 1:] if y not in row)
-    return s0, pairs
-
-
-def _min_flow(
-    net: SplitNetwork, pairs: Sequence[tuple[int, int]], bound: int | None
-) -> tuple[int | None, tuple[int, int] | None, Residual | None]:
-    """(value, pair, residual) for the first pair whose max-flow is least.
-
-    Each search is capped at the least flow found so far, the first one at
-    ``bound`` (None leaves it uncapped).  A search that stops below its cap
-    found no augmenting path, so its value is exact and its residual is a
-    maximum flow's.  Returns (bound, None, None) when no pair goes below it.
-    """
-    best, best_pair, best_residual = bound, None, None
-    for s, t in pairs:
-        flow, residual = net.max_flow(s, t, best)
-        if residual is not None:
-            best, best_pair, best_residual = flow, (s, t), residual
-    return best, best_pair, best_residual
-
-
 def vertex_connectivity(graph: CsrGraph) -> ConnectivityReport:
     """Exact vertex connectivity with a verified witness cut.
 
     Complete graphs get kappa = |V| - 1 and no cut; disconnected graphs get
-    kappa = 0 with the empty cut.  Otherwise kappa is the minimum local
-    connectivity over the certifying pair family, swept serially with every
-    search capped at deg(s0) or the least flow found so far.  Stab(s0) maps
-    the family onto itself, so only the first member of each of its orbits
-    is swept; the first pair of the whole family to reach the minimum is
-    such a member, and every earlier one is above it.  The witness cut is
-    read from the minimizing search's residual (N(s0) when no pair goes
-    below deg(s0)) and re-checked by BFS before returning.
+    kappa = 0 with the empty cut.  Otherwise every minimum vertex cut
+    separates some pair at distance 2 (each cut vertex has neighbours in two
+    components), so kappa is the least local connectivity over the
+    distance-2 pairs: the minimum of the sweep Liu's check reads too.  The
+    witness cut is N(s0), s0 the first minimum-degree vertex, when kappa
+    equals the minimum degree, and otherwise the minimum cut of the
+    minimising pair's residual.  It is re-checked by BFS before returning.
     """
     n = graph.vertex_count
     if n < 2:
         raise InvalidDimensionError("connectivity needs at least two vertices")
-    min_degree = int(np.diff(graph.indptr).min())
+    degrees = np.diff(graph.indptr)
+    min_degree = int(degrees.min())
     if not is_connected(graph):
         return ConnectivityReport(0, frozenset(), min_degree, min_degree == 0)
     if min_degree == n - 1:  # a simple graph, so complete
         return ConnectivityReport(n - 1, None, min_degree, True, complete=True)
 
-    s0, pairs = _connectivity_pairs(graph)
-    # Stab(s0) is a group, so an orbit's least position is its least image
-    images = _pair_images(np.array(pairs, dtype=np.int64), n, graph.stabilizer(s0))
-    labels = reduce(np.minimum, images, np.arange(len(pairs)))
-    firsts = [pairs[i] for i in _first_members(labels).tolist()]
-    net = SplitNetwork(graph)
-    kappa, min_pair, residual = _min_flow(net, firsts, min_degree)
-    if min_pair is None:
-        # kappa equals the minimum degree; the neighborhood of s0 is a cut
-        witness = frozenset(graph.neighbors(s0).tolist())
+    kappa, min_pair, residual = _distance_two_sweep(graph)
+    if kappa == min_degree:
+        witness = frozenset(graph.neighbors(int(np.argmin(degrees))).tolist())
     else:
-        witness = net.min_cut_vertices(residual, min_pair[0])
+        witness = SplitNetwork(graph).min_cut_vertices(residual, min_pair[0])
 
     assert len(witness) == kappa, "witness cut size disagrees with kappa"
     assert not _connected_after_removal(graph, witness), "witness cut does not disconnect"
     return ConnectivityReport(kappa, witness, min_degree, kappa == min_degree)
-
-
-# --- Liu's criterion and distance-2 structure ---
-
-def distance_two_pairs(graph: CsrGraph) -> np.ndarray:
-    """All unordered pairs at distance exactly 2, as a (P, 2) int64 array
-    sorted by (u, w) with u < w: one CSR two-hop sweep (``two_hop_pairs``),
-    which the graph runs once and keeps."""
-    return graph.distance_two
 
 
 @dataclass(frozen=True)
@@ -388,19 +386,12 @@ def liu_check(graph: CsrGraph, k: int) -> LiuCheckResult:
 
     Returns the first pair, in ``distance_two_pairs`` order, whose exact
     disjoint-path count is least, with that count; passed is True when the
-    minimum is >= k (vacuously true without distance-2 pairs).  The first
-    member of each pair orbit is swept serially: the first search is
-    uncapped and each later one is capped at the least count found so far.
-    That first pair to reach the minimum is the first member of its orbit.
+    minimum is >= k (vacuously true without distance-2 pairs).  The count
+    comes from the graph's one distance-2 sweep, shared with
+    ``vertex_connectivity``.
     """
-    pairs = distance_two_pairs(graph)
-    if not len(pairs):
-        return LiuCheckResult(True, k, None, None)
-    images = _pair_images(pairs, graph.vertex_count, graph.automorphisms)
-    labels = _orbit_labels(len(pairs), list(images))
-    firsts = list(map(tuple, pairs[_first_members(labels)].tolist()))
-    best, min_pair, _ = _min_flow(SplitNetwork(graph), firsts, None)
-    return LiuCheckResult(best >= k, k, min_pair, best)
+    value, min_pair, _ = _distance_two_sweep(graph)
+    return LiuCheckResult(value is None or value >= k, k, min_pair, value)
 
 
 def common_moves(u: ContingencyTable, v: ContingencyTable) -> list[MarkovMove]:

@@ -23,8 +23,7 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -46,8 +45,8 @@ class CsrGraph:
     """Undirected simple graph as CSR: the neighbours of u are
     ``indices[indptr[u]:indptr[u + 1]]``.
 
-    A plain graph has no known symmetry: ``automorphisms`` is empty and
-    ``stabilizer`` yields nothing, so every vertex and pair is its own orbit.
+    A plain graph has no known symmetry: ``automorphisms`` is empty, so
+    every vertex and pair is its own orbit.
     """
 
     indptr: np.ndarray
@@ -101,10 +100,6 @@ class CsrGraph:
         pairs.flags.writeable = False
         return pairs
 
-    def stabilizer(self, v: int) -> Iterator[np.ndarray]:
-        """Vertex permutations of every known symmetry that fixes v: none."""
-        return iter(())
-
 
 @dataclass(frozen=True, eq=False)
 class FiberGraph(CsrGraph):
@@ -136,24 +131,6 @@ class FiberGraph(CsrGraph):
                 raise NotAnAutomorphismError(f"the {name} does not map the edges onto edges")
         return tuple(generators.values())
 
-    def stabilizer(self, v: int) -> Iterator[np.ndarray]:
-        """Vertex permutations of every symmetry that fixes vertex v.
-
-        All 2(n!)^2 cell permutations are filtered on the one table v.  Each
-        is a product of ``automorphisms``, which are checked first.
-        """
-        self.automorphisms  # raises unless the generators are automorphisms
-        table = self.fiber.cells[v]
-        for block in _cell_permutations(self.fiber.n):
-            for cell_perm in block[(table[block] == table).all(axis=1)]:
-                yield _vertex_permutation(self.fiber, cell_perm)
-
-
-def _vertex_permutation(fiber: Fiber, cell_perm: np.ndarray) -> np.ndarray:
-    """The vertex map x -> the table whose row-major cells are
-    ``cells[x][cell_perm]``, for a permutation of the n^2 cells."""
-    return fiber.ids_of(fiber.cells[:, cell_perm])
-
 
 def symmetry_generators(fiber: Fiber) -> dict[str, np.ndarray]:
     """Vertex permutations of a row swap, a row n-cycle and the transpose.
@@ -169,17 +146,8 @@ def symmetry_generators(fiber: Fiber) -> dict[str, np.ndarray]:
     swap[:2] = swap[1::-1]
     cell_perms = {"row swap": grid[swap], "row cycle": grid[np.roll(np.arange(n), 1)],
                   "transpose": grid.T}
-    return {name: _vertex_permutation(fiber, p.ravel()) for name, p in cell_perms.items()}
-
-
-def _cell_permutations(n: int) -> Iterator[np.ndarray]:
-    """All 2(n!)^2 row/column permutations of an n x n table, with and without
-    transpose, as row-major cell permutations: n! rows of n^2 at a time."""
-    grid = np.arange(n * n).reshape(n, n)
-    perms = np.array(list(permutations(range(n))))
-    for g in (grid, grid.T):
-        for rows in g[perms]:
-            yield rows[:, perms].transpose(1, 0, 2).reshape(len(perms), n * n)
+    # each vertex x maps to the table whose row-major cells are cells[x][p]
+    return {name: fiber.ids_of(fiber.cells[:, p.ravel()]) for name, p in cell_perms.items()}
 
 
 def build_graph(fiber: Fiber) -> FiberGraph:

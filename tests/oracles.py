@@ -104,6 +104,20 @@ def brute_vertex_connectivity(adj) -> int:
     raise AssertionError("non-complete graph must have a cut of size <= min degree")
 
 
+def connectivity_pairs(adj) -> tuple[int, list[tuple[int, int]]]:
+    """The classical pair family certifying kappa: the first minimum-degree
+    vertex s0 against all its non-neighbours, then all non-adjacent pairs
+    inside N(s0), in order.  Returns (s0, pairs)."""
+    s0 = min(range(len(adj)), key=lambda u: len(adj[u]))
+    nbrs = sorted(set(adj[s0]))
+    skip = {s0, *nbrs}
+    pairs = [(s0, w) for w in range(len(adj)) if w not in skip]
+    for a, x in enumerate(nbrs):
+        row = set(adj[x])
+        pairs.extend((x, y) for y in nbrs[a + 1:] if y not in row)
+    return s0, pairs
+
+
 def brute_local_connectivity(adj, s: int, t: int) -> int:
     """Max internally disjoint s-t paths by exhaustive path packing.
 

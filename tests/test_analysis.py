@@ -9,8 +9,6 @@ import pytest
 from fibergraphs.analysis import (
     SplitNetwork,
     _bfs,
-    _connectivity_pairs,
-    _min_flow,
     _orbit_labels,
     articulation_vertices,
     bfs_distances,
@@ -48,6 +46,7 @@ from oracles import (
     brute_vertex_connectivity,
     complete_bipartite,
     complete_graph,
+    connectivity_pairs,
     cycle_graph,
     path_graph,
     random_graph,
@@ -483,6 +482,13 @@ def test_hemmecke_articulation_bridge_ends():
     assert articulation_vertices(graph) == [0, 8]
 
 
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+def test_hemmecke_cut_is_a_bridge_end(k):
+    _, report = hemmecke_graph(k)
+    assert report.kappa == 1
+    assert report.witness_cut in (frozenset({0}), frozenset({1 << k}))
+
+
 def test_hemmecke_matches_brute_force():
     graph, report = hemmecke_graph(2)
     assert brute_vertex_connectivity(rows_of(graph)) == report.kappa == 1
@@ -490,15 +496,28 @@ def test_hemmecke_matches_brute_force():
 
 # --- orbit sweeps against the unreduced sweeps ---
 
+def _min_flow(net, pairs, bound):
+    """(value, pair, residual) for the first pair whose max-flow is least,
+    each search capped at the least flow found so far (the first at
+    ``bound``); (bound, None, None) when no pair goes below it."""
+    best = bound, None, None
+    for s, t in pairs:
+        flow, residual = net.max_flow(s, t, best[0])
+        if residual is not None:
+            best = flow, (s, t), residual
+    return best
+
+
 def _full_sweeps(graph):
-    """diameter, (kappa, witness cut) and Liu's (value, pair), every vertex and pair swept."""
+    """diameter, (kappa, witness cut) and Liu's (value, pair), every vertex and
+    pair swept; kappa from the classical family, not from the distance-2 pairs."""
     adj = rows_of(graph)
     diam = max(int(_bfs(graph.indptr, graph.indices, s).max()) for s in range(len(adj)))
     net = SplitNetwork(graph)
-    s0, family = _connectivity_pairs(graph)
+    s0, family = connectivity_pairs(adj)
     kappa, pair, residual = _min_flow(net, family, len(adj[s0]))
     cut = frozenset(adj[s0]) if pair is None else net.min_cut_vertices(residual, pair[0])
-    liu_value, liu_pair, _ = _min_flow(net, distance_two_pairs(graph), None)
+    liu_value, liu_pair, _ = _min_flow(net, distance_two_pairs(graph).tolist(), None)
     return diam, (kappa, cut), (liu_value, liu_pair)
 
 
@@ -562,12 +581,12 @@ def test_sweeps_run_one_max_flow_per_orbit(n, r, monkeypatch):
         return original(net, s, t, bound)
 
     monkeypatch.setattr(SplitNetwork, "max_flow", counted)
-    s0, family = _connectivity_pairs(graph)
+    liu_flows = list(first_members(distance_two_pairs(graph).tolist(), group))
+    # kappa runs Liu's sweep, and Liu's check then reads it without a flow
     vertex_connectivity(graph)
-    assert flows == list(first_members(family, [g for g in group if g(tables[s0]) == tables[s0]]))
-    flows.clear()
+    assert flows == liu_flows
     liu_check(graph, 3)
-    assert flows == list(first_members(distance_two_pairs(graph), group))
+    assert flows == liu_flows
 
 
 def test_orbit_labels_of_plain_permutations():

@@ -9,7 +9,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fibergraphs.analysis import local_connectivity, vertex_connectivity
@@ -17,7 +17,12 @@ from fibergraphs.enumeration import count_fiber, enumerate_fiber
 from fibergraphs.graphs import CsrGraph, build_graph
 from fibergraphs.tables import validate_table
 
-from oracles import brute_is_connected, brute_local_connectivity, brute_vertex_connectivity
+from oracles import (
+    brute_distance_two_pairs,
+    brute_is_connected,
+    brute_local_connectivity,
+    brute_vertex_connectivity,
+)
 
 
 @settings(deadline=None)
@@ -48,9 +53,9 @@ def test_every_arc_has_its_reverse_by_the_negated_move(n, r):
 
 
 @st.composite
-def small_graphs(draw) -> list[list[int]]:
-    """Rows of a simple graph on 2 to 8 vertices, each row in drawn order."""
-    n = draw(st.integers(2, 8))
+def small_graphs(draw, min_size: int = 2, max_size: int = 8) -> list[list[int]]:
+    """Rows of a simple graph on min_size to max_size vertices, each row in drawn order."""
+    n = draw(st.integers(min_size, max_size))
     pairs = list(combinations(range(n), 2))
     edges = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     rows: list[list[int]] = [[] for _ in range(n)]
@@ -59,6 +64,12 @@ def small_graphs(draw) -> list[list[int]]:
             rows[u].append(v)
             rows[v].append(u)
     return [draw(st.permutations(row)) for row in rows]
+
+
+def _disconnects(rows, cut) -> bool:
+    """Whether the vertices outside ``cut`` induce a disconnected graph."""
+    alive = {x: i for i, x in enumerate(x for x in range(len(rows)) if x not in cut)}
+    return not brute_is_connected([[alive[y] for y in rows[x] if y in alive] for x in alive])
 
 
 @settings(deadline=None, max_examples=150)
@@ -73,8 +84,21 @@ def test_connectivity_of_small_graphs_matches_the_oracles(rows):
         # the witness cut has kappa vertices and leaves the rest disconnected
         cut = report.witness_cut
         assert len(cut) == report.kappa
-        alive = {x: i for i, x in enumerate(x for x in range(len(rows)) if x not in cut)}
-        assert not brute_is_connected([[alive[y] for y in rows[x] if y in alive] for x in alive])
+        assert _disconnects(rows, cut)
     for u, v in combinations(range(len(rows)), 2):
         if v not in rows[u]:
             assert local_connectivity(graph, u, v) == brute_local_connectivity(rows, u, v)
+
+
+@settings(deadline=None, max_examples=150)
+@given(rows=small_graphs(3, 9))
+def test_kappa_is_the_least_flow_over_distance_two_pairs(rows):
+    # a minimum cut separates two neighbours of each of its vertices, which
+    # are at distance 2; so no pair family beyond the distance-2 pairs is needed
+    pairs = brute_distance_two_pairs(rows)
+    assume(brute_is_connected(rows) and pairs)  # connected and not complete
+    report = vertex_connectivity(CsrGraph.from_rows(rows))
+    assert report.kappa == min(brute_local_connectivity(rows, u, w) for u, w in pairs)
+    cut = report.witness_cut
+    assert len(cut) == report.kappa
+    assert _disconnects(rows, cut)

@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 import json
-from itertools import permutations
-from math import factorial
 
 import numpy as np
 import pytest
@@ -255,25 +253,6 @@ def test_generators_are_automorphisms(n, r):
         assert all(graph.fiber[int(perm[x])] == act(t) for x, t in enumerate(graph.fiber))
 
 
-@pytest.mark.parametrize("n,r", [(3, 2), (3, 3), (4, 2)])
-def test_stabilizer_is_every_symmetry_fixing_the_vertex(n, r):
-    graph = build_graph(enumerate_fiber(n, r))
-    fiber, edges = graph.fiber, _edge_set(graph)
-    identity = fiber.index_of(scaled_permutation(n, r, list(range(n))))
-    perms = list(permutations(range(n)))
-    for v in (0, identity, len(fiber) // 2):
-        table = fiber[v]
-        moved = [table.permute(rows, cols) for rows in perms for cols in perms]
-        images = set(moved) | {t.transpose() for t in moved}
-        fixing = list(graph.stabilizer(v))
-        # orbit-stabilizer: |Stab(v)| = |G| / |orbit of v|
-        assert len(fixing) * len(images) == 2 * factorial(n) ** 2
-        for perm in fixing:
-            assert perm[v] == v
-            assert _edge_set(graph, perm) == edges
-    assert len(list(graph.stabilizer(identity))) == 2 * factorial(n)
-
-
 def _without_edge(graph, u, v):
     keep = np.ones(len(graph.indices), dtype=bool)
     for a, b in ((u, v), (v, u)):
@@ -288,6 +267,6 @@ def test_a_broken_symmetry_is_refused(graph_3_2):
     broken = _without_edge(graph_3_2, u, v)
     assert broken.edge_count == graph_3_2.edge_count - 1
     for use in (lambda g: g.automorphisms, diameter, vertex_connectivity,
-                lambda g: liu_check(g, 3), lambda g: list(g.stabilizer(0))):
+                lambda g: liu_check(g, 3)):
         with pytest.raises(NotAnAutomorphismError):
             use(broken)
