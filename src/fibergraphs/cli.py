@@ -31,10 +31,14 @@ CONSTRAINED_TRIALS = 500
 
 
 def _write_output(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    """Write text to the file out, or to stdout; a failed write is one error line."""
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise FiberGraphsError(f"cannot write {out!r}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------- enumerate
@@ -49,7 +53,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         )
     if args.out:
         text = io.fiber_to_csv(fiber) if args.format == "csv" else io.fiber_to_jsonl(fiber)
-        Path(args.out).write_text(text)
+        _write_output(text, args.out)
     print(f"{len(fiber)} tables")
     return 0
 
@@ -62,12 +66,9 @@ def cmd_graph(args: argparse.Namespace) -> int:
     target: graphs.FiberGraph | graphs.OrientedFiberGraph = graph
     if args.oriented:
         target = graphs.orient(graph, graphs.WeightVector.standard(args.n))
-    rendered = graphs.export_graph(target, args.format)
+    _write_output(graphs.export_graph(target, args.format), args.out)
     if args.out:
-        Path(args.out).write_text(rendered)
-        Path(args.out + ".vertices.json").write_text(graphs.vertex_map_json(graph))
-    else:
-        sys.stdout.write(rendered)
+        _write_output(graphs.vertex_map_json(graph), args.out + ".vertices.json")
     print(
         f"{graph.vertex_count} vertices, {graph.edge_count} edges",
         file=sys.stderr,
@@ -355,10 +356,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     lines = "".join(
         json.dumps({"rows": s.rows()}, separators=(",", ":")) + "\n" for s in samples
     )
-    if args.emit:
-        Path(args.emit).write_text(lines)
-    else:
-        sys.stdout.write(lines)
+    _write_output(lines, args.emit)
     summary = {
         "steps": state.step_index,
         "accepted": state.accepted_count,

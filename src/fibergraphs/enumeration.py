@@ -2,8 +2,9 @@
 
 Two deliberately independent code paths cover the table fiber:
 
-* ``enumerate_fiber`` lists every table by row-by-row backtracking, pruning
-  each row against the remaining column budgets (the last row is forced).
+* ``enumerate_fiber`` grows every table as one array frontier, a row at a
+  time: each partial table takes every row composition of r that fits its
+  remaining column budgets, in lex order (the last row is the leftover budget).
 * ``count_fiber`` computes the cardinality alone by dynamic programming over
   sorted residual column-margin tuples, never materializing a table.
 
@@ -12,8 +13,10 @@ The two must agree; tests and the CLI cross-check them on every run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -26,6 +29,7 @@ from .errors import (
 from .tables import ContingencyTable
 
 DEFAULT_CAP = 10_000_000
+FRONTIER_BLOCK = 1 << 16  # (partial table, row) candidates tested at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,27 +127,33 @@ def enumerate_fiber(n: int, r: int, cap: int = DEFAULT_CAP) -> Fiber:
         raise InvalidDimensionError(f"need n >= 1, got {n}")
     if r < 0:
         raise InvalidDimensionError(f"need r >= 0, got {r}")
-    flat: list[int] = []
-    rows: list[tuple[int, ...]] = []
-
-    def rec(budgets: tuple[int, ...], rows_left: int) -> None:
-        if rows_left == 1:
-            # the final row is forced by the column budgets
-            if sum(budgets) == r:
-                if len(flat) >= cap * n * n:
-                    raise SizeLimitExceededError(cap, context="fiber enumeration")
-                for row in rows:
-                    flat.extend(row)
-                flat.extend(budgets)
-            return
-        for comp in _row_compositions(r, budgets):
-            rows.append(comp)
-            rec(tuple(b - c for b, c in zip(budgets, comp)), rows_left - 1)
-            rows.pop()
-
-    rec((r,) * n, n)
-    dtype = np.min_scalar_type(r).newbyteorder(">")
-    return Fiber(n, r, np.array(flat, dtype=dtype).reshape(-1, n * n))
+    # every row composition starts some table (n >= 2), and every frontier
+    # below extends to at least as many tables as it has rows
+    if math.comb(r + n - 1, n - 1) > cap:
+        raise SizeLimitExceededError(cap, context="fiber enumeration")
+    dtype = np.min_scalar_type(r)
+    # columns[j]: entry j of every row composition, compositions in lex order
+    columns = np.fromiter(
+        chain.from_iterable(_row_compositions(r, (r,) * n)), dtype=dtype,
+    ).reshape(-1, n).T.copy()
+    step = max(1, FRONTIER_BLOCK // columns.shape[1])
+    # frontier row: the rows chosen so far, then the remaining column budgets
+    frontier = np.full((1, n), r, dtype=dtype)
+    for i in range(1, n):
+        blocks, count = [], 0
+        for start in range(0, len(frontier), step):
+            block = frontier[start:start + step]
+            budgets = block[:, -n:]
+            # row-major order: each partial table's rows in lex order, so sorted
+            k, c = np.nonzero((columns <= budgets[:, :, None]).all(axis=1))
+            count += len(k)
+            if count > cap:
+                raise SizeLimitExceededError(cap, context="fiber enumeration")
+            rows = columns[:, c].T
+            blocks.append(np.hstack([block[k, :-n], rows, budgets[k] - rows]))
+        frontier = np.concatenate(blocks)
+    # the last row is the leftover budget, which sums to r
+    return Fiber(n, r, frontier.astype(dtype.newbyteorder(">"), copy=False))
 
 
 def count_fiber(n: int, r: int) -> int:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import random
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -96,6 +99,52 @@ def test_fiber_symmetry_invariance():
 def test_enumeration_cap_trips():
     with pytest.raises(SizeLimitExceededError):
         enumerate_fiber(3, 3, cap=10)
+
+
+def test_cap_is_the_largest_fiber_allowed():
+    assert len(enumerate_fiber(4, 3, cap=2008)) == 2008
+    with pytest.raises(SizeLimitExceededError):
+        enumerate_fiber(4, 3, cap=2007)
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _guarded_run(code: str, seconds: float) -> subprocess.CompletedProcess:
+    """code in a fresh interpreter held to 1 GiB of address space and a time limit,
+    so a guard that fails to trip ends this test instead of filling memory."""
+    return subprocess.run(
+        [sys.executable, "-c", code], preexec_fn=_limit_memory,
+        capture_output=True, text=True, timeout=seconds,
+    )
+
+
+_TRIPS = """
+import sys
+from fibergraphs.cli import main
+from fibergraphs.enumeration import enumerate_fiber
+from fibergraphs.errors import SizeLimitExceededError
+try:
+    enumerate_fiber({n}, {r})
+except SizeLimitExceededError:
+    sys.exit(main(["enumerate", "--n", "{n}", "--r", "{r}"]))
+sys.exit("the cap did not trip")
+"""
+
+
+def test_cap_trips_before_the_rows_are_listed():
+    # 40 x 40 tables with margins 40 outnumber the default cap many times over
+    done = _guarded_run(_TRIPS.format(n=40, r=40), seconds=10)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == "error: fiber enumeration exceeded the configured cap of 10000000\n"
+
+
+@pytest.mark.long
+def test_cap_trips_with_millions_of_row_compositions():
+    # 8,006,001 row compositions fit under the cap; the second row's frontier does not
+    done = _guarded_run(_TRIPS.format(n=3, r=4000), seconds=60)
+    assert done.returncode == 3, done.stderr
 
 
 def test_general_fiber_line():

@@ -14,7 +14,9 @@ huge-margin walk digests were taken from the kernel that drew through
 numpy's ``Generator`` methods, before it decoded raw PCG64 words itself.
 The verify-path and decomposition digests were taken from the verify code
 that wrote each result's dict by hand and from the two separate loops of
-``decompose`` and ``decompose_constrained``.
+``decompose`` and ``decompose_constrained``.  The fiber-array digests were
+taken from the recursive enumeration that listed every cell in a Python list,
+before the fiber was built as an array frontier.
 """
 
 from __future__ import annotations
@@ -82,6 +84,42 @@ def test_cli_output_bytes_unchanged(kind, tmp_path, capsys):
         digest.update((tmp_path / f"out{suffix}").read_bytes())
     capsys.readouterr()
     assert digest.hexdigest() == expected
+
+
+# --- the fiber arrays themselves ---
+
+# (n, r) -> sha256 of the cells' dtype string and bytes (an object array: its tolist() repr)
+GOLDEN_FIBERS = {
+    (2, 0): "97aedb930f9941d164ee0e256112ce77089e577d81ba05125ff7f26dc23764e6",
+    (2, 1): "6cdf4d7b499ff0213a8669abc5c3eb8942a4d73a793b63c5f255cb7450ea2485",
+    (2, 2): "88e4f073344be0f7573992581336efc2e821c44386b7760232812cea9707b644",
+    (2, 3): "b71a9615371cc52107218181bfafee2aaddfebd15a8391a182a129b6a736165f",
+    (2, 4): "0631eab6249a3d6be5da08274030f24d4558422a40d8bd4f9754d99ab536157c",
+    (3, 0): "a3999fedc7e3e54c579ec7f205ebbf4642975c233dcd812aa832a0b94264440a",
+    (3, 1): "15703f7ce417860c5f3e3c6dfbf1b90f500f54a836bbd1720bb9b91f1b4c9ede",
+    (3, 2): "ac59fa990d3b0152a88bdd1bab308902ed96d63835c78a197213091f20001f27",
+    (3, 3): "0e3317bd958626e4f1731addeb931ca38c293a3d991815f69e059c0da92bc155",
+    (3, 4): "0cbcd574315044fd9c10702db9413328a4b0a0f16bbe361ba2b919173b0812a4",
+    (4, 0): "d07d670b5136fb56e679ccded9bc8cf40c4f65977c59e53a0ba6cf2fc47e6453",
+    (4, 1): "b49fc8ecefb2d9c9dfeb7e17edba8b2d6f4bca3631305272bc2ea4851ef2aa1e",
+    (4, 2): "be993f108f29fc16a33b06d4f9e65378062e655ce2b3000d99d0f223cc3e3cb3",
+    (4, 3): "8175ceec9f811e8a1468564bc78bb83a43c73f267a298f0e86ee0d6b24132e00",
+    (4, 4): "98e1a64dc0bf7ffbbe474842676ebb4140abb6022f4bf7f15429be3353a6a96a",
+    (5, 1): "8dbf2ee5c7c5c3fdc68cbc90feef99e8e965652e13a1ac6af41d3f006488d4f3",
+    (5, 2): "b8add271917496e7771073d7694ef2068260ad3ab7d5fbca0ce5bd8aa15b99a8",
+    (5, 3): "ccbb404e9d190d70cda8d64d2d8a7553dc613d41571bd14bec710d9758ec1dc6",
+    (6, 2): "b6fd4f1112e4deb04c8f5e6e56f098799a0b20c3b859cf3d87d5274065d9fc58",
+    (2, 70000): "161d324e6d11310a845aeecedd09b7ccb5054fd7d72865fd84ff5c8530d5af2f",
+    (1, 2**64): "a037d0983391eaa6c14fe597d418192bb4763b2fea020c5f9d4dcb2fe783f356",
+}
+
+
+@pytest.mark.parametrize("n, r", list(GOLDEN_FIBERS), ids=str)
+def test_fiber_arrays_unchanged(n, r):
+    cells = enumerate_fiber(n, r).cells
+    digest = hashlib.sha256(cells.dtype.str.encode())
+    digest.update(repr(cells.tolist()).encode() if cells.dtype == object else cells.tobytes())
+    assert digest.hexdigest() == GOLDEN_FIBERS[n, r]
 
 
 # every check, κ and Liu included, on each instance in this order

@@ -373,3 +373,33 @@ def test_cli_hemmecke_guard(capsys):
     for k in ("0", "-1"):
         assert main(["hemmecke", "--k", k]) == 2
         assert "1 <= k <= 12" in capsys.readouterr().err
+
+
+_WRITERS = {
+    "enumerate": ["enumerate", "--n", "3", "--r", "2", "--format", "csv", "--out"],
+    "graph": ["graph", "--n", "2", "--r", "2", "--out"],
+    "verify": ["verify", "--n", "2", "--r", "1", "--checks", "degrees", "--out"],
+    "decompose": ["decompose", "--table", "{table}", "--out"],
+    "sample": ["sample", "--table", "{table}", "--steps", "3", "--seed", "1", "--emit"],
+    "test": ["test", "--table", "{table}", "--steps", "3", "--seed", "1", "--out"],
+    "hemmecke": ["hemmecke", "--k", "2", "--out"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_WRITERS))
+def test_cli_unwritable_output_is_an_error_line(tmp_path, capsys, command):
+    table = tmp_path / "t.csv"
+    table.write_text("2,1\n1,2\n")
+    target = str(tmp_path / "missing" / "x.out")
+    argv = [arg.format(table=table) for arg in _WRITERS[command]] + [target]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: cannot write {target!r}: No such file or directory\n"
+
+
+def test_cli_graph_unwritable_vertex_map(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    (tmp_path / "g.txt.vertices.json").mkdir()
+    assert main(["graph", "--n", "2", "--r", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write {str(out) + '.vertices.json'!r}: Is a directory\n"
+    )
