@@ -29,7 +29,7 @@ from .errors import (
 from .tables import ContingencyTable
 
 DEFAULT_CAP = 10_000_000
-FRONTIER_BLOCK = 1 << 16  # (partial table, row) candidates tested at a time
+FRONTIER_BLOCK = 1 << 16  # (partial table, row composition) candidates tested at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +136,9 @@ def enumerate_fiber(n: int, r: int, cap: int = DEFAULT_CAP) -> Fiber:
     columns = np.fromiter(
         chain.from_iterable(_row_compositions(r, (r,) * n)), dtype=dtype,
     ).reshape(-1, n).T.copy()
-    step = max(1, FRONTIER_BLOCK // columns.shape[1])
+    # several partial tables against every composition, or one against a run of them
+    width = min(columns.shape[1], FRONTIER_BLOCK)
+    step = max(1, FRONTIER_BLOCK // width)
     # frontier row: the rows chosen so far, then the remaining column budgets
     frontier = np.full((1, n), r, dtype=dtype)
     for i in range(1, n):
@@ -144,13 +146,15 @@ def enumerate_fiber(n: int, r: int, cap: int = DEFAULT_CAP) -> Fiber:
         for start in range(0, len(frontier), step):
             block = frontier[start:start + step]
             budgets = block[:, -n:]
-            # row-major order: each partial table's rows in lex order, so sorted
-            k, c = np.nonzero((columns <= budgets[:, :, None]).all(axis=1))
-            count += len(k)
-            if count > cap:
-                raise SizeLimitExceededError(cap, context="fiber enumeration")
-            rows = columns[:, c].T
-            blocks.append(np.hstack([block[k, :-n], rows, budgets[k] - rows]))
+            for first in range(0, columns.shape[1], width):
+                # row-major order: each partial table's rows in lex order, so sorted
+                fits = columns[:, first:first + width] <= budgets[:, :, None]
+                k, c = np.nonzero(fits.all(axis=1))
+                count += len(k)
+                if count > cap:
+                    raise SizeLimitExceededError(cap, context="fiber enumeration")
+                rows = columns[:, first + c].T
+                blocks.append(np.hstack([block[k, :-n], rows, budgets[k] - rows]))
         frontier = np.concatenate(blocks)
     # the last row is the leftover budget, which sums to r
     return Fiber(n, r, frontier.astype(dtype.newbyteorder(">"), copy=False))

@@ -35,6 +35,7 @@ from .errors import (
     UnsupportedFormatError,
     ZeroWeightEdgeError,
 )
+from .io import format_rows
 from .tables import ContingencyTable, MarkovMove, enumerate_basis_moves
 
 DOT_VERTEX_LIMIT = 500
@@ -317,25 +318,23 @@ def export_graph(graph: FiberGraph | OrientedFiberGraph, fmt: str) -> str:
     """
     oriented = isinstance(graph, OrientedFiberGraph)
     base = graph.base if oriented else graph
-    if oriented:
-        tails = np.repeat(np.arange(base.vertex_count), np.diff(graph.indptr))
-        pairs = list(zip(tails.tolist(), graph.indices.tolist()))
-    else:
-        pairs = base.edges()
+    tails = np.repeat(np.arange(base.vertex_count), np.diff(graph.indptr))
+    heads = graph.indices
+    if not oriented:  # each edge once, as u < v
+        upper = tails < heads
+        tails, heads = tails[upper], heads[upper]
     if fmt == "edge-list":
-        return "".join(f"{u} {v}\n" for u, v in pairs)
+        return format_rows(["", " ", "\n"], [tails, heads])
     if fmt == "dot":
         if base.vertex_count > DOT_VERTEX_LIMIT:
             raise SizeLimitExceededError(DOT_VERTEX_LIMIT, context="dot export")
-        name = "digraph" if oriented else "graph"
-        arrow = "->" if oriented else "--"
-        lines = [f"{name} fiber {{"]
-        for u, t in enumerate(base.fiber):
-            label = "\\n".join(" ".join(str(x) for x in row) for row in t.entries)
-            lines.append(f'  {u} [label="{label}"];')
-        lines.extend(f"  {u} {arrow} {v};" for u, v in pairs)
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        name, arrow = ("digraph", "->") if oriented else ("graph", "--")
+        n = base.fiber.n
+        between = ["\\n" if j % n == 0 else " " for j in range(1, n * n)]
+        ids = np.arange(base.vertex_count)
+        nodes = format_rows(["  ", ' [label="', *between, '"];\n'], [ids, *base.fiber.cells.T])
+        edges = format_rows(["  ", f" {arrow} ", ";\n"], [tails, heads])
+        return f"{name} fiber {{\n" + nodes + edges + "}\n"
     raise UnsupportedFormatError(f"unknown graph format {fmt!r}")
 
 

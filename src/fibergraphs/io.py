@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
 
 from .enumeration import Fiber
 from .errors import FiberGraphsError, InvalidDimensionError
@@ -107,21 +110,56 @@ def table_to_json(t: ContingencyTable) -> str:
     return json.dumps({"n": t.n, "r": t.r, "rows": t.rows()}, separators=(",", ":"))
 
 
+FORMAT_BLOCK = 1 << 14  # rows rendered at a time by format_rows
+
+
+def format_rows(literals: Sequence[str], columns: Sequence[np.ndarray]) -> str:
+    """Row i is literals[0], columns[0][i], literals[1], ..., columns[-1][i],
+    literals[-1], each entry a non-negative integer in decimal.
+
+    Rendered FORMAT_BLOCK rows at a time: every column becomes a (rows, width)
+    matrix of ASCII digits by repeated % 10 and // 10 in its own dtype (an
+    object array of Python ints included), leading zeros are masked out, and
+    the kept bytes of the block's literal and digit matrix are its text.
+    """
+    assert len(literals) == len(columns) + 1
+    pieces = [np.frombuffer(lit.encode("ascii"), dtype=np.uint8) for lit in literals]
+    out = []
+    for start in range(0, len(columns[0]), FORMAT_BLOCK):
+        block = [col[start:start + FORMAT_BLOCK] for col in columns]
+        widths = [len(str(col.max())) for col in block]
+        text = np.empty((len(block[0]), sum(map(len, pieces)) + sum(widths)), dtype=np.uint8)
+        keep = np.ones(text.shape, dtype=bool)
+        at = 0
+        for piece, col, width in zip(pieces, block, widths):
+            text[:, at:at + len(piece)] = piece
+            at += len(piece)
+            for k in range(at + width - 1, at - 1, -1):
+                text[:, k] = col % 10
+                col = col // 10
+            digits = text[:, at:at + width]
+            keep[:, at:at + width - 1] = np.logical_or.accumulate(digits[:, :-1] != 0, axis=1)
+            digits += ord("0")
+            at += width
+        text[:, at:] = pieces[-1]
+        out.append(text[keep].tobytes().decode("ascii"))
+    return "".join(out)
+
+
 def fiber_to_jsonl(fiber: Fiber) -> str:
     """One table per line, canonical order: {"id": k, "rows": [...]}."""
-    row = ",".join(["%d"] * fiber.n)
-    line = '{"id":%d,"rows":[[' + "],[".join([row] * fiber.n) + "]]}\n"
-    return "".join([line % (k, *cells) for k, cells in enumerate(fiber.cells.tolist())])
+    n = fiber.n
+    between = ["],[" if j % n == 0 else "," for j in range(1, n * n)]
+    columns = [np.arange(len(fiber)), *fiber.cells.T]
+    return format_rows(['{"id":', ',"rows":[[', *between, "]]}\n"], columns)
 
 
 def fiber_to_csv(fiber: Fiber) -> str:
     """Vertex id column plus row-major entry columns, with a header line."""
     n = fiber.n
     header = "id," + ",".join(f"r{i}c{j}" for i in range(1, n + 1) for j in range(1, n + 1))
-    lines = [header]
-    for k, cells in enumerate(fiber.cells.tolist()):
-        lines.append(f"{k}," + ",".join(map(str, cells)))
-    return "\n".join(lines) + "\n"
+    columns = [np.arange(len(fiber)), *fiber.cells.T]
+    return header + "\n" + format_rows(["", *[","] * (n * n), "\n"], columns)
 
 
 def load_matrix_json(path: str | Path) -> list[list[int]]:

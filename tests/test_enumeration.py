@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from fibergraphs import enumeration
 from fibergraphs.enumeration import (
     count_fiber,
     enumerate_fiber,
@@ -105,6 +106,21 @@ def test_cap_is_the_largest_fiber_allowed():
     assert len(enumerate_fiber(4, 3, cap=2008)) == 2008
     with pytest.raises(SizeLimitExceededError):
         enumerate_fiber(4, 3, cap=2007)
+
+
+@pytest.mark.parametrize("block", [1, 4])
+@pytest.mark.parametrize("n, r", [(3, 3), (3, 4), (3, 5), (4, 2), (4, 3)], ids=str)
+def test_composition_runs_keep_the_fiber(monkeypatch, n, r, block):
+    # fewer candidates a pass than row compositions: each partial table meets
+    # the compositions a run at a time, the path of G(3, 4000)'s 8,006,001
+    whole = enumerate_fiber(n, r)
+    monkeypatch.setattr(enumeration, "FRONTIER_BLOCK", block)
+    tiled = enumerate_fiber(n, r)
+    assert tiled.cells.dtype == whole.cells.dtype
+    assert np.array_equal(tiled.cells, whole.cells)
+    assert len(enumerate_fiber(n, r, cap=len(whole))) == len(whole)
+    with pytest.raises(SizeLimitExceededError):
+        enumerate_fiber(n, r, cap=len(whole) - 1)
 
 
 def _limit_memory():

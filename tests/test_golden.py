@@ -16,7 +16,9 @@ The verify-path and decomposition digests were taken from the verify code
 that wrote each result's dict by hand and from the two separate loops of
 ``decompose`` and ``decompose_constrained``.  The fiber-array digests were
 taken from the recursive enumeration that listed every cell in a Python list,
-before the fiber was built as an array frontier.
+before the fiber was built as an array frontier.  The G(5,3) export digests
+were taken from the writers that formatted one Python line per table, before
+rows were rendered as digit arrays, block by block.
 """
 
 from __future__ import annotations
@@ -84,6 +86,22 @@ def test_cli_output_bytes_unchanged(kind, tmp_path, capsys):
         digest.update((tmp_path / f"out{suffix}").read_bytes())
     capsys.readouterr()
     assert digest.hexdigest() == expected
+
+
+# G(5,3)'s 153,040 tables span ten blocks of the row formatter; the files are
+# the enumerate-n5r3 benchmark's output (12,591,210 bytes) and its CSV (8,612,298)
+GOLDEN_G53 = {
+    "jsonl": "1116ddae5b9b6af9fbe59f4129bf281749ef3fb9e40332baeac16517ddb0bc5c",
+    "csv": "f1fb52dfa4e7c05c3e3988842799699a0e145976a6de0d29de88308117095ae5",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_G53))
+def test_g53_export_bytes_unchanged(fmt, tmp_path, capsys):
+    out = tmp_path / f"g53.{fmt}"
+    assert main(["enumerate", "--n", "5", "--r", "3", "--format", fmt, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "153040 tables\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_G53[fmt]
 
 
 # --- the fiber arrays themselves ---

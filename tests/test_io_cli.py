@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from fibergraphs import io
 from fibergraphs.cli import main
-from fibergraphs.enumeration import enumerate_fiber
+from fibergraphs.enumeration import Fiber, enumerate_fiber
 from fibergraphs.errors import InvalidDimensionError, RowSumMismatchError
-from fibergraphs.graphs import build_graph, vertex_map_json
+from fibergraphs.graphs import WeightVector, build_graph, export_graph, orient, vertex_map_json
 
 
 def test_parse_table_json_round_trip():
@@ -43,6 +44,84 @@ def test_fiber_jsonl_and_csv():
     csv = io.fiber_to_csv(fiber).splitlines()
     assert csv[0] == "id,r1c1,r1c2,r2c1,r2c2"
     assert csv[1] == "0,0,2,2,0"
+
+
+# --- the digit-array formatter, against the per-line rendering it replaced ---
+
+def _jsonl_per_line(fiber):
+    row = ",".join(["%d"] * fiber.n)
+    line = '{"id":%d,"rows":[[' + "],[".join([row] * fiber.n) + "]]}\n"
+    return "".join([line % (k, *cells) for k, cells in enumerate(fiber.cells.tolist())])
+
+
+def _csv_per_line(fiber):
+    n = fiber.n
+    header = "id," + ",".join(f"r{i}c{j}" for i in range(1, n + 1) for j in range(1, n + 1))
+    lines = [header]
+    for k, cells in enumerate(fiber.cells.tolist()):
+        lines.append(f"{k}," + ",".join(map(str, cells)))
+    return "\n".join(lines) + "\n"
+
+
+def _assert_per_line(fiber):
+    assert io.fiber_to_jsonl(fiber) == _jsonl_per_line(fiber)
+    assert io.fiber_to_csv(fiber) == _csv_per_line(fiber)
+
+
+def test_formatter_digit_widths_of_a_uint64_fiber():
+    entries = [0, 9, 10, 99, 100, 2**63 - 1, 2**64 - 1, 1, 2**32]
+    cells = np.array([entries, entries[::-1]], dtype=">u8")
+    fiber = Fiber(3, 0, cells)  # margins are not the formatter's concern
+    _assert_per_line(fiber)
+    assert "18446744073709551615" in io.fiber_to_csv(fiber)
+
+
+def test_formatter_object_entries():
+    cells = np.array([[2**64], [0], [10**30], [2**64 - 1]], dtype=object)
+    _assert_per_line(Fiber(1, 0, cells))
+
+
+@pytest.mark.parametrize("n, r", [(2, 0), (1, 0), (1, 7), (1, 10), (1, 2**64)], ids=str)
+def test_formatter_one_row_or_one_column(n, r):
+    _assert_per_line(enumerate_fiber(n, r))
+
+
+def test_formatter_one_column_without_literals():
+    values = np.array([7, 0, 12, 305], dtype=np.uint16)
+    assert io.format_rows(["", ""], [values]) == "7012305"
+    assert io.format_rows(["", "", ""], [values[:1], values[2:3]]) == "712"
+
+
+@pytest.mark.parametrize("n, r", [(3, 2), (2, 120)], ids=str)
+def test_formatter_ids_gain_a_digit(n, r):
+    fiber = enumerate_fiber(n, r)  # ids 0..20 and 0..120
+    _assert_per_line(fiber)
+    assert '{"id":10,' in io.fiber_to_jsonl(fiber)
+
+
+@pytest.mark.parametrize("fiber", [
+    enumerate_fiber(3, 3),
+    enumerate_fiber(2, 120),
+    Fiber(1, 0, np.array([[10**k] for k in range(25)], dtype=object)),
+], ids=["G(3,3)", "G(2,120)", "powers of ten"])
+def test_formatter_blocks_join_up(monkeypatch, fiber):
+    # the golden instances fit in one block, so shrink it: widths differ from block to block
+    monkeypatch.setattr(io, "FORMAT_BLOCK", 7)
+    _assert_per_line(fiber)
+
+
+@pytest.mark.parametrize("oriented", [False, True])
+def test_edge_list_blocks_join_up(monkeypatch, oriented):
+    graph = build_graph(enumerate_fiber(3, 3))
+    target = orient(graph, WeightVector.standard(3)) if oriented else graph
+    if oriented:
+        tails = np.repeat(np.arange(graph.vertex_count), np.diff(target.indptr))
+        pairs = zip(tails.tolist(), target.indices.tolist())
+    else:
+        pairs = graph.edges()
+    expected = "".join(f"{u} {v}\n" for u, v in pairs)
+    monkeypatch.setattr(io, "FORMAT_BLOCK", 7)
+    assert export_graph(target, "edge-list") == expected
 
 
 def test_parse_constraints_inline_and_file(tmp_path):
