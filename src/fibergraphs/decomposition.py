@@ -9,15 +9,17 @@ matching prefix in order.
 Matchings are found by augmenting paths over the support (multiplicities act
 as capacities and never need duplicating), and ties are broken toward the
 lexicographically least row-to-column assignment so decompositions are
-reproducible.
+reproducible.  A decomposition keeps one residual table as row lists, changed
+in place: taking away a part, a column per row, is n checked decrements.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConstraintInfeasibleError, NoPerfectMatchingError
+from .errors import ConstraintInfeasibleError, FiberGraphsError, NoPerfectMatchingError
 from .tables import ContingencyTable, validate_table
 
 Position = tuple[int, int]  # 1-based (row, col)
@@ -45,38 +47,25 @@ def _max_matching(support: list[list[int]], banned_rows: set[int], banned_cols: 
     return size
 
 
-def perfect_matching(
-    table: ContingencyTable, forced: Position | None = None
-) -> ContingencyTable:
-    """A permutation pattern inside the support of an equal-margin table.
+def _least_matching(rows: Sequence[Sequence[int]], forced: Position | None = None) -> list[int]:
+    """Column of each row in the lexicographically least perfect matching on
+    the support of rows, through the forced cell (1-based) when one is given.
 
-    When forced=(i, j) is given (1-based) the matching contains that cell.
-    Among all valid matchings the lexicographically least row-to-column
-    assignment is returned, so the result is deterministic.
-
-    Raises NoPerfectMatchingError when no perfect matching exists; for a
-    valid table with r >= 1 that can only happen for an unusable forced cell.
+    Raises NoPerfectMatchingError when there is none.
     """
-    n = table.n
-    if table.r < 1:
-        raise NoPerfectMatchingError("a table with margin 0 has empty support")
-    support = [
-        [j for j in range(n) if table.entries[i][j] > 0] for i in range(n)
-    ]
+    n = len(rows)
+    support = [[j for j, x in enumerate(row) if x > 0] for row in rows]
     assigned: dict[int, int] = {}
     if forced is not None:
         fi, fj = forced[0] - 1, forced[1] - 1
-        if not (0 <= fi < n and 0 <= fj < n) or table.entries[fi][fj] < 1:
-            raise NoPerfectMatchingError(
-                f"forced cell {forced} is outside the support of the table"
-            )
+        if not (0 <= fi < n and 0 <= fj < n) or rows[fi][fj] < 1:
+            raise NoPerfectMatchingError(f"forced cell {forced} is outside the support of the table")
         assigned[fi] = fj
 
     def feasible() -> bool:
-        rows = set(assigned)
-        cols = set(assigned.values())
-        return _max_matching(support, rows, cols) == n - len(assigned)
+        return _max_matching(support, set(assigned), set(assigned.values())) == n - len(assigned)
 
+    # once feasible, some column of each next row keeps it so: the greedy never fails
     if not feasible():
         raise NoPerfectMatchingError("support admits no perfect matching")
     for i in range(n):
@@ -90,21 +79,27 @@ def perfect_matching(
             if feasible():
                 break
             del assigned[i]
-        else:
-            raise NoPerfectMatchingError("support admits no perfect matching")
-
-    entries = tuple(
-        tuple(1 if assigned[i] == j else 0 for j in range(n)) for i in range(n)
-    )
-    return ContingencyTable(n, 1, entries)
+    return [assigned[i] for i in range(n)]
 
 
-def _subtract(table: ContingencyTable, part: ContingencyTable) -> ContingencyTable:
-    entries = tuple(
-        tuple(a - b for a, b in zip(ra, rb))
-        for ra, rb in zip(table.entries, part.entries)
-    )
-    return validate_table(table.n, table.r - 1, entries)
+def _permutation(cols: list[int]) -> ContingencyTable:
+    n = len(cols)
+    return ContingencyTable(n, 1, tuple(tuple(1 if j == c else 0 for j in range(n)) for c in cols))
+
+
+def perfect_matching(table: ContingencyTable, forced: Position | None = None) -> ContingencyTable:
+    """A permutation pattern inside the support of an equal-margin table.
+
+    When forced=(i, j) is given (1-based) the matching contains that cell.
+    Among all valid matchings the lexicographically least row-to-column
+    assignment is returned, so the result is deterministic.
+
+    Raises NoPerfectMatchingError when no perfect matching exists; for a
+    valid table with r >= 1 that can only happen for an unusable forced cell.
+    """
+    if table.r < 1:
+        raise NoPerfectMatchingError("a table with margin 0 has empty support")
+    return _permutation(_least_matching(table.entries, forced))
 
 
 @dataclass(frozen=True)
@@ -168,41 +163,39 @@ def decompose_constrained(
 
 def _decompose(table: ContingencyTable, positions: tuple[Position, ...]) -> MatchingDecomposition:
     if len(positions) > table.r:
-        raise ConstraintInfeasibleError(
-            f"{len(positions)} constraints but only {table.r} parts"
-        )
+        raise ConstraintInfeasibleError(f"{len(positions)} constraints but only {table.r} parts")
     if table.r < 1:
         raise NoPerfectMatchingError("a table with margin 0 has no permutation parts")
-    demand: dict[Position, int] = {}
     for pos in positions:
-        i, j = pos
-        if not (1 <= i <= table.n and 1 <= j <= table.n):
+        if not (1 <= pos[0] <= table.n and 1 <= pos[1] <= table.n):
             raise ConstraintInfeasibleError(f"position {pos} is outside the table")
-        demand[pos] = demand.get(pos, 0) + 1
-    for (i, j), count in demand.items():
+    for (i, j), count in Counter(positions).items():
         if table.entries[i - 1][j - 1] < count:
             raise ConstraintInfeasibleError(
                 f"cell ({i}, {j}) holds {table.entries[i - 1][j - 1]} "
                 f"but the constraints require {count}"
             )
 
-    parts: list[ContingencyTable] = []
-    residual = table
+    residual = table.rows()
+    matchings: list[list[int]] = []
     remaining = list(positions)
-    while len(parts) < table.r:
-        part = perfect_matching(residual, forced=remaining[0] if remaining else None)
-        parts.append(part)
-        residual = _subtract(residual, part)
+    while len(matchings) < table.r:
+        cols = _least_matching(residual, remaining[0] if remaining else None)
+        for i, j in enumerate(cols):
+            residual[i][j] -= 1
+            if residual[i][j] < 0:
+                raise FiberGraphsError(
+                    f"part {len(matchings) + 1} takes cell ({i + 1}, {j + 1}) below 0"
+                )
+        matchings.append(cols)
         # the part covers its forced cell and, greedily in order, each later
         # constraint on another of its cells; each cell covers one constraint
-        available = {
-            (i + 1, j + 1) for i, row in enumerate(part.entries) for j, x in enumerate(row) if x
-        }
+        covered: set[int] = set()
         leftovers = []
-        for pos in remaining:
-            if pos in available:
-                available.discard(pos)
+        for i, j in remaining:
+            if cols[i - 1] == j - 1 and i not in covered:
+                covered.add(i)
             else:
-                leftovers.append(pos)
+                leftovers.append((i, j))
         remaining = leftovers
-    return MatchingDecomposition(tuple(parts), positions)
+    return MatchingDecomposition(tuple(map(_permutation, matchings)), positions)

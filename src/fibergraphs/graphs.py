@@ -19,7 +19,6 @@ has a unique sink, located at the anti-diagonal table.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -340,8 +339,8 @@ def export_graph(graph: FiberGraph | OrientedFiberGraph, fmt: str) -> str:
 
 def vertex_map_json(graph: FiberGraph | OrientedFiberGraph) -> str:
     """Sidecar JSON mapping vertex id -> table rows, for the edge-list export."""
-    base = graph.base if isinstance(graph, OrientedFiberGraph) else graph
-    return json.dumps(
-        {str(u): t.rows() for u, t in enumerate(base.fiber)},
-        separators=(",", ":"),
-    )
+    fiber = (graph.base if isinstance(graph, OrientedFiberGraph) else graph).fiber
+    between = ["],[" if j % fiber.n == 0 else "," for j in range(1, fiber.n ** 2)]
+    # every entry ends in a comma; the last one's becomes the closing brace
+    text = format_rows(['"', '":[[', *between, "]],"], [np.arange(len(fiber)), *fiber.cells.T])
+    return "{" + text[:-1] + "}"

@@ -39,6 +39,13 @@ def _integer(value: object, where: str) -> int:
     return value
 
 
+def _row_lists(rows: object, what: str) -> list[list]:
+    """rows itself when it is a list of lists; entries are checked by the caller."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise InvalidDimensionError(f"{what} must hold its rows as an array of arrays")
+    return rows
+
+
 def parse_rows_csv(text: str) -> list[list[int]]:
     """Raw integer rows from CSV text; positional errors on malformed cells."""
     rows: list[list[int]] = []
@@ -78,7 +85,8 @@ def parse_table_json(text: str) -> ContingencyTable:
     missing = {"n", "r", "rows"} - payload.keys()
     if missing:
         raise InvalidDimensionError(f"table JSON is missing keys: {sorted(missing)}")
-    return validate_table(payload["n"], payload["r"], payload["rows"])
+    return validate_table(_integer(payload["n"], "n"), _integer(payload["r"], "r"),
+                          _row_lists(payload["rows"], "table JSON"))
 
 
 def load_table(path: str | Path) -> ContingencyTable:
@@ -98,9 +106,7 @@ def load_rows(path: str | Path) -> list[list[int]]:
     text = _read_text(path)
     if path.suffix.lower() == ".json":
         payload = _parse_json(text)
-        rows = payload.get("rows") if isinstance(payload, dict) else payload
-        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-            raise InvalidDimensionError("JSON input does not contain a rows array")
+        rows = _row_lists(payload.get("rows") if isinstance(payload, dict) else payload, "JSON input")
         return [[_integer(x, f"entry at row {i}, column {j}") for j, x in enumerate(row, 1)]
                 for i, row in enumerate(rows, 1)]
     return parse_rows_csv(text)

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +14,7 @@ from fibergraphs.decomposition import (
     decompose_constrained,
     perfect_matching,
 )
-from fibergraphs import cli
+from fibergraphs import cli, decomposition
 from fibergraphs.enumeration import enumerate_fiber
 from fibergraphs.errors import ConstraintInfeasibleError, NoPerfectMatchingError
 from fibergraphs.tables import validate_table
@@ -122,6 +126,32 @@ def test_residual_regularity():
             for j in range(3):
                 residual[i][j] -= part.entries[i][j]
         validate_table(3, 3 - l, residual)
+
+
+NEGATIVE_CELL_SCRIPT = """
+import sys
+from fibergraphs import decomposition
+from fibergraphs.errors import FiberGraphsError
+from fibergraphs.tables import validate_table
+
+# a search that returns the anti-diagonal, both of whose cells are 0
+decomposition._least_matching = lambda rows, forced=None: [1, 0]
+try:
+    parts = decomposition.decompose(validate_table(2, 1, [[1, 0], [0, 1]])).parts
+    print("parts", sys.flags.optimize, [p.rows() for p in parts])
+except FiberGraphsError as exc:
+    print("error", sys.flags.optimize, exc)
+"""
+
+
+def test_negative_residual_cell_is_caught_under_optimize():
+    # the residual check is an if, not an assert, so -O keeps it
+    env = {**os.environ, "PYTHONPATH": str(Path(decomposition.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", NEGATIVE_CELL_SCRIPT],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert out == "error 1 part 1 takes cell (1, 2) below 0\n"
 
 
 def test_constrained_single_position():

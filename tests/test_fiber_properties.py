@@ -4,6 +4,7 @@ on drawn small graphs agrees with the brute-force oracles."""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -13,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fibergraphs.analysis import local_connectivity, vertex_connectivity
+from fibergraphs.decomposition import decompose_constrained, perfect_matching
 from fibergraphs.enumeration import count_fiber, enumerate_fiber
 from fibergraphs.graphs import CsrGraph, build_graph
 from fibergraphs.tables import validate_table
@@ -102,3 +104,49 @@ def test_kappa_is_the_least_flow_over_distance_two_pairs(rows):
     cut = report.witness_cut
     assert len(cut) == report.kappa
     assert _disconnects(rows, cut)
+
+
+_fiber = lru_cache(maxsize=None)(enumerate_fiber)
+
+
+@st.composite
+def constrained_tables(draw):
+    """A table of G(n, r), n <= 4 and 1 <= r <= 4, and up to r constraint
+    cells, each drawn from what the table holds after the cells before it."""
+    n, r = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    fiber = _fiber(n, r)
+    t = fiber[draw(st.integers(0, len(fiber) - 1))]
+    budget = t.rows()
+    positions = []
+    for _ in range(draw(st.integers(0, r))):
+        i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if budget[i][j]]))
+        budget[i][j] -= 1
+        positions.append((i + 1, j + 1))
+    return t, positions
+
+
+@settings(deadline=None, max_examples=200)
+@given(drawn=constrained_tables())
+def test_constrained_parts_are_permutations_over_shrinking_residuals(drawn):
+    t, positions = drawn
+    n, r = t.n, t.r
+    dec = decompose_constrained(t, positions)
+    assert len(dec.parts) == r
+    residual = np.array(t.entries, dtype=np.int64)
+    covered = np.zeros((n, n), dtype=np.int64)
+    needed = np.zeros((n, n), dtype=np.int64)
+    for l, part in enumerate(dec.parts, start=1):
+        matrix = np.array(part.entries, dtype=np.int64)
+        # a permutation matrix: 0/1 with one 1 in each row and each column
+        assert part.is_permutation_pattern() and validate_table(n, 1, part.entries) == part
+        residual -= matrix
+        validate_table(n, r - l, residual.tolist())
+        # the first l parts cover the first l constraint cells, with multiplicity
+        covered += matrix
+        if l <= len(positions):
+            needed[positions[l - 1][0] - 1, positions[l - 1][1] - 1] += 1
+        assert (covered >= needed).all()
+    assert not residual.any()
+    if positions:
+        assert perfect_matching(t, positions[0]) == decompose_constrained(t, positions[:1]).parts[0]
+    assert perfect_matching(t) == decompose_constrained(t, []).parts[0]

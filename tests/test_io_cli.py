@@ -343,6 +343,33 @@ def test_cli_decompose_zero_table_is_a_data_error(tmp_path, capsys, constraints)
     assert "Traceback" not in err
 
 
+MALFORMED_TABLE_JSON = {
+    "n-string": '{"n": "2", "r": 2, "rows": [[1, 1], [1, 1]]}',
+    "n-float": '{"n": 2.0, "r": 2, "rows": [[1, 1], [1, 1]]}',
+    "rows-number": '{"n": 2, "r": 2, "rows": 5}',
+    "row-number": '{"n": 2, "r": 2, "rows": [[1, 1], 5]}',
+    "r-bool": '{"n": 2, "r": true, "rows": [[1, 0], [0, 1]]}',
+    "r-float": '{"n": 2, "r": 2.0, "rows": [[1, 1], [1, 1]]}',
+}
+
+
+@pytest.mark.parametrize("command", ["decompose", "sample"])
+@pytest.mark.parametrize("payload", sorted(MALFORMED_TABLE_JSON))
+def test_cli_malformed_table_json_is_a_data_error(tmp_path, capsys, command, payload):
+    # these used to end in a TypeError traceback or, for r, run with the margin True
+    table = tmp_path / "t.json"
+    table.write_text(MALFORMED_TABLE_JSON[payload])
+    argv = [command, "--table", str(table)]
+    if command == "sample":
+        argv += ["--steps", "3", "--seed", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    with pytest.raises(InvalidDimensionError):
+        io.parse_table_json(MALFORMED_TABLE_JSON[payload])
+
+
 def test_cli_sample_deterministic(tmp_path, capsys):
     table = tmp_path / "d.csv"
     table.write_text("2,0,0\n0,2,0\n0,0,2\n")
