@@ -27,8 +27,6 @@ and each pair is its own orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb
 from typing import Iterable, Iterator, Sequence
 from weakref import WeakKeyDictionary
 
@@ -37,6 +35,7 @@ import numpy as np
 from .errors import (
     AdjacentPairError,
     DisconnectedGraphError,
+    FiberGraphsError,
     InvalidDimensionError,
     NotDistanceTwoError,
 )
@@ -46,7 +45,9 @@ from .tables import (
     MarkovMove,
     enumerate_basis_moves,
     is_valid_move,
+    move_cells,
     scaled_permutation,
+    valid_moves,
 )
 
 _POPCOUNT = np.array([bin(x).count("1") for x in range(256)], dtype=np.uint8)
@@ -72,15 +73,17 @@ def _orbit_labels(size: int, perms: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _pair_images(pairs: np.ndarray, size: int, perms: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """For each vertex permutation, the position in ``pairs`` (a (P, 2)
-    array) of every pair's image, pairs compared unordered (keys min * size + max)."""
+    """For each vertex permutation, the position in ``pairs`` of every
+    pair's image, pairs compared unordered (keys min * size + max).
+
+    ``pairs`` is a (P, 2) array sorted by (u, w) with u < w, as
+    ``distance_two_pairs`` lists them, so its keys already increase strictly.
+    """
     weights = np.array([size, 1])
-    keys = np.sort(pairs, axis=1) @ weights
-    order = np.argsort(keys)
+    keys = pairs @ weights
     for perm in perms:
         image = np.sort(perm[pairs], axis=1) @ weights
-        at = np.searchsorted(keys, image, sorter=order)
-        at = order[np.minimum(at, len(keys) - 1, out=at)]
+        at = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
         assert np.array_equal(keys[at], image), "a symmetry maps a swept pair outside the sweep"
         yield at
 
@@ -350,7 +353,8 @@ def vertex_connectivity(graph: CsrGraph) -> ConnectivityReport:
     distance-2 pairs: the minimum of the sweep Liu's check reads too.  The
     witness cut is N(s0), s0 the first minimum-degree vertex, when kappa
     equals the minimum degree, and otherwise the minimum cut of the
-    minimising pair's residual.  It is re-checked by BFS before returning.
+    minimising pair's residual.  It is re-checked by BFS before returning,
+    and FiberGraphsError is raised when the check fails.
     """
     n = graph.vertex_count
     if n < 2:
@@ -368,8 +372,10 @@ def vertex_connectivity(graph: CsrGraph) -> ConnectivityReport:
     else:
         witness = SplitNetwork(graph).min_cut_vertices(residual, min_pair[0])
 
-    assert len(witness) == kappa, "witness cut size disagrees with kappa"
-    assert not _connected_after_removal(graph, witness), "witness cut does not disconnect"
+    if len(witness) != kappa:
+        raise FiberGraphsError(f"witness cut has {len(witness)} vertices but kappa is {kappa}")
+    if _connected_after_removal(graph, witness):
+        raise FiberGraphsError("witness cut does not disconnect the graph")
     return ConnectivityReport(kappa, witness, min_degree, kappa == min_degree)
 
 
@@ -398,13 +404,7 @@ def common_moves(u: ContingencyTable, v: ContingencyTable) -> list[MarkovMove]:
     """Basis moves valid at both tables, in canonical order."""
     if u.n != v.n or u.r != v.r:
         raise InvalidDimensionError("tables live in different fibers")
-    if u.n < 2:
-        return []
-    return [
-        m
-        for m in enumerate_basis_moves(u.n)
-        if is_valid_move(u, m) and is_valid_move(v, m)
-    ]
+    return [m for m in valid_moves(u) if is_valid_move(v, m)]
 
 
 def min_common_moves_over_close_pairs(graph: FiberGraph) -> tuple[int, tuple[int, int]] | None:
@@ -418,7 +418,7 @@ def min_common_moves_over_close_pairs(graph: FiberGraph) -> tuple[int, tuple[int
     """
     size = graph.vertex_count
     tails = np.repeat(np.arange(size), np.diff(graph.indptr))
-    valid = np.zeros((size, 2 * comb(graph.fiber.n, 2) ** 2), dtype=bool)
+    valid = np.zeros((size, len(move_cells(graph.fiber.n))), dtype=bool)
     valid[tails, graph.move_ids] = True
     masks = np.packbits(valid, axis=1)
     upper = tails < graph.indices
@@ -435,11 +435,6 @@ def min_common_moves_over_close_pairs(graph: FiberGraph) -> tuple[int, tuple[int
 
 
 # --- detour paths between distance-2 vertices ---
-
-@lru_cache(maxsize=None)
-def _basis_moves(n: int) -> tuple[MarkovMove, ...]:
-    return tuple(enumerate_basis_moves(n))
-
 
 @dataclass(frozen=True)
 class DetourPathReport:
@@ -483,7 +478,7 @@ def detour_paths(graph: FiberGraph, u: int, v: int) -> DetourPathReport:
 
     kept: list[tuple[int, ...]] = [(u, at_u[d1], v)]
     used_internal: set[int] = {at_u[d1]}
-    moves = _basis_moves(graph.fiber.n)
+    moves = enumerate_basis_moves(graph.fiber.n)
 
     for move in range(len(moves)):
         if move == d1 or move == d2 ^ 1:

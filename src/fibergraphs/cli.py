@@ -353,10 +353,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
     table = io.load_table(args.table)
     config = _walk_config(args, args.target)
     state, samples = sampler.run_walk(table, config)
-    lines = "".join(
-        json.dumps({"rows": s.rows()}, separators=(",", ":")) + "\n" for s in samples
-    )
-    _write_output(lines, args.emit)
+    n = table.n
+    cells = np.array(samples, dtype=np.min_scalar_type(table.r)).reshape(-1, n * n)
+    between = ["],[" if j % n == 0 else "," for j in range(1, n * n)]
+    _write_output(io.format_rows(['{"rows":[[', *between, "]]}\n"], list(cells.T)), args.emit)
     summary = {
         "steps": state.step_index,
         "accepted": state.accepted_count,

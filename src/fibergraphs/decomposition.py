@@ -10,7 +10,8 @@ Matchings are found by augmenting paths over the support (multiplicities act
 as capacities and never need duplicating), and ties are broken toward the
 lexicographically least row-to-column assignment so decompositions are
 reproducible.  A decomposition keeps one residual table as row lists, changed
-in place: taking away a part, a column per row, is n checked decrements.
+in place: taking away a part, a column per row, is n checked decrements.  The
+parts are kept as those columns; they become tables only when read.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def _least_matching(rows: Sequence[Sequence[int]], forced: Position | None = Non
     return [assigned[i] for i in range(n)]
 
 
-def _permutation(cols: list[int]) -> ContingencyTable:
+def _permutation(cols: Sequence[int]) -> ContingencyTable:
     n = len(cols)
     return ContingencyTable(n, 1, tuple(tuple(1 if j == c else 0 for j in range(n)) for c in cols))
 
@@ -104,33 +105,37 @@ def perfect_matching(table: ContingencyTable, forced: Position | None = None) ->
 
 @dataclass(frozen=True)
 class MatchingDecomposition:
-    """Ordered permutation parts summing to a table, with optional prefix forcing."""
+    """Ordered permutation parts summing to a table, with optional prefix forcing.
 
-    parts: tuple[ContingencyTable, ...]
+    Part l is kept as its matching: ``matchings[l][i]`` is the 0-based column
+    of row i.
+    """
+
+    matchings: tuple[tuple[int, ...], ...]
     constraints: tuple[Position, ...] = ()
 
+    @property
+    def parts(self) -> tuple[ContingencyTable, ...]:
+        """The parts as 0/1 permutation tables, built on each read."""
+        return tuple(map(_permutation, self.matchings))
+
     def resum(self) -> ContingencyTable:
-        n = self.parts[0].n
-        entries = tuple(
-            tuple(sum(p.entries[i][j] for p in self.parts) for j in range(n))
-            for i in range(n)
-        )
-        return validate_table(n, len(self.parts), entries)
+        n = len(self.matchings[0])
+        rows = [[0] * n for _ in range(n)]
+        for cols in self.matchings:
+            for i, j in enumerate(cols):
+                rows[i][j] += 1
+        return validate_table(n, len(self.matchings), rows)
 
     def satisfies_constraints(self) -> bool:
         """Each prefix of parts must entrywise dominate the matching prefix of
         constraint cells: u_1 + ... + u_l >= E(p_1) + ... + E(p_l)."""
-        n = self.parts[0].n
-        running = [[0] * n for _ in range(n)]
-        needed = [[0] * n for _ in range(n)]
+        covered: Counter[Position] = Counter()  # 0-based cell -> parts through it so far
+        needed: Counter[Position] = Counter()
         for l, (i, j) in enumerate(self.constraints):
-            for a in range(n):
-                for b in range(n):
-                    running[a][b] += self.parts[l].entries[a][b]
-            needed[i - 1][j - 1] += 1
-            if any(
-                running[a][b] < needed[a][b] for a in range(n) for b in range(n)
-            ):
+            covered.update(enumerate(self.matchings[l]))
+            needed[i - 1, j - 1] += 1
+            if any(covered[cell] < count for cell, count in needed.items()):
                 return False
         return True
 
@@ -177,7 +182,7 @@ def _decompose(table: ContingencyTable, positions: tuple[Position, ...]) -> Matc
             )
 
     residual = table.rows()
-    matchings: list[list[int]] = []
+    matchings: list[tuple[int, ...]] = []
     remaining = list(positions)
     while len(matchings) < table.r:
         cols = _least_matching(residual, remaining[0] if remaining else None)
@@ -187,7 +192,7 @@ def _decompose(table: ContingencyTable, positions: tuple[Position, ...]) -> Matc
                 raise FiberGraphsError(
                     f"part {len(matchings) + 1} takes cell ({i + 1}, {j + 1}) below 0"
                 )
-        matchings.append(cols)
+        matchings.append(tuple(cols))
         # the part covers its forced cell and, greedily in order, each later
         # constraint on another of its cells; each cell covers one constraint
         covered: set[int] = set()
@@ -198,4 +203,4 @@ def _decompose(table: ContingencyTable, positions: tuple[Position, ...]) -> Matc
             else:
                 leftovers.append((i, j))
         remaining = leftovers
-    return MatchingDecomposition(tuple(map(_permutation, matchings)), positions)
+    return MatchingDecomposition(tuple(matchings), positions)

@@ -35,7 +35,7 @@ from .errors import (
     ZeroWeightEdgeError,
 )
 from .io import format_rows
-from .tables import ContingencyTable, MarkovMove, enumerate_basis_moves
+from .tables import ContingencyTable, move_cells
 
 DOT_VERTEX_LIMIT = 500
 
@@ -106,8 +106,8 @@ class FiberGraph(CsrGraph):
     """The graph on a fiber, its CSR arcs labelled by move.
 
     The arcs of u are sorted by neighbour; ``move_ids[a]`` indexes
-    ``enumerate_basis_moves(n)``.  Each valid move gives exactly one arc,
-    because distinct moves are distinct matrices.
+    ``enumerate_basis_moves(n)`` and ``move_cells(n)``.  Each valid move
+    gives exactly one arc, because distinct moves are distinct matrices.
     """
 
     fiber: Fiber
@@ -160,11 +160,13 @@ def build_graph(fiber: Fiber) -> FiberGraph:
     sources, targets, labels = [empty], [empty], [empty]
     if n >= 2:
         cells = fiber.cells
-        for k, m in enumerate(enumerate_basis_moves(n)):
-            (a, b), (c, d) = m.subtracted_cells()
-            at = np.flatnonzero((cells[:, a * n + b] >= 1) & (cells[:, c * n + d] >= 1))
+        for k, (a, b, c, d) in enumerate(move_cells(n)):
+            at = np.flatnonzero((cells[:, a] >= 1) & (cells[:, b] >= 1))
+            target = cells[at]  # a copy, in the fiber's own dtype
+            target[:, [a, b]] -= 1
+            target[:, [c, d]] += 1
             sources.append(at)
-            targets.append(fiber.ids_of(cells[at] + np.ravel(m.as_matrix(n))))
+            targets.append(fiber.ids_of(target))
             labels.append(np.full(len(at), k, dtype=np.intp))
     u, v = np.concatenate(sources), np.concatenate(targets)
     order = np.lexsort((v, u))
@@ -193,15 +195,6 @@ class WeightVector:
         return sum(
             self.w[i][j] * t.entries[i][j] for i in range(self.n) for j in range(self.n)
         )
-
-    def move_weight(self, m: MarkovMove) -> int:
-        """w . (move as matrix); the weight change along an edge using this move."""
-        total = 0
-        for (i, j) in m.added_cells():
-            total += self.w[i][j]
-        for (i, j) in m.subtracted_cells():
-            total -= self.w[i][j]
-        return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,7 +269,9 @@ def orient(graph: FiberGraph, w: WeightVector) -> OrientedFiberGraph:
         raise ZeroWeightEdgeError(
             f"weight vector is for n={w.n}, graph is for n={n}"
         )
-    weights = [w.move_weight(m) for m in enumerate_basis_moves(n)] if n >= 2 else []
+    flat = [x for row in w.w for x in row]
+    # w . (move as matrix): the weight change along an arc of each move
+    weights = [flat[c] + flat[d] - flat[a] - flat[b] for a, b, c, d in move_cells(n)]
     zero = np.array([x == 0 for x in weights], dtype=bool)[graph.move_ids]
     if zero.any():
         arc = int(np.argmax(zero))

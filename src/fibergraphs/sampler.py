@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidDimensionError, MarginMismatchError
-from .tables import ContingencyTable, enumerate_basis_moves, validate_table
+from .tables import ContingencyTable, enumerate_basis_moves, move_cells, validate_table
 
 
 class Target(str, enum.Enum):
@@ -155,7 +155,7 @@ _LOW32 = 0xFFFFFFFF
 
 @dataclass
 class ChainState:
-    """Mutable running state of one chain; current is always a fiber member.
+    """Mutable running state of one chain; entries is always a fiber member.
 
     The random stream is the bit generator's raw words, read in blocks:
     ``words`` is the current block, ``cursor`` its next unread word and
@@ -166,7 +166,7 @@ class ChainState:
     r: int
     entries: list[int]  # row-major, mutated in place
     bitgen: np.random.PCG64
-    moves: tuple[tuple[int, int, int, int], ...]  # per basis move: flat sub1, sub2, add1, add2
+    moves: tuple[tuple[int, int, int, int], ...]  # move_cells(n)
     step_index: int = 0
     accepted_count: int = 0
     visits: VisitCounter = field(default_factory=VisitCounter)
@@ -176,20 +176,8 @@ class ChainState:
 
     @classmethod
     def from_table(cls, start: ContingencyTable, config: WalkConfig) -> "ChainState":
-        n = start.n
-        moves = tuple(
-            tuple(i * n + j for i, j in (*m.subtracted_cells(), *m.added_cells()))
-            for m in (enumerate_basis_moves(n) if n >= 2 else ())
-        )
-        return cls(n, start.r, list(start.row_major()), np.random.PCG64(config.seed), moves)
-
-    @property
-    def current(self) -> ContingencyTable:
-        n = self.n
-        ent = tuple(
-            tuple(self.entries[i * n : (i + 1) * n]) for i in range(n)
-        )
-        return ContingencyTable(n, self.r, ent)
+        bitgen = np.random.PCG64(config.seed)
+        return cls(start.n, start.r, list(start.row_major()), bitgen, move_cells(start.n))
 
 
 def _next_word(state: ChainState) -> int:
@@ -287,22 +275,24 @@ def step(state: ChainState, config: WalkConfig) -> ChainState:
 
 def run_walk(
     start: ContingencyTable, config: WalkConfig
-) -> tuple[ChainState, list[ContingencyTable]]:
+) -> tuple[ChainState, list[tuple[int, ...]]]:
     """Run a full walk and collect the post-burn-in, thinned sample stream.
 
-    Visit counts cover every post-burn-in step (thinned or not).  The stream
-    is a pure function of (start, config).
+    Each sample is the chain's row-major entry tuple, the key its visit is
+    counted under.  Visit counts cover every post-burn-in step (thinned or
+    not).  The stream is a pure function of (start, config).
     """
     state = ChainState.from_table(start, config)
-    samples: list[ContingencyTable] = []
+    samples: list[tuple[int, ...]] = []
     if not config.steps:
         return state, samples
     advance(state, config, config.burn_in)
     for k in range(1, config.steps - config.burn_in + 1):
         advance(state, config, 1)
-        state.visits.record(tuple(state.entries))
+        key = tuple(state.entries)
+        state.visits.record(key)
         if k % config.thinning == 0:
-            samples.append(state.current)
+            samples.append(key)
     return state, samples
 
 

@@ -12,6 +12,7 @@ same convention as the file formats); internal array access is 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import NamedTuple, Sequence
 
@@ -190,8 +191,9 @@ def move_from_difference(u: ContingencyTable, v: ContingencyTable) -> MarkovMove
     return MarkovMove(rows[0] + 1, cols[0] + 1, rows[1] + 1, cols[1] + 1, sign)
 
 
-def enumerate_basis_moves(n: int) -> list[MarkovMove]:
-    """All 2*C(n,2)^2 moves for n x n tables, in canonical order."""
+@lru_cache(maxsize=None)
+def enumerate_basis_moves(n: int) -> tuple[MarkovMove, ...]:
+    """All 2*C(n,2)^2 moves for n x n tables, in canonical order (one cached tuple)."""
     if n < 2:
         raise InvalidDimensionError(f"moves require n >= 2, got {n}")
     out = []
@@ -201,7 +203,19 @@ def enumerate_basis_moves(n: int) -> list[MarkovMove]:
                 for j2 in range(j1 + 1, n + 1):
                     out.append(MarkovMove(i1, j1, i2, j2, -1))
                     out.append(MarkovMove(i1, j1, i2, j2, 1))
-    return out
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def move_cells(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """For each basis move in canonical order, the row-major cells it
+    subtracts from and then the cells it adds to: (sub1, sub2, add1, add2).
+    Row k ^ 1 is row k with its halves swapped (the negated move); empty for n < 2.
+    """
+    return tuple(
+        tuple(i * n + j for i, j in (*m.subtracted_cells(), *m.added_cells()))
+        for m in (enumerate_basis_moves(n) if n >= 2 else ())
+    )
 
 
 def is_valid_move(t: ContingencyTable, m: MarkovMove) -> bool:
@@ -240,7 +254,7 @@ def degree(t: ContingencyTable) -> int:
     Counted by direct validity checks over the whole basis; the support-pair
     formula is implemented separately so the two can be cross-checked.
     """
-    return sum(1 for m in enumerate_basis_moves(t.n) if is_valid_move(t, m)) if t.n >= 2 else 0
+    return len(valid_moves(t))
 
 
 def degree_by_support_pairs(t: ContingencyTable) -> int:

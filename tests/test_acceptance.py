@@ -261,7 +261,7 @@ def test_acceptance_10_sampler_correctness(graph_3_2):
         target=Target.HYPERGEOMETRIC,
     )
     _, samples = run_walk(fiber[0], config)
-    scores = [score(s.entries) for s in samples]
+    scores = [score([s]) for s in samples]  # a sample is its row-major cells
     m = len(scores)
     batches = 100
     size = m // batches

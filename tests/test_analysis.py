@@ -6,6 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from fibergraphs import analysis
 from fibergraphs.analysis import (
     SplitNetwork,
     _bfs,
@@ -30,6 +31,7 @@ from fibergraphs.enumeration import enumerate_fiber
 from fibergraphs.errors import (
     AdjacentPairError,
     DisconnectedGraphError,
+    FiberGraphsError,
     InvalidDimensionError,
     NotDistanceTwoError,
 )
@@ -306,6 +308,13 @@ def test_witness_cut_disconnects(graph_3_3):
                     stack.append(y)
         assert len(seen) < len(alive)
     assert report.witness_cut == frozenset({6})
+
+
+def test_witness_cut_recheck_is_not_an_assert(graph_3_3, monkeypatch):
+    # the BFS re-check raises a module error, so python -O keeps it
+    monkeypatch.setattr(analysis, "_connected_after_removal", lambda graph, removed: True)
+    with pytest.raises(FiberGraphsError, match="does not disconnect"):
+        vertex_connectivity(graph_3_3)
 
 
 def test_vertex_connectivity_complete_marker():

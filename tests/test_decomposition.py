@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from fibergraphs.decomposition import (
+    MatchingDecomposition,
     decompose,
     decompose_constrained,
     perfect_matching,
@@ -182,6 +183,18 @@ def test_constrained_duplicate_position():
     dec = decompose_constrained(t, [(1, 1), (1, 1)])
     assert dec.satisfies_constraints()
     assert dec.resum().entries == t.entries
+
+
+@pytest.mark.parametrize("matchings,constraints,holds", [
+    # the first part must pass through the first constraint cell
+    (((1, 0), (0, 1)), ((1, 1),), False),
+    (((0, 1), (1, 0)), ((1, 1),), True),
+    # a cell listed twice must be in two parts of the two-part prefix
+    (((0, 1), (1, 0)), ((1, 1), (1, 1)), False),
+    (((0, 1), (0, 1)), ((1, 1), (1, 1)), True),
+])
+def test_satisfies_constraints_checks_each_prefix(matchings, constraints, holds):
+    assert MatchingDecomposition(matchings, constraints).satisfies_constraints() is holds
 
 
 def test_constrained_infeasible_entrywise():

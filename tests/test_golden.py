@@ -35,7 +35,6 @@ from fibergraphs.cli import main
 from fibergraphs.decomposition import decompose, decompose_constrained
 from fibergraphs.enumeration import count_fiber, enumerate_fiber
 from fibergraphs.graphs import DOT_VERTEX_LIMIT, build_graph
-from fibergraphs.tables import enumerate_basis_moves
 
 INSTANCES = [(n, r) for n in range(1, 5) for r in range(4)]
 
@@ -324,10 +323,3 @@ def test_detour_reports_unchanged(n, r):
             f"{report.decomposition_count} {report.paths!r}\n".encode()
         )
     assert digest.hexdigest() == GOLDEN_DETOURS[n, r]
-
-
-@pytest.mark.parametrize("n", range(2, 6))
-def test_move_ids_pair_with_their_negation(n):
-    """Move k ^ 1 is move k's negation, so a CSR walk can undo a move by id."""
-    moves = enumerate_basis_moves(n)
-    assert all(moves[k ^ 1] == moves[k].negate() for k in range(len(moves)))

@@ -19,6 +19,7 @@ from fibergraphs.tables import (
     is_valid_move,
     max_degree_value,
     min_degree_value,
+    move_cells,
     move_from_difference,
     scaled_permutation,
     support,
@@ -87,6 +88,23 @@ def test_basis_moves_canonical_order_and_negation_closure():
     keyed = [(m.i1, m.j1, m.i2, m.j2, m.sign) for m in moves]
     assert keyed == sorted(keyed)
     assert {m.negate() for m in moves} == set(moves)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_move_cells(n):
+    """Row k is move k's subtracted then added cells, row-major; move k ^ 1 is
+    move k's negation, so a CSR walk can undo a move by id."""
+    cells = move_cells(n)
+    if n == 1:
+        assert cells == ()
+        return
+    moves = enumerate_basis_moves(n)
+    assert len(cells) == len(moves)
+    for k, m in enumerate(moves):
+        flat = tuple(i * n + j for i, j in (*m.subtracted_cells(), *m.added_cells()))
+        assert cells[k] == flat
+        assert moves[k ^ 1] == m.negate()
+        assert cells[k ^ 1] == cells[k][2:] + cells[k][:2]
 
 
 def test_move_matrix_margins_are_zero():
