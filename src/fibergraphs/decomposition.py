@@ -129,7 +129,10 @@ class MatchingDecomposition:
 
     def satisfies_constraints(self) -> bool:
         """Each prefix of parts must entrywise dominate the matching prefix of
-        constraint cells: u_1 + ... + u_l >= E(p_1) + ... + E(p_l)."""
+        constraint cells: u_1 + ... + u_l >= E(p_1) + ... + E(p_l).  A
+        constraint past the last part has no prefix to dominate it."""
+        if len(self.constraints) > len(self.matchings):
+            return False
         covered: Counter[Position] = Counter()  # 0-based cell -> parts through it so far
         needed: Counter[Position] = Counter()
         for l, (i, j) in enumerate(self.constraints):

@@ -32,7 +32,8 @@ import struct
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Sequence
 
 import numpy as np
 
@@ -232,9 +233,12 @@ def advance(state: ChainState, config: WalkConfig, count: int) -> ChainState:
     every valid proposal; the hypergeometric target accepts with probability
     min(1, prod(old subtracted cells) / prod(new added cells)).
 
-    Margins are re-checked before every proposal under assertions (stripped
-    by -O) and unconditionally every 4096 steps.  The step and acceptance
-    counters are written back even when a check raises.
+    Under assertions (stripped by -O) the margins are checked before the
+    first proposal of each call and before the proposal after every accepted
+    move; only an accepted move writes the entries, so a check skipped after
+    a rejection would repeat one that passed.  They are also checked
+    unconditionally every 4096 steps.  The step and acceptance counters are
+    written back even when a check raises.
     """
     n, r, entries, moves = state.n, state.r, state.entries, state.moves
     m = len(moves)
@@ -242,9 +246,12 @@ def advance(state: ChainState, config: WalkConfig, count: int) -> ChainState:
     log, exp = math.log, math.exp
     t = state.step_index
     accepted = state.accepted_count
+    moved = True  # the entries may have changed since the last assert
     try:
         for t in range(t + 1, t + count + 1):
-            assert _margins_ok(n, r, entries)
+            if moved:
+                assert _margins_ok(n, r, entries)
+                moved = False
             if t % 4096 == 0 and not _margins_ok(n, r, entries):
                 raise InvalidDimensionError("chain state left the fiber (corrupted margins)")
             if not m:
@@ -262,6 +269,7 @@ def advance(state: ChainState, config: WalkConfig, count: int) -> ChainState:
             entries[add1] += 1
             entries[add2] += 1
             accepted += 1
+            moved = True
     finally:
         state.step_index = t
         state.accepted_count = accepted
@@ -360,15 +368,6 @@ def chi_square_statistic(t: ContingencyTable) -> float:
     return float(total)
 
 
-def _integer_score(n: int, r: int, entries: Iterable[int]) -> int:
-    """Monotone integer reindexing of the chi-square statistic: sum (n*x - r)^2.
-
-    Equal scores correspond exactly to equal statistics, so tie handling in
-    p-values is exact without any float comparisons.
-    """
-    return sum((n * x - r) ** 2 for x in entries)
-
-
 @dataclass(frozen=True)
 class ExactTestResult:
     observed_statistic: float
@@ -402,22 +401,26 @@ def exact_test(
 
     Samples the hypergeometric target from the observed table and estimates
     p = P(statistic >= observed), ties included, scoring the running chain at
-    each thinned sample.  The standard error comes from batch means over the
-    scores, which accounts for the autocorrelation an i.i.d. binomial formula
-    would ignore.
+    each thinned sample.  The score is the integer sum of squared entries:
+    with every margin r, sum (n*x - r)^2 = n^2 (sum x^2 - r^2), so it orders
+    tables exactly as the statistic does, ties included, without any float
+    comparison.  The standard error comes from batch means over the hits,
+    which accounts for the autocorrelation an i.i.d. binomial formula would
+    ignore.
     """
     if not isinstance(observed, ContingencyTable):
         observed = as_equal_margin_table(observed)
     statistic = chi_square_statistic(observed)
     config = replace(config, target=Target.HYPERGEOMETRIC)
-    threshold = _integer_score(observed.n, observed.r, observed.row_major())
+    cells = observed.row_major()
+    threshold = sum(map(mul, cells, cells))
     state = ChainState.from_table(observed, config)
     hits: list[bool] = []
     if config.steps:
         advance(state, config, config.burn_in)
         for _ in range(config.samples_expected):
             advance(state, config, config.thinning)
-            hits.append(_integer_score(state.n, state.r, state.entries) >= threshold)
+            hits.append(sum(map(mul, state.entries, state.entries)) >= threshold)
     if not hits:
         return ExactTestResult(statistic, float("nan"), float("nan"), 0)
     m = len(hits)

@@ -192,6 +192,8 @@ def test_constrained_duplicate_position():
     # a cell listed twice must be in two parts of the two-part prefix
     (((0, 1), (1, 0)), ((1, 1), (1, 1)), False),
     (((0, 1), (0, 1)), ((1, 1), (1, 1)), True),
+    # more constraints than parts
+    (((0, 1),), ((1, 1), (2, 2)), False),
 ])
 def test_satisfies_constraints_checks_each_prefix(matchings, constraints, holds):
     assert MatchingDecomposition(matchings, constraints).satisfies_constraints() is holds

@@ -19,6 +19,7 @@ from fibergraphs.sampler import (
     VisitCounter,
     WalkConfig,
     acceptance_ratio,
+    advance,
     as_equal_margin_table,
     chi_square_statistic,
     exact_test,
@@ -236,6 +237,67 @@ def test_corrupted_margins_are_caught(flags, expected):
         capture_output=True, text=True, env=env, check=True,
     ).stdout
     assert out.split() == expected.split()
+
+
+BREAKING_MOVE_SCRIPT = """
+from fibergraphs.errors import InvalidDimensionError
+from fibergraphs.sampler import ChainState, WalkConfig, advance
+from fibergraphs.tables import validate_table
+
+config = WalkConfig(steps=0, seed=7, target="hypergeometric")
+state = ChainState.from_table(validate_table(3, 3, [[1, 1, 1]] * 3), config)
+state.moves = ((0, 4, 1, 1),)  # cell 1 gains two: row 1 and column 2 then sum to 4
+try:
+    advance(state, config, 10_000)
+except AssertionError:
+    print("assert", state.step_index, state.accepted_count)
+except InvalidDimensionError:
+    print("check", state.step_index, state.accepted_count)
+"""
+
+
+def _first_accepted_step(seed: int) -> int:
+    """The step at which the breaking move is first accepted, one call per step."""
+    config = WalkConfig(steps=0, seed=seed, target="hypergeometric")
+    state = ChainState.from_table(validate_table(3, 3, [[1, 1, 1]] * 3), config)
+    state.moves = ((0, 4, 1, 1),)
+    while not state.accepted_count:
+        advance(state, config, 1)
+    return state.step_index
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_margins_are_checked_after_every_accepted_move(flags):
+    # the move is accepted with probability 1/4, after rejected proposals, in
+    # the middle of one advance call; it empties cells 0 and 4, so it is the
+    # only move ever accepted
+    accepted_at = _first_accepted_step(7)
+    assert accepted_at > 1
+    expected = f"assert {accepted_at + 1} 1" if not flags else "check 4096 1"
+    env = {**os.environ, "PYTHONPATH": str(Path(sampler.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", BREAKING_MOVE_SCRIPT],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert out.split() == expected.split()
+
+
+def test_rejected_proposals_skip_the_margin_assert(monkeypatch):
+    calls = 0
+    margins_ok = sampler._margins_ok
+
+    def counted(n, r, entries):
+        nonlocal calls
+        calls += 1
+        return margins_ok(n, r, entries)
+
+    monkeypatch.setattr(sampler, "_margins_ok", counted)
+    table = validate_table(5, 15, [[4, 3, 7, 0, 1], [5, 3, 3, 4, 0], [0, 2, 3, 4, 6],
+                                   [4, 4, 2, 2, 3], [2, 3, 0, 5, 5]])
+    config = WalkConfig(steps=0, seed=16, target="hypergeometric")
+    state = advance(ChainState.from_table(table, config), config, 10_000)
+    assert state.accepted_count < 9_000
+    assert calls <= 1 + state.accepted_count + 10_000 // 4096
 
 
 def test_as_equal_margin_table_rejects_unequal():
