@@ -19,7 +19,6 @@ from .analysis import (
     distance_between,
     distance_two_pairs,
     hemmecke_graph,
-    hemmecke_matrix,
     is_connected,
     liu_check,
     local_connectivity,
@@ -33,11 +32,8 @@ from .decomposition import (
 )
 from .enumeration import (
     Fiber,
-    GeneralFiber,
     count_fiber,
     enumerate_fiber,
-    enumerate_general_fiber,
-    margin_matrix,
 )
 from .graphs import (
     CsrGraph,

@@ -531,31 +531,6 @@ def hemmecke_graph(k: int) -> tuple[CsrGraph, ConnectivityReport]:
     return graph, vertex_connectivity(graph)
 
 
-def hemmecke_matrix(k: int) -> tuple[list[list[int]], list[int]]:
-    """(2k+1) x (4k+2) system whose non-negative solutions for b = e_{2k+1}
-    form the double-cube fiber: each of the first 2k rows ties one variable
-    pair to a cube selector, and the last row makes the selectors sum to 1."""
-    if k < 1:
-        raise InvalidDimensionError(f"need k >= 1, got {k}")
-    cols = 4 * k + 2
-    A: list[list[int]] = []
-    for i in range(k):
-        row = [0] * cols
-        row[2 * i] = row[2 * i + 1] = 1
-        row[4 * k] = -1
-        A.append(row)
-    for i in range(k):
-        row = [0] * cols
-        row[2 * k + 2 * i] = row[2 * k + 2 * i + 1] = 1
-        row[4 * k + 1] = -1
-        A.append(row)
-    last = [0] * cols
-    last[4 * k] = last[4 * k + 1] = 1
-    A.append(last)
-    b = [0] * (2 * k) + [1]
-    return A, b
-
-
 def articulation_vertices(graph: CsrGraph) -> list[int]:
     """Vertices whose removal disconnects the graph (checked by removal + BFS)."""
     vertices = range(graph.vertex_count)

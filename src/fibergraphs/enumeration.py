@@ -1,4 +1,4 @@
-"""Exhaustive enumeration of table fibers and of general non-negative solution sets.
+"""Exhaustive enumeration of table fibers.
 
 Two deliberately independent code paths cover the table fiber:
 
@@ -21,11 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidDimensionError,
-    SizeLimitExceededError,
-    UnboundedFiberError,
-)
+from .errors import InvalidDimensionError, SizeLimitExceededError
 from .tables import ContingencyTable
 
 DEFAULT_CAP = 10_000_000
@@ -184,168 +180,3 @@ def count_fiber(n: int, r: int) -> int:
     result = walk(n, (r,) * n)
     walk.cache_clear()
     return result
-
-
-@dataclass(frozen=True)
-class GeneralFiber:
-    """Non-negative integer solutions of A @ v == b, in lexicographic order."""
-
-    A: tuple[tuple[int, ...], ...]
-    b: tuple[int, ...]
-    points: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-_INF = None  # open upper bound marker inside interval propagation
-
-
-def _ceil_div(p: int, q: int) -> int:
-    return -((-p) // q)
-
-
-def _propagate(
-    A: Sequence[Sequence[int]],
-    b: Sequence[int],
-    lo: list[int],
-    hi: list[int | None],
-) -> bool:
-    """Tighten per-variable intervals from each equality row until a fixpoint.
-
-    ``hi[j] is None`` means x_j has no upper bound yet.  Returns False when
-    some interval becomes empty (no solutions in the current box).  Bounds
-    only ever tighten, so the loop terminates.
-    """
-    m = len(lo)
-    changed = True
-    while changed:
-        changed = False
-        for row, rhs in zip(A, b):
-            for j in range(m):
-                a = row[j]
-                if a == 0:
-                    continue
-                # box bounds of s = sum_{k != j} row[k] * x_k; None = unbounded
-                s_min: int | None = 0
-                s_max: int | None = 0
-                for k in range(m):
-                    c = row[k]
-                    if k == j or c == 0:
-                        continue
-                    if c > 0:
-                        if s_min is not None:
-                            s_min += c * lo[k]
-                        if s_max is not None:
-                            s_max = None if hi[k] is None else s_max + c * hi[k]
-                    else:
-                        if s_min is not None:
-                            s_min = None if hi[k] is None else s_min + c * hi[k]
-                        if s_max is not None:
-                            s_max += c * lo[k]
-                # a * x_j = rhs - s, so a * x_j lies in [rhs - s_max, rhs - s_min]
-                t_lo = None if s_max is None else rhs - s_max
-                t_hi = None if s_min is None else rhs - s_min
-                if a > 0:
-                    new_lo = None if t_lo is None else _ceil_div(t_lo, a)
-                    new_hi = None if t_hi is None else t_hi // a
-                else:
-                    new_lo = None if t_hi is None else _ceil_div(t_hi, a)
-                    new_hi = None if t_lo is None else t_lo // a
-                if new_lo is not None and new_lo > lo[j]:
-                    lo[j] = new_lo
-                    changed = True
-                if new_hi is not None and (hi[j] is None or new_hi < hi[j]):
-                    hi[j] = new_hi
-                    changed = True
-                if hi[j] is not None and lo[j] > hi[j]:
-                    return False
-    return True
-
-
-def enumerate_general_fiber(
-    A: Sequence[Sequence[int]],
-    b: Sequence[int],
-    cap: int = DEFAULT_CAP,
-) -> GeneralFiber:
-    """All v >= 0 with integer entries and A @ v == b, by pruned backtracking.
-
-    Per-variable intervals are derived from the rows of A and re-propagated
-    after each assignment.  Variables are assigned in descending order of
-    their number of nonzero coefficients (most-constrained first).
-
-    Raises UnboundedFiberError when propagation cannot bound some variable,
-    and SizeLimitExceededError past ``cap`` solutions.
-    """
-    if cap < 1:
-        raise InvalidDimensionError(f"cap must be >= 1, got {cap}")
-    A = tuple(tuple(int(x) for x in row) for row in A)
-    b = tuple(int(x) for x in b)
-    if len(A) != len(b):
-        raise InvalidDimensionError(
-            f"matrix has {len(A)} rows but the right-hand side has {len(b)}"
-        )
-    m = len(A[0]) if A else 0
-    if any(len(row) != m for row in A):
-        raise InvalidDimensionError("matrix rows have inconsistent lengths")
-
-    lo = [0] * m
-    hi: list[int | None] = [_INF] * m
-    feasible = _propagate(A, b, lo, hi)
-    if feasible:
-        for j in range(m):
-            if hi[j] is None:
-                raise UnboundedFiberError(j)
-
-    points: list[tuple[int, ...]] = []
-    if feasible:
-        nonzeros = [sum(1 for i in range(len(A)) if A[i][j] != 0) for j in range(m)]
-        order = sorted(range(m), key=lambda j: (-nonzeros[j], j))
-
-        def rec(pos: int, cur_lo: list[int], cur_hi: list[int | None]) -> None:
-            if pos == m:
-                v = tuple(cur_lo)
-                if any(
-                    sum(A[i][j] * v[j] for j in range(m)) != b[i]
-                    for i in range(len(A))
-                ):
-                    return
-                if len(points) >= cap:
-                    raise SizeLimitExceededError(cap, context="general fiber enumeration")
-                points.append(v)
-                return
-            j = order[pos]
-            assert cur_hi[j] is not None
-            for val in range(cur_lo[j], cur_hi[j] + 1):
-                nlo = list(cur_lo)
-                nhi = list(cur_hi)
-                nlo[j] = nhi[j] = val
-                if _propagate(A, b, nlo, nhi):
-                    rec(pos + 1, nlo, nhi)
-
-        rec(0, lo, hi)
-
-    points.sort()
-    return GeneralFiber(A, b, tuple(points))
-
-
-def margin_matrix(n: int) -> list[list[int]]:
-    """2n x n^2 constraint matrix of the row and column sums of a vectorized table.
-
-    Rows 0..n-1 are row-sum constraints, rows n..2n-1 column sums; vectorization
-    is row-major, matching ContingencyTable.row_major().
-    """
-    if n < 1:
-        raise InvalidDimensionError(f"need n >= 1, got {n}")
-    rows = []
-    for i in range(n):
-        v = [0] * (n * n)
-        for j in range(n):
-            v[i * n + j] = 1
-        rows.append(v)
-    for j in range(n):
-        v = [0] * (n * n)
-        for i in range(n):
-            v[i * n + j] = 1
-        rows.append(v)
-    return rows

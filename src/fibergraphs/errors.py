@@ -47,14 +47,6 @@ class SizeLimitExceededError(FiberGraphsError):
         super().__init__(f"{context} exceeded the configured cap of {cap}")
 
 
-class UnboundedFiberError(FiberGraphsError):
-    def __init__(self, variable: int):
-        self.variable = variable
-        super().__init__(
-            f"variable {variable + 1} cannot be bounded; the solution set may be infinite"
-        )
-
-
 # --- graph construction ---
 
 class ZeroWeightEdgeError(FiberGraphsError):

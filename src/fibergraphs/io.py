@@ -1,4 +1,4 @@
-"""File formats: table JSON/CSV, fiber exports, and constraint matrices.
+"""File formats: table JSON/CSV and fiber exports.
 
 Table JSON is {"n": int, "r": int, "rows": [[int, ...], ...]}; table CSV is n
 lines of n comma-separated integers with the dimension and margin inferred.
@@ -89,27 +89,35 @@ def parse_table_json(text: str) -> ContingencyTable:
                           _row_lists(payload["rows"], "table JSON"))
 
 
+def _read_table_file(path: str | Path) -> tuple[str, str]:
+    """(suffix, text) of a .json or .csv table file; other extensions are refused."""
+    path = Path(path)
+    suffix = path.suffix.lower()
+    if suffix not in (".json", ".csv"):
+        raise InvalidDimensionError(f"unrecognized table extension: {path.suffix!r}")
+    return suffix, _read_text(path)
+
+
 def load_table(path: str | Path) -> ContingencyTable:
     """Load a table, dispatching on the .json / .csv extension."""
-    path = Path(path)
-    text = _read_text(path)
-    if path.suffix.lower() == ".json":
-        return parse_table_json(text)
-    if path.suffix.lower() == ".csv":
-        return parse_table_csv(text)
-    raise InvalidDimensionError(f"unrecognized table extension: {path.suffix!r}")
+    suffix, text = _read_table_file(path)
+    return parse_table_json(text) if suffix == ".json" else parse_table_csv(text)
 
 
 def load_rows(path: str | Path) -> list[list[int]]:
-    """Raw rows from either format, without margin validation."""
-    path = Path(path)
-    text = _read_text(path)
-    if path.suffix.lower() == ".json":
-        payload = _parse_json(text)
-        rows = _row_lists(payload.get("rows") if isinstance(payload, dict) else payload, "JSON input")
-        return [[_integer(x, f"entry at row {i}, column {j}") for j, x in enumerate(row, 1)]
-                for i, row in enumerate(rows, 1)]
-    return parse_rows_csv(text)
+    """Raw rows from either format, without margin validation, except that a
+    JSON object's own n and r, when given, must be integers that fit the rows."""
+    suffix, text = _read_table_file(path)
+    if suffix == ".csv":
+        return parse_rows_csv(text)
+    payload = _parse_json(text)
+    rows = _row_lists(payload.get("rows") if isinstance(payload, dict) else payload, "JSON input")
+    rows = [[_integer(x, f"entry at row {i}, column {j}") for j, x in enumerate(row, 1)]
+            for i, row in enumerate(rows, 1)]
+    if isinstance(payload, dict) and payload.keys() & {"n", "r"}:
+        validate_table(_integer(payload.get("n", len(rows)), "n"),
+                       _integer(payload.get("r", sum(rows[0]) if rows else 0), "r"), rows)
+    return rows
 
 
 def table_to_json(t: ContingencyTable) -> str:
@@ -166,22 +174,6 @@ def fiber_to_csv(fiber: Fiber) -> str:
     header = "id," + ",".join(f"r{i}c{j}" for i in range(1, n + 1) for j in range(1, n + 1))
     columns = [np.arange(len(fiber)), *fiber.cells.T]
     return header + "\n" + format_rows(["", *[","] * (n * n), "\n"], columns)
-
-
-def load_matrix_json(path: str | Path) -> list[list[int]]:
-    """Integer matrix from {"rows": [[int, ...], ...]} (general fiber input)."""
-    payload = _parse_json(_read_text(Path(path)))
-    rows = payload.get("rows") if isinstance(payload, dict) else None
-    if not isinstance(rows, list) or not rows or not all(isinstance(row, list) for row in rows):
-        raise InvalidDimensionError('matrix JSON must be {"rows": [[int, ...], ...]}')
-    width = len(rows[0])
-    out = []
-    for i, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise InvalidDimensionError(f"matrix row {i} has length {len(row)}, expected {width}")
-        out.append([_integer(x, f"matrix entry at row {i}, column {j}")
-                    for j, x in enumerate(row, start=1)])
-    return out
 
 
 def parse_constraints(value: str) -> list[tuple[int, int]]:

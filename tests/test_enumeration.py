@@ -9,14 +9,8 @@ import numpy as np
 import pytest
 
 from fibergraphs import enumeration
-from fibergraphs.enumeration import (
-    count_fiber,
-    enumerate_fiber,
-    enumerate_general_fiber,
-    margin_matrix,
-)
-from fibergraphs.analysis import hemmecke_matrix
-from fibergraphs.errors import SizeLimitExceededError, UnboundedFiberError
+from fibergraphs.enumeration import count_fiber, enumerate_fiber
+from fibergraphs.errors import SizeLimitExceededError
 from fibergraphs.tables import validate_table
 
 from oracles import brute_fiber
@@ -161,42 +155,6 @@ def test_cap_trips_with_millions_of_row_compositions():
     # 8,006,001 row compositions fit under the cap; the second row's frontier does not
     done = _guarded_run(_TRIPS.format(n=3, r=4000), seconds=60)
     assert done.returncode == 3, done.stderr
-
-
-def test_general_fiber_line():
-    gf = enumerate_general_fiber([[1, 1]], [2])
-    assert gf.points == ((0, 2), (1, 1), (2, 0))
-
-
-def test_general_fiber_matches_margin_fiber():
-    for n, r in [(2, 2), (3, 2)]:
-        gf = enumerate_general_fiber(margin_matrix(n), [r] * (2 * n))
-        assert set(gf.points) == {t.row_major() for t in enumerate_fiber(n, r)}
-
-
-def test_general_fiber_hemmecke_sizes():
-    for k in (1, 2, 3):
-        A, b = hemmecke_matrix(k)
-        gf = enumerate_general_fiber(A, b)
-        assert len(gf) == 2 ** (k + 1)
-        for point in gf.points:
-            for row, rhs in zip(A, b):
-                assert sum(c * x for c, x in zip(row, point)) == rhs
-
-
-def test_general_fiber_unbounded_detected():
-    with pytest.raises(UnboundedFiberError):
-        enumerate_general_fiber([[1, -1]], [0])
-
-
-def test_general_fiber_infeasible_is_empty():
-    gf = enumerate_general_fiber([[1, 1], [1, 1]], [2, 3])
-    assert gf.points == ()
-
-
-def test_general_fiber_cap():
-    with pytest.raises(SizeLimitExceededError):
-        enumerate_general_fiber([[1, 1, 1]], [6], cap=3)
 
 
 def test_degenerate_fibers():

@@ -13,10 +13,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fibergraphs import io
 from fibergraphs.analysis import local_connectivity, vertex_connectivity
 from fibergraphs.decomposition import decompose_constrained, perfect_matching
 from fibergraphs.enumeration import count_fiber, enumerate_fiber
 from fibergraphs.graphs import CsrGraph, build_graph
+from fibergraphs.sampler import as_equal_margin_table
 from fibergraphs.tables import validate_table
 
 from oracles import (
@@ -150,3 +152,17 @@ def test_constrained_parts_are_permutations_over_shrinking_residuals(drawn):
     if positions:
         assert perfect_matching(t, positions[0]) == decompose_constrained(t, positions[:1]).parts[0]
     assert perfect_matching(t) == decompose_constrained(t, []).parts[0]
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), n=st.integers(1, 4), r=st.integers(0, 4), suffix=st.sampled_from([".json", ".csv"]))
+def test_test_and_sample_read_the_same_table(tmp_path_factory, data, n, r, suffix):
+    # test reads raw rows and checks their margins; sample and decompose read a table
+    fiber = _fiber(n, r)
+    t = fiber[data.draw(st.integers(0, len(fiber) - 1))]
+    path = tmp_path_factory.getbasetemp() / f"drawn{suffix}"
+    if suffix == ".json":
+        path.write_text(io.table_to_json(t))
+    else:
+        path.write_text("".join(",".join(map(str, row)) + "\n" for row in t.rows()))
+    assert as_equal_margin_table(io.load_rows(path)) == io.load_table(path) == t

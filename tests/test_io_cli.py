@@ -131,23 +131,11 @@ def test_parse_constraints_inline_and_file(tmp_path):
     assert io.parse_constraints(str(path)) == [(3, 3)]
 
 
-def test_load_matrix_json(tmp_path):
-    path = tmp_path / "A.json"
-    path.write_text('{"rows": [[1, 1, -1], [0, 1, 1]]}')
-    assert io.load_matrix_json(path) == [[1, 1, -1], [0, 1, 1]]
-    path.write_text('{"rows": [[1], [1, 2]]}')
-    with pytest.raises(InvalidDimensionError):
-        io.load_matrix_json(path)
-
-
 def test_json_inputs_reject_non_integers(tmp_path):
     path = tmp_path / "t.json"
     path.write_text('{"rows": [[1, 0], [0, true]]}')
     with pytest.raises(InvalidDimensionError, match="row 2, column 2"):
         io.load_rows(path)
-    path.write_text('{"rows": [[1, 1], [0, 2.0]]}')
-    with pytest.raises(InvalidDimensionError, match="row 2, column 2"):
-        io.load_matrix_json(path)
     with pytest.raises(InvalidDimensionError, match="constraint 2 row"):
         io.parse_constraints('[[1, 2], ["1.5", 1]]')
     with pytest.raises(InvalidDimensionError, match="constraint 1 column"):
@@ -157,7 +145,6 @@ def test_json_inputs_reject_non_integers(tmp_path):
 @pytest.mark.parametrize("reader, label", [
     ("parse_table_json", "JSON"),
     ("load_rows", "JSON"),
-    ("load_matrix_json", "JSON"),
     ("parse_constraints", "constraint JSON"),
 ])
 def test_json_inputs_report_malformed_json(tmp_path, reader, label):
@@ -170,16 +157,6 @@ def test_json_inputs_report_malformed_json(tmp_path, reader, label):
     with pytest.raises(InvalidDimensionError) as exc:
         getattr(io, reader)(argument)
     assert str(exc.value) == f"invalid {label}: {decode.value}"
-
-
-def test_matrix_json_feeds_general_fiber(tmp_path):
-    from fibergraphs.enumeration import enumerate_general_fiber, margin_matrix
-
-    path = tmp_path / "A.json"
-    path.write_text(json.dumps({"rows": margin_matrix(2)}))
-    A = io.load_matrix_json(path)
-    gf = enumerate_general_fiber(A, [2, 2, 2, 2])
-    assert len(gf) == 3
 
 
 # --- CLI ---
@@ -350,17 +327,21 @@ MALFORMED_TABLE_JSON = {
     "row-number": '{"n": 2, "r": 2, "rows": [[1, 1], 5]}',
     "r-bool": '{"n": 2, "r": true, "rows": [[1, 0], [0, 1]]}',
     "r-float": '{"n": 2, "r": 2.0, "rows": [[1, 1], [1, 1]]}',
+    "n-and-r-misfit": '{"n": 3, "r": 7, "rows": [[1, 2], [2, 1]]}',
+    "n-misfit": '{"n": 3, "rows": [[1, 2], [2, 1]]}',
+    "r-misfit": '{"r": 4, "rows": [[1, 2], [2, 1]]}',
 }
 
 
-@pytest.mark.parametrize("command", ["decompose", "sample"])
+@pytest.mark.parametrize("command", ["decompose", "sample", "test"])
 @pytest.mark.parametrize("payload", sorted(MALFORMED_TABLE_JSON))
 def test_cli_malformed_table_json_is_a_data_error(tmp_path, capsys, command, payload):
-    # these used to end in a TypeError traceback or, for r, run with the margin True
+    # these used to end in a TypeError traceback or, for r, run with the margin True;
+    # test read only the rows, so it printed a p-value for all but the two bad-rows payloads
     table = tmp_path / "t.json"
     table.write_text(MALFORMED_TABLE_JSON[payload])
     argv = [command, "--table", str(table)]
-    if command == "sample":
+    if command != "decompose":
         argv += ["--steps", "3", "--seed", "1"]
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -434,6 +415,31 @@ def test_cli_test_rejects_fractional_table(tmp_path, capsys):
     table.write_text("[[1.7, 0.3], [0.3, 1.7]]")
     assert main(["test", "--table", str(table), "--steps", "10", "--seed", "1"]) == 1
     assert "row 1, column 1 is not an integer: 1.7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [
+    "[[1, 2], [2, 1]]",
+    '{"rows": [[1, 2], [2, 1]]}',
+    '{"n": 2, "rows": [[1, 2], [2, 1]]}',
+    '{"n": 2, "r": 3, "rows": [[1, 2], [2, 1]]}',
+])
+def test_load_rows_takes_rows_alone_or_with_a_fitting_n_and_r(tmp_path, payload):
+    path = tmp_path / "t.json"
+    path.write_text(payload)
+    assert io.load_rows(path) == [[1, 2], [2, 1]]
+
+
+@pytest.mark.parametrize("command", ["test", "sample"])
+def test_cli_refuses_an_unknown_table_extension(tmp_path, capsys, command):
+    # test used to read every extension but .json as CSV
+    table = tmp_path / "t.tsv"
+    table.write_text("1,2\n2,1\n")
+    argv = [command, "--table", str(table), "--steps", "10", "--seed", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: unrecognized table extension: '.tsv'\n"
+    for reader in (io.load_rows, io.load_table):
+        with pytest.raises(InvalidDimensionError, match="unrecognized table extension: '.tsv'"):
+            reader(table)
 
 
 @pytest.mark.parametrize("command", ["test", "sample"])
