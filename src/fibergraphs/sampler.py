@@ -10,12 +10,16 @@ kernel symmetric (a lazy walk).  Two stationary targets are supported:
   conditional null distribution used by exact tests; the acceptance ratio
   only involves the four changed cells and is evaluated in log space.
 
+``advance``, ``run_walk`` and ``exact_test`` run each stretch of steps (burn-in,
+then the sampled steps) as one loop of the kernel, which checks the margins.
+
 Randomness comes from numpy's PCG64 bit generator seeded with a 64-bit
-integer.  The walk reads its raw 64-bit outputs in blocks and decodes them
-itself, exactly as ``Generator.integers(M)`` and ``Generator.random()``
-consume the same words: a move id is Lemire's bounded draw on a 32-bit half
-(low half of a fresh word first, high half buffered for the next draw), and
-an acceptance uniform is one whole word, ``(w >> 11) * 2**-53``, leaving any
+integer.  The walk fetches its raw 64-bit outputs in blocks, decodes each
+word once with numpy, and consumes the words exactly as
+``Generator.integers(M)`` and ``Generator.random()`` do: a move id is
+Lemire's bounded draw on a 32-bit half (low half of a fresh word first, high
+half buffered for the next draw, across a block refill too), and an
+acceptance uniform is one whole word, ``(w >> 11) * 2**-53``, leaving any
 buffered half in place.  The trajectory is therefore a function of the
 (seed, config, start) triple and PCG64's raw output alone.  numpy keeps a bit
 generator's raw stream fixed across releases and platforms, while
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -158,9 +162,9 @@ _LOW32 = 0xFFFFFFFF
 class ChainState:
     """Mutable running state of one chain; entries is always a fiber member.
 
-    The random stream is the bit generator's raw words, read in blocks:
-    ``words`` is the current block, ``cursor`` its next unread word and
-    ``half`` the buffered high 32 bits of a word (-1 when none is buffered).
+    The stream position is the next unread word ``cursor`` of the block
+    ``lows``, ``highs`` and ``uniforms``, decoded for ``len(moves)`` moves by
+    ``_decode_block``, and the buffered high-half move id ``half`` (or None).
     """
 
     n: int
@@ -171,9 +175,11 @@ class ChainState:
     step_index: int = 0
     accepted_count: int = 0
     visits: VisitCounter = field(default_factory=VisitCounter)
-    words: list[int] = field(default_factory=list)
-    cursor: int = 0
-    half: int = -1
+    lows: list[int] = field(default_factory=list)
+    highs: list[int] = field(default_factory=list)
+    uniforms: list[float] = field(default_factory=list)
+    cursor: int = _BLOCK  # the first draw fetches a block
+    half: int | None = None
 
     @classmethod
     def from_table(cls, start: ContingencyTable, config: WalkConfig) -> "ChainState":
@@ -181,40 +187,28 @@ class ChainState:
         return cls(start.n, start.r, list(start.row_major()), bitgen, move_cells(start.n))
 
 
-def _next_word(state: ChainState) -> int:
-    """The next raw 64-bit output of the chain's bit generator."""
-    cursor = state.cursor
-    if cursor == len(state.words):
-        state.words = state.bitgen.random_raw(_BLOCK).tolist()
-        cursor = 0
-    state.cursor = cursor + 1
-    return state.words[cursor]
+def _decode_block(bitgen: np.random.PCG64, m: int) -> tuple[list[int], list[int], list[float]]:
+    """The next _BLOCK raw words, each decoded once for 1 <= m < 2**32 moves:
+    the move ids of its low and high halves by Lemire's multiply-shift (Lemire
+    2019, "Fast random integer generation in an interval"), -1 where it rejects,
+    and its uniform, as Generator.integers(m) and Generator.random() take them."""
+    words = bitgen.random_raw(_BLOCK)
+    threshold = (2**32 - m) % m
+    lows, highs = (
+        np.where((x & _LOW32) < threshold, -1, (x >> 32).astype(np.int64)).tolist()
+        for x in ((words & _LOW32) * np.uint64(m), (words >> 32) * np.uint64(m))
+    )
+    return lows, highs, ((words >> 11) * 2.0**-53).tolist()
 
 
-def _draw_index(state: ChainState, m: int) -> int:
-    """A uniform integer in [0, m) for 2 <= m < 2**32, as Generator.integers(m).
-
-    Lemire's multiply-shift on 32-bit halves (Lemire 2019, "Fast random
-    integer generation in an interval"): a draw x is rejected when
-    (x * m) mod 2**32 falls below (2**32 - m) mod m, which is at most m.
-    """
-    while True:
-        x = state.half
-        if x < 0:
-            w = _next_word(state)
-            x = w & _LOW32
-            state.half = w >> 32
-        else:
-            state.half = -1
-        x *= m
-        low = x & _LOW32
-        if low >= m or low >= (2**32 - m) % m:
-            return x >> 32
-
-
-def _draw_uniform(state: ChainState) -> float:
-    """A uniform float in [0, 1) from one whole word, as Generator.random()."""
-    return (_next_word(state) >> 11) * 2.0**-53
+class _Logs(dict):
+    """log(k) memoised by value, filled lazily and emptied at 4096 values:
+    its size follows neither r nor the run length."""
+    def __missing__(self, k: int) -> float:
+        if len(self) == 4096:
+            self.clear()
+        value = self[k] = math.log(k)
+        return value
 
 
 def _margins_ok(n: int, r: int, entries: list[int]) -> bool:
@@ -226,6 +220,64 @@ def _margins_ok(n: int, r: int, entries: list[int]) -> bool:
     return min(entries) >= 0
 
 
+def _chain(state: ChainState, config: WalkConfig, count: int, every: int) -> Iterator[int]:
+    """Run count transitions in one loop (see ``advance``), yielding the step
+    index after every ``every`` of them and after the last; a move id of -1
+    is Lemire's rejection and draws again."""
+    n, r, entries, moves = state.n, state.r, state.entries, state.moves
+    m = len(moves)
+    hypergeometric = config.target is Target.HYPERGEOMETRIC
+    log, exp, bitgen, block = _Logs(), math.exp, state.bitgen, _BLOCK
+    lows, highs, uniforms, cursor, half = (
+        state.lows, state.highs, state.uniforms, state.cursor, state.half)
+    t, accepted, stop = state.step_index, state.accepted_count, state.step_index + count
+    moved = True  # the entries may have changed since the last assert
+    try:
+        while t < stop:
+            for t in range(t + 1, min(t + every, stop) + 1):
+                if moved:
+                    assert _margins_ok(n, r, entries)
+                    moved = False
+                if t % 4096 == 0 and not _margins_ok(n, r, entries):
+                    raise InvalidDimensionError("chain state left the fiber (corrupted margins)")
+                if not m:
+                    continue
+                k = -1
+                while k < 0:
+                    if half is None:
+                        if cursor == block:
+                            lows, highs, uniforms = _decode_block(bitgen, m)
+                            cursor = 0
+                        k, half = lows[cursor], highs[cursor]
+                        cursor += 1
+                    else:
+                        k, half = half, None
+                sub1, sub2, add1, add2 = moves[k]
+                a, b = entries[sub1], entries[sub2]
+                if a < 1 or b < 1:
+                    continue  # lazy self-loop
+                if hypergeometric:
+                    log_ratio = log[a] + log[b] - log[entries[add1] + 1] - log[entries[add2] + 1]
+                    if log_ratio < 0:
+                        if cursor == block:
+                            lows, highs, uniforms = _decode_block(bitgen, m)
+                            cursor = 0
+                        cursor += 1
+                        if uniforms[cursor - 1] >= exp(log_ratio):
+                            continue
+                entries[sub1] = a - 1
+                entries[sub2] = b - 1
+                entries[add1] += 1
+                entries[add2] += 1
+                accepted += 1
+                moved = True
+            yield t
+    finally:
+        state.step_index, state.accepted_count = t, accepted
+        state.lows, state.highs, state.uniforms = lows, highs, uniforms
+        state.cursor, state.half = cursor, half
+
+
 def advance(state: ChainState, config: WalkConfig, count: int) -> ChainState:
     """Run count Metropolis-Hastings transitions; mutates and returns the state.
 
@@ -233,46 +285,16 @@ def advance(state: ChainState, config: WalkConfig, count: int) -> ChainState:
     every valid proposal; the hypergeometric target accepts with probability
     min(1, prod(old subtracted cells) / prod(new added cells)).
 
-    Under assertions (stripped by -O) the margins are checked before the
-    first proposal of each call and before the proposal after every accepted
-    move; only an accepted move writes the entries, so a check skipped after
-    a rejection would repeat one that passed.  They are also checked
-    unconditionally every 4096 steps.  The step and acceptance counters are
-    written back even when a check raises.
+    The call is one kernel run, as are the stretches of ``run_walk`` and
+    ``exact_test``.  Under assertions (stripped by -O) the margins are checked
+    before the first proposal of each kernel run and before the proposal
+    after every accepted move; only an accepted move writes the entries, so a
+    check skipped after a rejection would repeat one that passed.  They are
+    also checked unconditionally every 4096 steps.  The counters and the
+    stream position are written back even when a check raises.
     """
-    n, r, entries, moves = state.n, state.r, state.entries, state.moves
-    m = len(moves)
-    hypergeometric = config.target is Target.HYPERGEOMETRIC
-    log, exp = math.log, math.exp
-    t = state.step_index
-    accepted = state.accepted_count
-    moved = True  # the entries may have changed since the last assert
-    try:
-        for t in range(t + 1, t + count + 1):
-            if moved:
-                assert _margins_ok(n, r, entries)
-                moved = False
-            if t % 4096 == 0 and not _margins_ok(n, r, entries):
-                raise InvalidDimensionError("chain state left the fiber (corrupted margins)")
-            if not m:
-                continue
-            sub1, sub2, add1, add2 = moves[_draw_index(state, m)]
-            a, b = entries[sub1], entries[sub2]
-            if a < 1 or b < 1:
-                continue  # lazy self-loop
-            if hypergeometric:
-                log_ratio = log(a) + log(b) - log(entries[add1] + 1) - log(entries[add2] + 1)
-                if log_ratio < 0 and _draw_uniform(state) >= exp(log_ratio):
-                    continue
-            entries[sub1] = a - 1
-            entries[sub2] = b - 1
-            entries[add1] += 1
-            entries[add2] += 1
-            accepted += 1
-            moved = True
-    finally:
-        state.step_index = t
-        state.accepted_count = accepted
+    for _ in _chain(state, config, count, count):
+        pass
     return state
 
 
@@ -295,11 +317,10 @@ def run_walk(
     if not config.steps:
         return state, samples
     advance(state, config, config.burn_in)
-    for k in range(1, config.steps - config.burn_in + 1):
-        advance(state, config, 1)
+    for t in _chain(state, config, config.steps - config.burn_in, 1):
         key = tuple(state.entries)
         state.visits.record(key)
-        if k % config.thinning == 0:
+        if (t - config.burn_in) % config.thinning == 0:
             samples.append(key)
     return state, samples
 
@@ -418,8 +439,7 @@ def exact_test(
     hits: list[bool] = []
     if config.steps:
         advance(state, config, config.burn_in)
-        for _ in range(config.samples_expected):
-            advance(state, config, config.thinning)
+        for _ in _chain(state, config, config.samples_expected * config.thinning, config.thinning):
             hits.append(sum(map(mul, state.entries, state.entries)) >= threshold)
     if not hits:
         return ExactTestResult(statistic, float("nan"), float("nan"), 0)

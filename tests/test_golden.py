@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import tracemalloc
 from dataclasses import astuple
 
 import pytest
@@ -35,6 +36,8 @@ from fibergraphs.cli import main
 from fibergraphs.decomposition import decompose, decompose_constrained
 from fibergraphs.enumeration import count_fiber, enumerate_fiber
 from fibergraphs.graphs import DOT_VERTEX_LIMIT, build_graph
+from fibergraphs.sampler import ChainState, WalkConfig, advance
+from fibergraphs.tables import validate_table
 
 INSTANCES = [(n, r) for n in range(1, 5) for r in range(4)]
 
@@ -300,6 +303,23 @@ def test_walk_output_bytes_unchanged(kind, tmp_path, capsys):
 def test_huge_margin_walk_output_bytes_unchanged(kind, tmp_path, capsys):
     flags, expected = GOLDEN_HUGE_WALKS[kind]
     assert _walk_digest(HUGE_TABLES, flags, tmp_path, capsys) == expected
+
+
+@pytest.mark.parametrize("target", ["uniform", "hypergeometric"])
+def test_huge_margin_walk_memory_stays_flat(target):
+    # the hypergeometric kernel memoises log(k) by value: a table of logs
+    # sized by r = 10**15 would never fit, and the memo must stay small
+    rows = [[int(x) for x in line.split(",")] for line in HUGE_TABLES["margin-1e15"].split()]
+    table = validate_table(2, 10**15, rows)
+    config = WalkConfig(steps=0, seed=46, target=target)
+    advance(ChainState.from_table(table, config), config, 10)  # numpy's lazy imports
+    tracemalloc.start()
+    try:
+        advance(ChainState.from_table(table, config), config, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # (n, r) -> sha256 of the detour report of every distance-2 pair, in order

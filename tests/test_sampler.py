@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -27,13 +28,16 @@ from fibergraphs.sampler import (
     step,
     transition_probabilities,
 )
-from fibergraphs.tables import validate_table
+from fibergraphs.tables import move_cells, validate_table
 
 from oracles import hypergeometric_mass
 
 T0 = validate_table(2, 2, [[0, 2], [2, 0]])
 T1 = validate_table(2, 2, [[1, 1], [1, 1]])
 T2 = validate_table(2, 2, [[2, 0], [0, 2]])
+# a 5 x 5 margin-15 table on which many hypergeometric proposals are rejected
+T5 = validate_table(5, 15, [[4, 3, 7, 0, 1], [5, 3, 3, 4, 0], [0, 2, 3, 4, 6],
+                            [4, 4, 2, 2, 3], [2, 3, 0, 5, 5]])
 
 
 def test_config_validation():
@@ -112,20 +116,102 @@ def test_step_preserves_fiber_membership():
     assert state.accepted_count <= state.step_index
 
 
+class _BlockReader:
+    """Draws read from ``sampler._decode_block``'s blocks by the stream rule
+    of the sampler's module docstring."""
+
+    def __init__(self, seed: int, m: int):
+        self.bitgen, self.m = np.random.PCG64(seed), m
+        self.cursor, self.half = sampler._BLOCK, None
+
+    def _word(self) -> int:
+        if self.cursor == sampler._BLOCK:
+            self.lows, self.highs, self.uniforms = sampler._decode_block(self.bitgen, self.m)
+            self.cursor = 0
+        self.cursor += 1
+        return self.cursor - 1
+
+    def index(self) -> int:
+        k = -1
+        while k < 0:
+            if self.half is None:
+                i = self._word()
+                k, self.half = self.lows[i], self.highs[i]
+            else:
+                k, self.half = self.half, None
+        return k
+
+    def uniform(self) -> float:
+        i = self._word()
+        return self.uniforms[i]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
 @pytest.mark.parametrize("m", [2, 18, 72, 200, 3 * 2**30])
 def test_raw_word_draws_match_numpy_generator(seed, m):
     # 2, 18, 72 and 200 are the move counts for n = 2..5; m = 3 * 2**30
     # rejects a quarter of its 32-bit draws, so only it reaches Lemire's
     # retry loop, which the walks almost never do
-    state = ChainState.from_table(T1, WalkConfig(steps=0, seed=seed))
+    reader = _BlockReader(seed, m)
     generator = np.random.Generator(np.random.PCG64(seed))
     order = random.Random(seed + m)
     for _ in range(10_000):
         if order.random() < 0.5:
-            assert sampler._draw_index(state, m) == generator.integers(m)
+            assert reader.index() == generator.integers(m)
         else:
-            assert sampler._draw_uniform(state) == generator.random()
+            assert reader.uniform() == generator.random()
+
+
+def test_buffered_half_survives_a_block_refill():
+    reader = _BlockReader(5, 18)
+    generator = np.random.Generator(np.random.PCG64(5))
+    assert reader.index() == generator.integers(18)  # buffers the first word's high half
+    for _ in range(sampler._BLOCK - 1):
+        assert reader.uniform() == generator.random()
+    assert reader.cursor == sampler._BLOCK and reader.half is not None
+    assert reader.uniform() == generator.random()  # fetches and decodes the next block
+    assert reader.cursor == 1
+    assert reader.index() == generator.integers(18)  # the first block's buffered half
+
+
+@pytest.mark.parametrize("target", ["uniform", "hypergeometric"])
+def test_walk_draws_as_numpy_generator_does(target):
+    # the same walk on Generator.integers() and Generator.random(), checked
+    # at every post-burn-in step; it counts the hypergeometric uniforms that
+    # start a new block while a high half is buffered
+    config = WalkConfig(steps=30_000, seed=16, burn_in=1000, target=target)
+    _, samples = run_walk(T5, config)
+    generator = np.random.Generator(np.random.PCG64(16))
+    moves, entries = move_cells(5), list(T5.row_major())
+    words, buffered, refills_past_a_half = 0, False, 0
+    for t in range(1, config.steps + 1):
+        sub1, sub2, add1, add2 = moves[generator.integers(len(moves))]
+        words += not buffered  # a fresh word, whose high half is then buffered
+        buffered = not buffered
+        a, b = entries[sub1], entries[sub2]
+        accept = a >= 1 and b >= 1
+        if accept and target == "hypergeometric":
+            log_ratio = (math.log(a) + math.log(b)
+                         - math.log(entries[add1] + 1) - math.log(entries[add2] + 1))
+            if log_ratio < 0:
+                refills_past_a_half += buffered and words % sampler._BLOCK == 0
+                words += 1
+                accept = generator.random() < math.exp(log_ratio)
+        if accept:
+            entries[sub1] -= 1
+            entries[sub2] -= 1
+            entries[add1] += 1
+            entries[add2] += 1
+        if t > config.burn_in:
+            assert tuple(entries) == samples[t - config.burn_in - 1]
+    assert refills_past_a_half > 0 or target == "uniform"
+
+
+def test_log_memo_stays_bounded():
+    logs = sampler._Logs()
+    for k in range(1, 10_000):
+        assert logs[k] == math.log(k)
+    assert len(logs) <= 4096
 
 
 def test_uniform_walk_visits_whole_fiber():
@@ -200,10 +286,10 @@ def test_zero_margin_fails_before_the_walk(monkeypatch):
     with pytest.raises(InvalidDimensionError):
         chi_square_statistic(zero)
 
-    def no_walk(state, config, count):
+    def no_walk(state, config, count, every):
         raise AssertionError("the walk started")
 
-    monkeypatch.setattr(sampler, "advance", no_walk)
+    monkeypatch.setattr(sampler, "_chain", no_walk)
     with pytest.raises(InvalidDimensionError):
         exact_test([[0, 0], [0, 0]], WalkConfig(steps=3, seed=1))
 
@@ -283,6 +369,12 @@ def test_margins_are_checked_after_every_accepted_move(flags):
 
 
 def test_rejected_proposals_skip_the_margin_assert(monkeypatch):
+    # run_walk and exact_test run the burn-in and then the sampled stretch as
+    # two kernel runs, on the same stream as one advance call over all steps
+    config = WalkConfig(steps=10_000, seed=16, burn_in=1000, thinning=10,
+                        target="hypergeometric")
+    accepted = advance(ChainState.from_table(T5, config), config, 10_000).accepted_count
+    assert accepted < 9_000
     calls = 0
     margins_ok = sampler._margins_ok
 
@@ -292,12 +384,15 @@ def test_rejected_proposals_skip_the_margin_assert(monkeypatch):
         return margins_ok(n, r, entries)
 
     monkeypatch.setattr(sampler, "_margins_ok", counted)
-    table = validate_table(5, 15, [[4, 3, 7, 0, 1], [5, 3, 3, 4, 0], [0, 2, 3, 4, 6],
-                                   [4, 4, 2, 2, 3], [2, 3, 0, 5, 5]])
-    config = WalkConfig(steps=0, seed=16, target="hypergeometric")
-    state = advance(ChainState.from_table(table, config), config, 10_000)
-    assert state.accepted_count < 9_000
-    assert calls <= 1 + state.accepted_count + 10_000 // 4096
+    for walk, runs in (("advance", 1), ("run_walk", 2), ("exact_test", 2)):
+        calls = 0
+        if walk == "advance":
+            advance(ChainState.from_table(T5, config), config, 10_000)
+        elif walk == "run_walk":
+            assert run_walk(T5, config)[0].accepted_count == accepted
+        else:
+            exact_test(T5, config)
+        assert calls <= runs + accepted + 10_000 // 4096, walk
 
 
 def test_as_equal_margin_table_rejects_unequal():
