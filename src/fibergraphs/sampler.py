@@ -11,7 +11,9 @@ kernel symmetric (a lazy walk).  Two stationary targets are supported:
   only involves the four changed cells and is evaluated in log space.
 
 ``advance``, ``run_walk`` and ``exact_test`` run each stretch of steps (burn-in,
-then the sampled steps) as one loop of the kernel, which checks the margins.
+then the sampled steps) as one loop of the kernel.  The kernel sums all n^2
+entries on entry and every 4096 steps; after an accepted move it sums them
+again only when ``_keeps_margins`` cannot prove that the move keeps them.
 
 Randomness comes from numpy's PCG64 bit generator seeded with a 64-bit
 integer.  The walk fetches its raw 64-bit outputs in blocks, decodes each
@@ -220,12 +222,34 @@ def _margins_ok(n: int, r: int, entries: list[int]) -> bool:
     return min(entries) >= 0
 
 
+def _keeps_margins(n: int, move: tuple[int, int, int, int]) -> bool:
+    """Whether the kernel's writes for move = (sub1, sub2, add1, add2) keep
+    every margin of an n x n table: the four cells are distinct and in range,
+    so the writes change exactly those entries by -1, -1, +1, +1, and the
+    added cells lie on the same rows and on the same columns, as multisets, as
+    the subtracted ones."""
+    sub1, sub2, add1, add2 = move
+    return (
+        len(set(move)) == 4
+        and all(0 <= c < n * n for c in move)
+        and sorted((sub1 // n, sub2 // n)) == sorted((add1 // n, add2 // n))
+        and sorted((sub1 % n, sub2 % n)) == sorted((add1 % n, add2 % n))
+    )
+
+
 def _chain(state: ChainState, config: WalkConfig, count: int, every: int) -> Iterator[int]:
     """Run count transitions in one loop (see ``advance``), yielding the step
     index after every ``every`` of them and after the last; a move id of -1
-    is Lemire's rejection and draws again."""
+    is Lemire's rejection and draws again.
+
+    The full margin assert is skipped after a move that ``_keeps_margins``
+    proves, which is sound only while nothing else writes ``state.entries``
+    between yields: ``advance`` ignores them there, and ``run_walk`` and
+    ``exact_test`` only read them.
+    """
     n, r, entries, moves = state.n, state.r, state.entries, state.moves
     m = len(moves)
+    keeps = [None] * m  # _keeps_margins of each move id, filled when first accepted
     hypergeometric = config.target is Target.HYPERGEOMETRIC
     log, exp, bitgen, block = _Logs(), math.exp, state.bitgen, _BLOCK
     lows, highs, uniforms, cursor, half = (
@@ -270,7 +294,10 @@ def _chain(state: ChainState, config: WalkConfig, count: int, every: int) -> Ite
                 entries[add1] += 1
                 entries[add2] += 1
                 accepted += 1
-                moved = True
+                keep = keeps[k]
+                if keep is None:
+                    keep = keeps[k] = _keeps_margins(n, moves[k])
+                moved = not keep
             yield t
     finally:
         state.step_index, state.accepted_count = t, accepted
@@ -287,11 +314,15 @@ def advance(state: ChainState, config: WalkConfig, count: int) -> ChainState:
 
     The call is one kernel run, as are the stretches of ``run_walk`` and
     ``exact_test``.  Under assertions (stripped by -O) the margins are checked
-    before the first proposal of each kernel run and before the proposal
-    after every accepted move; only an accepted move writes the entries, so a
-    check skipped after a rejection would repeat one that passed.  They are
-    also checked unconditionally every 4096 steps.  The counters and the
-    stream position are written back even when a check raises.
+    over all n^2 entries before the first proposal of each kernel run, which
+    catches entries written from outside between calls, and before the
+    proposal after an accepted move that ``_keeps_margins`` does not prove.
+    Only an accepted move writes the entries, and a proven move changes four
+    distinct entries by -1, -1, +1, +1 on the same two rows and the same two
+    columns, so a check skipped after a rejection or a proven move would
+    repeat one that passed.  The margins are also checked unconditionally
+    every 4096 steps.  The counters and the stream position are written back
+    even when a check raises.
     """
     for _ in _chain(state, config, count, count):
         pass

@@ -18,8 +18,8 @@ from fibergraphs.analysis import local_connectivity, vertex_connectivity
 from fibergraphs.decomposition import decompose_constrained, perfect_matching
 from fibergraphs.enumeration import count_fiber, enumerate_fiber
 from fibergraphs.graphs import CsrGraph, build_graph
-from fibergraphs.sampler import as_equal_margin_table
-from fibergraphs.tables import validate_table
+from fibergraphs.sampler import _keeps_margins, _margins_ok, as_equal_margin_table
+from fibergraphs.tables import move_cells, validate_table
 
 from oracles import (
     brute_distance_two_pairs,
@@ -109,6 +109,35 @@ def test_kappa_is_the_least_flow_over_distance_two_pairs(rows):
 
 
 _fiber = lru_cache(maxsize=None)(enumerate_fiber)
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), n=st.integers(1, 4), r=st.integers(1, 3))
+def test_a_proven_move_keeps_the_margins(data, n, r):
+    # any four cells, or a basis move's cells in any order (a third of the
+    # orders keep the margins); the kernel's writes then keep the table in G(n, r)
+    cells = st.integers(-n * n, n * n)
+    shapes = [st.tuples(cells, cells, cells, cells)]
+    if n >= 2:
+        shapes.append(st.sampled_from(move_cells(n)).flatmap(st.permutations).map(tuple))
+    move = data.draw(st.one_of(shapes))
+    if not _keeps_margins(n, move):
+        return
+    sub1, sub2, add1, add2 = move
+    fiber = _fiber(n, r)
+    tables = np.flatnonzero((fiber.cells[:, sub1] >= 1) & (fiber.cells[:, sub2] >= 1))
+    entries = fiber.cells[data.draw(st.sampled_from(tables.tolist()))].tolist()
+    a, b = entries[sub1], entries[sub2]
+    entries[sub1] = a - 1
+    entries[sub2] = b - 1
+    entries[add1] += 1
+    entries[add2] += 1
+    assert _margins_ok(n, r, entries)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_basis_move_is_proven(n):
+    assert all(_keeps_margins(n, move) for move in move_cells(n))
 
 
 @st.composite

@@ -342,11 +342,11 @@ except InvalidDimensionError:
 """
 
 
-def _first_accepted_step(seed: int) -> int:
+def _first_accepted_step(seed: int, move=(0, 4, 1, 1)) -> int:
     """The step at which the breaking move is first accepted, one call per step."""
     config = WalkConfig(steps=0, seed=seed, target="hypergeometric")
     state = ChainState.from_table(validate_table(3, 3, [[1, 1, 1]] * 3), config)
-    state.moves = ((0, 4, 1, 1),)
+    state.moves = (move,)
     while not state.accepted_count:
         advance(state, config, 1)
     return state.step_index
@@ -393,6 +393,50 @@ def test_rejected_proposals_skip_the_margin_assert(monkeypatch):
         else:
             exact_test(T5, config)
         assert calls <= runs + accepted + 10_000 // 4096, walk
+
+
+@pytest.mark.parametrize("move", [
+    pytest.param((0, 0, 1, 3), id="repeated-subtracted-cell"),
+    pytest.param((1, 3, 0, 0), id="repeated-added-cell"),
+    pytest.param((0, 0, 0, 0), id="one-cell-four-times"),  # only distinctness rejects it
+    pytest.param((0, 4, -1, 8), id="negative-index"),  # -1 wraps to 8
+    pytest.param((0, 4, 6, 7), id="row-mismatch"),
+    pytest.param((0, 4, 2, 5), id="column-mismatch"),
+])
+def test_malformed_moves_are_caught_on_the_next_step(move):
+    # each breaks the margins of the all-ones 3 x 3 table once accepted, so it
+    # is not proven and the full assert runs on the following step
+    assert not sampler._keeps_margins(3, move)
+    accepted_at = _first_accepted_step(7, move)
+    config = WalkConfig(steps=0, seed=7, target="hypergeometric")
+    state = ChainState.from_table(validate_table(3, 3, [[1, 1, 1]] * 3), config)
+    state.moves = (move,)
+    with pytest.raises(AssertionError):
+        advance(state, config, 10_000)
+    assert (state.step_index, state.accepted_count) == (accepted_at + 1, 1)
+
+
+def test_proven_moves_skip_the_margin_assert(monkeypatch):
+    # every move of move_cells(5) keeps the margins, so past the entry check of
+    # each kernel run only the check every 4096 steps reads all n^2 entries
+    config = WalkConfig(steps=10_000, seed=16, burn_in=1000, thinning=10,
+                        target="hypergeometric")
+    calls = 0
+    margins_ok = sampler._margins_ok
+
+    def counted(n, r, entries):
+        nonlocal calls
+        calls += 1
+        return margins_ok(n, r, entries)
+
+    monkeypatch.setattr(sampler, "_margins_ok", counted)
+    for walk, runs in ((advance, 1), (run_walk, 2), (exact_test, 2)):
+        calls = 0
+        if walk is advance:
+            advance(ChainState.from_table(T5, config), config, 10_000)
+        else:
+            walk(T5, config)
+        assert calls <= runs + 10_000 // 4096, walk.__name__
 
 
 def test_as_equal_margin_table_rejects_unequal():
