@@ -17,17 +17,22 @@ criterion asks for.  One max-flow sweep over those pairs, each search
 capped at the least flow found so far, is run once per graph and answers
 both.
 
-Distances and local connectivity are invariant under graph automorphisms, so
-the diameter and the distance-2 sweep visit one representative per orbit:
-the first member in sweep order.  A fiber graph brings its symmetry group
-(checked generators); a plain ``CsrGraph`` has none, so there each vertex
-and each pair is its own orbit.
+Distances, local connectivity and shared moves are invariant under graph
+automorphisms, so the sweeps visit one member per orbit.  The diameter runs
+one BFS per vertex orbit, from its first member, a representative.  The
+pair sweeps are anchored: the least member (x, y), x < y, of any orbit of
+unordered pairs has x a representative, since a symmetry mapping x to the
+first member of its orbit would give a smaller pair.  So they read only the
+pairs (rep, w), w > rep, found by one two-hop pass over the representatives'
+rows per graph.  A fiber graph brings its symmetry group (checked
+generators); a plain ``CsrGraph`` has none, so there every vertex is a
+representative and every pair its own orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -39,7 +44,7 @@ from .errors import (
     InvalidDimensionError,
     NotDistanceTwoError,
 )
-from .graphs import CsrGraph, FiberGraph, row_arcs
+from .graphs import CsrGraph, FiberGraph, row_arcs, symmetry_maps, two_hop_pairs
 from .tables import (
     ContingencyTable,
     MarkovMove,
@@ -51,7 +56,6 @@ from .tables import (
 )
 
 _POPCOUNT = np.array([bin(x).count("1") for x in range(256)], dtype=np.uint8)
-_PAIR_CHUNK = 1 << 16  # pairs scored at a time by min_common_moves_over_close_pairs
 
 
 # --- orbits ---
@@ -70,22 +74,6 @@ def _orbit_labels(size: int, perms: Sequence[np.ndarray]) -> np.ndarray:
         if np.array_equal(new, labels):
             return labels
         labels = new
-
-
-def _pair_images(pairs: np.ndarray, size: int, perms: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """For each vertex permutation, the position in ``pairs`` of every
-    pair's image, pairs compared unordered (keys min * size + max).
-
-    ``pairs`` is a (P, 2) array sorted by (u, w) with u < w, as
-    ``distance_two_pairs`` lists them, so its keys already increase strictly.
-    """
-    weights = np.array([size, 1])
-    keys = pairs @ weights
-    for perm in perms:
-        image = np.sort(perm[pairs], axis=1) @ weights
-        at = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
-        assert np.array_equal(keys[at], image), "a symmetry maps a swept pair outside the sweep"
-        yield at
 
 
 def _first_members(labels: np.ndarray) -> np.ndarray:
@@ -142,7 +130,7 @@ def diameter(graph: CsrGraph) -> int:
     if n == 0:
         raise InvalidDimensionError("diameter of an empty graph is undefined")
     best = 0
-    for s in _first_members(_orbit_labels(n, graph.automorphisms)).tolist():
+    for s in _first_members(_vertex_labels(graph)).tolist():
         dist = _bfs(graph.indptr, graph.indices, s)
         if (dist < 0).any():
             raise DisconnectedGraphError(
@@ -297,41 +285,114 @@ def local_connectivity(graph: CsrGraph, u: int, v: int) -> int:
 
 def distance_two_pairs(graph: CsrGraph) -> np.ndarray:
     """All unordered pairs at distance exactly 2, as a (P, 2) int64 array
-    sorted by (u, w) with u < w: one CSR two-hop sweep (``two_hop_pairs``),
-    which the graph runs once and keeps."""
-    return graph.distance_two
+    sorted by (u, w) with u < w, listed on each call.  The sweeps read only
+    the anchored ones (module docstring)."""
+    return two_hop_pairs(graph.indptr, graph.indices, np.arange(graph.vertex_count))
+
+
+def _per_graph(compute):
+    """Memoise compute(graph) for as long as the graph object lives."""
+    results: WeakKeyDictionary = WeakKeyDictionary()
+
+    def cached(graph: CsrGraph):
+        if graph not in results:
+            results[graph] = compute(graph)
+        return results[graph]
+    return cached
+
+
+@_per_graph
+def _vertex_labels(graph: CsrGraph) -> np.ndarray:
+    return _orbit_labels(graph.vertex_count, graph.automorphisms)
+
+
+@_per_graph
+def _anchored_pairs(graph: CsrGraph) -> np.ndarray:
+    """The rows of ``distance_two_pairs`` whose u is a representative."""
+    return two_hop_pairs(graph.indptr, graph.indices, _first_members(_vertex_labels(graph)))
 
 
 MinFlow = tuple[int | None, tuple[int, int] | None, Residual | None]  # (value, pair, residual)
 
-_SWEEPS: WeakKeyDictionary[CsrGraph, MinFlow] = WeakKeyDictionary()
 
-
+@_per_graph
 def _distance_two_sweep(graph: CsrGraph) -> MinFlow:
     """(value, pair, residual) for the first distance-2 pair, in
     ``distance_two_pairs`` order, whose max-flow is least; all None when the
     graph has no distance-2 pair.
 
-    The first member of each pair orbit is swept serially: the first search
-    is uncapped and each later one is capped at the least value found so
-    far.  A search that stops below its cap found no augmenting path, so its
-    value is exact and its residual is a maximum flow's.  The first pair to
-    reach the minimum is the first member of its orbit.  The result is kept
-    for the graph object, so κ and Liu's check share one sweep.
+    One max-flow runs per orbit of pairs, on its least member: an anchored
+    pair (u, w) kept when all of these hold.  A symmetry maps {u, w} to a
+    pair (u, x) only by fixing u or by sending w to u, so rules 2 and 3
+    cover every image of (u, w) anchored at u.
+
+    1. labels[w] >= u; else the orbit has a pair anchored at labels[w] < u.
+    2. w is the least member of its Stab(u)-orbit.
+    3. When labels[w] == u, w <= g(u) for every g with g(w) = u.
+
+    The searches run serially: the first is uncapped and each later one is
+    capped at the least value found so far.  A search that stops below its
+    cap found no augmenting path, so its value is exact and its residual is
+    a maximum flow's.  κ and Liu's check share the one sweep of a graph.
     """
-    if graph in _SWEEPS:
-        return _SWEEPS[graph]
-    pairs = distance_two_pairs(graph)
-    images = _pair_images(pairs, graph.vertex_count, graph.automorphisms)
-    labels = _orbit_labels(len(pairs), list(images))
     net = SplitNetwork(graph)
     best: MinFlow = None, None, None
-    for s, t in pairs[_first_members(labels)].tolist():
+    for s, t in _orbit_first_pairs(graph).tolist():
         flow, residual = net.max_flow(s, t, best[0])
         if residual is not None:
             best = flow, (s, t), residual
-    _SWEEPS[graph] = best
     return best
+
+
+def _orbit_first_pairs(graph: CsrGraph) -> np.ndarray:
+    """The anchored pairs that rules 1-3 of ``_distance_two_sweep`` keep.
+
+    Vertex ids follow the canonical order of the tables' cells, so x < w
+    when the cells of x sort first: the rules compare image tables with w's
+    and look up no vertex.
+    """
+    labels, pairs = _vertex_labels(graph), _anchored_pairs(graph)
+    pairs = pairs[labels[pairs[:, 1]] >= pairs[:, 0]]
+    if not (graph.automorphisms and len(pairs)):
+        return pairs
+    cells, (u, w) = graph.fiber.cells, pairs.T
+    reps, which = np.unique(u, return_inverse=True)
+    stabs = [symmetry_maps(cells[[x]], cells[x])[0] for x in reps.tolist()]
+    keep = ~_sorts_below(cells[w], stabs, which, cells[w])
+    mates = np.flatnonzero(keep & (labels[w] == u))  # w in the orbit of u
+    cosets = []  # for each mate, every g with g(w) = u
+    for at in np.split(mates, np.flatnonzero(np.diff(u[mates])) + 1) if len(mates) else []:
+        maps, owner = symmetry_maps(cells[w[at]], cells[u[at[0]]])
+        cosets += np.split(maps, np.flatnonzero(np.diff(owner)) + 1)
+    keep[mates] = ~_sorts_below(cells[u[mates]], cosets, np.arange(len(mates)), cells[w[mates]])
+    return pairs[keep]
+
+
+_IMAGE_BLOCK = 1 << 18  # (table, permutation) images compared at a time by _sorts_below
+
+
+def _sorts_below(tables: np.ndarray, perms: list[np.ndarray], which: np.ndarray,
+                 bounds: np.ndarray) -> np.ndarray:
+    """For each k, whether some image tables[k][p], p a row of
+    perms[which[k]], has cells that sort before bounds[k].  Images are
+    compared a cell at a time, and only those still tied with their bound go
+    on to the next."""
+    out = np.zeros(len(tables), dtype=bool)
+    if not perms:
+        return out
+    lengths = np.array([len(p) for p in perms])
+    sizes, firsts = lengths[which], (np.cumsum(lengths) - lengths)[which]
+    stacked = np.concatenate(perms)
+    cuts = np.searchsorted(np.cumsum(sizes), np.arange(_IMAGE_BLOCK, sizes.sum(), _IMAGE_BLOCK))
+    for block in np.split(np.arange(len(tables)), cuts + 1):  # some blocks may be empty
+        k, size = np.repeat(block, sizes[block]), sizes[block]
+        p = np.arange(len(k)) - np.repeat(np.cumsum(size) - size - firsts[block], size)
+        for cell in range(stacked.shape[1]):
+            image, bound = tables[k, stacked[p, cell]], bounds[k, cell]
+            out[k[image < bound]] = True
+            tied = (image == bound) & ~out[k]
+            k, p = k[tied], p[tied]
+    return out
 
 
 @dataclass(frozen=True)
@@ -411,26 +472,26 @@ def min_common_moves_over_close_pairs(graph: FiberGraph) -> tuple[int, tuple[int
     """Minimum number of shared valid moves over all pairs at distance 1 or 2.
 
     Each valid move gives exactly one arc, so a vertex's valid-move set is
-    the move ids of its CSR row, packed once into bytes.  The edges, then the
-    distance-2 pairs, are scored a chunk at a time by one AND and a byte
-    popcount.  Returns (count, (u, v)) for the first minimizing pair, or None
-    when no qualifying pair exists.
+    the move ids of its CSR row, packed once into bytes.  The count is
+    constant on pair orbits, so the first minimising pair, edges first, is
+    anchored (module docstring): the anchored edges, then the anchored
+    distance-2 pairs, are scored by one AND and a byte popcount.  Returns
+    (count, (u, v)) for that pair, or None when there is no such pair.
     """
     size = graph.vertex_count
     tails = np.repeat(np.arange(size), np.diff(graph.indptr))
     valid = np.zeros((size, len(move_cells(graph.fiber.n))), dtype=bool)
     valid[tails, graph.move_ids] = True
     masks = np.packbits(valid, axis=1)
-    upper = tails < graph.indices
-    close = distance_two_pairs(graph)
+    close = _anchored_pairs(graph)
+    arcs = row_arcs(graph.indptr, _first_members(_vertex_labels(graph)))
+    arcs = arcs[tails[arcs] < graph.indices[arcs]]
     best = None
-    for first, second in ((tails[upper], graph.indices[upper]), (close[:, 0], close[:, 1])):
-        for start in range(0, len(first), _PAIR_CHUNK):
-            u, v = first[start:start + _PAIR_CHUNK], second[start:start + _PAIR_CHUNK]
-            shared = _POPCOUNT[masks[u] & masks[v]].sum(axis=1)
+    for u, v in ((tails[arcs], graph.indices[arcs]), (close[:, 0], close[:, 1])):
+        shared = _POPCOUNT[masks[u] & masks[v]].sum(axis=1)
+        if len(shared) and (best is None or shared.min() < best[0]):
             at = int(np.argmin(shared))  # the first of several minimizing pairs
-            if best is None or shared[at] < best[0]:
-                best = (int(shared[at]), (int(u[at]), int(v[at])))
+            best = (int(shared[at]), (int(u[at]), int(v[at])))
     return best
 
 

@@ -9,15 +9,18 @@ matching prefix in order.
 Matchings are found by augmenting paths over the support (multiplicities act
 as capacities and never need duplicating), and ties are broken toward the
 lexicographically least row-to-column assignment so decompositions are
-reproducible.  A decomposition keeps one residual table as row lists, changed
-in place: taking away a part, a column per row, is n checked decrements.  The
-parts are kept as those columns; they become tables only when read.
+reproducible.  That greedy search reads only the positive cells and the
+forced cell, so its result is memoised on them.  A decomposition keeps one
+residual table as row lists, changed in place: taking away a part, a column
+per row, is n checked decrements.  The parts are kept as those columns; they
+become tables only when read.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import ConstraintInfeasibleError, FiberGraphsError, NoPerfectMatchingError
@@ -26,7 +29,8 @@ from .tables import ContingencyTable, validate_table
 Position = tuple[int, int]  # 1-based (row, col)
 
 
-def _max_matching(support: list[list[int]], banned_rows: set[int], banned_cols: set[int]) -> int:
+def _max_matching(support: Sequence[Sequence[int]], banned_rows: set[int],
+                  banned_cols: set[int]) -> int:
     """Size of a maximum matching on the support graph avoiding banned lines."""
     n = len(support)
     match_col = [-1] * n
@@ -55,20 +59,31 @@ def _least_matching(rows: Sequence[Sequence[int]], forced: Position | None = Non
     Raises NoPerfectMatchingError when there is none.
     """
     n = len(rows)
-    support = [[j for j, x in enumerate(row) if x > 0] for row in rows]
-    assigned: dict[int, int] = {}
-    if forced is not None:
-        fi, fj = forced[0] - 1, forced[1] - 1
-        if not (0 <= fi < n and 0 <= fj < n) or rows[fi][fj] < 1:
-            raise NoPerfectMatchingError(f"forced cell {forced} is outside the support of the table")
-        assigned[fi] = fj
+    support = tuple([tuple([j for j, x in enumerate(row) if x > 0]) for row in rows])
+    cell = None if forced is None else (forced[0] - 1, forced[1] - 1)
+    if cell is not None and not (0 <= min(cell) and max(cell) < n and cell[1] in support[cell[0]]):
+        raise NoPerfectMatchingError(f"forced cell {forced} is outside the support of the table")
+    cols = _least_support_matching(support, cell)
+    if cols is None:
+        raise NoPerfectMatchingError("support admits no perfect matching")
+    return list(cols)
+
+
+@lru_cache(maxsize=1 << 12)
+def _least_support_matching(
+    support: tuple[tuple[int, ...], ...], forced: tuple[int, int] | None
+) -> tuple[int, ...] | None:
+    """``_least_matching`` on the positive cells and the 0-based forced cell,
+    which are all it reads, as a tuple; None when there is no matching."""
+    n = len(support)
+    assigned = {} if forced is None else dict([forced])
 
     def feasible() -> bool:
         return _max_matching(support, set(assigned), set(assigned.values())) == n - len(assigned)
 
     # once feasible, some column of each next row keeps it so: the greedy never fails
     if not feasible():
-        raise NoPerfectMatchingError("support admits no perfect matching")
+        return None
     for i in range(n):
         if i in assigned:
             continue
@@ -80,7 +95,7 @@ def _least_matching(rows: Sequence[Sequence[int]], forced: Position | None = Non
             if feasible():
                 break
             del assigned[i]
-    return [assigned[i] for i in range(n)]
+    return tuple(assigned[i] for i in range(n))
 
 
 def _permutation(cols: Sequence[int]) -> ContingencyTable:

@@ -19,9 +19,11 @@ has a unique sink, located at the anti-diagonal table.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations
 from typing import Iterable
 
 import numpy as np
@@ -93,13 +95,6 @@ class CsrGraph:
         upper = sources < self.indices
         return list(zip(sources[upper].tolist(), self.indices[upper].tolist()))
 
-    @cached_property
-    def distance_two(self) -> np.ndarray:
-        """The ``two_hop_pairs`` of the CSR, computed once per graph (read-only)."""
-        pairs = two_hop_pairs(self.indptr, self.indices)
-        pairs.flags.writeable = False
-        return pairs
-
 
 @dataclass(frozen=True, eq=False)
 class FiberGraph(CsrGraph):
@@ -148,6 +143,31 @@ def symmetry_generators(fiber: Fiber) -> dict[str, np.ndarray]:
                   "transpose": grid.T}
     # each vertex x maps to the table whose row-major cells are cells[x][p]
     return {name: fiber.ids_of(fiber.cells[:, p.ravel()]) for name, p in cell_perms.items()}
+
+
+def symmetry_maps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every symmetry that sends a table with row-major cells a[i] to the
+    one with cells ``b``: the (k, n^2) cell permutations p with a[i][p] == b,
+    grouped by i, and the i of each.
+
+    Each of the 2 n! row permutations s, with or without the transpose, is
+    tried in O(n^3): column t(j) of a[i][s] must equal column j of b, so t
+    is the least matching of equal columns composed with each permutation
+    of b's columns that fixes b.
+    """
+    n = math.isqrt(b.size)
+    orders, b = np.array(list(permutations(range(n)))), b.reshape(n, n)
+    grid = np.arange(n * n).reshape(n, n)
+    rows = np.concatenate((grid[orders], grid.T[orders]))  # cell ids after each row order
+    same = (b[:, :, None] == b[:, None, :]).all(axis=0)
+    rank = np.tril(same, -1).sum(axis=1)  # equal columns of b before column j
+    fixing = orders[(b[:, orders] == b[:, None, :]).all(axis=(0, 2))]
+    match = (a[:, rows][..., None, :] == b[:, :, None]).all(axis=2)  # [i, s, j, t(j)]
+    i, s = np.nonzero((match.sum(axis=3) == same.sum(axis=1)).all(axis=2))
+    pick = match[i, s] & (np.cumsum(match[i, s], axis=2) == rank[:, None] + 1)
+    cols = pick.argmax(axis=2)[:, fixing]
+    maps = np.take_along_axis(rows[s][:, None], cols[:, :, None], axis=3)
+    return maps.reshape(-1, n * n), np.repeat(i, len(fixing))
 
 
 def build_graph(fiber: Fiber) -> FiberGraph:
@@ -221,33 +241,34 @@ def row_arcs(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
 TWO_HOP_BLOCK = 1 << 16  # two-arc walks gathered at a time by two_hop_pairs
 
 
-def two_hop_pairs(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Every pair (u, w), u < w, joined by a two-arc walk but by no arc, as a
-    (P, 2) int64 array sorted by (u, w).
+def two_hop_pairs(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Every pair (u, w), u < w, u in the increasing int64 array ``rows``,
+    joined by a two-arc walk but by no arc, as a (P, 2) int64 array sorted
+    by (u, w).
 
-    Source rows are taken in blocks of at most about TWO_HOP_BLOCK walks (a
+    The rows are taken in blocks of at most about TWO_HOP_BLOCK walks (a
     row with more walks is a block of its own).  A block's walk ends w > u
     become u*V + w keys, which are sorted and deduplicated, and the arcs are
-    dropped by binary search in the sorted arc keys.
+    dropped by binary search in the block's sorted arc keys.
     """
     size = len(indptr) - 1
     degree = np.diff(indptr)
-    tails = np.repeat(np.arange(size, dtype=np.int64), degree)
-    arcs = np.sort(tails * size + indices)
-    # walks[u]: the number of two-arc walks out of rows 0 .. u - 1
-    walks = np.concatenate(([0], np.cumsum(degree[indices])))[indptr]
+    mids = indices[row_arcs(indptr, rows)]
+    # first[k]: the first of the mids of rows[k]; walks[k]: the walks out of rows[:k]
+    first = np.concatenate(([0], np.cumsum(degree[rows])))
+    walks = np.concatenate(([0], np.cumsum(degree[mids])))[first]
     blocks, start = [np.zeros(0, dtype=np.int64)], 0
-    while start < size:
+    while start < len(rows):
         stop = int(np.searchsorted(walks, walks[start] + TWO_HOP_BLOCK, side="right")) - 1
         stop = max(stop, start + 1)
-        rows = np.arange(start, stop)
-        mids = indices[row_arcs(indptr, rows)]
-        ends = indices[row_arcs(indptr, mids)]
-        sources = np.repeat(np.repeat(rows, degree[rows]), degree[mids])
+        block = rows[start:stop]
+        sources = np.repeat(block, degree[block])
+        mid = mids[first[start]:first[stop]]
+        near = np.sort(sources * size + mid)
+        ends = indices[row_arcs(indptr, mid)]
+        sources = np.repeat(sources, degree[mid])
         ahead = ends > sources
         keys = np.sort(sources[ahead] * size + ends[ahead])
-        # sorted arc keys fall in row order, so the block's rows own these
-        near = arcs[indptr[start]:indptr[stop]]
         at = np.minimum(np.searchsorted(near, keys), len(near) - 1)
         keep = near[at] != keys
         keep[1:] &= keys[1:] != keys[:-1]  # np.unique is many times slower than this

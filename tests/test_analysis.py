@@ -9,8 +9,11 @@ import pytest
 from fibergraphs import analysis
 from fibergraphs.analysis import (
     SplitNetwork,
+    _anchored_pairs,
     _bfs,
+    _orbit_first_pairs,
     _orbit_labels,
+    _vertex_labels,
     articulation_vertices,
     bfs_distances,
     common_moves,
@@ -35,7 +38,7 @@ from fibergraphs.errors import (
     InvalidDimensionError,
     NotDistanceTwoError,
 )
-from fibergraphs.graphs import TWO_HOP_BLOCK, CsrGraph, build_graph, two_hop_pairs
+from fibergraphs.graphs import TWO_HOP_BLOCK, CsrGraph, build_graph, symmetry_maps, two_hop_pairs
 from fibergraphs.tables import degree, scaled_permutation, validate_table
 
 from oracles import (
@@ -196,7 +199,29 @@ def test_distance_two_pairs_of_plain_graphs_match_the_two_hop_oracle():
         assert list(map(tuple, pairs.tolist())) == brute_distance_two_pairs(adj), adj
 
 
-@pytest.mark.parametrize("n,r", ORACLE_FIBERS)
+def test_two_hop_pairs_of_chosen_rows_match_the_two_hop_oracle():
+    rng = random.Random(2020)
+    for adj in _plain_oracle_graphs():
+        graph = CsrGraph.from_rows(adj)
+        rows = sorted(rng.sample(range(len(adj)), rng.randint(0, len(adj))))
+        pairs = two_hop_pairs(graph.indptr, graph.indices, np.array(rows, dtype=np.int64))
+        assert pairs.dtype == np.int64 and pairs.shape[1:] == (2,)
+        expected = [(u, w) for u, w in brute_distance_two_pairs(adj) if u in rows]
+        assert list(map(tuple, pairs.tolist())) == expected, (adj, rows)
+
+
+@pytest.mark.parametrize("n,r", [(3, 3), (3, 4), (4, 2)])
+def test_anchored_pairs_are_the_rows_of_representatives(n, r):
+    graph = build_graph(enumerate_fiber(n, r))
+    labels, pairs = _vertex_labels(graph), _anchored_pairs(graph)
+    assert labels.tolist() == _orbit_labels(graph.vertex_count, graph.automorphisms).tolist()
+    full = distance_two_pairs(graph)
+    expected = full[labels[full[:, 0]] == full[:, 0]]
+    assert pairs.dtype == np.int64 and np.array_equal(pairs, expected)
+    assert 0 < len(pairs) < len(full)
+
+
+@pytest.mark.parametrize("n,r", ORACLE_FIBERS + [(3, 5)])
 def test_common_moves_match_the_bitmask_oracle(n, r, graph_4_3):
     graph = _oracle_graph(n, r, graph_4_3)
     adj = rows_of(graph)
@@ -212,17 +237,22 @@ def test_common_moves_match_the_bitmask_oracle(n, r, graph_4_3):
 
 
 def test_verify_computes_distance_two_pairs_once(monkeypatch, tmp_path):
+    # commonchoices and the sweep share one two-hop pass per graph, over the
+    # vertex-orbit representatives' rows only: never the pairs of every row
     calls = []
 
-    def counted(indptr, indices):
-        calls.append(len(indptr) - 1)
-        return two_hop_pairs(indptr, indices)
+    def counted(indptr, indices, rows):
+        calls.append((len(indptr) - 1, len(rows)))
+        return two_hop_pairs(indptr, indices, rows)
 
-    monkeypatch.setattr("fibergraphs.graphs.two_hop_pairs", counted)
+    monkeypatch.setattr("fibergraphs.analysis.two_hop_pairs", counted)
     argv = ["verify", "--n", "3", "--r", "3", "--checks", "commonchoices,liu,commonchoices",
             "--out", str(tmp_path / "report.json")]
     assert main(argv) == 0
-    assert calls == [55]
+    graph = build_graph(enumerate_fiber(3, 3))
+    reps = len(np.unique(_orbit_labels(graph.vertex_count, graph.automorphisms)))
+    assert reps < graph.vertex_count == 55
+    assert calls == [(55, reps)]
 
 
 def test_verify_without_flow_checks_builds_no_neighbour_tuples(monkeypatch, tmp_path):
@@ -596,6 +626,40 @@ def test_sweeps_run_one_max_flow_per_orbit(n, r, monkeypatch):
     assert flows == liu_flows
     liu_check(graph, 3)
     assert flows == liu_flows
+
+
+@pytest.mark.parametrize("n,r", [(3, 3), (3, 4), (4, 2), (5, 1), (6, 1), (7, 1)])
+def test_anchored_sweep_pairs_are_the_orbit_first_members(n, r):
+    # the orbits of every distance-2 pair, labelled through the generators' images
+    graph = build_graph(enumerate_fiber(n, r))
+    full, size = distance_two_pairs(graph), graph.vertex_count
+    keys = full @ np.array([size, 1])
+    images = [np.searchsorted(keys, np.sort(perm[full], axis=1) @ np.array([size, 1]))
+              for perm in graph.automorphisms]
+    expected = full[_orbit_labels(len(full), images) == np.arange(len(full))]
+    assert np.array_equal(_orbit_first_pairs(graph), expected)
+    # rule 1 alone keeps more: pairs whose orbit is anchored at a smaller representative
+    labels, pairs = _vertex_labels(graph), _anchored_pairs(graph)
+    assert len(expected) < np.count_nonzero(labels[pairs[:, 1]] >= pairs[:, 0]) < len(full)
+
+
+@pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (4, 2)])
+def test_symmetry_maps_are_the_group_elements_between_two_tables(n, r):
+    # the whole group, 2(n!)^2 cell permutations, filtered by brute force
+    grid = np.arange(n * n).reshape(n, n)
+    group = [cells[list(rows)][:, list(cols)].ravel() for cells in (grid, grid.T)
+             for rows in permutations(range(n)) for cols in permutations(range(n))]
+    fiber = enumerate_fiber(n, r)
+    cells, rng = fiber.cells, random.Random(n * 10 + r)
+    for b in [0, len(cells) - 1] + rng.choices(range(len(cells)), k=4):
+        # b itself, two tables of b's orbit and three drawn from the fiber
+        images = fiber.ids_of(cells[b][np.array(rng.choices(group, k=2))]).tolist()
+        sources = [b] + images + rng.choices(range(len(cells)), k=3)
+        maps, owner = symmetry_maps(cells[sources], cells[b])
+        assert maps.shape[1:] == (n * n,) and np.all(np.diff(owner) >= 0)
+        for i, a in enumerate(sources):
+            expected = sorted(p.tolist() for p in group if np.array_equal(cells[a][p], cells[b]))
+            assert sorted(maps[owner == i].tolist()) == expected, (a, b)
 
 
 def test_orbit_labels_of_plain_permutations():
