@@ -4,79 +4,52 @@ Structure analysis (degrees, connectivity, diameter, weight orientation,
 matching decompositions) of the graphs whose vertices are n x n non-negative
 integer tables with all margins r and whose edges are 2x2 swap moves, plus a
 seeded Metropolis-Hastings sampler for exact tests on such tables.
+
+Importing the package loads none of its modules: each public name below, and
+each module, is imported on first access (PEP 562), so a command pays only
+for the modules it runs.
 """
 
-from .analysis import (
-    ConnectivityReport,
-    DetourPathReport,
-    LiuCheckResult,
-    articulation_vertices,
-    bfs_distances,
-    common_moves,
-    detour_paths,
-    diameter,
-    diameter_witness_pair,
-    distance_between,
-    distance_two_pairs,
-    hemmecke_graph,
-    is_connected,
-    liu_check,
-    local_connectivity,
-    vertex_connectivity,
-)
-from .decomposition import (
-    MatchingDecomposition,
-    decompose,
-    decompose_constrained,
-    perfect_matching,
-)
-from .enumeration import (
-    Fiber,
-    count_fiber,
-    enumerate_fiber,
-)
-from .graphs import (
-    CsrGraph,
-    FiberGraph,
-    OrientedFiberGraph,
-    WeightVector,
-    build_graph,
-    export_graph,
-    find_sinks,
-    is_acyclic,
-    orient,
-)
-from .sampler import (
-    ChainState,
-    ExactTestResult,
-    Target,
-    VisitCounter,
-    WalkConfig,
-    acceptance_ratio,
-    advance,
-    as_equal_margin_table,
-    chi_square_statistic,
-    exact_test,
-    run_walk,
-    step,
-    transition_probabilities,
-)
-from .tables import (
-    ContingencyTable,
-    MarkovMove,
-    MaxDegreeBound,
-    apply_move,
-    degree,
-    degree_by_support_pairs,
-    enumerate_basis_moves,
-    is_valid_move,
-    max_degree_value,
-    min_degree_value,
-    move_from_difference,
-    scaled_permutation,
-    support,
-    valid_moves,
-    validate_table,
-)
+import sys
 
+_EXPORTS = {
+    "analysis": (
+        "ConnectivityReport", "DetourPathReport", "LiuCheckResult", "articulation_vertices",
+        "bfs_distances", "common_moves", "detour_paths", "diameter", "diameter_witness_pair",
+        "distance_between", "distance_two_pairs", "hemmecke_graph", "is_connected",
+        "liu_check", "local_connectivity", "vertex_connectivity",
+    ),
+    "decomposition": ("MatchingDecomposition", "decompose", "decompose_constrained",
+                      "perfect_matching"),
+    "enumeration": ("Fiber", "count_fiber", "enumerate_fiber"),
+    "graphs": (
+        "CsrGraph", "FiberGraph", "OrientedFiberGraph", "WeightVector", "build_graph",
+        "export_graph", "find_sinks", "is_acyclic", "orient",
+    ),
+    "sampler": (
+        "ChainState", "ExactTestResult", "Target", "VisitCounter", "WalkConfig",
+        "acceptance_ratio", "advance", "as_equal_margin_table", "chi_square_statistic",
+        "exact_test", "run_walk", "step", "transition_probabilities",
+    ),
+    "tables": (
+        "ContingencyTable", "MarkovMove", "MaxDegreeBound", "apply_move", "degree",
+        "degree_by_support_pairs", "enumerate_basis_moves", "is_valid_move",
+        "max_degree_value", "min_degree_value", "scaled_permutation", "support",
+        "valid_moves", "validate_table",
+    ),
+}
+_MODULES = (*_EXPORTS, "cli", "errors", "io")
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = name if name in _MODULES else _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the import statement's own path, unlike importlib's, is listed by -X importtime
+    __import__(f"{__name__}.{module}")
+    loaded = sys.modules[f"{__name__}.{module}"]
+    return loaded if module == name else getattr(loaded, name)

@@ -22,7 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, decomposition, enumeration, graphs, io, sampler, tables
+# the other modules are imported by the commands that run them, so that a
+# command loads only what it needs
+from . import enumeration, io, tables
 from .errors import FiberGraphsError, SizeLimitExceededError
 
 LONG_GATE_VERTEX_COUNT = 600  # connectivity sweeps above this need --long
@@ -61,6 +63,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- graph
 
 def cmd_graph(args: argparse.Namespace) -> int:
+    from . import graphs
     fiber = enumeration.enumerate_fiber(args.n, args.r, cap=args.cap)
     graph = graphs.build_graph(fiber)
     target: graphs.FiberGraph | graphs.OrientedFiberGraph = graph
@@ -92,10 +95,12 @@ class _VerifyContext:
 
     @cached_property
     def graph(self) -> graphs.FiberGraph:
+        from . import graphs
         return graphs.build_graph(self.fiber)
 
     @cached_property
     def oriented(self) -> graphs.OrientedFiberGraph:
+        from . import graphs
         return graphs.orient(self.graph, graphs.WeightVector.standard(self.n))
 
 
@@ -123,6 +128,7 @@ def _check_degrees(ctx: _VerifyContext) -> dict:
 
 
 def _check_connmax(ctx: _VerifyContext) -> dict:
+    from . import analysis
     # removing the neighborhood of a minimum-degree pattern vertex must
     # disconnect it from the rest, witnessing kappa <= C(n,2)
     bound = comb(ctx.n, 2)
@@ -151,6 +157,7 @@ def _check_maxdeg(ctx: _VerifyContext) -> dict:
 
 
 def _check_commonchoices(ctx: _VerifyContext) -> dict:
+    from . import analysis
     count, pair = analysis.min_common_moves_over_close_pairs(ctx.graph)
     computed = {"min_common_moves": count, "pair": list(pair)}
     if ctx.r <= 2:
@@ -160,6 +167,7 @@ def _check_commonchoices(ctx: _VerifyContext) -> dict:
 
 
 def _check_connectivity(ctx: _VerifyContext) -> dict:
+    from . import analysis
     report = analysis.vertex_connectivity(ctx.graph)
     computed = {
         "kappa": report.kappa,
@@ -173,6 +181,7 @@ def _check_connectivity(ctx: _VerifyContext) -> dict:
 
 
 def _check_liu(ctx: _VerifyContext) -> dict:
+    from . import analysis
     k = comb(ctx.n, 2)
     result = analysis.liu_check(ctx.graph, k)
     computed = {
@@ -185,6 +194,7 @@ def _check_liu(ctx: _VerifyContext) -> dict:
 
 
 def _check_diameter(ctx: _VerifyContext) -> dict:
+    from . import analysis
     expected = (ctx.n - 1) * ctx.r
     diam = analysis.diameter(ctx.graph)
     a, b = analysis.diameter_witness_pair(ctx.n, ctx.r)
@@ -197,6 +207,7 @@ def _check_diameter(ctx: _VerifyContext) -> dict:
 
 
 def _check_sink(ctx: _VerifyContext) -> dict:
+    from . import graphs
     sinks = graphs.find_sinks(ctx.oriented)
     computed = {"sinks": sinks}
     ok = len(sinks) == 1
@@ -213,16 +224,22 @@ def _check_sink(ctx: _VerifyContext) -> dict:
 
 
 def _check_dag(ctx: _VerifyContext) -> dict:
+    from . import graphs
     acyclic = graphs.is_acyclic(ctx.oriented)
     return _report({"acyclic": True}, {"acyclic": acyclic}, acyclic)
 
 
 def _check_konig(ctx: _VerifyContext) -> dict:
+    from . import analysis, decomposition, graphs
     # if t = P_1 + ... + P_r, then s(t) = s(P_1) + ... + s(P_r) for every row,
     # column or transpose symmetry s, and each s(P_k) is again a permutation
-    # matrix: one decomposition settles a table's whole orbit
+    # matrix: one decomposition settles a table's whole orbit.  The labels of
+    # a graph verify has built are memoised; none is built for this check.
     fiber = ctx.fiber
-    labels = analysis._orbit_labels(len(fiber), list(graphs.symmetry_generators(fiber).values()))
+    if "graph" in vars(ctx):
+        labels = analysis._vertex_labels(ctx.graph)
+    else:
+        labels = analysis._orbit_labels(len(fiber), list(graphs.symmetry_generators(fiber).values()))
     orbit_sizes = np.bincount(labels, minlength=len(fiber))
     failures = 0
     for v in analysis._first_members(labels).tolist():
@@ -233,6 +250,7 @@ def _check_konig(ctx: _VerifyContext) -> dict:
 
 
 def _check_decomp_constrained(ctx: _VerifyContext) -> dict:
+    from . import decomposition
     # k <= r cells are drawn from a budget of n * r units, so one is always left
     rng = random.Random(20_240_000 + ctx.n * 100 + ctx.r)
     failures = 0
@@ -325,6 +343,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- decompose
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    from . import decomposition
     table = io.load_table(args.table)
     constraints = io.parse_constraints(args.constraints) if args.constraints else []
     dec = decomposition.decompose_constrained(table, constraints)
@@ -340,6 +359,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- sample / test
 
 def _walk_config(args: argparse.Namespace, target: str) -> sampler.WalkConfig:
+    from . import sampler
     return sampler.WalkConfig(
         steps=args.steps,
         seed=args.seed,
@@ -350,6 +370,7 @@ def _walk_config(args: argparse.Namespace, target: str) -> sampler.WalkConfig:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    from . import sampler
     table = io.load_table(args.table)
     config = _walk_config(args, args.target)
     state, samples = sampler.run_walk(table, config)
@@ -369,6 +390,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_test(args: argparse.Namespace) -> int:
+    from . import sampler
     rows = io.load_rows(args.table)
     observed = sampler.as_equal_margin_table(rows)
     result = sampler.exact_test(observed, _walk_config(args, "hypergeometric"))
@@ -388,6 +410,7 @@ def cmd_test(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- hemmecke
 
 def cmd_hemmecke(args: argparse.Namespace) -> int:
+    from . import analysis
     if args.k < 1:
         print(f"error: hemmecke needs 1 <= k <= {HEMMECKE_MAX_K}, got k={args.k}", file=sys.stderr)
         return 2

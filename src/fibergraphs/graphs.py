@@ -30,6 +30,7 @@ import numpy as np
 
 from .enumeration import Fiber
 from .errors import (
+    FiberGraphsError,
     InvalidDimensionError,
     NotAnAutomorphismError,
     SizeLimitExceededError,
@@ -114,11 +115,14 @@ class FiberGraph(CsrGraph):
 
         Each is checked to be a bijection that maps the arc set onto itself
         (their sorted u*V + v keys are compared); NotAnAutomorphismError is
-        raised when one does not.
+        raised when one does not.  The graph's own keys are not sorted but
+        checked to increase strictly, as the sorted CSR rows make them.
         """
         size = self.vertex_count
         tails = np.repeat(np.arange(size), np.diff(self.indptr))
-        arcs = np.sort(tails * size + self.indices)
+        arcs = tails * size + self.indices
+        if not (arcs[1:] > arcs[:-1]).all():
+            raise FiberGraphsError("the graph's arcs are not sorted by tail, then head")
         generators = symmetry_generators(self.fiber)
         for name, perm in generators.items():
             image = np.sort(perm[tails] * size + perm[self.indices])

@@ -120,10 +120,6 @@ def load_rows(path: str | Path) -> list[list[int]]:
     return rows
 
 
-def table_to_json(t: ContingencyTable) -> str:
-    return json.dumps({"n": t.n, "r": t.r, "rows": t.rows()}, separators=(",", ":"))
-
-
 FORMAT_BLOCK = 1 << 14  # rows rendered at a time by format_rows
 
 
@@ -131,10 +127,12 @@ def format_rows(literals: Sequence[str], columns: Sequence[np.ndarray]) -> str:
     """Row i is literals[0], columns[0][i], literals[1], ..., columns[-1][i],
     literals[-1], each entry a non-negative integer in decimal.
 
-    Rendered FORMAT_BLOCK rows at a time: every column becomes a (rows, width)
-    matrix of ASCII digits by repeated % 10 and // 10 in its own dtype (an
-    object array of Python ints included), leading zeros are masked out, and
-    the kept bytes of the block's literal and digit matrix are its text.
+    Rendered FORMAT_BLOCK rows at a time, column-major: the block is a
+    (width, rows) matrix of ASCII bytes, so each literal byte and each digit
+    position is one contiguous row.  A column below 10 is its own digit row;
+    a wider one is split by repeated % 10 and // 10 in its own dtype (an
+    object array of Python ints included) and its leading zeros are masked
+    out.  The block's text is the kept bytes of the transposed matrix.
     """
     assert len(literals) == len(columns) + 1
     pieces = [np.frombuffer(lit.encode("ascii"), dtype=np.uint8) for lit in literals]
@@ -142,21 +140,22 @@ def format_rows(literals: Sequence[str], columns: Sequence[np.ndarray]) -> str:
     for start in range(0, len(columns[0]), FORMAT_BLOCK):
         block = [col[start:start + FORMAT_BLOCK] for col in columns]
         widths = [len(str(col.max())) for col in block]
-        text = np.empty((len(block[0]), sum(map(len, pieces)) + sum(widths)), dtype=np.uint8)
-        keep = np.ones(text.shape, dtype=bool)
+        text = np.empty((sum(map(len, pieces)) + sum(widths), len(block[0])), dtype=np.uint8)
+        keep = np.ones(text.shape, dtype=bool) if max(widths) > 1 else None
         at = 0
         for piece, col, width in zip(pieces, block, widths):
-            text[:, at:at + len(piece)] = piece
+            text[at:at + len(piece)] = piece[:, None]
             at += len(piece)
-            for k in range(at + width - 1, at - 1, -1):
-                text[:, k] = col % 10
+            for k in range(at + width - 1, at, -1):
+                text[k] = col % 10
                 col = col // 10
-            digits = text[:, at:at + width]
-            keep[:, at:at + width - 1] = np.logical_or.accumulate(digits[:, :-1] != 0, axis=1)
-            digits += ord("0")
+            text[at] = col
+            if width > 1:
+                keep[at:at + width - 1] = np.logical_or.accumulate(text[at:at + width - 1] != 0)
+            text[at:at + width] += ord("0")
             at += width
-        text[:, at:] = pieces[-1]
-        out.append(text[keep].tobytes().decode("ascii"))
+        text[at:] = pieces[-1][:, None]
+        out.append((text.T[keep.T] if keep is not None else text.T).tobytes().decode("ascii"))
     return "".join(out)
 
 

@@ -170,27 +170,6 @@ class MarkovMove:
         return m
 
 
-def move_from_difference(u: ContingencyTable, v: ContingencyTable) -> MarkovMove | None:
-    """The unique basis move m with v = u + m, or None when v - u is not a move."""
-    diff = [
-        (i, j, v.entries[i][j] - u.entries[i][j])
-        for i in range(u.n)
-        for j in range(u.n)
-        if v.entries[i][j] != u.entries[i][j]
-    ]
-    if len(diff) != 4 or sorted(d for _, _, d in diff) != [-1, -1, 1, 1]:
-        return None
-    rows = sorted({i for i, _, _ in diff})
-    cols = sorted({j for _, j, _ in diff})
-    if len(rows) != 2 or len(cols) != 2:
-        return None
-    delta = {(i, j): d for i, j, d in diff}
-    sign = delta[(rows[0], cols[0])]
-    if delta[(rows[1], cols[1])] != sign or delta[(rows[0], cols[1])] != -sign:
-        return None
-    return MarkovMove(rows[0] + 1, cols[0] + 1, rows[1] + 1, cols[1] + 1, sign)
-
-
 @lru_cache(maxsize=None)
 def enumerate_basis_moves(n: int) -> tuple[MarkovMove, ...]:
     """All 2*C(n,2)^2 moves for n x n tables, in canonical order (one cached tuple)."""

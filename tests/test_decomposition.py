@@ -111,6 +111,18 @@ def test_konig_check_builds_no_graph(monkeypatch, tmp_path):
     assert result["computed"] == {"tables": 2008, "failures": 0}
 
 
+def test_konig_check_reads_the_labels_of_a_built_graph(monkeypatch):
+    expected = cli._check_konig(cli._VerifyContext(3, 3, 100))
+    ctx = cli._VerifyContext(3, 3, 100)
+    ctx.graph.automorphisms  # checked once, as the checks before konig in verify do
+
+    def refuse(fiber):
+        raise AssertionError("the konig check labelled the orbits again")
+
+    monkeypatch.setattr("fibergraphs.graphs.symmetry_generators", refuse)
+    assert cli._check_konig(ctx) == expected
+
+
 def test_decompose_zero_table_has_no_parts():
     zero = validate_table(2, 0, [[0, 0], [0, 0]])
     with pytest.raises(NoPerfectMatchingError):

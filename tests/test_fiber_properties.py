@@ -4,6 +4,7 @@ on drawn small graphs agrees with the brute-force oracles."""
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -191,7 +192,7 @@ def test_test_and_sample_read_the_same_table(tmp_path_factory, data, n, r, suffi
     t = fiber[data.draw(st.integers(0, len(fiber) - 1))]
     path = tmp_path_factory.getbasetemp() / f"drawn{suffix}"
     if suffix == ".json":
-        path.write_text(io.table_to_json(t))
+        path.write_text(json.dumps({"n": t.n, "r": t.r, "rows": t.rows()}))
     else:
         path.write_text("".join(",".join(map(str, row)) + "\n" for row in t.rows()))
     assert as_equal_margin_table(io.load_rows(path)) == io.load_table(path) == t

@@ -8,6 +8,7 @@ import pytest
 from fibergraphs.analysis import diameter, liu_check, vertex_connectivity
 from fibergraphs.enumeration import enumerate_fiber
 from fibergraphs.errors import (
+    FiberGraphsError,
     NotAnAutomorphismError,
     SizeLimitExceededError,
     UnsupportedFormatError,
@@ -270,3 +271,16 @@ def test_a_broken_symmetry_is_refused(graph_3_2):
                 lambda g: liu_check(g, 3)):
         with pytest.raises(NotAnAutomorphismError):
             use(broken)
+
+
+def test_unsorted_rows_are_refused(graph_3_2):
+    # the automorphism check compares image keys against the graph's own keys,
+    # which it takes to be sorted because build_graph sorts every CSR row
+    end = graph_3_2.indptr[1]
+    indices = graph_3_2.indices.copy()
+    indices[:end] = indices[:end][::-1]
+    moves = graph_3_2.move_ids.copy()
+    moves[:end] = moves[:end][::-1]
+    unsorted = FiberGraph(graph_3_2.indptr, indices, fiber=graph_3_2.fiber, move_ids=moves)
+    with pytest.raises(FiberGraphsError, match="not sorted"):
+        unsorted.automorphisms

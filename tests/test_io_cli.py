@@ -14,7 +14,7 @@ from fibergraphs.graphs import WeightVector, build_graph, export_graph, orient, 
 
 def test_parse_table_json_round_trip():
     t = io.parse_table_json('{"n": 2, "r": 2, "rows": [[1, 1], [1, 1]]}')
-    assert io.parse_table_json(io.table_to_json(t)) == t
+    assert io.parse_table_json(json.dumps({"n": t.n, "r": t.r, "rows": t.rows()})) == t
 
 
 def test_parse_table_json_missing_keys():
@@ -84,6 +84,34 @@ def test_formatter_object_entries():
 @pytest.mark.parametrize("n, r", [(2, 0), (1, 0), (1, 7), (1, 10), (1, 2**64)], ids=str)
 def test_formatter_one_row_or_one_column(n, r):
     _assert_per_line(enumerate_fiber(n, r))
+
+
+def _format_rows_reference(literals, columns):
+    lines = []
+    for values in zip(*columns):
+        parts = [literals[0]]
+        for value, literal in zip(values, literals[1:]):
+            parts += [str(int(value)), literal]
+        lines.append("".join(parts))
+    return "".join(lines)
+
+
+# In blocks of 4 rows the first column stays one digit wide, the others change
+# width from block to block, and the second block is one digit wide throughout.
+_MIXED_WIDTHS = [
+    [3, 0, 9, 1, 0, 2, 5, 7, 8, 4, 6, 1, 0, 9, 2],
+    [0, 10, 7, 255, 9, 1, 1, 0, 99, 5, 3, 250, 10, 1, 0],
+    [0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 42, 99, 100, 200, 255],
+]
+
+
+@pytest.mark.parametrize("block", [4, io.FORMAT_BLOCK])
+@pytest.mark.parametrize("dtype", [np.uint8, ">u2", np.int64, object], ids=str)
+def test_formatter_matches_reference(monkeypatch, dtype, block):
+    monkeypatch.setattr(io, "FORMAT_BLOCK", block)
+    columns = [np.array(col, dtype=dtype) for col in _MIXED_WIDTHS]
+    literals = ['{"a":', ',"b":[', ",", "]}\n"]
+    assert io.format_rows(literals, columns) == _format_rows_reference(literals, columns)
 
 
 def test_formatter_one_column_without_literals():

@@ -20,7 +20,6 @@ from fibergraphs.tables import (
     max_degree_value,
     min_degree_value,
     move_cells,
-    move_from_difference,
     scaled_permutation,
     support,
     valid_moves,
@@ -151,13 +150,6 @@ def test_apply_move_rejects_invalid():
     t = validate_table(2, 2, [[2, 0], [0, 2]])
     with pytest.raises(InvalidMoveError):
         apply_move(t, MarkovMove(1, 1, 2, 2, 1))
-
-
-def test_move_from_difference_round_trip():
-    t = validate_table(3, 2, [[1, 1, 0], [1, 0, 1], [0, 1, 1]])
-    for m in valid_moves(t):
-        assert move_from_difference(t, apply_move(t, m)) == m
-    assert move_from_difference(t, t) is None
 
 
 def test_degree_examples():
