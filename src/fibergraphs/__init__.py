@@ -53,3 +53,7 @@ def __getattr__(name: str):
     __import__(f"{__name__}.{module}")
     loaded = sys.modules[f"{__name__}.{module}"]
     return loaded if module == name else getattr(loaded, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_MODULES})

@@ -22,8 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-# the other modules are imported by the commands that run them, so that a
-# command loads only what it needs
+# analysis, decomposition, graphs and sampler are reached as fg.<module> when
+# a command runs, so that the lazy package loads only what that command needs
+import fibergraphs as fg
+
 from . import enumeration, io, tables
 from .errors import FiberGraphsError, SizeLimitExceededError
 
@@ -63,15 +65,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- graph
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    from . import graphs
     fiber = enumeration.enumerate_fiber(args.n, args.r, cap=args.cap)
-    graph = graphs.build_graph(fiber)
-    target: graphs.FiberGraph | graphs.OrientedFiberGraph = graph
+    graph = fg.graphs.build_graph(fiber)
+    target: fg.graphs.FiberGraph | fg.graphs.OrientedFiberGraph = graph
     if args.oriented:
-        target = graphs.orient(graph, graphs.WeightVector.standard(args.n))
-    _write_output(graphs.export_graph(target, args.format), args.out)
+        target = fg.graphs.orient(graph, fg.graphs.WeightVector.standard(args.n))
+    _write_output(fg.graphs.export_graph(target, args.format), args.out)
     if args.out:
-        _write_output(graphs.vertex_map_json(graph), args.out + ".vertices.json")
+        _write_output(fg.graphs.vertex_map_json(graph), args.out + ".vertices.json")
     print(
         f"{graph.vertex_count} vertices, {graph.edge_count} edges",
         file=sys.stderr,
@@ -94,14 +95,12 @@ class _VerifyContext:
         return enumeration.enumerate_fiber(self.n, self.r, cap=self.cap)
 
     @cached_property
-    def graph(self) -> graphs.FiberGraph:
-        from . import graphs
-        return graphs.build_graph(self.fiber)
+    def graph(self) -> fg.graphs.FiberGraph:
+        return fg.graphs.build_graph(self.fiber)
 
     @cached_property
-    def oriented(self) -> graphs.OrientedFiberGraph:
-        from . import graphs
-        return graphs.orient(self.graph, graphs.WeightVector.standard(self.n))
+    def oriented(self) -> fg.graphs.OrientedFiberGraph:
+        return fg.graphs.orient(self.graph, fg.graphs.WeightVector.standard(self.n))
 
 
 def _report(expected: object, computed: object, ok: bool, hypothesis_met: bool = True) -> dict:
@@ -128,7 +127,6 @@ def _check_degrees(ctx: _VerifyContext) -> dict:
 
 
 def _check_connmax(ctx: _VerifyContext) -> dict:
-    from . import analysis
     # removing the neighborhood of a minimum-degree pattern vertex must
     # disconnect it from the rest, witnessing kappa <= C(n,2)
     bound = comb(ctx.n, 2)
@@ -138,7 +136,7 @@ def _check_connmax(ctx: _VerifyContext) -> dict:
         return _report({"upper_bound": bound}, computed, True)
     vid = ctx.fiber.index_of(tables.scaled_permutation(ctx.n, ctx.r, list(range(ctx.n))))
     cut = frozenset(graph.neighbors(vid).tolist())
-    disconnects = not analysis._connected_after_removal(graph, cut)
+    disconnects = not fg.analysis._connected_after_removal(graph, cut)
     return _report(
         {"cut_size": bound, "disconnects": True},
         {"cut_size": len(cut), "disconnects": disconnects},
@@ -157,8 +155,7 @@ def _check_maxdeg(ctx: _VerifyContext) -> dict:
 
 
 def _check_commonchoices(ctx: _VerifyContext) -> dict:
-    from . import analysis
-    count, pair = analysis.min_common_moves_over_close_pairs(ctx.graph)
+    count, pair = fg.analysis.min_common_moves_over_close_pairs(ctx.graph)
     computed = {"min_common_moves": count, "pair": list(pair)}
     if ctx.r <= 2:
         return _report(None, computed, True, False)
@@ -167,8 +164,7 @@ def _check_commonchoices(ctx: _VerifyContext) -> dict:
 
 
 def _check_connectivity(ctx: _VerifyContext) -> dict:
-    from . import analysis
-    report = analysis.vertex_connectivity(ctx.graph)
+    report = fg.analysis.vertex_connectivity(ctx.graph)
     computed = {
         "kappa": report.kappa,
         "min_degree": report.min_degree,
@@ -181,9 +177,8 @@ def _check_connectivity(ctx: _VerifyContext) -> dict:
 
 
 def _check_liu(ctx: _VerifyContext) -> dict:
-    from . import analysis
     k = comb(ctx.n, 2)
-    result = analysis.liu_check(ctx.graph, k)
+    result = fg.analysis.liu_check(ctx.graph, k)
     computed = {
         "min_disjoint_paths": result.min_value,
         "pair": list(result.min_pair) if result.min_pair else None,
@@ -194,11 +189,10 @@ def _check_liu(ctx: _VerifyContext) -> dict:
 
 
 def _check_diameter(ctx: _VerifyContext) -> dict:
-    from . import analysis
     expected = (ctx.n - 1) * ctx.r
-    diam = analysis.diameter(ctx.graph)
-    a, b = analysis.diameter_witness_pair(ctx.n, ctx.r)
-    witness = analysis.distance_between(ctx.graph, ctx.fiber.index_of(a), ctx.fiber.index_of(b))
+    diam = fg.analysis.diameter(ctx.graph)
+    a, b = fg.analysis.diameter_witness_pair(ctx.n, ctx.r)
+    witness = fg.analysis.distance_between(ctx.graph, ctx.fiber.index_of(a), ctx.fiber.index_of(b))
     return _report(
         {"diameter": expected, "witness_distance": expected},
         {"diameter": diam, "witness_distance": witness},
@@ -207,8 +201,7 @@ def _check_diameter(ctx: _VerifyContext) -> dict:
 
 
 def _check_sink(ctx: _VerifyContext) -> dict:
-    from . import graphs
-    sinks = graphs.find_sinks(ctx.oriented)
+    sinks = fg.graphs.find_sinks(ctx.oriented)
     computed = {"sinks": sinks}
     ok = len(sinks) == 1
     expected: dict = {"unique_sink": True}
@@ -224,33 +217,33 @@ def _check_sink(ctx: _VerifyContext) -> dict:
 
 
 def _check_dag(ctx: _VerifyContext) -> dict:
-    from . import graphs
-    acyclic = graphs.is_acyclic(ctx.oriented)
+    acyclic = fg.graphs.is_acyclic(ctx.oriented)
     return _report({"acyclic": True}, {"acyclic": acyclic}, acyclic)
 
 
 def _check_konig(ctx: _VerifyContext) -> dict:
-    from . import analysis, decomposition, graphs
     # if t = P_1 + ... + P_r, then s(t) = s(P_1) + ... + s(P_r) for every row,
     # column or transpose symmetry s, and each s(P_k) is again a permutation
-    # matrix: one decomposition settles a table's whole orbit.  The labels of
-    # a graph verify has built are memoised; none is built for this check.
+    # matrix: one decomposition settles a table's whole orbit.  The orbits
+    # are read off a built graph only once its automorphisms exist, which
+    # cost more to build than the fiber's symmetry generators; no graph is
+    # built for this check.
     fiber = ctx.fiber
-    if "graph" in vars(ctx):
-        labels = analysis._vertex_labels(ctx.graph)
+    if "graph" in vars(ctx) and "automorphisms" in vars(ctx.graph):
+        labels = fg.analysis._vertex_labels(ctx.graph)
     else:
-        labels = analysis._orbit_labels(len(fiber), list(graphs.symmetry_generators(fiber).values()))
+        generators = fg.graphs.symmetry_generators(fiber).values()
+        labels = fg.analysis._orbit_labels(len(fiber), list(generators))
     orbit_sizes = np.bincount(labels, minlength=len(fiber))
     failures = 0
-    for v in analysis._first_members(labels).tolist():
+    for v in fg.analysis._first_members(labels).tolist():
         t = fiber[v]
-        if decomposition.decompose(t).resum().entries != t.entries:
+        if fg.decomposition.decompose(t).resum().entries != t.entries:
             failures += int(orbit_sizes[v])
     return _report({"failures": 0}, {"tables": len(fiber), "failures": failures}, failures == 0)
 
 
 def _check_decomp_constrained(ctx: _VerifyContext) -> dict:
-    from . import decomposition
     # k <= r cells are drawn from a budget of n * r units, so one is always left
     rng = random.Random(20_240_000 + ctx.n * 100 + ctx.r)
     failures = 0
@@ -270,7 +263,7 @@ def _check_decomp_constrained(ctx: _VerifyContext) -> dict:
             i, j = rng.choice(cells)
             budget[i - 1][j - 1] -= 1
             positions.append((i, j))
-        dec = decomposition.decompose_constrained(t, positions)
+        dec = fg.decomposition.decompose_constrained(t, positions)
         if dec.resum().entries != t.entries or not dec.satisfies_constraints():
             failures += 1
     computed = {"trials": CONSTRAINED_TRIALS, "failures": failures}
@@ -343,10 +336,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- decompose
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    from . import decomposition
     table = io.load_table(args.table)
     constraints = io.parse_constraints(args.constraints) if args.constraints else []
-    dec = decomposition.decompose_constrained(table, constraints)
+    dec = fg.decomposition.decompose_constrained(table, constraints)
     ok = dec.resum().entries == table.entries and dec.satisfies_constraints()
     payload = {
         "parts": [p.rows() for p in dec.parts],
@@ -358,22 +350,20 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- sample / test
 
-def _walk_config(args: argparse.Namespace, target: str) -> sampler.WalkConfig:
-    from . import sampler
-    return sampler.WalkConfig(
+def _walk_config(args: argparse.Namespace, target: str) -> fg.sampler.WalkConfig:
+    return fg.sampler.WalkConfig(
         steps=args.steps,
         seed=args.seed,
         burn_in=args.burn_in,
         thinning=args.thin,
-        target=sampler.Target(target),
+        target=fg.sampler.Target(target),
     )
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    from . import sampler
     table = io.load_table(args.table)
     config = _walk_config(args, args.target)
-    state, samples = sampler.run_walk(table, config)
+    state, samples = fg.sampler.run_walk(table, config)
     n = table.n
     cells = np.array(samples, dtype=np.min_scalar_type(table.r)).reshape(-1, n * n)
     between = ["],[" if j % n == 0 else "," for j in range(1, n * n)]
@@ -390,10 +380,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_test(args: argparse.Namespace) -> int:
-    from . import sampler
     rows = io.load_rows(args.table)
-    observed = sampler.as_equal_margin_table(rows)
-    result = sampler.exact_test(observed, _walk_config(args, "hypergeometric"))
+    observed = fg.sampler.as_equal_margin_table(rows)
+    result = fg.sampler.exact_test(observed, _walk_config(args, "hypergeometric"))
     # too few samples leave the estimate or its error NaN, which JSON cannot hold
     p_value, se = (None if isnan(x) else x for x in (result.p_value_estimate, result.standard_error))
     payload = {
@@ -410,20 +399,19 @@ def cmd_test(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- hemmecke
 
 def cmd_hemmecke(args: argparse.Namespace) -> int:
-    from . import analysis
     if args.k < 1:
         print(f"error: hemmecke needs 1 <= k <= {HEMMECKE_MAX_K}, got k={args.k}", file=sys.stderr)
         return 2
     if args.k > HEMMECKE_MAX_K:
         raise SizeLimitExceededError(HEMMECKE_MAX_K, context=f"hemmecke k={args.k}")
-    graph, report = analysis.hemmecke_graph(args.k)
+    graph, report = fg.analysis.hemmecke_graph(args.k)
     payload = {
         "k": args.k,
         "vertices": graph.vertex_count,
         "min_degree": report.min_degree,
         "kappa": report.kappa,
         "conjecture_holds": report.conjecture_holds,
-        "articulation_vertices": analysis.articulation_vertices(graph),
+        "articulation_vertices": fg.analysis.articulation_vertices(graph),
     }
     _write_output(json.dumps(payload, indent=2) + "\n", args.out)
     return 0

@@ -141,7 +141,7 @@ def format_rows(literals: Sequence[str], columns: Sequence[np.ndarray]) -> str:
         block = [col[start:start + FORMAT_BLOCK] for col in columns]
         widths = [len(str(col.max())) for col in block]
         text = np.empty((sum(map(len, pieces)) + sum(widths), len(block[0])), dtype=np.uint8)
-        keep = np.ones(text.shape, dtype=bool) if max(widths) > 1 else None
+        keep = np.ones(text.shape, dtype=bool)
         at = 0
         for piece, col, width in zip(pieces, block, widths):
             text[at:at + len(piece)] = piece[:, None]
@@ -150,12 +150,11 @@ def format_rows(literals: Sequence[str], columns: Sequence[np.ndarray]) -> str:
                 text[k] = col % 10
                 col = col // 10
             text[at] = col
-            if width > 1:
-                keep[at:at + width - 1] = np.logical_or.accumulate(text[at:at + width - 1] != 0)
+            keep[at:at + width - 1] = np.logical_or.accumulate(text[at:at + width - 1] != 0)
             text[at:at + width] += ord("0")
             at += width
         text[at:] = pieces[-1][:, None]
-        out.append((text.T[keep.T] if keep is not None else text.T).tobytes().decode("ascii"))
+        out.append(text.T[keep.T].tobytes().decode("ascii"))
     return "".join(out)
 
 

@@ -18,6 +18,7 @@ from fibergraphs.decomposition import (
 from fibergraphs import cli, decomposition
 from fibergraphs.enumeration import enumerate_fiber
 from fibergraphs.errors import ConstraintInfeasibleError, NoPerfectMatchingError
+from fibergraphs.graphs import FiberGraph
 from fibergraphs.tables import validate_table
 
 
@@ -121,6 +122,20 @@ def test_konig_check_reads_the_labels_of_a_built_graph(monkeypatch):
 
     monkeypatch.setattr("fibergraphs.graphs.symmetry_generators", refuse)
     assert cli._check_konig(ctx) == expected
+
+
+def test_konig_check_builds_no_automorphisms(monkeypatch, tmp_path):
+    # degrees builds the graph but not its automorphisms, which the konig
+    # check must not build either: the symmetry generators label the orbits
+    def refuse(graph):
+        raise AssertionError("the konig check built the graph's automorphisms")
+
+    monkeypatch.setattr(FiberGraph, "automorphisms", property(refuse))
+    out = tmp_path / "konig.json"
+    argv = ["verify", "--n", "4", "--r", "3", "--checks", "degrees,konig", "--out", str(out)]
+    assert cli.main(argv) == 0
+    _, konig = json.loads(out.read_text())["results"]
+    assert konig["computed"] == {"tables": 2008, "failures": 0}
 
 
 def test_decompose_zero_table_has_no_parts():

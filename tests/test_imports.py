@@ -78,6 +78,13 @@ def test_public_names_are_exactly_the_exports():
     assert sorted(fibergraphs.__all__) == sorted(EXPORTS)
 
 
+def test_dir_lists_every_export_and_module():
+    listed = dir(fibergraphs)
+    modules = {"analysis", "cli", "decomposition", "enumeration", "errors", "graphs", "io",
+               "sampler", "tables"}
+    assert set(EXPORTS) | modules <= set(listed)
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         fibergraphs.no_such_name
