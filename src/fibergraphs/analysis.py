@@ -13,9 +13,14 @@ non-complete graph, take a minimum vertex cut S.  Each x in S has
 neighbours a and b in two different components (else S - x would be a
 cut), so d(a, b) = 2 and S separates a from b.  So κ is the least local
 connectivity over the distance-2 pairs, which is the minimum Liu's
-criterion asks for.  One max-flow sweep over those pairs, each search
-capped at the least flow found so far, is run once per graph and answers
-both.
+criterion asks for.  One sweep over those pairs, run once per graph,
+answers both.  It settles most pairs without a flow: k internally disjoint
+s-t paths prove κ(s, t) >= k (Menger), and the paper's detours M, d1, d2,
+-M give such paths.  A pair whose detours reach the least value found so
+far cannot lower it.  Before there is one, a family reaching min(deg s,
+deg t), an upper bound, gives the value exactly; on every fiber graph
+tried the first pair is (0, w), of degree δ, so its cap is δ >= κ.  Only
+the pairs whose detours fall short get a max-flow, capped the same way.
 
 Distances, local connectivity and shared moves are invariant under graph
 automorphisms, so the sweeps visit one member per orbit.  The diameter runs
@@ -318,10 +323,10 @@ MinFlow = tuple[int | None, tuple[int, int] | None, Residual | None]  # (value, 
 @_per_graph
 def _distance_two_sweep(graph: CsrGraph) -> MinFlow:
     """(value, pair, residual) for the first distance-2 pair, in
-    ``distance_two_pairs`` order, whose max-flow is least; all None when the
-    graph has no distance-2 pair.
+    ``distance_two_pairs`` order, whose local connectivity is least; all None
+    when the graph has no distance-2 pair.
 
-    One max-flow runs per orbit of pairs, on its least member: an anchored
+    One pair is swept per orbit of pairs, its least member: an anchored
     pair (u, w) kept when all of these hold.  A symmetry maps {u, w} to a
     pair (u, x) only by fixing u or by sending w to u, so rules 2 and 3
     cover every image of (u, w) anchored at u.
@@ -330,15 +335,27 @@ def _distance_two_sweep(graph: CsrGraph) -> MinFlow:
     2. w is the least member of its Stab(u)-orbit.
     3. When labels[w] == u, w <= g(u) for every g with g(w) = u.
 
-    The searches run serially: the first is uncapped and each later one is
-    capped at the least value found so far.  A search that stops below its
-    cap found no augmenting path, so its value is exact and its residual is
-    a maximum flow's.  κ and Liu's check share the one sweep of a graph.
+    Each pair first tries the detours of ``detour_paths``, the scan capped
+    at the least value found so far, or at min(deg s, deg t) before there
+    is one (module docstring); a family that reaches its cap settles the
+    pair without a flow.  Any other pair gets a max-flow with the same cap,
+    none for the first: a search that stops below its cap found no
+    augmenting path, so its value is exact and its residual a maximum
+    flow's.  Detours set a value only on the first pair, and it is then at
+    least δ, so a value below δ always comes with a residual.  A plain
+    ``CsrGraph`` has no move labels, so there every pair gets a flow.  κ
+    and Liu's check share the one sweep of a graph.
     """
-    net = SplitNetwork(graph)
-    best: MinFlow = None, None, None
+    rows = _MoveRows(graph) if isinstance(graph, FiberGraph) else None
+    net, best = None, (None, None, None)
     for s, t in _orbit_first_pairs(graph).tolist():
-        flow, residual = net.max_flow(s, t, best[0])
+        value = best[0]
+        cap = min(graph.degree(s), graph.degree(t)) if value is None else value
+        if rows is not None and len(_detour_family(rows, s, t, cap)) >= cap:
+            best = (cap, (s, t), None) if value is None else best
+            continue
+        net = net or SplitNetwork(graph)
+        flow, residual = net.max_flow(s, t, value)
         if residual is not None:
             best = flow, (s, t), residual
     return best
@@ -520,52 +537,52 @@ def detour_paths(graph: FiberGraph, u: int, v: int) -> DetourPathReport:
     Moves are basis-move ids: the neighbour of x by move k is read from the
     CSR row of x, and move k ^ 1 is the negation of move k.
     """
-
     u, v = graph.check_vertex(u), graph.check_vertex(v)
-
-    def arcs(x: int) -> dict[int, int]:
-        """Move id -> neighbour over the CSR row of x (which is sorted by neighbour)."""
-        a, b = graph.indptr[x], graph.indptr[x + 1]
-        return dict(zip(graph.move_ids[a:b].tolist(), graph.indices[a:b].tolist()))
-
-    at_u = arcs(u)
-    if u == v or v in at_u.values():
+    rows = _MoveRows(graph)
+    decompositions = sum(v in rows[x] for x in rows[u] if x >= 0)
+    if u == v or v in rows[u] or not decompositions:
         raise NotDistanceTwoError(f"vertices {u} and {v} are not at distance 2")
-    # sorted by move id, so that the canonically first decomposition comes first
-    decomps = [(m1, m2) for m1, x in sorted(at_u.items()) for m2, y in arcs(x).items() if y == v]
-    if not decomps:
-        raise NotDistanceTwoError(f"vertices {u} and {v} are not at distance 2")
-    d1, d2 = decomps[0]
+    kept = _detour_family(rows, u, v, len(rows[u]))  # no family outgrows the moves
+    x, moves = kept[0][1], enumerate_basis_moves(graph.fiber.n)  # kept[0] is u, u + d1, v
+    middle = moves[rows[u].index(x)], moves[rows[x].index(v)]
+    return DetourPathReport(u, v, middle, len(kept), decompositions, tuple(kept))
 
-    kept: list[tuple[int, ...]] = [(u, at_u[d1], v)]
-    used_internal: set[int] = {at_u[d1]}
-    moves = enumerate_basis_moves(graph.fiber.n)
 
-    for move in range(len(moves)):
-        if move == d1 or move == d2 ^ 1:
-            continue  # these collide with the direct path's interior
-        if move == d2 or move == d1 ^ 1:
-            # both stand for the alternate length-2 path u -> u + d2 -> v
-            if d2 not in at_u:
-                continue
-            candidate = (u, at_u[d2], v)
-        else:
-            a = at_u.get(move)
-            b = None if a is None else arcs(a).get(d1)
-            c = None if b is None else arcs(b).get(d2)
-            if c is None:
-                continue
-            assert arcs(c).get(move ^ 1) == v, "final leg must land on v"
-            if len({a, b, c}) < 3 or u in (a, b, c) or v in (a, b, c):
-                continue
-            candidate = (u, a, b, c, v)
-        interior = set(candidate[1:-1])
-        if interior & used_internal:
-            continue
-        kept.append(candidate)
-        used_internal |= interior
+class _MoveRows(dict):
+    """x -> the neighbour of x by each move id, -1 where that move is not
+    valid at x: one list per vertex, read from its CSR row on first use."""
 
-    return DetourPathReport(u, v, (moves[d1], moves[d2]), len(kept), len(decomps), tuple(kept))
+    def __init__(self, graph: FiberGraph):
+        super().__init__()
+        self.graph, self.moves = graph, len(move_cells(graph.fiber.n))
+
+    def __missing__(self, x: int) -> list[int]:
+        row = self[x] = [-1] * self.moves
+        a, b = self.graph.indptr[x], self.graph.indptr[x + 1]
+        for move, y in zip(self.graph.move_ids[a:b].tolist(), self.graph.indices[a:b].tolist()):
+            row[move] = y
+        return row
+
+
+def _detour_family(rows: _MoveRows, u: int, v: int, cap: int) -> list[tuple[int, ...]]:
+    """The paths ``detour_paths`` keeps for the distance-2 pair (u, v), the
+    scan stopping as soon as ``cap`` are kept."""
+    at_u = rows[u]
+    d1 = next(move for move, x in enumerate(at_u) if x >= 0 and v in rows[x])
+    d2 = rows[at_u[d1]].index(v)
+    kept, used = [(u, at_u[d1], v)], {-1, u, v, at_u[d1]}  # -1: a move not valid there
+    for move, a in enumerate(at_u):
+        if len(kept) >= cap:
+            break
+        if move == d2 or move == d1 ^ 1:  # both stand for the alternate path through u + d2
+            interior = (at_u[d2],)
+        else:  # the detour M, d1, d2, -M; M = d1 or -d2 meets the direct path's interior
+            b = rows[a][d1] if a >= 0 else -1
+            interior = (a, b, rows[b][d2] if b >= 0 else -1)
+        if len(set(interior)) == len(interior) and used.isdisjoint(interior):
+            kept.append((u, *interior, v))
+            used.update(interior)
+    return kept
 
 
 # --- the double-cube counterexample ---

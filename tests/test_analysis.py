@@ -565,7 +565,8 @@ def _orbit_sweeps(graph):
     return diameter(graph), (report.kappa, report.witness_cut), (liu.min_value, liu.min_pair)
 
 
-@pytest.mark.parametrize("n,r", [(3, 3), (3, 4), (3, 5), (3, 6), (3, 7), (4, 2)])
+@pytest.mark.parametrize("n,r", [(3, 3), (3, 4), (3, 5), (3, 6), (3, 7), (4, 2),
+                                 (3, 2), (4, 1), (5, 1)])
 def test_orbit_sweeps_match_full_sweeps(n, r):
     graph = build_graph(enumerate_fiber(n, r))
     assert _orbit_sweeps(graph) == _full_sweeps(graph)
@@ -594,8 +595,38 @@ def test_vertex_orbits_are_the_table_classes(n, r):
     assert labels == [first_of_class[key] for key in classes]
 
 
-@pytest.mark.parametrize("n,r", [(3, 3), (3, 4), (4, 2)])
-def test_sweeps_run_one_max_flow_per_orbit(n, r, monkeypatch):
+def _recorded_sweep(graph, monkeypatch):
+    """Run vertex_connectivity, recording each max-flow's pair and each
+    capped detour scan's (s, t, cap, family)."""
+    flows, scans = [], []
+    original_flow, original_family = SplitNetwork.max_flow, analysis._detour_family
+
+    def counted(net, s, t, bound=None):
+        flows.append((s, t))
+        return original_flow(net, s, t, bound)
+
+    def recorded(rows, s, t, cap):
+        family = original_family(rows, s, t, cap)
+        scans.append((s, t, cap, family))
+        return family
+
+    monkeypatch.setattr(SplitNetwork, "max_flow", counted)
+    monkeypatch.setattr(analysis, "_detour_family", recorded)
+    vertex_connectivity(graph)
+    return flows, scans
+
+
+# the swept pairs whose capped detour family falls short, so that they get a max-flow
+DETOURS_FALL_SHORT = {
+    (3, 2): [(0, 2), (1, 8)],
+    (3, 3): [],
+    (3, 4): [],
+    (4, 2): [(0, 2), (0, 4), (1, 8), (1, 15), (1, 55), (4, 13), (4, 58)],
+}
+
+
+@pytest.mark.parametrize("n,r", sorted(DETOURS_FALL_SHORT))
+def test_sweeps_settle_each_orbit_once_by_detours_or_a_flow(n, r, monkeypatch):
     graph = build_graph(enumerate_fiber(n, r))
     tables = list(graph.fiber)
     ids = {t: x for x, t in enumerate(tables)}
@@ -612,20 +643,33 @@ def test_sweeps_run_one_max_flow_per_orbit(n, r, monkeypatch):
                 seen |= {tuple(sorted((ids[g(tables[u])], ids[g(tables[v])]))) for g in elements}
                 yield u, v
 
-    flows = []
-    original = SplitNetwork.max_flow
-
-    def counted(net, s, t, bound=None):
-        flows.append((s, t))
-        return original(net, s, t, bound)
-
-    monkeypatch.setattr(SplitNetwork, "max_flow", counted)
-    liu_flows = list(first_members(distance_two_pairs(graph).tolist(), group))
-    # kappa runs Liu's sweep, and Liu's check then reads it without a flow
-    vertex_connectivity(graph)
-    assert flows == liu_flows
+    orbit_pairs = list(first_members(distance_two_pairs(graph).tolist(), group))
+    flows, scans = _recorded_sweep(graph, monkeypatch)
+    settled = [(s, t) for s, t, cap, family in scans if len(family) >= cap]
+    short = [(s, t) for s, t, cap, family in scans if len(family) < cap]
+    assert sorted(settled + flows) == orbit_pairs
+    assert flows == short == DETOURS_FALL_SHORT[n, r]
+    # Liu's check then reads the same sweep, with no scan and no flow
     liu_check(graph, 3)
-    assert flows == liu_flows
+    assert (len(flows), len(scans)) == (len(short), len(orbit_pairs))
+
+
+@pytest.mark.parametrize("n,r", [(3, 3), (3, 4), (3, 5), (4, 2), (4, 3)])
+def test_settling_detour_families_are_disjoint_graph_paths(n, r, monkeypatch):
+    graph = build_graph(enumerate_fiber(n, r))
+    _, scans = _recorded_sweep(graph, monkeypatch)
+    kappa, adj = liu_check(graph, 0).min_value, rows_of(graph)
+    settling = [scan for scan in scans if len(scan[3]) >= scan[2]]
+    assert settling
+    for s, t, cap, family in settling:
+        assert len(family) >= cap >= kappa
+        interiors: set[int] = set()
+        for path in family:
+            assert path[0] == s and path[-1] == t
+            assert all(b in adj[a] for a, b in zip(path, path[1:]))
+            inner = set(path[1:-1])
+            assert len(inner) == len(path) - 2 and not inner & ({s, t} | interiors)
+            interiors |= inner
 
 
 @pytest.mark.parametrize("n,r", [(3, 3), (3, 4), (4, 2), (5, 1), (6, 1), (7, 1)])
