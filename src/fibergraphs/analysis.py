@@ -29,16 +29,16 @@ pair sweeps are anchored: the least member (x, y), x < y, of any orbit of
 unordered pairs has x a representative, since a symmetry mapping x to the
 first member of its orbit would give a smaller pair.  So they read only the
 pairs (rep, w), w > rep, found by one two-hop pass over the representatives'
-rows per graph.  A fiber graph brings its symmetry group (checked
-generators); a plain ``CsrGraph`` has none, so there every vertex is a
-representative and every pair its own orbit.
+rows per graph.  A fiber graph reads its fiber's ``graphs.vertex_orbits``,
+once ``automorphisms`` has proven the generators on its arcs; a plain
+``CsrGraph`` has no symmetry, so there every vertex is a representative and
+every pair its own orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-from weakref import WeakKeyDictionary
+from typing import Iterable
 
 import numpy as np
 
@@ -49,7 +49,8 @@ from .errors import (
     InvalidDimensionError,
     NotDistanceTwoError,
 )
-from .graphs import CsrGraph, FiberGraph, row_arcs, symmetry_maps, two_hop_pairs
+from .graphs import (CsrGraph, FiberGraph, row_arcs, symmetry_maps, two_hop_pairs, vertex_orbits,
+                     weakly_memoised)
 from .tables import (
     ContingencyTable,
     MarkovMove,
@@ -61,29 +62,6 @@ from .tables import (
 )
 
 _POPCOUNT = np.array([bin(x).count("1") for x in range(256)], dtype=np.uint8)
-
-
-# --- orbits ---
-
-def _orbit_labels(size: int, perms: Sequence[np.ndarray]) -> np.ndarray:
-    """The smallest member of each element's orbit under the group the
-    permutations generate: min-label propagation along every i -- perm[i],
-    with pointer jumping, until nothing changes."""
-    labels = np.arange(size)
-    while True:
-        new = labels.copy()
-        for perm in perms:
-            np.minimum(new, new[perm], out=new)
-            new[perm] = np.minimum(new[perm], new)
-        new = new[new]
-        if np.array_equal(new, labels):
-            return labels
-        labels = new
-
-
-def _first_members(labels: np.ndarray) -> np.ndarray:
-    """Positions of the first member of each orbit."""
-    return np.flatnonzero(labels == np.arange(len(labels)))
 
 
 # --- distances ---
@@ -126,10 +104,9 @@ def distance_between(graph: CsrGraph, u: int, v: int) -> int:
 def diameter(graph: CsrGraph) -> int:
     """Largest BFS distance over all source vertices.
 
-    Eccentricity is constant on vertex orbits, so one vectorized BFS runs
-    from each orbit's first member (38 sources on G(4,4), not 10,147).
-    Vertex 0 is always one, so a disconnected graph raises
-    DisconnectedGraphError from the first BFS.
+    One vectorized BFS runs from each vertex-orbit representative (module
+    docstring): 38 sources on G(4,4), not 10,147.  Vertex 0 is always one,
+    so a disconnected graph raises DisconnectedGraphError from the first BFS.
     """
     n = graph.vertex_count
     if n == 0:
@@ -154,11 +131,7 @@ def diameter_witness_pair(n: int, r: int) -> tuple[ContingencyTable, Contingency
     return identity, cycle
 
 
-def is_connected(graph: CsrGraph) -> bool:
-    return graph.vertex_count == 0 or bool((_bfs(graph.indptr, graph.indices, 0) >= 0).all())
-
-
-def _connected_after_removal(graph: CsrGraph, removed: frozenset[int]) -> bool:
+def is_connected(graph: CsrGraph, removed: frozenset[int] = frozenset()) -> bool:
     """Whether the vertices outside ``removed`` induce a connected graph."""
     start = next((x for x in range(graph.vertex_count) if x not in removed), None)
     if start is None:
@@ -295,23 +268,17 @@ def distance_two_pairs(graph: CsrGraph) -> np.ndarray:
     return two_hop_pairs(graph.indptr, graph.indices, np.arange(graph.vertex_count))
 
 
-def _per_graph(compute):
-    """Memoise compute(graph) for as long as the graph object lives."""
-    results: WeakKeyDictionary = WeakKeyDictionary()
-
-    def cached(graph: CsrGraph):
-        if graph not in results:
-            results[graph] = compute(graph)
-        return results[graph]
-    return cached
-
-
-@_per_graph
 def _vertex_labels(graph: CsrGraph) -> np.ndarray:
-    return _orbit_labels(graph.vertex_count, graph.automorphisms)
+    """The fiber's ``vertex_orbits``, read once ``graph.automorphisms`` proves the generators."""
+    return vertex_orbits(graph.fiber) if graph.automorphisms else np.arange(graph.vertex_count)
 
 
-@_per_graph
+def _first_members(labels: np.ndarray) -> np.ndarray:
+    """Positions of the first member of each orbit."""
+    return np.flatnonzero(labels == np.arange(len(labels)))
+
+
+@weakly_memoised
 def _anchored_pairs(graph: CsrGraph) -> np.ndarray:
     """The rows of ``distance_two_pairs`` whose u is a representative."""
     return two_hop_pairs(graph.indptr, graph.indices, _first_members(_vertex_labels(graph)))
@@ -320,16 +287,16 @@ def _anchored_pairs(graph: CsrGraph) -> np.ndarray:
 MinFlow = tuple[int | None, tuple[int, int] | None, Residual | None]  # (value, pair, residual)
 
 
-@_per_graph
+@weakly_memoised
 def _distance_two_sweep(graph: CsrGraph) -> MinFlow:
     """(value, pair, residual) for the first distance-2 pair, in
     ``distance_two_pairs`` order, whose local connectivity is least; all None
     when the graph has no distance-2 pair.
 
     One pair is swept per orbit of pairs, its least member: an anchored
-    pair (u, w) kept when all of these hold.  A symmetry maps {u, w} to a
-    pair (u, x) only by fixing u or by sending w to u, so rules 2 and 3
-    cover every image of (u, w) anchored at u.
+    pair (u, w) (module docstring) kept when all of these hold.  A symmetry
+    maps {u, w} to a pair (u, x) only by fixing u or by sending w to u, so
+    rules 2 and 3 cover every image of (u, w) anchored at u.
 
     1. labels[w] >= u; else the orbit has a pair anchored at labels[w] < u.
     2. w is the least member of its Stab(u)-orbit.
@@ -452,7 +419,7 @@ def vertex_connectivity(graph: CsrGraph) -> ConnectivityReport:
 
     if len(witness) != kappa:
         raise FiberGraphsError(f"witness cut has {len(witness)} vertices but kappa is {kappa}")
-    if _connected_after_removal(graph, witness):
+    if is_connected(graph, witness):
         raise FiberGraphsError("witness cut does not disconnect the graph")
     return ConnectivityReport(kappa, witness, min_degree, kappa == min_degree)
 
@@ -612,4 +579,4 @@ def hemmecke_graph(k: int) -> tuple[CsrGraph, ConnectivityReport]:
 def articulation_vertices(graph: CsrGraph) -> list[int]:
     """Vertices whose removal disconnects the graph (checked by removal + BFS)."""
     vertices = range(graph.vertex_count)
-    return [x for x in vertices if not _connected_after_removal(graph, frozenset({x}))]
+    return [x for x in vertices if not is_connected(graph, frozenset({x}))]

@@ -136,7 +136,7 @@ def _check_connmax(ctx: _VerifyContext) -> dict:
         return _report({"upper_bound": bound}, computed, True)
     vid = ctx.fiber.index_of(tables.scaled_permutation(ctx.n, ctx.r, list(range(ctx.n))))
     cut = frozenset(graph.neighbors(vid).tolist())
-    disconnects = not fg.analysis._connected_after_removal(graph, cut)
+    disconnects = not fg.analysis.is_connected(graph, cut)
     return _report(
         {"cut_size": bound, "disconnects": True},
         {"cut_size": len(cut), "disconnects": disconnects},
@@ -224,22 +224,15 @@ def _check_dag(ctx: _VerifyContext) -> dict:
 def _check_konig(ctx: _VerifyContext) -> dict:
     # if t = P_1 + ... + P_r, then s(t) = s(P_1) + ... + s(P_r) for every row,
     # column or transpose symmetry s, and each s(P_k) is again a permutation
-    # matrix: one decomposition settles a table's whole orbit.  The orbits
-    # are read off a built graph only once its automorphisms exist, which
-    # cost more to build than the fiber's symmetry generators; no graph is
-    # built for this check.
+    # matrix: one decomposition settles a table's whole orbit.  The fiber's
+    # orbits are labelled once and shared with the graph's sweeps; no graph.
     fiber = ctx.fiber
-    if "graph" in vars(ctx) and "automorphisms" in vars(ctx.graph):
-        labels = fg.analysis._vertex_labels(ctx.graph)
-    else:
-        generators = fg.graphs.symmetry_generators(fiber).values()
-        labels = fg.analysis._orbit_labels(len(fiber), list(generators))
-    orbit_sizes = np.bincount(labels, minlength=len(fiber))
+    reps, orbit_sizes = np.unique(fg.graphs.vertex_orbits(fiber), return_counts=True)
     failures = 0
-    for v in fg.analysis._first_members(labels).tolist():
+    for v, size in zip(reps.tolist(), orbit_sizes.tolist()):
         t = fiber[v]
         if fg.decomposition.decompose(t).resum().entries != t.entries:
-            failures += int(orbit_sizes[v])
+            failures += size
     return _report({"failures": 0}, {"tables": len(fiber), "failures": failures}, failures == 0)
 
 
@@ -366,8 +359,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     state, samples = fg.sampler.run_walk(table, config)
     n = table.n
     cells = np.array(samples, dtype=np.min_scalar_type(table.r)).reshape(-1, n * n)
-    between = ["],[" if j % n == 0 else "," for j in range(1, n * n)]
-    _write_output(io.format_rows(['{"rows":[[', *between, "]]}\n"], list(cells.T)), args.emit)
+    literals = ['{"rows":[[', *io.json_row_separators(n), "]]}\n"]
+    _write_output(io.format_rows(literals, list(cells.T)), args.emit)
     summary = {
         "steps": state.step_index,
         "accepted": state.accepted_count,

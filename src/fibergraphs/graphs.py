@@ -22,9 +22,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import permutations
-from typing import Iterable
+from typing import Iterable, Sequence
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -37,10 +38,22 @@ from .errors import (
     UnsupportedFormatError,
     ZeroWeightEdgeError,
 )
-from .io import format_rows
-from .tables import ContingencyTable, move_cells
+from .io import format_rows, json_row_separators
+from .tables import move_cells
 
 DOT_VERTEX_LIMIT = 500
+
+
+def weakly_memoised(compute):
+    """Memoise compute(key) for as long as the key object lives."""
+    results: WeakKeyDictionary = WeakKeyDictionary()
+
+    @wraps(compute)
+    def cached(key):
+        if key not in results:
+            results[key] = compute(key)
+        return results[key]
+    return cached
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +124,7 @@ class FiberGraph(CsrGraph):
 
     @cached_property
     def automorphisms(self) -> tuple[np.ndarray, ...]:
-        """The ``symmetry_generators`` of the fiber, checked on the graph.
+        """The fiber's memoised ``symmetry_generators``, proven on the graph.
 
         Each is checked to be a bijection that maps the arc set onto itself
         (their sorted u*V + v keys are compared); NotAnAutomorphismError is
@@ -131,13 +144,14 @@ class FiberGraph(CsrGraph):
         return tuple(generators.values())
 
 
+@weakly_memoised
 def symmetry_generators(fiber: Fiber) -> dict[str, np.ndarray]:
     """Vertex permutations of a row swap, a row n-cycle and the transpose.
 
     Together they generate all 2(n!)^2 row and column permutations, with and
     without transpose.  Each maps every table of the fiber to a table of the
     fiber; whether it is also a graph automorphism is checked by
-    ``FiberGraph.automorphisms``.
+    ``FiberGraph.automorphisms``.  They are read-only, computed once per fiber.
     """
     n = fiber.n
     grid = np.arange(n * n).reshape(n, n)
@@ -146,7 +160,35 @@ def symmetry_generators(fiber: Fiber) -> dict[str, np.ndarray]:
     cell_perms = {"row swap": grid[swap], "row cycle": grid[np.roll(np.arange(n), 1)],
                   "transpose": grid.T}
     # each vertex x maps to the table whose row-major cells are cells[x][p]
-    return {name: fiber.ids_of(fiber.cells[:, p.ravel()]) for name, p in cell_perms.items()}
+    generators = {name: fiber.ids_of(fiber.cells[:, p.ravel()]) for name, p in cell_perms.items()}
+    for perm in generators.values():
+        perm.flags.writeable = False
+    return generators
+
+
+def _orbit_labels(size: int, perms: Sequence[np.ndarray]) -> np.ndarray:
+    """The smallest member of each element's orbit under the group the
+    permutations generate: min-label propagation along every i -- perm[i],
+    with pointer jumping, until nothing changes."""
+    labels = np.arange(size)
+    while True:
+        new = labels.copy()
+        for perm in perms:
+            np.minimum(new, new[perm], out=new)
+            new[perm] = np.minimum(new[perm], new)
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+@weakly_memoised
+def vertex_orbits(fiber: Fiber) -> np.ndarray:
+    """Each table's orbit under ``symmetry_generators``, labelled by its least
+    vertex id (a representative): a read-only array, computed once per fiber."""
+    labels = _orbit_labels(len(fiber), list(symmetry_generators(fiber).values()))
+    labels.flags.writeable = False
+    return labels
 
 
 def symmetry_maps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,11 +256,6 @@ class WeightVector:
 
     def negate(self) -> "WeightVector":
         return WeightVector(self.n, tuple(tuple(-x for x in row) for row in self.w))
-
-    def dot(self, t: ContingencyTable) -> int:
-        return sum(
-            self.w[i][j] * t.entries[i][j] for i in range(self.n) for j in range(self.n)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,7 +397,6 @@ def export_graph(graph: FiberGraph | OrientedFiberGraph, fmt: str) -> str:
 def vertex_map_json(graph: FiberGraph | OrientedFiberGraph) -> str:
     """Sidecar JSON mapping vertex id -> table rows, for the edge-list export."""
     fiber = (graph.base if isinstance(graph, OrientedFiberGraph) else graph).fiber
-    between = ["],[" if j % fiber.n == 0 else "," for j in range(1, fiber.n ** 2)]
     # every entry ends in a comma; the last one's becomes the closing brace
-    text = format_rows(['"', '":[[', *between, "]],"], [np.arange(len(fiber)), *fiber.cells.T])
-    return "{" + text[:-1] + "}"
+    literals = ['"', '":[[', *json_row_separators(fiber.n), "]],"]
+    return "{" + format_rows(literals, [np.arange(len(fiber)), *fiber.cells.T])[:-1] + "}"

@@ -158,12 +158,15 @@ def format_rows(literals: Sequence[str], columns: Sequence[np.ndarray]) -> str:
     return "".join(out)
 
 
+def json_row_separators(n: int) -> list[str]:
+    """The literals between an n x n table's row-major entries as nested JSON rows."""
+    return ["],[" if j % n == 0 else "," for j in range(1, n * n)]
+
+
 def fiber_to_jsonl(fiber: Fiber) -> str:
     """One table per line, canonical order: {"id": k, "rows": [...]}."""
-    n = fiber.n
-    between = ["],[" if j % n == 0 else "," for j in range(1, n * n)]
-    columns = [np.arange(len(fiber)), *fiber.cells.T]
-    return format_rows(['{"id":', ',"rows":[[', *between, "]]}\n"], columns)
+    literals = ['{"id":', ',"rows":[[', *json_row_separators(fiber.n), "]]}\n"]
+    return format_rows(literals, [np.arange(len(fiber)), *fiber.cells.T])
 
 
 def fiber_to_csv(fiber: Fiber) -> str:

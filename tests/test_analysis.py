@@ -12,7 +12,6 @@ from fibergraphs.analysis import (
     _anchored_pairs,
     _bfs,
     _orbit_first_pairs,
-    _orbit_labels,
     _vertex_labels,
     articulation_vertices,
     bfs_distances,
@@ -38,7 +37,8 @@ from fibergraphs.errors import (
     InvalidDimensionError,
     NotDistanceTwoError,
 )
-from fibergraphs.graphs import TWO_HOP_BLOCK, CsrGraph, build_graph, symmetry_maps, two_hop_pairs
+from fibergraphs.graphs import (TWO_HOP_BLOCK, CsrGraph, _orbit_labels, build_graph, symmetry_maps,
+                                two_hop_pairs)
 from fibergraphs.tables import degree, scaled_permutation, validate_table
 
 from oracles import (
@@ -342,7 +342,7 @@ def test_witness_cut_disconnects(graph_3_3):
 
 def test_witness_cut_recheck_is_not_an_assert(graph_3_3, monkeypatch):
     # the BFS re-check raises a module error, so python -O keeps it
-    monkeypatch.setattr(analysis, "_connected_after_removal", lambda graph, removed: True)
+    monkeypatch.setattr(analysis, "is_connected", lambda graph, removed=frozenset(): True)
     with pytest.raises(FiberGraphsError, match="does not disconnect"):
         vertex_connectivity(graph_3_3)
 

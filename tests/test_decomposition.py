@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from fibergraphs.decomposition import (
     decompose_constrained,
     perfect_matching,
 )
-from fibergraphs import cli, decomposition
+from fibergraphs import cli, decomposition, graphs
 from fibergraphs.enumeration import enumerate_fiber
 from fibergraphs.errors import ConstraintInfeasibleError, NoPerfectMatchingError
 from fibergraphs.graphs import FiberGraph
@@ -112,16 +113,32 @@ def test_konig_check_builds_no_graph(monkeypatch, tmp_path):
     assert result["computed"] == {"tables": 2008, "failures": 0}
 
 
-def test_konig_check_reads_the_labels_of_a_built_graph(monkeypatch):
-    expected = cli._check_konig(cli._VerifyContext(3, 3, 100))
-    ctx = cli._VerifyContext(3, 3, 100)
-    ctx.graph.automorphisms  # checked once, as the checks before konig in verify do
+@pytest.mark.parametrize("checks", ["konig,commonchoices", "commonchoices,konig"])
+def test_verify_labels_the_orbits_once_in_either_order(monkeypatch, tmp_path, checks):
+    # konig reads the fiber's orbits; commonchoices reads the same labels once
+    # its graph has proven the memoised generators on its arcs
+    def report(*options):
+        out = tmp_path / "report.json"
+        argv = ["verify", "--n", "4", "--r", "3", *options, "--out", str(out)]
+        assert cli.main(argv) == 0
+        results = json.loads(out.read_text())["results"]
+        return {r["name"]: {k: v for k, v in r.items() if k != "runtime_ms"} for r in results}
 
-    def refuse(fiber):
-        raise AssertionError("the konig check labelled the orbits again")
+    default = report()
+    calls: Counter = Counter()
 
-    monkeypatch.setattr("fibergraphs.graphs.symmetry_generators", refuse)
-    assert cli._check_konig(ctx) == expected
+    def counted(compute):
+        def run(*args):
+            calls[compute.__name__] += 1
+            return compute(*args)
+        return run
+
+    generators = graphs.weakly_memoised(counted(graphs.symmetry_generators.__wrapped__))
+    monkeypatch.setattr(graphs, "symmetry_generators", generators)
+    monkeypatch.setattr(graphs, "_orbit_labels", counted(graphs._orbit_labels))
+    ordered = report("--checks", checks)
+    assert calls == {"symmetry_generators": 1, "_orbit_labels": 1}
+    assert ordered == {name: default[name] for name in checks.split(",")}
 
 
 def test_konig_check_builds_no_automorphisms(monkeypatch, tmp_path):

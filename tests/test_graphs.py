@@ -23,7 +23,9 @@ from fibergraphs.graphs import (
     find_sinks,
     is_acyclic,
     orient,
+    symmetry_generators,
     vertex_map_json,
+    vertex_orbits,
 )
 from fibergraphs.tables import (
     ContingencyTable,
@@ -103,6 +105,11 @@ def _heads(og, u):
     return og.indices[og.indptr[u]:og.indptr[u + 1]].tolist()
 
 
+def _weight(w, t):
+    """w . t, summed over the cells."""
+    return sum(x * y for wrow, trow in zip(w.w, t.entries) for x, y in zip(wrow, trow))
+
+
 def test_standard_weight_values():
     w = WeightVector.standard(2)
     assert w.w == ((4, 9), (9, 16))
@@ -118,8 +125,8 @@ def test_orientation_hand_computed_edge(graph_2_2):
     fiber = graph_2_2.fiber
     flat = fiber.index_of(validate_table(2, 2, [[1, 1], [1, 1]]))
     diag = fiber.index_of(scaled_permutation(2, 2, [0, 1]))
-    assert w.dot(fiber[diag]) == 40
-    assert w.dot(fiber[flat]) == 38
+    assert _weight(w, fiber[diag]) == 40
+    assert _weight(w, fiber[flat]) == 38
     og = orient(graph_2_2, w)
     assert flat in _heads(og, diag)
     assert diag not in _heads(og, flat)
@@ -156,7 +163,7 @@ def test_is_acyclic_detects_a_cycle(graph_3_1):
 def test_every_directed_edge_decreases_weight(graph_3_3):
     w = WeightVector.standard(3)
     og = orient(graph_3_3, w)
-    values = [w.dot(t) for t in graph_3_3.fiber]
+    values = [_weight(w, t) for t in graph_3_3.fiber]
     for u in range(graph_3_3.vertex_count):
         for v in _heads(og, u):
             assert values[v] < values[u]
@@ -175,7 +182,7 @@ def test_unique_sink_is_antidiagonal(n, r):
     assert graph.fiber[sinks[0]].entries == anti.entries
     # the sink minimizes the weight over the whole fiber
     w = WeightVector.standard(n)
-    values = [w.dot(t) for t in graph.fiber]
+    values = [_weight(w, t) for t in graph.fiber]
     assert values[sinks[0]] == min(values)
 
 
@@ -254,6 +261,19 @@ def test_generators_are_automorphisms(n, r):
         assert all(graph.fiber[int(perm[x])] == act(t) for x, t in enumerate(graph.fiber))
 
 
+def test_generators_and_orbits_are_read_only_and_computed_once_per_fiber(graph_3_3):
+    fiber = graph_3_3.fiber
+    generators, labels = symmetry_generators(fiber), vertex_orbits(fiber)
+    assert symmetry_generators(fiber) is generators and vertex_orbits(fiber) is labels
+    assert all(a is b for a, b in zip(generators.values(), graph_3_3.automorphisms))
+    for array in (*generators.values(), labels):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    # a second enumeration of the same fiber gets its own, equal labels
+    again = vertex_orbits(enumerate_fiber(3, 3))
+    assert again is not labels and np.array_equal(again, labels)
+
+
 def _without_edge(graph, u, v):
     keep = np.ones(len(graph.indices), dtype=bool)
     for a, b in ((u, v), (v, u)):
@@ -265,12 +285,17 @@ def _without_edge(graph, u, v):
 
 def test_a_broken_symmetry_is_refused(graph_3_2):
     u, v = graph_3_2.edges()[0]
-    broken = _without_edge(graph_3_2, u, v)
-    assert broken.edge_count == graph_3_2.edge_count - 1
-    for use in (lambda g: g.automorphisms, diameter, vertex_connectivity,
-                lambda g: liu_check(g, 3)):
-        with pytest.raises(NotAnAutomorphismError):
-            use(broken)
+    # the second graph's fiber has its orbits labelled before its graph is
+    # broken: the sweeps must still wait for the generators' proof
+    memoised = build_graph(enumerate_fiber(3, 2))
+    vertex_orbits(memoised.fiber)
+    uses = (lambda g: g.automorphisms, diameter, vertex_connectivity, lambda g: liu_check(g, 3))
+    for graph in (graph_3_2, memoised):
+        broken = _without_edge(graph, u, v)
+        assert broken.edge_count == graph.edge_count - 1
+        for use in uses:
+            with pytest.raises(NotAnAutomorphismError):
+                use(broken)
 
 
 def test_unsorted_rows_are_refused(graph_3_2):

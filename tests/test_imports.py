@@ -65,6 +65,12 @@ def test_verify_loads_no_sampler(tmp_path):
     assert _loaded_modules(code) & HEAVY == HEAVY - {"sampler"}
 
 
+def test_konig_check_loads_no_analysis(tmp_path):
+    code = _cli("verify", "--n", "3", "--r", "2", "--checks", "konig",
+                "--out", str(tmp_path / "v.json"))
+    assert _loaded_modules(code) & HEAVY == {"graphs", "decomposition"}
+
+
 def test_every_public_name_resolves_to_its_module_object():
     namespace: dict = {}
     exec(f"from fibergraphs import {', '.join(EXPORTS)}", namespace)
