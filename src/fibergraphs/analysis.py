@@ -23,16 +23,21 @@ tried the first pair is (0, w), of degree δ, so its cap is δ >= κ.  Only
 the pairs whose detours fall short get a max-flow, capped the same way.
 
 Distances, local connectivity and shared moves are invariant under graph
-automorphisms, so the sweeps visit one member per orbit.  The diameter runs
+automorphisms, so a sweep needs one member of each orbit.  The diameter runs
 one BFS per vertex orbit, from its first member, a representative.  The
 pair sweeps are anchored: the least member (x, y), x < y, of any orbit of
 unordered pairs has x a representative, since a symmetry mapping x to the
-first member of its orbit would give a smaller pair.  So they read only the
-pairs (rep, w), w > rep, found by one two-hop pass over the representatives'
-rows per graph.  A fiber graph reads its fiber's ``graphs.vertex_orbits``,
-once ``automorphisms`` has proven the generators on its arcs; a plain
-``CsrGraph`` has no symmetry, so there every vertex is a representative and
-every pair its own orbit.
+first member of its orbit would give a smaller pair.  They read the pairs
+(u, w), u a representative, w > u, of one two-hop pass per graph with (1)
+labels[w] >= u and, for the distance-2 sweep, (2) w least in its orbit
+under Stab(u), the symmetries fixing u; else a symmetry gives a smaller
+pair.  By (1) all pairs read from one orbit share u, and a symmetry maps
+(u, w) to (u, x) by fixing u, or by sending w to u, which one coset of
+Stab(u) does when w and u share a vertex orbit: so (2) reads one pair per
+orbit, two at most when its tables share a vertex orbit.  A fiber graph
+reads its fiber's ``graphs.vertex_orbits``, once ``automorphisms`` has
+proven the generators on its arcs; a plain ``CsrGraph`` has no symmetry, so
+there every vertex is a representative and every pair its own orbit.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from .errors import (
     InvalidDimensionError,
     NotDistanceTwoError,
 )
-from .graphs import (CsrGraph, FiberGraph, row_arcs, symmetry_maps, two_hop_pairs, vertex_orbits,
+from .graphs import (CsrGraph, FiberGraph, row_arcs, stabiliser, two_hop_pairs, vertex_orbits,
                      weakly_memoised)
 from .tables import (
     ContingencyTable,
@@ -280,8 +285,11 @@ def _first_members(labels: np.ndarray) -> np.ndarray:
 
 @weakly_memoised
 def _anchored_pairs(graph: CsrGraph) -> np.ndarray:
-    """The rows of ``distance_two_pairs`` whose u is a representative."""
-    return two_hop_pairs(graph.indptr, graph.indices, _first_members(_vertex_labels(graph)))
+    """The rows (u, w) of ``distance_two_pairs`` kept by rule (1) of the
+    module docstring: u a representative and labels[w] >= u."""
+    labels = _vertex_labels(graph)
+    pairs = two_hop_pairs(graph.indptr, graph.indices, _first_members(labels))
+    return pairs[labels[pairs[:, 1]] >= pairs[:, 0]]
 
 
 MinFlow = tuple[int | None, tuple[int, int] | None, Residual | None]  # (value, pair, residual)
@@ -291,16 +299,9 @@ MinFlow = tuple[int | None, tuple[int, int] | None, Residual | None]  # (value, 
 def _distance_two_sweep(graph: CsrGraph) -> MinFlow:
     """(value, pair, residual) for the first distance-2 pair, in
     ``distance_two_pairs`` order, whose local connectivity is least; all None
-    when the graph has no distance-2 pair.
-
-    One pair is swept per orbit of pairs, its least member: an anchored
-    pair (u, w) (module docstring) kept when all of these hold.  A symmetry
-    maps {u, w} to a pair (u, x) only by fixing u or by sending w to u, so
-    rules 2 and 3 cover every image of (u, w) anchored at u.
-
-    1. labels[w] >= u; else the orbit has a pair anchored at labels[w] < u.
-    2. w is the least member of its Stab(u)-orbit.
-    3. When labels[w] == u, w <= g(u) for every g with g(w) = u.
+    when the graph has no distance-2 pair.  It reads the pairs of rules (1)
+    and (2) of the module docstring, in order: each orbit's least member is
+    one of them, so their first pair of least value is that of all pairs.
 
     Each pair first tries the detours of ``detour_paths``, the scan capped
     at the least value found so far, or at min(deg s, deg t) before there
@@ -329,41 +330,26 @@ def _distance_two_sweep(graph: CsrGraph) -> MinFlow:
 
 
 def _orbit_first_pairs(graph: CsrGraph) -> np.ndarray:
-    """The anchored pairs that rules 1-3 of ``_distance_two_sweep`` keep.
-
-    Vertex ids follow the canonical order of the tables' cells, so x < w
-    when the cells of x sort first: the rules compare image tables with w's
-    and look up no vertex.
-    """
-    labels, pairs = _vertex_labels(graph), _anchored_pairs(graph)
-    pairs = pairs[labels[pairs[:, 1]] >= pairs[:, 0]]
+    """The anchored pairs (u, w) kept by rule (2) of the module docstring.
+    Vertex ids follow the canonical order of the tables' cells, so the rule
+    compares w's table with its images and looks up no vertex."""
+    pairs = _anchored_pairs(graph)
     if not (graph.automorphisms and len(pairs)):
         return pairs
-    cells, (u, w) = graph.fiber.cells, pairs.T
-    reps, which = np.unique(u, return_inverse=True)
-    stabs = [symmetry_maps(cells[[x]], cells[x])[0] for x in reps.tolist()]
-    keep = ~_sorts_below(cells[w], stabs, which, cells[w])
-    mates = np.flatnonzero(keep & (labels[w] == u))  # w in the orbit of u
-    cosets = []  # for each mate, every g with g(w) = u
-    for at in np.split(mates, np.flatnonzero(np.diff(u[mates])) + 1) if len(mates) else []:
-        maps, owner = symmetry_maps(cells[w[at]], cells[u[at[0]]])
-        cosets += np.split(maps, np.flatnonzero(np.diff(owner)) + 1)
-    keep[mates] = ~_sorts_below(cells[u[mates]], cosets, np.arange(len(mates)), cells[w[mates]])
-    return pairs[keep]
+    reps, which = np.unique(pairs[:, 0], return_inverse=True)
+    stabs = [stabiliser(graph.fiber.cells[x]) for x in reps.tolist()]
+    return pairs[~_sorts_below(graph.fiber.cells[pairs[:, 1]], stabs, which)]
 
 
 _IMAGE_BLOCK = 1 << 18  # (table, permutation) images compared at a time by _sorts_below
 
 
-def _sorts_below(tables: np.ndarray, perms: list[np.ndarray], which: np.ndarray,
-                 bounds: np.ndarray) -> np.ndarray:
+def _sorts_below(tables: np.ndarray, perms: list[np.ndarray], which: np.ndarray) -> np.ndarray:
     """For each k, whether some image tables[k][p], p a row of
-    perms[which[k]], has cells that sort before bounds[k].  Images are
-    compared a cell at a time, and only those still tied with their bound go
-    on to the next."""
+    perms[which[k]], has cells that sort before those of tables[k].  Images
+    are compared a cell at a time, and only those still tied with their
+    table go on to the next."""
     out = np.zeros(len(tables), dtype=bool)
-    if not perms:
-        return out
     lengths = np.array([len(p) for p in perms])
     sizes, firsts = lengths[which], (np.cumsum(lengths) - lengths)[which]
     stacked = np.concatenate(perms)
@@ -372,9 +358,9 @@ def _sorts_below(tables: np.ndarray, perms: list[np.ndarray], which: np.ndarray,
         k, size = np.repeat(block, sizes[block]), sizes[block]
         p = np.arange(len(k)) - np.repeat(np.cumsum(size) - size - firsts[block], size)
         for cell in range(stacked.shape[1]):
-            image, bound = tables[k, stacked[p, cell]], bounds[k, cell]
-            out[k[image < bound]] = True
-            tied = (image == bound) & ~out[k]
+            image, own = tables[k, stacked[p, cell]], tables[k, cell]
+            out[k[image < own]] = True
+            tied = (image == own) & ~out[k]
             k, p = k[tied], p[tied]
     return out
 
@@ -458,8 +444,8 @@ def min_common_moves_over_close_pairs(graph: FiberGraph) -> tuple[int, tuple[int
     Each valid move gives exactly one arc, so a vertex's valid-move set is
     the move ids of its CSR row, packed once into bytes.  The count is
     constant on pair orbits, so the first minimising pair, edges first, is
-    anchored (module docstring): the anchored edges, then the anchored
-    distance-2 pairs, are scored by one AND and a byte popcount.  Returns
+    its orbit's least member: the anchored edges, then ``_anchored_pairs``
+    (module docstring), are scored by one AND and a byte popcount.  Returns
     (count, (u, v)) for that pair, or None when there is no such pair.
     """
     size = graph.vertex_count

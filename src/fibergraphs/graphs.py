@@ -191,29 +191,28 @@ def vertex_orbits(fiber: Fiber) -> np.ndarray:
     return labels
 
 
-def symmetry_maps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every symmetry that sends a table with row-major cells a[i] to the
-    one with cells ``b``: the (k, n^2) cell permutations p with a[i][p] == b,
-    grouped by i, and the i of each.
+def stabiliser(table: np.ndarray) -> np.ndarray:
+    """Every symmetry that fixes the table with row-major cells ``table``:
+    the (k, n^2) cell permutations p with table[p] == table.
 
     Each of the 2 n! row permutations s, with or without the transpose, is
-    tried in O(n^3): column t(j) of a[i][s] must equal column j of b, so t
-    is the least matching of equal columns composed with each permutation
-    of b's columns that fixes b.
+    tried in O(n^3): column t(j) of table[s] must equal column j of the
+    table, so t is the least matching of equal columns composed with each
+    permutation of the table's columns that fixes it.
     """
-    n = math.isqrt(b.size)
-    orders, b = np.array(list(permutations(range(n)))), b.reshape(n, n)
+    n = math.isqrt(table.size)
+    orders, b = np.array(list(permutations(range(n)))), table.reshape(n, n)
     grid = np.arange(n * n).reshape(n, n)
     rows = np.concatenate((grid[orders], grid.T[orders]))  # cell ids after each row order
     same = (b[:, :, None] == b[:, None, :]).all(axis=0)
     rank = np.tril(same, -1).sum(axis=1)  # equal columns of b before column j
     fixing = orders[(b[:, orders] == b[:, None, :]).all(axis=(0, 2))]
-    match = (a[:, rows][..., None, :] == b[:, :, None]).all(axis=2)  # [i, s, j, t(j)]
-    i, s = np.nonzero((match.sum(axis=3) == same.sum(axis=1)).all(axis=2))
-    pick = match[i, s] & (np.cumsum(match[i, s], axis=2) == rank[:, None] + 1)
+    match = (table[rows][..., None, :] == b[:, :, None]).all(axis=1)  # [s, j, t(j)]
+    s = np.flatnonzero((match.sum(axis=2) == same.sum(axis=1)).all(axis=1))
+    pick = match[s] & (np.cumsum(match[s], axis=2) == rank[:, None] + 1)
     cols = pick.argmax(axis=2)[:, fixing]
     maps = np.take_along_axis(rows[s][:, None], cols[:, :, None], axis=3)
-    return maps.reshape(-1, n * n), np.repeat(i, len(fixing))
+    return maps.reshape(-1, n * n)
 
 
 def build_graph(fiber: Fiber) -> FiberGraph:

@@ -37,7 +37,7 @@ from fibergraphs.errors import (
     InvalidDimensionError,
     NotDistanceTwoError,
 )
-from fibergraphs.graphs import (TWO_HOP_BLOCK, CsrGraph, _orbit_labels, build_graph, symmetry_maps,
+from fibergraphs.graphs import (TWO_HOP_BLOCK, CsrGraph, _orbit_labels, build_graph, stabiliser,
                                 two_hop_pairs)
 from fibergraphs.tables import degree, scaled_permutation, validate_table
 
@@ -216,7 +216,8 @@ def test_anchored_pairs_are_the_rows_of_representatives(n, r):
     labels, pairs = _vertex_labels(graph), _anchored_pairs(graph)
     assert labels.tolist() == _orbit_labels(graph.vertex_count, graph.automorphisms).tolist()
     full = distance_two_pairs(graph)
-    expected = full[labels[full[:, 0]] == full[:, 0]]
+    # u a representative, and (rule 1) w's representative no smaller than u
+    expected = full[(labels[full[:, 0]] == full[:, 0]) & (labels[full[:, 1]] >= full[:, 0])]
     assert pairs.dtype == np.int64 and np.array_equal(pairs, expected)
     assert 0 < len(pairs) < len(full)
 
@@ -625,33 +626,34 @@ DETOURS_FALL_SHORT = {
 }
 
 
+def _cell_group(n):
+    """All 2(n!)^2 row and column permutations, with and without the
+    transpose, as permutations of a table's row-major cells."""
+    grid = np.arange(n * n).reshape(n, n)
+    return np.array([cells[list(rows)][:, list(cols)].ravel() for cells in (grid, grid.T)
+                     for rows in permutations(range(n)) for cols in permutations(range(n))])
+
+
 @pytest.mark.parametrize("n,r", sorted(DETOURS_FALL_SHORT))
 def test_sweeps_settle_each_orbit_once_by_detours_or_a_flow(n, r, monkeypatch):
     graph = build_graph(enumerate_fiber(n, r))
-    tables = list(graph.fiber)
-    ids = {t: x for x, t in enumerate(tables)}
-    perms = list(permutations(range(n)))
-    group = [lambda t, rows=rows, cols=cols: t.permute(rows, cols)
-             for rows in perms for cols in perms]
-    group += [lambda t, g=g: g(t).transpose() for g in group]
-
-    def first_members(pairs, elements):
-        # the orbits of unordered pairs, found from the tables themselves
-        seen: set = set()
-        for u, v in pairs:
-            if tuple(sorted((u, v))) not in seen:
-                seen |= {tuple(sorted((ids[g(tables[u])], ids[g(tables[v])]))) for g in elements}
-                yield u, v
-
-    orbit_pairs = list(first_members(distance_two_pairs(graph).tolist(), group))
+    # images[g, x]: the id of table x moved by group element g, found from the tables
+    cells = graph.fiber.cells
+    images = np.array([graph.fiber.ids_of(cells[:, p]) for p in _cell_group(n)])
+    labels = images.min(axis=0)
+    # u a representative, (rule 1) labels[w] >= u, (rule 2) w least among its
+    # images under the elements that fix u
+    swept = [(u, w) for u, w in distance_two_pairs(graph).tolist()
+             if labels[u] == u <= labels[w] and w == images[images[:, u] == u, w].min()]
     flows, scans = _recorded_sweep(graph, monkeypatch)
     settled = [(s, t) for s, t, cap, family in scans if len(family) >= cap]
     short = [(s, t) for s, t, cap, family in scans if len(family) < cap]
-    assert sorted(settled + flows) == orbit_pairs
+    assert [(s, t) for s, t, _, _ in scans] == swept
+    assert sorted(settled + flows) == swept
     assert flows == short == DETOURS_FALL_SHORT[n, r]
     # Liu's check then reads the same sweep, with no scan and no flow
     liu_check(graph, 3)
-    assert (len(flows), len(scans)) == (len(short), len(orbit_pairs))
+    assert (len(flows), len(scans)) == (len(short), len(swept))
 
 
 @pytest.mark.parametrize("n,r", [(3, 3), (3, 4), (3, 5), (4, 2), (4, 3)])
@@ -680,30 +682,30 @@ def test_anchored_sweep_pairs_are_the_orbit_first_members(n, r):
     keys = full @ np.array([size, 1])
     images = [np.searchsorted(keys, np.sort(perm[full], axis=1) @ np.array([size, 1]))
               for perm in graph.automorphisms]
-    expected = full[_orbit_labels(len(full), images) == np.arange(len(full))]
-    assert np.array_equal(_orbit_first_pairs(graph), expected)
-    # rule 1 alone keeps more: pairs whose orbit is anchored at a smaller representative
-    labels, pairs = _vertex_labels(graph), _anchored_pairs(graph)
-    assert len(expected) < np.count_nonzero(labels[pairs[:, 1]] >= pairs[:, 0]) < len(full)
+    orbits = _orbit_labels(len(full), images)
+    pairs = _orbit_first_pairs(graph)
+    swept = np.searchsorted(keys, pairs @ np.array([size, 1]))
+    assert np.array_equal(full[swept], pairs) and np.all(np.diff(swept) > 0)
+    # every orbit's first member is swept, and at most one other member
+    assert np.isin(np.flatnonzero(orbits == np.arange(len(full))), swept).all()
+    kept, counts = np.unique(orbits[swept], return_counts=True)
+    assert counts.max() <= 2
+    # a second member only where the orbit's two tables share a vertex orbit
+    labels = _vertex_labels(graph)
+    u, w = full[swept[np.isin(orbits[swept], kept[counts == 2])]].T
+    assert np.array_equal(labels[u], labels[w])
 
 
-@pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (4, 2)])
-def test_symmetry_maps_are_the_group_elements_between_two_tables(n, r):
+@pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (3, 3), (4, 2)])
+def test_stabiliser_is_the_group_elements_fixing_a_table(n, r):
     # the whole group, 2(n!)^2 cell permutations, filtered by brute force
-    grid = np.arange(n * n).reshape(n, n)
-    group = [cells[list(rows)][:, list(cols)].ravel() for cells in (grid, grid.T)
-             for rows in permutations(range(n)) for cols in permutations(range(n))]
-    fiber = enumerate_fiber(n, r)
-    cells, rng = fiber.cells, random.Random(n * 10 + r)
-    for b in [0, len(cells) - 1] + rng.choices(range(len(cells)), k=4):
-        # b itself, two tables of b's orbit and three drawn from the fiber
-        images = fiber.ids_of(cells[b][np.array(rng.choices(group, k=2))]).tolist()
-        sources = [b] + images + rng.choices(range(len(cells)), k=3)
-        maps, owner = symmetry_maps(cells[sources], cells[b])
-        assert maps.shape[1:] == (n * n,) and np.all(np.diff(owner) >= 0)
-        for i, a in enumerate(sources):
-            expected = sorted(p.tolist() for p in group if np.array_equal(cells[a][p], cells[b]))
-            assert sorted(maps[owner == i].tolist()) == expected, (a, b)
+    group, cells = _cell_group(n), enumerate_fiber(n, r).cells
+    for b in cells:
+        maps = stabiliser(b)
+        assert maps.shape[1:] == (n * n,)
+        assert sorted(maps.tolist()) == sorted(group[(b[group] == b).all(axis=1)].tolist()), b
+    if (n, r) == (3, 3):  # the all-ones table is fixed by the whole group
+        assert len(stabiliser(np.ones(9, dtype=cells.dtype))) == len(group) == 72
 
 
 def test_orbit_labels_of_plain_permutations():

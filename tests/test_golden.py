@@ -180,6 +180,12 @@ GOLDEN_VERIFY_PATHS = {
         [["--n", "3", "--r", "3", "--checks", "liu,degrees,liu"]],
         "0629c20c061f39d7efd55ec615c3bab5436279d33f9ff720850f60b18c287f47",
     ),
+    # the swept pairs decide which get a max-flow: 2 on G(5,1) and G(6,1), 7 on G(5,2)
+    "max-flows": (
+        [["--n", "5", "--r", "1", "--long"], ["--n", "5", "--r", "2", "--long"],
+         ["--n", "6", "--r", "1", "--long"]],
+        "b8fe01f1f7cb5c61e894021081eab25f2f48375b7dcdd7cf79c8af20ae095d8b",
+    ),
 }
 
 
