@@ -221,6 +221,34 @@ def _check_dag(ctx: _VerifyContext) -> dict:
     return _report({"acyclic": True}, {"acyclic": acyclic}, acyclic)
 
 
+def _resum_failures(cells: np.ndarray, matchings: np.ndarray) -> np.ndarray:
+    """Whether each table's (r, n) matchings fail to sum back to its row of
+    (B, n^2) cells: part l adds 1 to cell i * n + matchings[b, l, i]."""
+    count, _, n = matchings.shape
+    ids = matchings + (np.arange(count)[:, None, None] * n + np.arange(n)) * n
+    sums = np.bincount(ids.ravel(), minlength=count * n * n).reshape(count, n * n)
+    return (sums != cells).any(axis=1)
+
+
+def _prefix_failures(matchings: np.ndarray, constraints: np.ndarray) -> np.ndarray:
+    """Whether some prefix of each table's parts fails to cover, cell by cell
+    with multiplicity, the same prefix of its (k,) constraint cells (-1 for
+    none).  A cell's count rises only at the constraints that list it, and
+    the parts through it only grow, so it suffices to check the prefix that
+    ends at each constraint: parts 1..k+1 must pass through constraint k's
+    cell at least as often as constraints 1..k+1 list it."""
+    count, r, n = matchings.shape
+    k = constraints.shape[1]
+    listed = constraints >= 0
+    rows, cols = np.divmod(constraints, n)
+    # [b, k, l]: part l passes through constraint k's cell, and l <= k
+    through = matchings[np.arange(count)[:, None, None], np.arange(r), rows[:, :, None]]
+    covered = ((through == cols[:, :, None]) & np.tri(k, r, dtype=bool)).sum(axis=2)
+    same = (constraints[:, :, None] == constraints[:, None, :]) & listed[:, None, :]
+    required = (same & np.tri(k, dtype=bool)).sum(axis=2)
+    return (listed & (covered < required)).any(axis=1)
+
+
 def _check_konig(ctx: _VerifyContext) -> dict:
     # if t = P_1 + ... + P_r, then s(t) = s(P_1) + ... + s(P_r) for every row,
     # column or transpose symmetry s, and each s(P_k) is again a permutation
@@ -228,39 +256,30 @@ def _check_konig(ctx: _VerifyContext) -> dict:
     # orbits are labelled once and shared with the graph's sweeps; no graph.
     fiber = ctx.fiber
     reps, orbit_sizes = np.unique(fg.graphs.vertex_orbits(fiber), return_counts=True)
-    failures = 0
-    for v, size in zip(reps.tolist(), orbit_sizes.tolist()):
-        t = fiber[v]
-        if fg.decomposition.decompose(t).resum().entries != t.entries:
-            failures += size
+    cells = fiber.cells[reps]
+    failed = _resum_failures(cells, fg.decomposition.decompose_tables(cells, ctx.n, ctx.r))
+    failures = int(orbit_sizes[failed].sum())
     return _report({"failures": 0}, {"tables": len(fiber), "failures": failures}, failures == 0)
 
 
 def _check_decomp_constrained(ctx: _VerifyContext) -> dict:
     # k <= r cells are drawn from a budget of n * r units, so one is always left
     rng = random.Random(20_240_000 + ctx.n * 100 + ctx.r)
-    failures = 0
-    fiber = ctx.fiber
-    for _ in range(CONSTRAINED_TRIALS):
-        t = fiber[rng.randrange(len(fiber))]
-        k = rng.randint(0, ctx.r)
-        budget = [row[:] for row in t.rows()]
-        positions = []
-        for _ in range(k):
-            cells = [
-                (i + 1, j + 1)
-                for i in range(ctx.n)
-                for j in range(ctx.n)
-                if budget[i][j] > 0
-            ]
-            i, j = rng.choice(cells)
-            budget[i - 1][j - 1] -= 1
-            positions.append((i, j))
-        dec = fg.decomposition.decompose_constrained(t, positions)
-        if dec.resum().entries != t.entries or not dec.satisfies_constraints():
-            failures += 1
-    computed = {"trials": CONSTRAINED_TRIALS, "failures": failures}
-    return _report({"failures": 0}, computed, failures == 0)
+    fiber_cells = ctx.fiber.cells
+    drawn = []
+    constraints = np.full((CONSTRAINED_TRIALS, ctx.r), -1)
+    for trial in range(CONSTRAINED_TRIALS):
+        drawn.append(rng.randrange(len(fiber_cells)))
+        budget = fiber_cells[drawn[-1]].tolist()
+        for k in range(rng.randint(0, ctx.r)):
+            cell = rng.choice([c for c, x in enumerate(budget) if x > 0])
+            budget[cell] -= 1
+            constraints[trial, k] = cell
+    cells = fiber_cells[drawn]
+    matchings = fg.decomposition.decompose_tables(cells, ctx.n, ctx.r, constraints)
+    failed = _resum_failures(cells, matchings) | _prefix_failures(matchings, constraints)
+    computed = {"trials": CONSTRAINED_TRIALS, "failures": int(failed.sum())}
+    return _report({"failures": 0}, computed, computed["failures"] == 0)
 
 
 _CHECKS = {

@@ -178,9 +178,10 @@ def fiber_to_csv(fiber: Fiber) -> str:
 
 
 def parse_constraints(value: str) -> list[tuple[int, int]]:
-    """Constraint list from a JSON array literal or from a JSON file path."""
+    """Constraint list from inline JSON (a value that starts with [ or {) or
+    from a JSON file path."""
     text = value
-    if not value.lstrip().startswith("["):
+    if not value.lstrip().startswith(("[", "{")):
         text = _read_text(Path(value))
     payload = _parse_json(text, "constraint JSON")
     if not isinstance(payload, list):

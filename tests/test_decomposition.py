@@ -8,12 +8,14 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fibergraphs.decomposition import (
     MatchingDecomposition,
     decompose,
     decompose_constrained,
+    decompose_tables,
     perfect_matching,
 )
 from fibergraphs import cli, decomposition, graphs
@@ -89,14 +91,20 @@ def test_decompose_whole_fibers_resum():
 
 @pytest.mark.parametrize("n,r", [(3, 3), (3, 4), (3, 5), (4, 2), (4, 3)])
 def test_konig_orbit_sweep_matches_the_per_table_sweep(n, r):
-    # the reference decomposes every table, not one per orbit
+    # the reference decomposes every table, not one per orbit, and sums its
+    # parts back one table at a time
     fiber = enumerate_fiber(n, r)
+    parts = decompose_tables(fiber.cells, n, r)
+    assert parts.shape == (len(fiber), r, n)
+    # each part is a permutation: its n columns are 0, ..., n - 1
+    assert (np.sort(parts, axis=2) == np.arange(n)).all()
     failures = 0
-    for t in fiber:
-        dec = decompose(t)
-        failures += dec.resum().entries != t.entries or len(dec.parts) != r
-        for part in dec.parts:
-            validate_table(n, 1, part.entries)
+    for cells, cols in zip(fiber.cells.tolist(), parts.tolist()):
+        total = [0] * (n * n)
+        for part in cols:
+            for i, j in enumerate(part):
+                total[i * n + j] += 1
+        failures += total != cells
     assert failures == 0
     report = cli._check_konig(cli._VerifyContext(n, r, len(fiber)))
     assert report["computed"] == {"tables": len(fiber), "failures": failures}
@@ -175,15 +183,15 @@ def test_residual_regularity():
 
 NEGATIVE_CELL_SCRIPT = """
 import sys
+import numpy as np
 from fibergraphs import decomposition
 from fibergraphs.errors import FiberGraphsError
-from fibergraphs.tables import validate_table
 
-# a search that returns the anti-diagonal, both of whose cells are 0
-decomposition._least_matching = lambda rows, forced=None: [1, 0]
+# a search that returns the anti-diagonal cells of the second table, both 0
+decomposition._least_matchings = lambda residual, forced, n: np.array([[0, 3], [1, 2]])
 try:
-    parts = decomposition.decompose(validate_table(2, 1, [[1, 0], [0, 1]])).parts
-    print("parts", sys.flags.optimize, [p.rows() for p in parts])
+    parts = decomposition.decompose_tables(np.array([[1, 0, 0, 1]] * 2), 2, 1)
+    print("parts", sys.flags.optimize, parts.tolist())
 except FiberGraphsError as exc:
     print("error", sys.flags.optimize, exc)
 """
@@ -285,3 +293,153 @@ def test_constrained_random_instances():
         assert dec.resum().entries == t.entries
         assert dec.satisfies_constraints()
         assert len(dec.parts) == r
+
+
+# --- the batch kernel against the per-table augmenting-path greedy ---------
+
+
+def _greedy_decomposition(cells, n, positions):
+    """The per-table reference: r rounds, each the greedy's least matching
+    through the first constraint left (0-based row-major cells), which then
+    absorbs the later constraints it covers, greedily in order, one per row."""
+    residual = [list(cells[i * n:(i + 1) * n]) for i in range(n)]
+    remaining = [divmod(c, n) for c in positions]
+    matchings = []
+    for _ in range(sum(residual[0])):
+        support = [[j for j, x in enumerate(row) if x > 0] for row in residual]
+        cols = decomposition._greedy_matching(support, remaining[0] if remaining else None)
+        for i, j in enumerate(cols):
+            residual[i][j] -= 1
+            assert residual[i][j] >= 0
+        matchings.append(cols)
+        covered, left = set(), []
+        for i, j in remaining:
+            if cols[i] == j and i not in covered:
+                covered.add(i)
+            else:
+                left.append((i, j))
+        remaining = left
+    assert not remaining
+    return matchings
+
+
+def _drawn_cells(rng, cells, r):
+    """Constraint cells drawn as verify's decomp-constrained check draws them."""
+    budget = list(cells)
+    drawn = []
+    for _ in range(rng.randint(0, r)):
+        cell = rng.choice([c for c, x in enumerate(budget) if x > 0])
+        budget[cell] -= 1
+        drawn.append(cell)
+    return drawn
+
+
+def _padded(lists, width):
+    out = np.full((len(lists), width), -1)
+    for b, cells in enumerate(lists):
+        out[b, :len(cells)] = cells
+    return out
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in (2, 3, 4) for r in (1, 2, 3)])
+def test_kernel_matches_the_per_table_greedy_on_every_table(n, r):
+    fiber = enumerate_fiber(n, r)
+    rows = fiber.cells.tolist()
+    rng = random.Random(20_240_000 + n * 100 + r)
+    positions = [_drawn_cells(rng, cells, r) for cells in rows]
+    plain = decompose_tables(fiber.cells, n, r).tolist()
+    constrained = decompose_tables(fiber.cells, n, r, _padded(positions, r)).tolist()
+    for cells, drawn, free, forced in zip(rows, positions, plain, constrained):
+        assert free == _greedy_decomposition(cells, n, [])
+        assert forced == _greedy_decomposition(cells, n, drawn)
+
+
+@pytest.mark.parametrize("n,r", [(5, 2), (6, 1)])
+def test_kernel_matches_the_per_table_greedy_on_drawn_trials(n, r):
+    # n = 6 is the largest n read from the permutation table
+    assert n <= decomposition.TABLE_MAX_N
+    fiber = enumerate_fiber(n, r)
+    rng = random.Random(20_240_000 + n * 100 + r)
+    trials = [fiber.cells[rng.randrange(len(fiber))].tolist() for _ in range(200)]
+    positions = [_drawn_cells(rng, cells, r) for cells in trials]
+    parts = decompose_tables(np.array(trials), n, r, _padded(positions, r)).tolist()
+    for cells, drawn, cols in zip(trials, positions, parts):
+        assert cols == _greedy_decomposition(cells, n, drawn)
+
+
+def test_each_side_of_the_table_size_runs_its_own_search(monkeypatch):
+    calls = Counter()
+
+    def counted(support, forced):
+        calls[len(support)] += 1
+        return greedy(support, forced)
+
+    greedy = decomposition._greedy_matching
+    monkeypatch.setattr(decomposition, "_greedy_matching", counted)
+    # an 8 x 8 table with margin 3: the greedy fills all its matchings
+    rng = random.Random(8)
+    perms = [rng.sample(range(8), 8) for _ in range(3)]
+    cells = [0] * 64
+    for perm in perms:
+        for i, j in enumerate(perm):
+            cells[i * 8 + j] += 1
+    drawn = [_drawn_cells(rng, cells, 3) for _ in range(4)]
+    parts = decompose_tables(np.array([cells] * 4), 8, 3, _padded(drawn, 3)).tolist()
+    assert calls == {8: 12}
+    monkeypatch.setattr(decomposition, "_greedy_matching", greedy)
+    assert parts == [_greedy_decomposition(cells, 8, d) for d in drawn]
+    # up to TABLE_MAX_N the permutation table answers and the greedy never runs
+    monkeypatch.setattr(decomposition, "_greedy_matching", counted)
+    calls.clear()
+    six = np.array([[3 if i == j else 0 for i in range(6) for j in range(6)]])
+    decompose_tables(six, 6, 3, [[0, 7, 14]])
+    assert not calls
+
+
+def test_kernel_refuses_what_the_single_table_calls_refuse():
+    j3 = np.array([J3.row_major()] * 2)
+    with pytest.raises(ConstraintInfeasibleError, match="4 constraints but only 3 parts"):
+        decompose_tables(j3, 3, 3, [[0, 0, 0, -1], [0, 1, 2, 3]])
+    with pytest.raises(ConstraintInfeasibleError, match="cell 9 is outside the 3 x 3 table"):
+        decompose_tables(j3, 3, 3, [[0, -1], [9, -1]])
+    with pytest.raises(ConstraintInfeasibleError,
+                       match=r"cell \(1, 2\) holds 1 but the constraints require 2"):
+        decompose_tables(j3, 3, 3, [[0, -1], [1, 1]])
+    with pytest.raises(NoPerfectMatchingError, match="margin 0"):
+        decompose_tables(np.zeros((2, 4)), 2, 0)
+    # -1 pads a shorter list; a table without constraints decomposes freely
+    parts = decompose_tables(j3, 3, 3, [[4, -1], [-1, -1]])
+    assert [tuple(map(tuple, table)) for table in parts.tolist()] == [
+        decompose_constrained(J3, [(2, 2)]).matchings, decompose(J3).matchings]
+
+
+def test_decomp_constrained_counts_each_failing_trial(monkeypatch, tmp_path):
+    # one trial's part breaks the resum and another's breaks a prefix
+    decompose = decomposition.decompose_tables
+    broken = {}
+
+    def faulty(cells, n, r, constraints=None):
+        parts = decompose(cells, n, r, constraints)
+        # a trial without constraints gets a part that is no permutation
+        broken["resum"] = int(np.argmax(constraints[:, 0] < 0))
+        assert constraints[broken["resum"], 0] < 0
+        parts[broken["resum"], 0] = 0
+        # a trial with constraints swaps its first part for a later one that
+        # misses the first constraint cell, which keeps the sum
+        for b in np.flatnonzero(constraints[:, 0] >= 0).tolist():
+            first = constraints[b, 0]
+            misses = [l for l in range(1, r) if parts[b, l, first // n] != first % n]
+            if misses:
+                parts[b, [0, misses[0]]] = parts[b, [misses[0], 0]]
+                broken["prefix"] = b
+                return parts
+        raise AssertionError("no trial can break a prefix")
+
+    monkeypatch.setattr(decomposition, "decompose_tables", faulty)
+    out = tmp_path / "report.json"
+    argv = ["verify", "--n", "4", "--r", "3", "--checks", "decomp-constrained", "--out", str(out)]
+    assert cli.main(argv) == 1
+    (result,) = json.loads(out.read_text())["results"]
+    assert result["computed"] == {"trials": 500, "failures": 2}
+    assert result["pass"] is False
+    assert broken["resum"] != broken["prefix"]

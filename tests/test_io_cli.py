@@ -159,6 +159,18 @@ def test_parse_constraints_inline_and_file(tmp_path):
     assert io.parse_constraints(str(path)) == [(3, 3)]
 
 
+@pytest.mark.parametrize("value", ['{"a": 1}', ' {"a":1}', "{}"])
+def test_inline_constraint_object_is_refused_as_json(tmp_path, capsys, value):
+    # an object used to be read as a file path: "cannot read ...: No such file"
+    with pytest.raises(InvalidDimensionError, match="must be a JSON array"):
+        io.parse_constraints(value)
+    table = tmp_path / "t.csv"
+    table.write_text("1,1\n1,1\n")
+    assert main(["decompose", "--table", str(table), "--constraints", value]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: constraints must be a JSON array of [i, j] pairs\n"
+
+
 def test_json_inputs_reject_non_integers(tmp_path):
     path = tmp_path / "t.json"
     path.write_text('{"rows": [[1, 0], [0, true]]}')
