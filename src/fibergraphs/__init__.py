@@ -15,26 +15,23 @@ import sys
 _EXPORTS = {
     "analysis": (
         "ConnectivityReport", "DetourPathReport", "LiuCheckResult", "articulation_vertices",
-        "bfs_distances", "common_moves", "detour_paths", "diameter", "diameter_witness_pair",
-        "distance_between", "distance_two_pairs", "hemmecke_graph", "is_connected",
-        "liu_check", "local_connectivity", "vertex_connectivity",
+        "detour_paths", "diameter", "diameter_witness_pair", "distance_between",
+        "distance_two_pairs", "hemmecke_graph", "is_connected", "liu_check",
+        "local_connectivity", "vertex_connectivity",
     ),
-    "decomposition": ("MatchingDecomposition", "decompose", "decompose_constrained",
-                      "perfect_matching"),
+    "decomposition": ("MatchingDecomposition", "decompose", "decompose_constrained"),
     "enumeration": ("Fiber", "count_fiber", "enumerate_fiber"),
     "graphs": (
         "CsrGraph", "FiberGraph", "OrientedFiberGraph", "WeightVector", "build_graph",
         "export_graph", "find_sinks", "is_acyclic", "orient",
     ),
     "sampler": (
-        "ChainState", "ExactTestResult", "Target", "VisitCounter", "WalkConfig",
-        "acceptance_ratio", "advance", "as_equal_margin_table", "chi_square_statistic",
-        "exact_test", "run_walk", "step", "transition_probabilities",
+        "ChainState", "ExactTestResult", "Target", "VisitCounter", "WalkConfig", "advance",
+        "as_equal_margin_table", "chi_square_statistic", "exact_test", "run_walk",
     ),
     "tables": (
-        "ContingencyTable", "MarkovMove", "MaxDegreeBound", "apply_move", "degree",
-        "degree_by_support_pairs", "enumerate_basis_moves", "is_valid_move",
-        "max_degree_value", "min_degree_value", "scaled_permutation", "support",
+        "ContingencyTable", "MarkovMove", "MaxDegreeBound", "apply_move",
+        "enumerate_basis_moves", "is_valid_move", "max_degree_value", "scaled_permutation",
         "valid_moves", "validate_table",
     ),
 }

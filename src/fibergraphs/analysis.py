@@ -60,10 +60,8 @@ from .tables import (
     ContingencyTable,
     MarkovMove,
     enumerate_basis_moves,
-    is_valid_move,
     move_cells,
     scaled_permutation,
-    valid_moves,
 )
 
 _POPCOUNT = np.array([bin(x).count("1") for x in range(256)], dtype=np.uint8)
@@ -93,11 +91,6 @@ def _bfs(
         dist[frontier] = level
     dist[blocked] = -1
     return dist
-
-
-def bfs_distances(graph: CsrGraph, source: int) -> list[int]:
-    """Shortest-path distances from source; -1 marks unreachable vertices."""
-    return _bfs(graph.indptr, graph.indices, graph.check_vertex(source)).tolist()
 
 
 def distance_between(graph: CsrGraph, u: int, v: int) -> int:
@@ -429,13 +422,6 @@ def liu_check(graph: CsrGraph, k: int) -> LiuCheckResult:
     """
     value, min_pair, _ = _distance_two_sweep(graph)
     return LiuCheckResult(value is None or value >= k, k, min_pair, value)
-
-
-def common_moves(u: ContingencyTable, v: ContingencyTable) -> list[MarkovMove]:
-    """Basis moves valid at both tables, in canonical order."""
-    if u.n != v.n or u.r != v.r:
-        raise InvalidDimensionError("tables live in different fibers")
-    return [m for m in valid_moves(u) if is_valid_move(v, m)]
 
 
 def min_common_moves_over_close_pairs(graph: FiberGraph) -> tuple[int, tuple[int, int]] | None:

@@ -221,34 +221,6 @@ def _check_dag(ctx: _VerifyContext) -> dict:
     return _report({"acyclic": True}, {"acyclic": acyclic}, acyclic)
 
 
-def _resum_failures(cells: np.ndarray, matchings: np.ndarray) -> np.ndarray:
-    """Whether each table's (r, n) matchings fail to sum back to its row of
-    (B, n^2) cells: part l adds 1 to cell i * n + matchings[b, l, i]."""
-    count, _, n = matchings.shape
-    ids = matchings + (np.arange(count)[:, None, None] * n + np.arange(n)) * n
-    sums = np.bincount(ids.ravel(), minlength=count * n * n).reshape(count, n * n)
-    return (sums != cells).any(axis=1)
-
-
-def _prefix_failures(matchings: np.ndarray, constraints: np.ndarray) -> np.ndarray:
-    """Whether some prefix of each table's parts fails to cover, cell by cell
-    with multiplicity, the same prefix of its (k,) constraint cells (-1 for
-    none).  A cell's count rises only at the constraints that list it, and
-    the parts through it only grow, so it suffices to check the prefix that
-    ends at each constraint: parts 1..k+1 must pass through constraint k's
-    cell at least as often as constraints 1..k+1 list it."""
-    count, r, n = matchings.shape
-    k = constraints.shape[1]
-    listed = constraints >= 0
-    rows, cols = np.divmod(constraints, n)
-    # [b, k, l]: part l passes through constraint k's cell, and l <= k
-    through = matchings[np.arange(count)[:, None, None], np.arange(r), rows[:, :, None]]
-    covered = ((through == cols[:, :, None]) & np.tri(k, r, dtype=bool)).sum(axis=2)
-    same = (constraints[:, :, None] == constraints[:, None, :]) & listed[:, None, :]
-    required = (same & np.tri(k, dtype=bool)).sum(axis=2)
-    return (listed & (covered < required)).any(axis=1)
-
-
 def _check_konig(ctx: _VerifyContext) -> dict:
     # if t = P_1 + ... + P_r, then s(t) = s(P_1) + ... + s(P_r) for every row,
     # column or transpose symmetry s, and each s(P_k) is again a permutation
@@ -257,7 +229,8 @@ def _check_konig(ctx: _VerifyContext) -> dict:
     fiber = ctx.fiber
     reps, orbit_sizes = np.unique(fg.graphs.vertex_orbits(fiber), return_counts=True)
     cells = fiber.cells[reps]
-    failed = _resum_failures(cells, fg.decomposition.decompose_tables(cells, ctx.n, ctx.r))
+    failed = fg.decomposition.failed_tables(
+        cells, fg.decomposition.decompose_tables(cells, ctx.n, ctx.r))
     failures = int(orbit_sizes[failed].sum())
     return _report({"failures": 0}, {"tables": len(fiber), "failures": failures}, failures == 0)
 
@@ -277,7 +250,7 @@ def _check_decomp_constrained(ctx: _VerifyContext) -> dict:
             constraints[trial, k] = cell
     cells = fiber_cells[drawn]
     matchings = fg.decomposition.decompose_tables(cells, ctx.n, ctx.r, constraints)
-    failed = _resum_failures(cells, matchings) | _prefix_failures(matchings, constraints)
+    failed = fg.decomposition.failed_tables(cells, matchings, constraints)
     computed = {"trials": CONSTRAINED_TRIALS, "failures": int(failed.sum())}
     return _report({"failures": 0}, computed, computed["failures"] == 0)
 
@@ -351,7 +324,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     table = io.load_table(args.table)
     constraints = io.parse_constraints(args.constraints) if args.constraints else []
     dec = fg.decomposition.decompose_constrained(table, constraints)
-    ok = dec.resum().entries == table.entries and dec.satisfies_constraints()
+    n = table.n
+    constraint_cells = [[(i - 1) * n + j - 1 for i, j in dec.constraints]]
+    ok = not fg.decomposition.failed_tables(
+        np.array([table.row_major()]), np.array([dec.matchings]), constraint_cells)[0]
     payload = {
         "parts": [p.rows() for p in dec.parts],
         "constraints_satisfied": ok,

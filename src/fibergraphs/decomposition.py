@@ -33,12 +33,13 @@ routines, which give the same matching:
   at n = 7 it is 20 MB for 500 residuals, at n = 8 160 MB.
 
 The parts are kept as their matchings, one column per row; they become
-tables only when read.
+tables only when read.  ``failed_tables`` is the one checker of that
+format: verify's konig and decomp-constrained checks and the decompose
+command all take their verdicts from it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -47,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConstraintInfeasibleError, FiberGraphsError, NoPerfectMatchingError
-from .tables import ContingencyTable, validate_table
+from .tables import ContingencyTable
 
 Position = tuple[int, int]  # 1-based (row, col)
 
@@ -229,32 +230,45 @@ def decompose_tables(cells: np.ndarray, n: int, r: int,
     return parts % n
 
 
+def failed_tables(cells: np.ndarray, matchings: np.ndarray,
+                  constraints: np.ndarray | None = None) -> np.ndarray:
+    """Whether each of B tables fails its decomposition, as a (B,) bool array.
+
+    cells, matchings and constraints are in ``decompose_tables``'s formats.
+    Table b fails when one of its parts is not a permutation of range(n),
+    when its parts do not sum to its cells (part l adds 1 to cell
+    i * n + matchings[b, l, i]), when it lists more constraints than it has
+    parts, or when some prefix of its parts fails to cover, cell by cell
+    with multiplicity, the same prefix of its constraint cells.  A cell's
+    count rises only at the constraints that list it, and the parts through
+    it only grow, so it suffices to check the prefix that ends at each
+    constraint: parts 1..k+1 must pass through constraint k's cell at least
+    as often as constraints 1..k+1 list it.
+    """
+    matchings = np.asarray(matchings)
+    count, r, n = matchings.shape
+    failed = (np.sort(matchings, axis=2) != np.arange(n)).any(axis=(1, 2))
+    # a column outside range(n) has failed its table; clipped, it stays in that table's cells
+    ids = np.clip(matchings, 0, n - 1) + (np.arange(count)[:, None, None] * n + np.arange(n)) * n
+    sums = np.bincount(ids.ravel(), minlength=count * n * n).reshape(count, n * n)
+    failed |= (sums != cells).any(axis=1)
+    if constraints is None:
+        return failed
+    constraints = np.asarray(constraints, dtype=np.intp).reshape(count, -1)
+    k = constraints.shape[1]
+    listed = constraints >= 0
+    rows, cols = np.divmod(constraints, n)
+    # [b, k, l]: part l passes through constraint k's cell, and l <= k
+    through = matchings[np.arange(count)[:, None, None], np.arange(r), rows[:, :, None]]
+    covered = ((through == cols[:, :, None]) & np.tri(k, r, dtype=bool)).sum(axis=2)
+    same = (constraints[:, :, None] == constraints[:, None, :]) & listed[:, None, :]
+    required = (same & np.tri(k, dtype=bool)).sum(axis=2)
+    return failed | (listed.sum(axis=1) > r) | (listed & (covered < required)).any(axis=1)
+
+
 def _permutation(cols: Sequence[int]) -> ContingencyTable:
     n = len(cols)
     return ContingencyTable(n, 1, tuple(tuple(1 if j == c else 0 for j in range(n)) for c in cols))
-
-
-def perfect_matching(table: ContingencyTable, forced: Position | None = None) -> ContingencyTable:
-    """A permutation pattern inside the support of an equal-margin table.
-
-    When forced=(i, j) is given (1-based) the matching contains that cell.
-    Among all valid matchings the lexicographically least row-to-column
-    assignment is returned, so the result is deterministic.
-
-    Raises NoPerfectMatchingError when no perfect matching exists; for a
-    valid table with r >= 1 that can only happen for an unusable forced cell.
-    """
-    if table.r < 1:
-        raise NoPerfectMatchingError("a table with margin 0 has empty support")
-    n = table.n
-    cell = -1
-    if forced is not None:
-        if not (1 <= forced[0] <= n and 1 <= forced[1] <= n):
-            raise NoPerfectMatchingError(
-                f"forced cell {forced} is outside the support of the table")
-        cell = (forced[0] - 1) * n + forced[1] - 1
-    residual = np.array([table.row_major()], dtype=np.int64)
-    return _permutation((_least_matchings(residual, np.array([cell]), n)[0] % n).tolist())
 
 
 @dataclass(frozen=True)
@@ -272,29 +286,6 @@ class MatchingDecomposition:
     def parts(self) -> tuple[ContingencyTable, ...]:
         """The parts as 0/1 permutation tables, built on each read."""
         return tuple(map(_permutation, self.matchings))
-
-    def resum(self) -> ContingencyTable:
-        n = len(self.matchings[0])
-        rows = [[0] * n for _ in range(n)]
-        for cols in self.matchings:
-            for i, j in enumerate(cols):
-                rows[i][j] += 1
-        return validate_table(n, len(self.matchings), rows)
-
-    def satisfies_constraints(self) -> bool:
-        """Each prefix of parts must entrywise dominate the matching prefix of
-        constraint cells: u_1 + ... + u_l >= E(p_1) + ... + E(p_l).  A
-        constraint past the last part has no prefix to dominate it."""
-        if len(self.constraints) > len(self.matchings):
-            return False
-        covered: Counter[Position] = Counter()  # 0-based cell -> parts through it so far
-        needed: Counter[Position] = Counter()
-        for l, (i, j) in enumerate(self.constraints):
-            covered.update(enumerate(self.matchings[l]))
-            needed[i - 1, j - 1] += 1
-            if any(covered[cell] < count for cell, count in needed.items()):
-                return False
-        return True
 
 
 def decompose(table: ContingencyTable) -> MatchingDecomposition:

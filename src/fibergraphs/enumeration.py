@@ -73,13 +73,6 @@ class Fiber:
             raise KeyError(t.entries)
         return int(self.ids_of(np.array([t.row_major()], dtype=self.cells.dtype))[0])
 
-    def contains(self, t: ContingencyTable) -> bool:
-        try:
-            self.index_of(t)
-        except KeyError:
-            return False
-        return True
-
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One key per row that sorts like the row: its bytes, or for an object

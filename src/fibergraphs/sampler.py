@@ -44,7 +44,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidDimensionError, MarginMismatchError
-from .tables import ContingencyTable, enumerate_basis_moves, move_cells, validate_table
+from .tables import ContingencyTable, move_cells, validate_table
 
 
 class Target(str, enum.Enum):
@@ -329,11 +329,6 @@ def advance(state: ChainState, config: WalkConfig, count: int) -> ChainState:
     return state
 
 
-def step(state: ChainState, config: WalkConfig) -> ChainState:
-    """One Metropolis-Hastings transition; mutates and returns the state."""
-    return advance(state, config, 1)
-
-
 def run_walk(
     start: ContingencyTable, config: WalkConfig
 ) -> tuple[ChainState, list[tuple[int, ...]]]:
@@ -354,57 +349,6 @@ def run_walk(
         if (t - config.burn_in) % config.thinning == 0:
             samples.append(key)
     return state, samples
-
-
-def acceptance_ratio(u: ContingencyTable, v: ContingencyTable) -> Fraction:
-    """Exact hypergeometric acceptance ratio pi(v)/pi(u) for one-move neighbors."""
-    num = Fraction(1)
-    for i in range(u.n):
-        for j in range(u.n):
-            a, b = u.entries[i][j], v.entries[i][j]
-            if b > a:
-                for x in range(a + 1, b + 1):
-                    num /= x
-            elif a > b:
-                for x in range(b + 1, a + 1):
-                    num *= x
-    return num
-
-
-def transition_probabilities(
-    t: ContingencyTable, target: Target
-) -> dict[tuple[tuple[int, ...], ...], Fraction]:
-    """Exact one-step transition distribution out of t, as fractions.
-
-    Enumerates every proposal and its acceptance probability; the self-loop
-    mass absorbs invalid and rejected proposals.  Used for analytic checks
-    (detailed balance, stationary distributions) independent of the runtime
-    log-space path.
-    """
-    moves = enumerate_basis_moves(t.n) if t.n >= 2 else []
-    out: dict[tuple[tuple[int, ...], ...], Fraction] = {}
-    stay = Fraction(0)
-    proposal = Fraction(1, len(moves)) if moves else Fraction(1)
-    for m in moves:
-        (a, b), (c, d) = m.subtracted_cells()
-        if t.entries[a][b] < 1 or t.entries[c][d] < 1:
-            stay += proposal
-            continue
-        rows = [list(row) for row in t.entries]
-        rows[a][b] -= 1
-        rows[c][d] -= 1
-        for (i, j) in m.added_cells():
-            rows[i][j] += 1
-        dest = tuple(tuple(row) for row in rows)
-        if target is Target.HYPERGEOMETRIC:
-            ratio = acceptance_ratio(t, ContingencyTable(t.n, t.r, dest))
-            accept = min(Fraction(1), ratio)
-        else:
-            accept = Fraction(1)
-        out[dest] = out.get(dest, Fraction(0)) + proposal * accept
-        stay += proposal * (1 - accept)
-    out[t.entries] = out.get(t.entries, Fraction(0)) + stay
-    return out
 
 
 def chi_square_statistic(t: ContingencyTable) -> float:

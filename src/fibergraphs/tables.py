@@ -5,15 +5,20 @@ sums all equal a common margin r.  The elementary moves add 1 to two cells and
 subtract 1 from two cells arranged in a rectangle, which preserves all margins.
 Entries are plain Python integers, so arithmetic is exact at any size.
 
-Index convention: moves, supports and error messages use 1-based indices (the
-same convention as the file formats); internal array access is 0-based.
+The module holds what the commands use: table validation, the r-scaled
+permutations, the canonical move basis with each move's row-major cells,
+the valid moves at a table and their application, and the maximum-degree
+formula.  A table's degree in the fiber graph is ``len(valid_moves(t))``;
+its minimum over a fiber is C(n, 2).
+
+Index convention: moves and error messages use 1-based indices (the same
+convention as the file formats); internal array access is 0-based.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -39,10 +44,6 @@ class ContingencyTable:
     r: int
     entries: Entries
 
-    def __getitem__(self, pos: tuple[int, int]) -> int:
-        """Entry at 0-based (row, col)."""
-        return self.entries[pos[0]][pos[1]]
-
     def row_major(self) -> tuple[int, ...]:
         """Flat entry vector in canonical (row-major) order."""
         return tuple(x for row in self.entries for x in row)
@@ -50,26 +51,6 @@ class ContingencyTable:
     def rows(self) -> list[list[int]]:
         """Entries as nested lists (mutable copy, e.g. for JSON output)."""
         return [list(row) for row in self.entries]
-
-    def transpose(self) -> "ContingencyTable":
-        return ContingencyTable(
-            self.n, self.r, tuple(zip(*self.entries))
-        )
-
-    def permute(self, row_perm: Sequence[int], col_perm: Sequence[int]) -> "ContingencyTable":
-        """Relabel rows and columns: new[i][j] = old[row_perm[i]][col_perm[j]] (0-based)."""
-        ent = tuple(
-            tuple(self.entries[row_perm[i]][col_perm[j]] for j in range(self.n))
-            for i in range(self.n)
-        )
-        return ContingencyTable(self.n, self.r, ent)
-
-    def is_permutation_pattern(self) -> bool:
-        """True when the only positive entries equal r (an r-scaled permutation matrix)."""
-        return all(x in (0, self.r) for row in self.entries for x in row)
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
 
 
 def validate_table(n: int, r: int, entries: Sequence[Sequence[int]]) -> ContingencyTable:
@@ -111,16 +92,6 @@ def scaled_permutation(n: int, r: int, perm: Sequence[int]) -> ContingencyTable:
     return validate_table(n, r, ent)
 
 
-def support(t: ContingencyTable) -> frozenset[tuple[int, int]]:
-    """Positions of strictly positive entries, as 1-based (row, col) pairs."""
-    return frozenset(
-        (i + 1, j + 1)
-        for i in range(t.n)
-        for j in range(t.n)
-        if t.entries[i][j] > 0
-    )
-
-
 @dataclass(frozen=True, order=True)
 class MarkovMove:
     """Signed rectangle swap on rows i1 < i2 and columns j1 < j2 (1-based).
@@ -158,17 +129,6 @@ class MarkovMove:
         if self.sign == 1:
             return (self.i1 - 1, self.j2 - 1), (self.i2 - 1, self.j1 - 1)
         return (self.i1 - 1, self.j1 - 1), (self.i2 - 1, self.j2 - 1)
-
-    def as_matrix(self, n: int) -> list[list[int]]:
-        if self.i2 > n or self.j2 > n:
-            raise InvalidMoveError(f"{self!r} does not fit in an {n}x{n} table")
-        m = [[0] * n for _ in range(n)]
-        for (i, j) in self.added_cells():
-            m[i][j] = 1
-        for (i, j) in self.subtracted_cells():
-            m[i][j] = -1
-        return m
-
 
 @lru_cache(maxsize=None)
 def enumerate_basis_moves(n: int) -> tuple[MarkovMove, ...]:
@@ -225,33 +185,6 @@ def valid_moves(t: ContingencyTable) -> list[MarkovMove]:
     if t.n < 2:
         return []
     return [m for m in enumerate_basis_moves(t.n) if is_valid_move(t, m)]
-
-
-def degree(t: ContingencyTable) -> int:
-    """Number of moves applicable at t (the vertex degree in the fiber graph).
-
-    Counted by direct validity checks over the whole basis; the support-pair
-    formula is implemented separately so the two can be cross-checked.
-    """
-    return len(valid_moves(t))
-
-
-def degree_by_support_pairs(t: ContingencyTable) -> int:
-    """Degree via counting unordered positive-entry pairs in distinct rows and columns."""
-    pos = [(i, j) for i in range(t.n) for j in range(t.n) if t.entries[i][j] > 0]
-    count = 0
-    for a in range(len(pos)):
-        for b in range(a + 1, len(pos)):
-            if pos[a][0] != pos[b][0] and pos[a][1] != pos[b][1]:
-                count += 1
-    return count
-
-
-def min_degree_value(n: int) -> int:
-    """Minimum degree of the fiber graph: C(n,2), attained at r-scaled permutations."""
-    if n < 1:
-        raise InvalidDimensionError(f"need n >= 1, got {n}")
-    return comb(n, 2)
 
 
 class MaxDegreeBound(NamedTuple):

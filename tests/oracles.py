@@ -3,14 +3,25 @@
 Nothing here shares code with the library under test: fibers come from raw
 product enumeration, connectivity from exhaustive cutset search, and local
 connectivity from exhaustive path packing.
+
+Tables are plain tuples of rows here.  These references left the package,
+which no command called them from, and check it from outside:
+
+* ``degree_by_support_pairs``: a table's degree from its positive cells.
+* ``transpose`` and ``permute``: the symmetries that relabel a table.
+* ``acceptance_ratio`` and ``transition_probabilities``: the sampler's
+  kernel as exact fractions.
+* ``resum`` and ``satisfies_constraints``, joined in ``decomposition_holds``:
+  the reference for ``decomposition.failed_tables``.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
+from math import factorial
 
 
 def brute_fiber(n: int, r: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -223,3 +234,100 @@ def hypergeometric_mass(tables) -> dict[tuple[tuple[int, ...], ...], Fraction]:
         weights[t] = w
     z = sum(weights.values())
     return {k: v / z for k, v in weights.items()}
+
+
+# --- tables and their moves ---
+
+def degree_by_support_pairs(entries) -> int:
+    """A table's degree: its unordered pairs of positive cells in distinct rows
+    and distinct columns, each the subtracted cells of one valid move."""
+    pos = [(i, j) for i, row in enumerate(entries) for j, x in enumerate(row) if x > 0]
+    return sum(a[0] != b[0] and a[1] != b[1] for a, b in combinations(pos, 2))
+
+
+def transpose(entries) -> tuple[tuple[int, ...], ...]:
+    return tuple(zip(*entries))
+
+
+def permute(entries, row_perm, col_perm) -> tuple[tuple[int, ...], ...]:
+    """Relabel rows and columns: new[i][j] = old[row_perm[i]][col_perm[j]] (0-based)."""
+    return tuple(tuple(entries[i][j] for j in col_perm) for i in row_perm)
+
+
+def acceptance_ratio(u, v) -> Fraction:
+    """Exact hypergeometric ratio pi(v)/pi(u) = prod(u!) / prod(v!)."""
+    ratio = Fraction(1)
+    for a, b in zip(chain(*u), chain(*v)):
+        ratio *= Fraction(factorial(a), factorial(b))
+    return ratio
+
+
+def transition_probabilities(entries, target: str) -> dict[tuple[tuple[int, ...], ...], Fraction]:
+    """Exact one-step distribution out of a table (n >= 2) under the "uniform"
+    or "hypergeometric" target: each of the 2 C(n,2)^2 signed rectangle moves
+    is proposed with equal probability, one that would leave a negative entry
+    is a self-loop, and a hypergeometric proposal is accepted with probability
+    min(1, acceptance_ratio)."""
+    n = len(entries)
+    moves = []
+    for (i1, i2), (j1, j2) in product(combinations(range(n), 2), repeat=2):
+        diagonal, anti = ((i1, j1), (i2, j2)), ((i1, j2), (i2, j1))
+        moves += [(diagonal, anti), (anti, diagonal)]
+    proposal = Fraction(1, len(moves))
+    out: dict[tuple[tuple[int, ...], ...], Fraction] = {}
+    stay = Fraction(0)
+    for subtracted, added in moves:
+        if any(entries[i][j] < 1 for i, j in subtracted):
+            stay += proposal
+            continue
+        rows = [list(row) for row in entries]
+        for i, j in subtracted:
+            rows[i][j] -= 1
+        for i, j in added:
+            rows[i][j] += 1
+        dest = tuple(map(tuple, rows))
+        accept = Fraction(1)
+        if target == "hypergeometric":
+            accept = min(accept, acceptance_ratio(entries, dest))
+        out[dest] = out.get(dest, Fraction(0)) + proposal * accept
+        stay += proposal * (1 - accept)
+    out[entries] = out.get(entries, Fraction(0)) + stay
+    return out
+
+
+# --- permutation decompositions ---
+
+def resum(matchings) -> tuple[tuple[int, ...], ...] | None:
+    """The table the parts sum to, part l adding 1 at each 0-based
+    (i, matchings[l][i]); None when some part is not a permutation of range(n)."""
+    n = len(matchings[0])
+    rows = [[0] * n for _ in range(n)]
+    for cols in matchings:
+        if sorted(cols) != list(range(n)):
+            return None
+        for i, j in enumerate(cols):
+            rows[i][j] += 1
+    return tuple(map(tuple, rows))
+
+
+def satisfies_constraints(matchings, constraints) -> bool:
+    """Each prefix of parts must entrywise dominate the matching prefix of the
+    1-based constraint cells: u_1 + ... + u_l >= E(p_1) + ... + E(p_l).  A
+    constraint past the last part has no prefix to dominate it."""
+    if len(constraints) > len(matchings):
+        return False
+    covered: Counter = Counter()  # 0-based cell -> parts through it so far
+    needed: Counter = Counter()
+    for l, (i, j) in enumerate(constraints):
+        covered.update(enumerate(matchings[l]))
+        needed[i - 1, j - 1] += 1
+        if any(covered[cell] < count for cell, count in needed.items()):
+            return False
+    return True
+
+
+def decomposition_holds(entries, matchings, constraints=()) -> bool:
+    """Whether the parts are permutations summing to the table whose prefixes
+    cover the constraint cells."""
+    return (resum(matchings) == tuple(map(tuple, entries))
+            and satisfies_constraints(matchings, constraints))

@@ -14,8 +14,6 @@ from fibergraphs.analysis import (
     _orbit_first_pairs,
     _vertex_labels,
     articulation_vertices,
-    bfs_distances,
-    common_moves,
     detour_paths,
     diameter,
     diameter_witness_pair,
@@ -39,7 +37,7 @@ from fibergraphs.errors import (
 )
 from fibergraphs.graphs import (TWO_HOP_BLOCK, CsrGraph, _orbit_labels, build_graph, stabiliser,
                                 two_hop_pairs)
-from fibergraphs.tables import degree, scaled_permutation, validate_table
+from fibergraphs.tables import scaled_permutation, valid_moves, validate_table
 
 from oracles import (
     brute_articulation_vertices,
@@ -54,27 +52,34 @@ from oracles import (
     connectivity_pairs,
     cycle_graph,
     path_graph,
+    permute,
     random_graph,
     rows_of,
+    transpose,
 )
 
 
 # --- distances ---
 
+def _distances(graph, source):
+    return _bfs(graph.indptr, graph.indices, source).tolist()
+
+
 def test_bfs_on_g22_path(graph_2_2):
     diag = graph_2_2.fiber.index_of(validate_table(2, 2, [[2, 0], [0, 2]]))
-    dist = bfs_distances(graph_2_2, diag)
+    dist = _distances(graph_2_2, diag)
     assert sorted(dist) == [0, 1, 2]
     assert dist[diag] == 0
 
 
 def test_bfs_self_distance_zero(graph_3_2):
-    assert bfs_distances(graph_3_2, 7)[7] == 0
+    assert _distances(graph_3_2, 7)[7] == 0
+    assert distance_between(graph_3_2, 7, 7) == 0
 
 
 def test_bfs_matches_vectorized_diameter(graph_3_2):
     # the all-sources sweep must agree with the per-source distance lists
-    by_bfs = max(max(bfs_distances(graph_3_2, s)) for s in range(graph_3_2.vertex_count))
+    by_bfs = max(max(_distances(graph_3_2, s)) for s in range(graph_3_2.vertex_count))
     assert diameter(graph_3_2) == by_bfs
 
 
@@ -91,7 +96,7 @@ def test_bfs_routines_match_oracles_on_plain_lists():
     for adj in graphs:
         graph = CsrGraph.from_rows(adj)
         for s in range(len(adj)):
-            assert bfs_distances(graph, s) == brute_bfs_distances(adj, s), adj
+            assert _distances(graph, s) == brute_bfs_distances(adj, s), adj
         assert is_connected(graph) == brute_is_connected(adj), adj
         assert articulation_vertices(graph) == brute_articulation_vertices(adj), adj
     assert any(not brute_is_connected(adj) for adj in graphs)
@@ -108,8 +113,8 @@ def test_distance_diag_to_antidiagonal_g32(graph_3_2):
 
 
 @pytest.mark.parametrize("call,args", [
-    pytest.param(bfs_distances, (-1,), id="bfs_distances(-1)"),
-    pytest.param(bfs_distances, (55,), id="bfs_distances(55)"),
+    pytest.param(distance_between, (-1, 0), id="distance_between(-1,0)"),
+    pytest.param(distance_between, (0, 55), id="distance_between(0,55)"),
     pytest.param(distance_between, (0, -1), id="distance_between(0,-1)"),
     pytest.param(distance_between, (55, 0), id="distance_between(55,0)"),
     pytest.param(local_connectivity, (0, -1), id="local_connectivity(0,-1)"),
@@ -422,11 +427,6 @@ def test_liu_reports_first_exact_minimiser(graph_3_3):
     assert 0 < at_degree_bound < checked
 
 
-def test_common_moves_self_is_degree(graph_3_3):
-    for t in list(graph_3_3.fiber)[:10]:
-        assert len(common_moves(t, t)) == degree(t)
-
-
 def test_common_moves_g33_close_pairs(graph_3_3):
     result = min_common_moves_over_close_pairs(graph_3_3)
     assert result is not None
@@ -437,7 +437,11 @@ def test_common_moves_disjoint_supports_g41():
     identity = scaled_permutation(4, 1, [0, 1, 2, 3])
     reversal = scaled_permutation(4, 1, [3, 2, 1, 0])
     # disjoint supports, r = 1: the lemma does not apply and the count is 0
-    assert common_moves(identity, reversal) == []
+    assert not set(valid_moves(identity)) & set(valid_moves(reversal))
+    graph = build_graph(enumerate_fiber(4, 1))
+    u, v = graph.fiber.index_of(identity), graph.fiber.index_of(reversal)
+    assert distance_between(graph, u, v) == 2
+    assert min_common_moves_over_close_pairs(graph)[0] == 0
 
 
 # --- detour paths ---
@@ -581,8 +585,8 @@ def test_orbit_sweeps_match_full_sweeps_g43(graph_4_3):
 def _canonical(table):
     """The least image of a table under row/column permutations and transpose."""
     perms = list(permutations(range(table.n)))
-    moved = [table.permute(rows, cols) for rows in perms for cols in perms]
-    return min(min(t.entries, t.transpose().entries) for t in moved)
+    moved = [permute(table.entries, rows, cols) for rows in perms for cols in perms]
+    return min(min(t, transpose(t)) for t in moved)
 
 
 @pytest.mark.parametrize("n,r", [(3, 3), (3, 4), (4, 2)])

@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 from fibergraphs.decomposition import (
-    MatchingDecomposition,
     decompose,
     decompose_constrained,
     decompose_tables,
-    perfect_matching,
+    failed_tables,
 )
 from fibergraphs import cli, decomposition, graphs
 from fibergraphs.enumeration import enumerate_fiber
@@ -24,47 +23,52 @@ from fibergraphs.errors import ConstraintInfeasibleError, NoPerfectMatchingError
 from fibergraphs.graphs import FiberGraph
 from fibergraphs.tables import validate_table
 
+from oracles import decomposition_holds, satisfies_constraints
+
 
 J3 = validate_table(3, 3, [[1, 1, 1], [1, 1, 1], [1, 1, 1]])
 
 
+# the first part is the least perfect matching, through the first constraint cell
+
 def test_perfect_matching_forced_cell():
-    part = perfect_matching(J3, forced=(1, 1))
+    part = decompose_constrained(J3, [(1, 1)]).parts[0]
     assert part.entries[0][0] == 1
     assert part.r == 1
 
 
 def test_perfect_matching_unique_support():
     t = validate_table(2, 2, [[2, 0], [0, 2]])
-    assert perfect_matching(t).entries == ((1, 0), (0, 1))
-    assert perfect_matching(t, forced=(2, 2)).entries == ((1, 0), (0, 1))
+    assert decompose(t).parts[0].entries == ((1, 0), (0, 1))
+    assert decompose_constrained(t, [(2, 2)]).parts[0].entries == ((1, 0), (0, 1))
 
 
 def test_perfect_matching_forced_derived_case():
     # forcing (1,2) pins rows 2 and 3 onto columns 1 and 3; the support
     # admits exactly one completion
     t = validate_table(3, 2, [[1, 1, 0], [1, 0, 1], [0, 1, 1]])
-    part = perfect_matching(t, forced=(1, 2))
+    part = decompose_constrained(t, [(1, 2)]).parts[0]
     assert part.entries == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
 
 
 def test_perfect_matching_lex_least():
-    part = perfect_matching(J3)
+    part = decompose(J3).parts[0]
     assert part.entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_perfect_matching_forced_zero_cell_rejected():
     t = validate_table(2, 2, [[2, 0], [0, 2]])
-    with pytest.raises(NoPerfectMatchingError):
-        perfect_matching(t, forced=(1, 2))
+    with pytest.raises(ConstraintInfeasibleError, match=r"cell \(1, 2\) holds 0"):
+        decompose_constrained(t, [(1, 2)])
+    # a round's search refuses a forced cell that the residual has used up
+    with pytest.raises(NoPerfectMatchingError, match=r"forced cell \(1, 2\) is outside"):
+        decomposition._least_matchings(np.array([t.row_major()]), np.array([1]), 2)
 
 
 def test_decompose_j3():
     dec = decompose(J3)
     assert len(dec.parts) == 3
-    assert dec.resum().entries == J3.entries
-    for part in dec.parts:
-        validate_table(3, 1, part.entries)
+    assert decomposition_holds(J3.entries, dec.matchings)
 
 
 def test_decompose_scaled_identity():
@@ -82,29 +86,22 @@ def test_decompose_deterministic():
 
 def test_decompose_whole_fibers_resum():
     for n, r in [(2, 2), (3, 2), (3, 3), (4, 2)]:
-        for t in enumerate_fiber(n, r):
-            dec = decompose(t)
-            assert dec.resum().entries == t.entries
-            for part in dec.parts:
-                validate_table(n, 1, part.entries)
+        fiber = enumerate_fiber(n, r)
+        parts = decompose_tables(fiber.cells, n, r)
+        assert parts.shape == (len(fiber), r, n)
+        for t, matchings in zip(fiber, parts.tolist()):
+            assert decomposition_holds(t.entries, matchings)
 
 
 @pytest.mark.parametrize("n,r", [(3, 3), (3, 4), (3, 5), (4, 2), (4, 3)])
 def test_konig_orbit_sweep_matches_the_per_table_sweep(n, r):
-    # the reference decomposes every table, not one per orbit, and sums its
-    # parts back one table at a time
+    # the reference decomposes every table, not one per orbit, and checks its
+    # parts one table at a time
     fiber = enumerate_fiber(n, r)
     parts = decompose_tables(fiber.cells, n, r)
     assert parts.shape == (len(fiber), r, n)
-    # each part is a permutation: its n columns are 0, ..., n - 1
-    assert (np.sort(parts, axis=2) == np.arange(n)).all()
-    failures = 0
-    for cells, cols in zip(fiber.cells.tolist(), parts.tolist()):
-        total = [0] * (n * n)
-        for part in cols:
-            for i, j in enumerate(part):
-                total[i * n + j] += 1
-        failures += total != cells
+    failures = sum(not decomposition_holds(t.entries, matchings)
+                   for t, matchings in zip(fiber, parts.tolist()))
     assert failures == 0
     report = cli._check_konig(cli._VerifyContext(n, r, len(fiber)))
     assert report["computed"] == {"tables": len(fiber), "failures": failures}
@@ -210,14 +207,12 @@ def test_negative_residual_cell_is_caught_under_optimize():
 def test_constrained_single_position():
     dec = decompose_constrained(J3, [(1, 1)])
     assert dec.parts[0].entries[0][0] == 1
-    assert dec.satisfies_constraints()
-    assert dec.resum().entries == J3.entries
+    assert decomposition_holds(J3.entries, dec.matchings, dec.constraints)
 
 
 def test_constrained_diagonal():
     dec = decompose_constrained(J3, [(1, 1), (2, 2), (3, 3)])
-    assert dec.satisfies_constraints()
-    assert dec.resum().entries == J3.entries
+    assert decomposition_holds(J3.entries, dec.matchings, dec.constraints)
 
 
 def test_constrained_forces_antidiagonal_first():
@@ -227,14 +222,22 @@ def test_constrained_forces_antidiagonal_first():
     dec = decompose_constrained(t, [(1, 2), (2, 2)])
     assert dec.parts[0].entries == ((0, 1), (1, 0))
     assert dec.parts[1].entries == ((1, 0), (0, 1))
-    assert dec.satisfies_constraints()
+    assert satisfies_constraints(dec.matchings, dec.constraints)
 
 
 def test_constrained_duplicate_position():
     t = validate_table(2, 2, [[2, 0], [0, 2]])
     dec = decompose_constrained(t, [(1, 1), (1, 1)])
-    assert dec.satisfies_constraints()
-    assert dec.resum().entries == t.entries
+    assert decomposition_holds(t.entries, dec.matchings, dec.constraints)
+
+
+def _cells(matchings, n):
+    """The row-major cells that parts sum to, whether or not they are permutations."""
+    cells = [0] * (n * n)
+    for cols in matchings:
+        for i, j in enumerate(cols):
+            cells[i * n + j] += 1
+    return cells
 
 
 @pytest.mark.parametrize("matchings,constraints,holds", [
@@ -246,9 +249,47 @@ def test_constrained_duplicate_position():
     (((0, 1), (0, 1)), ((1, 1), (1, 1)), True),
     # more constraints than parts
     (((0, 1),), ((1, 1), (2, 2)), False),
+    # two parts that sum to J2, each with a repeated column
+    (((0, 0), (1, 1)), (), False),
 ])
 def test_satisfies_constraints_checks_each_prefix(matchings, constraints, holds):
-    assert MatchingDecomposition(matchings, constraints).satisfies_constraints() is holds
+    # the table is the parts' sum, so only the parts and the prefixes can fail
+    n = len(matchings[0])
+    cells = _cells(matchings, n)
+    entries = [cells[i:i + n] for i in range(0, n * n, n)]
+    assert decomposition_holds(entries, matchings, constraints) is holds
+    ids = [[(i - 1) * n + j - 1 for i, j in constraints]]
+    assert failed_tables(np.array([cells]), np.array([matchings]), ids).tolist() == [not holds]
+
+
+@pytest.mark.parametrize("n,r", [(3, 3), (4, 2)])
+def test_checker_agrees_with_the_oracle_on_corrupted_decompositions(n, r):
+    fiber = enumerate_fiber(n, r)
+    rng = random.Random(20_240_000 + n * 100 + r)
+    drawn = [_drawn_cells(rng, cells, r) for cells in fiber.cells.tolist()]
+    constraints = _padded(drawn, r)
+    parts = decompose_tables(fiber.cells, n, r, constraints)
+    # one part with the columns of two rows swapped
+    swapped = parts.copy()
+    for b in range(len(fiber)):
+        l, i, k = rng.randrange(r), *rng.sample(range(n), 2)
+        swapped[b, l, [i, k]] = swapped[b, l, [k, i]]
+    # the first part through one constraint's cell moved behind every other part
+    uncovered = parts.copy()
+    for b, cells in enumerate(drawn):
+        if cells:
+            q = rng.randrange(len(cells))
+            i, j = divmod(cells[q], n)
+            l = next(l for l in range(r) if parts[b, l, i] == j)
+            uncovered[b] = parts[b, [x for x in range(r) if x != l] + [l]]
+    verdicts = Counter()
+    for corrupted in (parts, swapped, uncovered):
+        failed = failed_tables(fiber.cells, corrupted, constraints).tolist()
+        for t, cells, matchings, fails in zip(fiber, drawn, corrupted.tolist(), failed):
+            positions = [(c // n + 1, c % n + 1) for c in cells]
+            assert fails is not decomposition_holds(t.entries, matchings, positions)
+            verdicts[fails] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_constrained_infeasible_entrywise():
@@ -290,8 +331,7 @@ def test_constrained_random_instances():
             budget[i - 1][j - 1] -= 1
             positions.append((i, j))
         dec = decompose_constrained(t, positions)
-        assert dec.resum().entries == t.entries
-        assert dec.satisfies_constraints()
+        assert decomposition_holds(t.entries, dec.matchings, dec.constraints)
         assert len(dec.parts) == r
 
 

@@ -33,11 +33,13 @@ import pytest
 
 from fibergraphs.analysis import detour_paths, distance_two_pairs
 from fibergraphs.cli import main
-from fibergraphs.decomposition import decompose, decompose_constrained
+from fibergraphs.decomposition import decompose_constrained, decompose_tables
 from fibergraphs.enumeration import count_fiber, enumerate_fiber
 from fibergraphs.graphs import DOT_VERTEX_LIMIT, build_graph
 from fibergraphs.sampler import ChainState, WalkConfig, advance
 from fibergraphs.tables import validate_table
+
+from oracles import decomposition_holds
 
 INSTANCES = [(n, r) for n in range(1, 5) for r in range(4)]
 
@@ -222,16 +224,22 @@ def _drawn_positions(rng, t) -> list:
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_DECOMPOSE))
 def test_decomposition_parts_unchanged(kind):
+    # the free parts come from one batch per fiber, each table's checked by the oracle
     digest = hashlib.sha256()
     for n, r in DECOMPOSE_INSTANCES:
         rng = random.Random(20_240_000 + n * 100 + r)
         digest.update(f"{n},{r}\n".encode())
-        for t in enumerate_fiber(n, r):
-            if kind == "decompose":
-                dec = decompose(t)
-            else:
-                dec = decompose_constrained(t, _drawn_positions(rng, t))
-            digest.update(f"{dec.constraints} {[p.rows() for p in dec.parts]}\n".encode())
+        fiber = enumerate_fiber(n, r)
+        if kind == "decompose":
+            decompositions = [((), matchings)
+                              for matchings in decompose_tables(fiber.cells, n, r).tolist()]
+        else:
+            decompositions = [(dec.constraints, dec.matchings) for dec in (
+                decompose_constrained(t, _drawn_positions(rng, t)) for t in fiber)]
+        for t, (positions, matchings) in zip(fiber, decompositions):
+            assert decomposition_holds(t.entries, matchings, positions)
+            parts = [[[int(j == c) for j in range(n)] for c in cols] for cols in matchings]
+            digest.update(f"{positions} {parts}\n".encode())
     assert digest.hexdigest() == GOLDEN_DECOMPOSE[kind]
 
 

@@ -29,14 +29,13 @@ from fibergraphs.graphs import (
 )
 from fibergraphs.tables import (
     ContingencyTable,
-    degree,
     enumerate_basis_moves,
     scaled_permutation,
     valid_moves,
     validate_table,
 )
 
-from oracles import rows_of
+from oracles import permute, rows_of, transpose
 
 
 def test_g22_is_a_path(graph_2_2):
@@ -60,7 +59,7 @@ def test_handshake(graph_3_2):
 
 def test_graph_degree_matches_table_degree(graph_3_3):
     for u, t in enumerate(graph_3_3.fiber):
-        assert graph_3_3.degree(u) == degree(t)
+        assert graph_3_3.degree(u) == len(valid_moves(t))
 
 
 def test_adjacency_symmetric_no_loops(graph_3_2):
@@ -230,7 +229,8 @@ def test_degree_multiset_invariant_under_relabeling(graph_3_2):
     perm = [2, 0, 1]
     degrees = sorted(graph_3_2.degrees())
     relabeled = sorted(
-        graph_3_2.degree(fiber.index_of(t.permute(perm, perm))) for t in fiber
+        graph_3_2.degree(fiber.index_of(ContingencyTable(3, 2, permute(t.entries, perm, perm))))
+        for t in fiber
     )
     assert relabeled == degrees
 
@@ -245,20 +245,20 @@ def _edge_set(graph, perm=None):
 @pytest.mark.parametrize("n,r", [(n, r) for n in (2, 3, 4) for r in range(4)])
 def test_generators_are_automorphisms(n, r):
     graph = build_graph(enumerate_fiber(n, r))
-    swap, cycle, transpose = graph.automorphisms
     rows = list(range(n))
     rows[:2] = rows[1::-1]
-    # the same action as ContingencyTable.permute and transpose on each table
+    # each generator's action on the entries of a table
     actions = (
-        lambda t: t.permute(rows, list(range(n))),
-        lambda t: t.permute([(i - 1) % n for i in range(n)], list(range(n))),
-        ContingencyTable.transpose,
+        lambda entries: permute(entries, rows, range(n)),
+        lambda entries: permute(entries, [(i - 1) % n for i in range(n)], range(n)),
+        transpose,
     )
     edges = _edge_set(graph)
-    for perm, act in zip((swap, cycle, transpose), actions):
+    for perm, act in zip(graph.automorphisms, actions):
         assert sorted(perm.tolist()) == list(range(graph.vertex_count))
         assert _edge_set(graph, perm) == edges
-        assert all(graph.fiber[int(perm[x])] == act(t) for x, t in enumerate(graph.fiber))
+        assert all(graph.fiber[int(perm[x])].entries == act(t.entries)
+                   for x, t in enumerate(graph.fiber))
 
 
 def test_generators_and_orbits_are_read_only_and_computed_once_per_fiber(graph_3_3):

@@ -16,15 +16,13 @@ import fibergraphs
 EXPORTS = """
     ChainState ConnectivityReport ContingencyTable CsrGraph DetourPathReport ExactTestResult
     Fiber FiberGraph LiuCheckResult MarkovMove MatchingDecomposition MaxDegreeBound
-    OrientedFiberGraph Target VisitCounter WalkConfig WeightVector acceptance_ratio advance
-    apply_move articulation_vertices as_equal_margin_table bfs_distances build_graph
-    chi_square_statistic common_moves count_fiber decompose decompose_constrained degree
-    degree_by_support_pairs detour_paths diameter diameter_witness_pair distance_between
-    distance_two_pairs enumerate_basis_moves enumerate_fiber exact_test export_graph
-    find_sinks hemmecke_graph is_acyclic is_connected is_valid_move liu_check
-    local_connectivity max_degree_value min_degree_value orient perfect_matching run_walk
-    scaled_permutation step support transition_probabilities valid_moves validate_table
-    vertex_connectivity
+    OrientedFiberGraph Target VisitCounter WalkConfig WeightVector advance apply_move
+    articulation_vertices as_equal_margin_table build_graph chi_square_statistic count_fiber
+    decompose decompose_constrained detour_paths diameter diameter_witness_pair
+    distance_between distance_two_pairs enumerate_basis_moves enumerate_fiber exact_test
+    export_graph find_sinks hemmecke_graph is_acyclic is_connected is_valid_move liu_check
+    local_connectivity max_degree_value orient run_walk scaled_permutation valid_moves
+    validate_table vertex_connectivity
 """.split()
 
 HEAVY = {"analysis", "graphs", "decomposition", "sampler"}
@@ -48,27 +46,27 @@ def _cli(*argv: str) -> str:
     return f"from fibergraphs.cli import main; assert main({list(argv)!r}) == 0"
 
 
-def test_enumerate_loads_no_graph_analysis_or_sampler():
-    assert not _loaded_modules(_cli("enumerate", "--n", "3", "--r", "2")) & HEAVY
+# each command, with {tmp} its scratch directory, and the heavy modules it loads
+COMMANDS = [
+    pytest.param(["enumerate", "--n", "3", "--r", "2"], set(), id="enumerate"),
+    pytest.param(["test", "--table", "{tmp}/t.csv", "--steps", "50", "--seed", "1",
+                  "--out", "{tmp}/p.json"], {"sampler"}, id="test"),
+    pytest.param(["decompose", "--table", "{tmp}/t.csv", "--constraints", "[[1,1]]",
+                  "--out", "{tmp}/d.json"], {"decomposition"}, id="decompose"),
+    pytest.param(["verify", "--n", "3", "--r", "2", "--out", "{tmp}/v.json"],
+                 HEAVY - {"sampler"}, id="verify"),
+    pytest.param(["verify", "--n", "3", "--r", "2", "--checks", "konig", "--out", "{tmp}/v.json"],
+                 {"graphs", "decomposition"}, id="verify-konig"),
+    pytest.param(["verify", "--n", "3", "--r", "2", "--checks", "decomp-constrained",
+                  "--out", "{tmp}/v.json"], {"decomposition"}, id="verify-decomp-constrained"),
+]
 
 
-def test_exact_test_loads_only_the_sampler(tmp_path):
-    table = tmp_path / "t.csv"
-    table.write_text("3,1,0\n0,2,2\n1,1,2\n")
-    code = _cli("test", "--table", str(table), "--steps", "50", "--seed", "1",
-                "--out", str(tmp_path / "p.json"))
-    assert _loaded_modules(code) & HEAVY == {"sampler"}
-
-
-def test_verify_loads_no_sampler(tmp_path):
-    code = _cli("verify", "--n", "3", "--r", "2", "--out", str(tmp_path / "v.json"))
-    assert _loaded_modules(code) & HEAVY == HEAVY - {"sampler"}
-
-
-def test_konig_check_loads_no_analysis(tmp_path):
-    code = _cli("verify", "--n", "3", "--r", "2", "--checks", "konig",
-                "--out", str(tmp_path / "v.json"))
-    assert _loaded_modules(code) & HEAVY == {"graphs", "decomposition"}
+@pytest.mark.parametrize("argv,heavy", COMMANDS)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, heavy):
+    (tmp_path / "t.csv").write_text("3,1,0\n0,2,2\n1,1,2\n")
+    code = _cli(*(arg.format(tmp=tmp_path) for arg in argv))
+    assert _loaded_modules(code) & HEAVY == heavy
 
 
 def test_every_public_name_resolves_to_its_module_object():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 
 from fibergraphs.enumeration import enumerate_fiber
@@ -13,18 +15,20 @@ from fibergraphs.errors import (
 from fibergraphs.tables import (
     MarkovMove,
     apply_move,
-    degree,
-    degree_by_support_pairs,
     enumerate_basis_moves,
     is_valid_move,
     max_degree_value,
-    min_degree_value,
     move_cells,
     scaled_permutation,
-    support,
     valid_moves,
     validate_table,
 )
+
+from oracles import degree_by_support_pairs
+
+
+def degree(t):
+    return len(valid_moves(t))
 
 
 def test_validate_accepts_diagonal():
@@ -59,15 +63,6 @@ def test_validate_non_integer_rejected():
 def test_validate_hand_checked_3x3():
     t = validate_table(3, 2, [[1, 1, 0], [1, 0, 1], [0, 1, 1]])
     assert t.n == 3 and t.r == 2
-
-
-def test_support_diagonal_and_full():
-    t = validate_table(3, 2, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
-    assert support(t) == {(1, 1), (2, 2), (3, 3)}
-    j3 = validate_table(3, 3, [[1, 1, 1]] * 3)
-    assert len(support(j3)) == 9
-    mixed = validate_table(3, 2, [[1, 1, 0], [1, 0, 1], [0, 1, 1]])
-    assert support(mixed) == {(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 3)}
 
 
 @pytest.mark.parametrize("n,count", [(2, 2), (3, 18), (4, 72)])
@@ -107,10 +102,13 @@ def test_move_cells(n):
 
 
 def test_move_matrix_margins_are_zero():
-    for m in enumerate_basis_moves(3):
-        mat = m.as_matrix(3)
-        assert all(sum(row) == 0 for row in mat)
-        assert all(sum(mat[i][j] for i in range(3)) == 0 for j in range(3))
+    # each move adds 1 on the rows and on the columns it subtracts 1 from
+    for n in range(2, 6):
+        for cells in move_cells(n):
+            sub, add = cells[:2], cells[2:]
+            assert len(set(cells)) == 4
+            assert sorted(c // n for c in sub) == sorted(c // n for c in add)
+            assert sorted(c % n for c in sub) == sorted(c % n for c in add)
 
 
 def test_move_requires_ordered_indices():
@@ -162,26 +160,26 @@ def test_degree_examples():
 def test_degree_matches_support_pair_formula_across_fibers():
     for n, r in [(2, 2), (3, 1), (3, 2), (3, 3), (4, 2)]:
         for t in enumerate_fiber(n, r):
-            assert degree(t) == degree_by_support_pairs(t)
+            assert degree(t) == degree_by_support_pairs(t.entries)
 
 
 def test_degree_floor_and_gap_lemma():
     # min degree C(n,2) attained exactly at r-scaled patterns, all other
     # vertices at least C(n,2) + n - 1
     for n, r in [(2, 2), (3, 2), (3, 3), (4, 2), (3, 4), (4, 3), (4, 4)]:
-        floor = min_degree_value(n)
+        floor = comb(n, 2)
         for t in enumerate_fiber(n, r):
             d = degree(t)
-            if t.is_permutation_pattern():
+            if all(x in (0, r) for x in t.row_major()):
                 assert d == floor
             else:
                 assert d >= floor + n - 1
 
 
 def test_min_degree_value():
-    assert min_degree_value(3) == 3
-    assert min_degree_value(2) == 1
-    assert min_degree_value(4) == 6
+    # C(n, 2) at every permutation table, n = 1 (no moves at all) included
+    least = [min(degree(t) for t in enumerate_fiber(n, 1)) for n in range(1, 5)]
+    assert least == [comb(n, 2) for n in range(1, 5)] == [0, 1, 3, 6]
 
 
 def test_max_degree_value_attained_cases():
@@ -214,7 +212,7 @@ def test_fiber_closure_under_moves():
     fiber = enumerate_fiber(3, 2)
     for t in fiber:
         for m in valid_moves(t):
-            assert fiber.contains(apply_move(t, m))
+            fiber.index_of(apply_move(t, m))  # KeyError outside the fiber
 
 
 def test_table_immutability_and_hashing():
