@@ -19,7 +19,7 @@ _EXPORTS = {
         "distance_two_pairs", "hemmecke_graph", "is_connected", "liu_check",
         "local_connectivity", "vertex_connectivity",
     ),
-    "decomposition": ("MatchingDecomposition", "decompose", "decompose_constrained"),
+    "decomposition": ("MatchingDecomposition", "decompose"),
     "enumeration": ("Fiber", "count_fiber", "enumerate_fiber"),
     "graphs": (
         "CsrGraph", "FiberGraph", "OrientedFiberGraph", "WeightVector", "build_graph",
@@ -27,10 +27,10 @@ _EXPORTS = {
     ),
     "sampler": (
         "ChainState", "ExactTestResult", "Target", "VisitCounter", "WalkConfig", "advance",
-        "as_equal_margin_table", "chi_square_statistic", "exact_test", "run_walk",
+        "chi_square_statistic", "exact_test", "run_walk",
     ),
     "tables": (
-        "ContingencyTable", "MarkovMove", "MaxDegreeBound", "apply_move",
+        "ContingencyTable", "MarkovMove", "MaxDegreeBound", "apply_move", "as_equal_margin_table",
         "enumerate_basis_moves", "is_valid_move", "max_degree_value", "scaled_permutation",
         "valid_moves", "validate_table",
     ),

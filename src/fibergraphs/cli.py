@@ -323,9 +323,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     table = io.load_table(args.table)
     constraints = io.parse_constraints(args.constraints) if args.constraints else []
-    dec = fg.decomposition.decompose_constrained(table, constraints)
-    n = table.n
-    constraint_cells = [[(i - 1) * n + j - 1 for i, j in dec.constraints]]
+    dec = fg.decomposition.decompose(table, constraints)
+    constraint_cells = [[(i - 1) * table.n + j - 1 for i, j in dec.constraints]]
     ok = not fg.decomposition.failed_tables(
         np.array([table.row_major()]), np.array([dec.matchings]), constraint_cells)[0]
     payload = {
@@ -368,8 +367,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_test(args: argparse.Namespace) -> int:
-    rows = io.load_rows(args.table)
-    observed = fg.sampler.as_equal_margin_table(rows)
+    observed = io.load_table(args.table)
     result = fg.sampler.exact_test(observed, _walk_config(args, "hypergeometric"))
     # too few samples leave the estimate or its error NaN, which JSON cannot hold
     p_value, se = (None if isnan(x) else x for x in (result.p_value_estimate, result.standard_error))
@@ -417,6 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the main output to this path")
+    tabled = argparse.ArgumentParser(add_help=False)  # decompose, sample and test
+    tabled.add_argument("--table", required=True, help="table file: .csv, or .json holding "
+                        'an array of rows or an object with "rows" and optionally "n" and "r"')
     sized = argparse.ArgumentParser(add_help=False)
     sized.add_argument(
         "--cap", type=int, default=enumeration.DEFAULT_CAP,
@@ -445,13 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--long", action="store_true", help="run expensive instances")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("decompose", parents=[common], help="decompose a table into permutation parts")
-    p.add_argument("--table", required=True, help="table file (.json or .csv)")
+    p = sub.add_parser("decompose", parents=[common, tabled],
+                       help="decompose a table into permutation parts")
     p.add_argument("--constraints", help="JSON array of [i,j] 1-based pairs, inline or a file path")
     p.set_defaults(func=cmd_decompose)
 
-    walk = argparse.ArgumentParser(add_help=False)
-    walk.add_argument("--table", required=True, help="start table file (.json or .csv)")
+    walk = argparse.ArgumentParser(add_help=False, parents=[tabled])
     walk.add_argument("--steps", type=int, required=True)
     walk.add_argument("--burn-in", dest="burn_in", type=int, default=0)
     walk.add_argument("--thin", type=int, default=1)

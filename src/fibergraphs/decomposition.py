@@ -2,15 +2,15 @@
 
 A table with margins r is the biadjacency matrix of an r-regular bipartite
 multigraph, which splits into r perfect matchings; each matching is a 0/1
-permutation pattern and the patterns sum back to the table.  The constrained
-variant additionally forces listed cell positions to be covered by the
-matching prefix in order.
+permutation pattern and the patterns sum back to the table.  Listed
+constraint cells, when given, are forced to be covered by the matching
+prefix in order.
 
 One kernel, ``decompose_tables``, decomposes a batch of n x n tables at once;
-``decompose`` and ``decompose_constrained`` are a batch of one.  The batch's
-residual tables are one (B, n^2) array.  Each of the r rounds takes from every
-residual its lexicographically least perfect matching on the positive cells,
-through the residual's first remaining constraint cell when one is left.
+``decompose`` is a batch of one.  The batch's residual tables are one
+(B, n^2) array.  Each of the r rounds takes from every residual its
+lexicographically least perfect matching on the positive cells, through the
+residual's first remaining constraint cell when one is left.
 Subtracting the parts, checking that no cell goes below 0 and letting each
 part absorb the later constraints it covers are array operations on the
 whole batch.
@@ -47,7 +47,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConstraintInfeasibleError, FiberGraphsError, NoPerfectMatchingError
+from .enumeration import DEFAULT_CAP
+from .errors import (ConstraintInfeasibleError, FiberGraphsError, NoPerfectMatchingError,
+                     SizeLimitExceededError)
 from .tables import ContingencyTable
 
 Position = tuple[int, int]  # 1-based (row, col)
@@ -168,14 +170,18 @@ def decompose_tables(cells: np.ndarray, n: int, r: int,
     whose margins are all r.  constraints, when given, is (B, k): row b holds
     table b's constraint cells in order, as row-major cell ids i * n + j
     (0-based), then -1 where it has fewer than k.  Each table's part
-    prefixes cover its cells as in ``decompose_constrained``.  Returns the
+    prefixes cover its cells as in ``decompose``.  Returns the
     (B, r, n) array whose [b, l, i] is the 0-based column of row i in part l
     of table b.
 
     Raises ConstraintInfeasibleError when some table has more constraints
     than parts, a constraint outside the table or a cell listed more often
-    than it holds, and NoPerfectMatchingError for margin 0.
+    than it holds, NoPerfectMatchingError for margin 0, and
+    SizeLimitExceededError for a margin above ``enumeration.DEFAULT_CAP``:
+    r is the number of parts and of rounds.
     """
+    if r > DEFAULT_CAP:
+        raise SizeLimitExceededError(DEFAULT_CAP, context=f"decomposition into {r} parts")
     residual = np.array(cells, dtype=np.int64).reshape(-1, n * n)
     tables = np.arange(len(residual))
     at = tables[:, None]
@@ -288,37 +294,19 @@ class MatchingDecomposition:
         return tuple(map(_permutation, self.matchings))
 
 
-def decompose(table: ContingencyTable) -> MatchingDecomposition:
-    """Split a table into r permutation patterns by repeated matchings.
+def decompose(table: ContingencyTable,
+              constraints: Sequence[Position] = ()) -> MatchingDecomposition:
+    """Split a table into r permutation patterns whose prefixes cover the
+    1-based constraint cells in order, as the inductive argument does: take a
+    matching through the first constraint cell, absorb into it a maximal
+    compatible subset of the remaining constraints (greedy in the given
+    order), and recurse on the residual table with the constraints left over.
 
-    Raises NoPerfectMatchingError for a table with margin 0, which has no parts.
+    Raises ConstraintInfeasibleError for a constraint cell outside the table,
+    and ``decompose_tables``'s errors otherwise.
     """
-    return _decompose(table, ())
-
-
-def decompose_constrained(
-    table: ContingencyTable, positions: Sequence[Position]
-) -> MatchingDecomposition:
-    """Decomposition whose part prefixes cover the constraint cells in order.
-
-    Mirrors the inductive argument: take a matching through the first
-    constraint cell, absorb into it a maximal compatible subset of the
-    remaining constraints (greedy in the given order), and recurse on the
-    residual table with the constraints left over.
-
-    Raises ConstraintInfeasibleError when the table does not entrywise
-    dominate the constraint cells (with multiplicity) or when there are more
-    constraints than parts, and NoPerfectMatchingError for a table with
-    margin 0.
-    """
-    return _decompose(table, tuple((int(i), int(j)) for i, j in positions))
-
-
-def _decompose(table: ContingencyTable, positions: tuple[Position, ...]) -> MatchingDecomposition:
-    """``decompose_tables`` on one table, with its constraints as 1-based cells."""
     n = table.n
-    if len(positions) > table.r:
-        raise ConstraintInfeasibleError(f"{len(positions)} constraints but only {table.r} parts")
+    positions = tuple((int(i), int(j)) for i, j in constraints)
     for pos in positions:
         if not (1 <= pos[0] <= n and 1 <= pos[1] <= n):
             raise ConstraintInfeasibleError(f"position {pos} is outside the table")

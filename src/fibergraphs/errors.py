@@ -31,6 +31,10 @@ class ColumnSumMismatchError(FiberGraphsError):
         super().__init__(f"column {col} sums to {total}, expected {expected}")
 
 
+class MarginMismatchError(FiberGraphsError):
+    pass
+
+
 class InvalidDimensionError(FiberGraphsError):
     pass
 
@@ -84,8 +88,3 @@ class NoPerfectMatchingError(FiberGraphsError):
 class ConstraintInfeasibleError(FiberGraphsError):
     pass
 
-
-# --- sampling ---
-
-class MarginMismatchError(FiberGraphsError):
-    pass

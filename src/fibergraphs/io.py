@@ -1,8 +1,11 @@
 """File formats: table JSON/CSV and fiber exports.
 
-Table JSON is {"n": int, "r": int, "rows": [[int, ...], ...]}; table CSV is n
-lines of n comma-separated integers with the dimension and margin inferred.
-Malformed input is rejected with positional messages (1-based rows/columns).
+``load_table`` is the one reader of a table file.  Table CSV is n lines of n
+comma-separated integers.  Table JSON is an array of rows, or an object
+{"rows": [[int, ...], ...]} that may also state "n" and "r".  Where a file
+states no margin r, ``tables.as_equal_margin_table`` works it out and checks
+that every row and column sums to it.  Malformed input is rejected with
+positional messages (1-based lines and fields, rows and columns).
 """
 
 from __future__ import annotations
@@ -15,20 +18,21 @@ import numpy as np
 
 from .enumeration import Fiber
 from .errors import FiberGraphsError, InvalidDimensionError
-from .tables import ContingencyTable, validate_table
+from .tables import ContingencyTable, as_equal_margin_table
 
 
 def _read_text(path: Path) -> str:
     try:
         return path.read_text()
-    except OSError as exc:
-        raise FiberGraphsError(f"cannot read {str(path)!r}: {exc.strerror}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", exc)  # bytes that are not text have no strerror
+        raise FiberGraphsError(f"cannot read {str(path)!r}: {reason}") from None
 
 
 def _parse_json(text: str, what: str = "JSON") -> object:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits, or nesting too deep
         raise InvalidDimensionError(f"invalid {what}: {exc}") from None
 
 
@@ -39,26 +43,25 @@ def _integer(value: object, where: str) -> int:
     return value
 
 
-def _row_lists(rows: object, what: str) -> list[list]:
-    """rows itself when it is a list of lists; entries are checked by the caller."""
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise InvalidDimensionError(f"{what} must hold its rows as an array of arrays")
-    return rows
-
-
 def parse_rows_csv(text: str) -> list[list[int]]:
-    """Raw integer rows from CSV text; positional errors on malformed cells."""
+    """Raw integer rows from CSV text; positional errors on malformed fields."""
     rows: list[list[int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         row = []
         for colno, cell in enumerate(line.split(","), start=1):
+            # optional ASCII whitespace around an optional sign and ASCII digits:
+            # int() alone also takes '1_0', non-ASCII digits and other whitespace
+            field = cell.strip(" \t\n\r\f\v")
+            digits = field[1:] if field[:1] in ("+", "-") else field
             try:
-                row.append(int(cell.strip()))
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError
+                row.append(int(field))  # ValueError past sys.get_int_max_str_digits()
             except ValueError:
                 raise InvalidDimensionError(
-                    f"line {lineno}, field {colno}: {cell.strip()!r} is not an integer"
+                    f"line {lineno}, field {colno}: {cell!r} is not an integer"
                 ) from None
         rows.append(row)
     if not rows:
@@ -66,58 +69,30 @@ def parse_rows_csv(text: str) -> list[list[int]]:
     return rows
 
 
-def parse_table_csv(text: str) -> ContingencyTable:
-    """Table from CSV; n is the line count and r the first row's sum."""
-    rows = parse_rows_csv(text)
-    n = len(rows)
-    for i, row in enumerate(rows, start=1):
-        if len(row) != n:
-            raise InvalidDimensionError(
-                f"line {i} has {len(row)} fields, expected {n} ({n} lines present)"
-            )
-    return validate_table(n, sum(rows[0]), rows)
+def load_table(path: str | Path) -> ContingencyTable:
+    """The table in a .json or .csv file; other extensions are refused.
 
-
-def parse_table_json(text: str) -> ContingencyTable:
-    payload = _parse_json(text)
-    if not isinstance(payload, dict):
-        raise InvalidDimensionError("table JSON must be an object")
-    missing = {"n", "r", "rows"} - payload.keys()
-    if missing:
-        raise InvalidDimensionError(f"table JSON is missing keys: {sorted(missing)}")
-    return validate_table(_integer(payload["n"], "n"), _integer(payload["r"], "r"),
-                          _row_lists(payload["rows"], "table JSON"))
-
-
-def _read_table_file(path: str | Path) -> tuple[str, str]:
-    """(suffix, text) of a .json or .csv table file; other extensions are refused."""
+    A JSON file holds the rows as an array of arrays of integers, either
+    bare or as the ``rows`` of an object that may also state ``n`` and
+    ``r``; those must be integers that fit the rows.  Where the file states
+    no r, ``as_equal_margin_table`` works it out from the rows.
+    """
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix not in (".json", ".csv"):
         raise InvalidDimensionError(f"unrecognized table extension: {path.suffix!r}")
-    return suffix, _read_text(path)
-
-
-def load_table(path: str | Path) -> ContingencyTable:
-    """Load a table, dispatching on the .json / .csv extension."""
-    suffix, text = _read_table_file(path)
-    return parse_table_json(text) if suffix == ".json" else parse_table_csv(text)
-
-
-def load_rows(path: str | Path) -> list[list[int]]:
-    """Raw rows from either format, without margin validation, except that a
-    JSON object's own n and r, when given, must be integers that fit the rows."""
-    suffix, text = _read_table_file(path)
+    text = _read_text(path)
     if suffix == ".csv":
-        return parse_rows_csv(text)
+        return as_equal_margin_table(parse_rows_csv(text))
     payload = _parse_json(text)
-    rows = _row_lists(payload.get("rows") if isinstance(payload, dict) else payload, "JSON input")
+    stated = payload if isinstance(payload, dict) else {"rows": payload}
+    rows = stated.get("rows")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise InvalidDimensionError("table JSON must hold its rows as an array of arrays")
     rows = [[_integer(x, f"entry at row {i}, column {j}") for j, x in enumerate(row, 1)]
             for i, row in enumerate(rows, 1)]
-    if isinstance(payload, dict) and payload.keys() & {"n", "r"}:
-        validate_table(_integer(payload.get("n", len(rows)), "n"),
-                       _integer(payload.get("r", sum(rows[0]) if rows else 0), "r"), rows)
-    return rows
+    n, r = (_integer(stated[k], k) if k in stated else None for k in ("n", "r"))
+    return as_equal_margin_table(rows, n, r)
 
 
 FORMAT_BLOCK = 1 << 14  # rows rendered at a time by format_rows

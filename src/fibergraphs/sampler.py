@@ -43,8 +43,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidDimensionError, MarginMismatchError
-from .tables import ContingencyTable, move_cells, validate_table
+from .errors import InvalidDimensionError
+from .tables import ContingencyTable, as_equal_margin_table, move_cells
 
 
 class Target(str, enum.Enum):
@@ -370,24 +370,6 @@ class ExactTestResult:
     p_value_estimate: float
     standard_error: float
     samples_used: int
-
-
-def as_equal_margin_table(rows: Sequence[Sequence[int]]) -> ContingencyTable:
-    """Validate a raw square array as an equal-margin table.
-
-    Raises MarginMismatchError when the row sums or column sums are unequal
-    (such tables are outside this package's scope).
-    """
-    n = len(rows)
-    if n < 1 or any(len(row) != n for row in rows):
-        raise MarginMismatchError("input is not a square array")
-    row_sums = [sum(row) for row in rows]
-    col_sums = [sum(rows[i][j] for i in range(n)) for j in range(n)]
-    if len(set(row_sums)) != 1 or len(set(col_sums)) != 1 or row_sums[0] != col_sums[0]:
-        raise MarginMismatchError(
-            f"margins are not all equal: row sums {row_sums}, column sums {col_sums}"
-        )
-    return validate_table(n, row_sums[0], rows)
 
 
 def exact_test(

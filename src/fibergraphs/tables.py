@@ -5,11 +5,11 @@ sums all equal a common margin r.  The elementary moves add 1 to two cells and
 subtract 1 from two cells arranged in a rectangle, which preserves all margins.
 Entries are plain Python integers, so arithmetic is exact at any size.
 
-The module holds what the commands use: table validation, the r-scaled
-permutations, the canonical move basis with each move's row-major cells,
-the valid moves at a table and their application, and the maximum-degree
-formula.  A table's degree in the fiber graph is ``len(valid_moves(t))``;
-its minimum over a fiber is C(n, 2).
+The module holds what the commands use: table validation, which works the
+margin out where it is not given, the r-scaled permutations, the canonical
+move basis with each move's row-major cells, the valid moves at a table and
+their application, and the maximum-degree formula.  A table's degree in
+the fiber graph is ``len(valid_moves(t))``; its minimum over a fiber is C(n, 2).
 
 Index convention: moves and error messages use 1-based indices (the same
 convention as the file formats); internal array access is 0-based.
@@ -25,6 +25,7 @@ from .errors import (
     ColumnSumMismatchError,
     InvalidDimensionError,
     InvalidMoveError,
+    MarginMismatchError,
     NegativeEntryError,
     RowSumMismatchError,
 )
@@ -82,6 +83,30 @@ def validate_table(n: int, r: int, entries: Sequence[Sequence[int]]) -> Continge
         if s != r:
             raise ColumnSumMismatchError(j + 1, s, r)
     return ContingencyTable(n, r, tuple(tuple(row) for row in entries))
+
+
+def as_equal_margin_table(rows: Sequence[Sequence[int]], n: int | None = None,
+                          r: int | None = None) -> ContingencyTable:
+    """Validate raw rows as a table with every margin r; n defaults to the
+    number of rows, and r, when not given, is worked out as their common margin.
+
+    Raises MarginMismatchError when r is not given and the rows are not
+    square or their row and column sums are not all equal (such tables are
+    outside this package's scope), and ``validate_table``'s errors otherwise.
+    """
+    if r is None:
+        size = len(rows)
+        for i, row in enumerate(rows, start=1):
+            if len(row) != size:
+                raise MarginMismatchError(
+                    f"row {i} has {len(row)} entries, expected {size} (the number of rows)")
+        row_sums = [sum(row) for row in rows]
+        col_sums = [sum(col) for col in zip(*rows)]
+        if len(set(row_sums + col_sums)) > 1:
+            raise MarginMismatchError(f"margins are not all equal: row sums {row_sums}, "
+                                      f"column sums {col_sums}")
+        r = row_sums[0] if rows else 0
+    return validate_table(len(rows) if n is None else n, r, rows)
 
 
 def scaled_permutation(n: int, r: int, perm: Sequence[int]) -> ContingencyTable:

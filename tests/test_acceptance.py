@@ -20,7 +20,7 @@ from fibergraphs.analysis import (
     local_connectivity,
     vertex_connectivity,
 )
-from fibergraphs.decomposition import decompose_constrained, decompose_tables
+from fibergraphs.decomposition import decompose, decompose_tables
 from fibergraphs.enumeration import count_fiber, enumerate_fiber
 from fibergraphs.graphs import CsrGraph, WeightVector, build_graph, find_sinks, is_acyclic, orient
 from fibergraphs.sampler import (
@@ -178,7 +178,7 @@ def test_acceptance_7_konig_and_constrained():
             i, j = rng.choice(cells)
             budget[i - 1][j - 1] -= 1
             positions.append((i, j))
-        dec = decompose_constrained(t, positions)
+        dec = decompose(t, positions)
         assert decomposition_holds(t.entries, dec.matchings, dec.constraints)
     print("ACCEPTANCE 7: all tables (n <= 4, r <= 3) decompose into r matchings; "
           "500 constrained instances satisfy every prefix inequality: PASS")

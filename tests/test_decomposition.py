@@ -11,15 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fibergraphs.decomposition import (
-    decompose,
-    decompose_constrained,
-    decompose_tables,
-    failed_tables,
-)
+from fibergraphs.decomposition import decompose, decompose_tables, failed_tables
 from fibergraphs import cli, decomposition, graphs
-from fibergraphs.enumeration import enumerate_fiber
-from fibergraphs.errors import ConstraintInfeasibleError, NoPerfectMatchingError
+from fibergraphs.enumeration import DEFAULT_CAP, enumerate_fiber
+from fibergraphs.errors import (
+    ConstraintInfeasibleError,
+    NoPerfectMatchingError,
+    SizeLimitExceededError,
+)
 from fibergraphs.graphs import FiberGraph
 from fibergraphs.tables import validate_table
 
@@ -32,7 +31,7 @@ J3 = validate_table(3, 3, [[1, 1, 1], [1, 1, 1], [1, 1, 1]])
 # the first part is the least perfect matching, through the first constraint cell
 
 def test_perfect_matching_forced_cell():
-    part = decompose_constrained(J3, [(1, 1)]).parts[0]
+    part = decompose(J3, [(1, 1)]).parts[0]
     assert part.entries[0][0] == 1
     assert part.r == 1
 
@@ -40,14 +39,14 @@ def test_perfect_matching_forced_cell():
 def test_perfect_matching_unique_support():
     t = validate_table(2, 2, [[2, 0], [0, 2]])
     assert decompose(t).parts[0].entries == ((1, 0), (0, 1))
-    assert decompose_constrained(t, [(2, 2)]).parts[0].entries == ((1, 0), (0, 1))
+    assert decompose(t, [(2, 2)]).parts[0].entries == ((1, 0), (0, 1))
 
 
 def test_perfect_matching_forced_derived_case():
     # forcing (1,2) pins rows 2 and 3 onto columns 1 and 3; the support
     # admits exactly one completion
     t = validate_table(3, 2, [[1, 1, 0], [1, 0, 1], [0, 1, 1]])
-    part = decompose_constrained(t, [(1, 2)]).parts[0]
+    part = decompose(t, [(1, 2)]).parts[0]
     assert part.entries == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
 
 
@@ -59,7 +58,7 @@ def test_perfect_matching_lex_least():
 def test_perfect_matching_forced_zero_cell_rejected():
     t = validate_table(2, 2, [[2, 0], [0, 2]])
     with pytest.raises(ConstraintInfeasibleError, match=r"cell \(1, 2\) holds 0"):
-        decompose_constrained(t, [(1, 2)])
+        decompose(t, [(1, 2)])
     # a round's search refuses a forced cell that the residual has used up
     with pytest.raises(NoPerfectMatchingError, match=r"forced cell \(1, 2\) is outside"):
         decomposition._least_matchings(np.array([t.row_major()]), np.array([1]), 2)
@@ -165,7 +164,7 @@ def test_decompose_zero_table_has_no_parts():
     with pytest.raises(NoPerfectMatchingError):
         decompose(zero)
     with pytest.raises(NoPerfectMatchingError):
-        decompose_constrained(zero, [])
+        decompose(zero, [])
 
 
 def test_residual_regularity():
@@ -205,13 +204,13 @@ def test_negative_residual_cell_is_caught_under_optimize():
 
 
 def test_constrained_single_position():
-    dec = decompose_constrained(J3, [(1, 1)])
+    dec = decompose(J3, [(1, 1)])
     assert dec.parts[0].entries[0][0] == 1
     assert decomposition_holds(J3.entries, dec.matchings, dec.constraints)
 
 
 def test_constrained_diagonal():
-    dec = decompose_constrained(J3, [(1, 1), (2, 2), (3, 3)])
+    dec = decompose(J3, [(1, 1), (2, 2), (3, 3)])
     assert decomposition_holds(J3.entries, dec.matchings, dec.constraints)
 
 
@@ -219,7 +218,7 @@ def test_constrained_forces_antidiagonal_first():
     # u1 must contain (1,2), leaving only the anti-diagonal matching; u2 is
     # then the identity, and the prefix inequalities pin the order
     t = validate_table(2, 2, [[1, 1], [1, 1]])
-    dec = decompose_constrained(t, [(1, 2), (2, 2)])
+    dec = decompose(t, [(1, 2), (2, 2)])
     assert dec.parts[0].entries == ((0, 1), (1, 0))
     assert dec.parts[1].entries == ((1, 0), (0, 1))
     assert satisfies_constraints(dec.matchings, dec.constraints)
@@ -227,7 +226,7 @@ def test_constrained_forces_antidiagonal_first():
 
 def test_constrained_duplicate_position():
     t = validate_table(2, 2, [[2, 0], [0, 2]])
-    dec = decompose_constrained(t, [(1, 1), (1, 1)])
+    dec = decompose(t, [(1, 1), (1, 1)])
     assert decomposition_holds(t.entries, dec.matchings, dec.constraints)
 
 
@@ -295,14 +294,14 @@ def test_checker_agrees_with_the_oracle_on_corrupted_decompositions(n, r):
 def test_constrained_infeasible_entrywise():
     t = validate_table(2, 2, [[2, 0], [0, 2]])
     with pytest.raises(ConstraintInfeasibleError):
-        decompose_constrained(t, [(1, 2)])
+        decompose(t, [(1, 2)])
     with pytest.raises(ConstraintInfeasibleError):
-        decompose_constrained(t, [(1, 1), (1, 1), (1, 1)])
+        decompose(t, [(1, 1), (1, 1), (1, 1)])
 
 
 def test_constrained_too_many_positions():
     with pytest.raises(ConstraintInfeasibleError):
-        decompose_constrained(J3, [(1, 1)] * 4)
+        decompose(J3, [(1, 1)] * 4)
 
 
 def test_constrained_random_instances():
@@ -330,7 +329,7 @@ def test_constrained_random_instances():
             i, j = rng.choice(cells)
             budget[i - 1][j - 1] -= 1
             positions.append((i, j))
-        dec = decompose_constrained(t, positions)
+        dec = decompose(t, positions)
         assert decomposition_holds(t.entries, dec.matchings, dec.constraints)
         assert len(dec.parts) == r
 
@@ -450,7 +449,18 @@ def test_kernel_refuses_what_the_single_table_calls_refuse():
     # -1 pads a shorter list; a table without constraints decomposes freely
     parts = decompose_tables(j3, 3, 3, [[4, -1], [-1, -1]])
     assert [tuple(map(tuple, table)) for table in parts.tolist()] == [
-        decompose_constrained(J3, [(2, 2)]).matchings, decompose(J3).matchings]
+        decompose(J3, [(2, 2)]).matchings, decompose(J3).matchings]
+
+
+def test_kernel_refuses_a_margin_past_the_cap():
+    # a margin r takes r parts and r rounds; past the cap it is a resource guard,
+    # tripped before an entry of 2**63 or more would overflow the int64 cast
+    past = DEFAULT_CAP + 1
+    with pytest.raises(SizeLimitExceededError, match=f"^decomposition into {past} parts "):
+        decompose_tables([[past]], 1, past)
+    big = 2**70
+    with pytest.raises(SizeLimitExceededError, match=f"^decomposition into {big} parts "):
+        decompose(validate_table(2, big, [[big, 0], [0, big]]))
 
 
 def test_decomp_constrained_counts_each_failing_trial(monkeypatch, tmp_path):

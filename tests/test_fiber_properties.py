@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from fibergraphs import io
 from fibergraphs.analysis import local_connectivity, vertex_connectivity
-from fibergraphs.decomposition import decompose_constrained
+from fibergraphs.decomposition import decompose
 from fibergraphs.enumeration import count_fiber, enumerate_fiber
 from fibergraphs.graphs import CsrGraph, build_graph
-from fibergraphs.sampler import _keeps_margins, _margins_ok, as_equal_margin_table
+from fibergraphs.sampler import _keeps_margins, _margins_ok
 from fibergraphs.tables import move_cells, validate_table
 
 from oracles import (
@@ -162,7 +162,7 @@ def constrained_tables(draw):
 def test_constrained_parts_are_permutations_over_shrinking_residuals(drawn):
     t, positions = drawn
     n, r = t.n, t.r
-    dec = decompose_constrained(t, positions)
+    dec = decompose(t, positions)
     assert len(dec.parts) == r
     residual = np.array(t.entries, dtype=np.int64)
     covered = np.zeros((n, n), dtype=np.int64)
@@ -180,18 +180,29 @@ def test_constrained_parts_are_permutations_over_shrinking_residuals(drawn):
         assert (covered >= needed).all()
     assert not residual.any()
     # the first part is the least matching through the first constraint cell alone
-    assert dec.parts[0] == decompose_constrained(t, positions[:1]).parts[0]
+    assert dec.parts[0] == decompose(t, positions[:1]).parts[0]
+
+
+# every shape a table file may take: CSV, a bare JSON array, or a JSON object
+# holding the rows with none, one or both of n and r
+TABLE_FILE_SHAPES = {
+    "csv": lambda t: "".join(",".join(map(str, row)) + "\n" for row in t.rows()),
+    "json-array": lambda t: json.dumps(t.rows()),
+    "json-rows": lambda t: json.dumps({"rows": t.rows()}),
+    "json-n": lambda t: json.dumps({"n": t.n, "rows": t.rows()}),
+    "json-r": lambda t: json.dumps({"r": t.r, "rows": t.rows()}),
+    "json-n-r": lambda t: json.dumps({"n": t.n, "r": t.r, "rows": t.rows()}),
+}
 
 
 @settings(deadline=None, max_examples=150)
-@given(data=st.data(), n=st.integers(1, 4), r=st.integers(0, 4), suffix=st.sampled_from([".json", ".csv"]))
-def test_test_and_sample_read_the_same_table(tmp_path_factory, data, n, r, suffix):
-    # test reads raw rows and checks their margins; sample and decompose read a table
+@given(data=st.data(), n=st.integers(1, 4), r=st.integers(0, 4),
+       shape=st.sampled_from(sorted(TABLE_FILE_SHAPES)))
+def test_test_and_sample_read_the_same_table(tmp_path_factory, data, n, r, shape):
+    # test, sample and decompose share io.load_table, which reads every shape back exactly
     fiber = _fiber(n, r)
     t = fiber[data.draw(st.integers(0, len(fiber) - 1))]
-    path = tmp_path_factory.getbasetemp() / f"drawn{suffix}"
-    if suffix == ".json":
-        path.write_text(json.dumps({"n": t.n, "r": t.r, "rows": t.rows()}))
-    else:
-        path.write_text("".join(",".join(map(str, row)) + "\n" for row in t.rows()))
-    assert as_equal_margin_table(io.load_rows(path)) == io.load_table(path) == t
+    path = tmp_path_factory.getbasetemp() / f"drawn.{shape.split('-')[0]}"
+    path.write_text(TABLE_FILE_SHAPES[shape](t))
+    assert io.load_table(path) == t
+

@@ -33,7 +33,7 @@ import pytest
 
 from fibergraphs.analysis import detour_paths, distance_two_pairs
 from fibergraphs.cli import main
-from fibergraphs.decomposition import decompose_constrained, decompose_tables
+from fibergraphs.decomposition import decompose, decompose_tables
 from fibergraphs.enumeration import count_fiber, enumerate_fiber
 from fibergraphs.graphs import DOT_VERTEX_LIMIT, build_graph
 from fibergraphs.sampler import ChainState, WalkConfig, advance
@@ -235,7 +235,7 @@ def test_decomposition_parts_unchanged(kind):
                               for matchings in decompose_tables(fiber.cells, n, r).tolist()]
         else:
             decompositions = [(dec.constraints, dec.matchings) for dec in (
-                decompose_constrained(t, _drawn_positions(rng, t)) for t in fiber)]
+                decompose(t, _drawn_positions(rng, t)) for t in fiber)]
         for t, (positions, matchings) in zip(fiber, decompositions):
             assert decomposition_holds(t.entries, matchings, positions)
             parts = [[[int(j == c) for j in range(n)] for c in cols] for cols in matchings]

@@ -18,7 +18,7 @@ EXPORTS = """
     Fiber FiberGraph LiuCheckResult MarkovMove MatchingDecomposition MaxDegreeBound
     OrientedFiberGraph Target VisitCounter WalkConfig WeightVector advance apply_move
     articulation_vertices as_equal_margin_table build_graph chi_square_statistic count_fiber
-    decompose decompose_constrained detour_paths diameter diameter_witness_pair
+    decompose detour_paths diameter diameter_witness_pair
     distance_between distance_two_pairs enumerate_basis_moves enumerate_fiber exact_test
     export_graph find_sinks hemmecke_graph is_acyclic is_connected is_valid_move liu_check
     local_connectivity max_degree_value orient run_walk scaled_permutation valid_moves

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -8,32 +10,72 @@ import pytest
 from fibergraphs import io
 from fibergraphs.cli import main
 from fibergraphs.enumeration import Fiber, enumerate_fiber
-from fibergraphs.errors import InvalidDimensionError, RowSumMismatchError
+from fibergraphs.errors import (
+    FiberGraphsError,
+    InvalidDimensionError,
+    MarginMismatchError,
+    RowSumMismatchError,
+)
 from fibergraphs.graphs import WeightVector, build_graph, export_graph, orient, vertex_map_json
 
 
-def test_parse_table_json_round_trip():
-    t = io.parse_table_json('{"n": 2, "r": 2, "rows": [[1, 1], [1, 1]]}')
-    assert io.parse_table_json(json.dumps({"n": t.n, "r": t.r, "rows": t.rows()})) == t
+def _table_file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
 
 
-def test_parse_table_json_missing_keys():
-    with pytest.raises(InvalidDimensionError) as exc:
-        io.parse_table_json('{"rows": [[1]]}')
-    assert "missing" in str(exc.value)
+TABLE_COMMANDS = ("test", "sample", "decompose")
 
 
-def test_parse_table_csv_infers_margin():
-    t = io.parse_table_csv("2,0,0\n0,2,0\n0,0,2\n")
+def _table_argv(command, path):
+    """The argv of one of TABLE_COMMANDS on the table file at path."""
+    walk = [] if command == "decompose" else ["--steps", "3", "--seed", "1"]
+    return [command, "--table", str(path), *walk]
+
+
+def test_parse_table_json_round_trip(tmp_path):
+    t = io.load_table(_table_file(tmp_path, "a.json", '{"n": 2, "r": 2, "rows": [[1, 1], [1, 1]]}'))
+    text = json.dumps({"n": t.n, "r": t.r, "rows": t.rows()})
+    assert io.load_table(_table_file(tmp_path, "b.json", text)) == t
+
+
+def test_parse_table_json_missing_keys(tmp_path):
+    # n and r may be left out, the rows may not
+    with pytest.raises(InvalidDimensionError,
+                       match="^table JSON must hold its rows as an array of arrays$"):
+        io.load_table(_table_file(tmp_path, "t.json", '{"n": 1, "r": 1}'))
+
+
+def test_parse_table_csv_infers_margin(tmp_path):
+    t = io.load_table(_table_file(tmp_path, "t.csv", "2,0,0\n0,2,0\n0,0,2\n"))
     assert t.n == 3 and t.r == 2
 
 
-def test_parse_table_csv_positional_errors():
+def test_parse_table_csv_positional_errors(tmp_path):
     with pytest.raises(InvalidDimensionError) as exc:
-        io.parse_table_csv("1,x\n0,1\n")
+        io.load_table(_table_file(tmp_path, "a.csv", "1,x\n0,1\n"))
     assert "line 1, field 2" in str(exc.value)
+    with pytest.raises(MarginMismatchError):
+        io.load_table(_table_file(tmp_path, "b.csv", "2,0\n1,0\n"))
+    # a stated margin is checked row by row
     with pytest.raises(RowSumMismatchError):
-        io.parse_table_csv("2,0\n1,0\n")
+        io.load_table(_table_file(tmp_path, "c.json", '{"r": 2, "rows": [[2, 0], [1, 0]]}'))
+
+
+@pytest.mark.parametrize("field", ["1_0", "\u0663", "\uff11", "\u00a01", "1.0", "+ 1", ""])
+def test_csv_fields_are_ascii_integers(tmp_path, field):
+    # int() reads '1_0' as 10, the Arabic-Indic and the fullwidth digits as digits,
+    # and a no-break space as whitespace
+    path = _table_file(tmp_path, "t.csv", f"0,{field}\n1,0\n")
+    with pytest.raises(InvalidDimensionError,
+                       match=f"^line 1, field 2: {re.escape(repr(field))} is not an integer$"):
+        io.load_table(path)
+
+
+@pytest.mark.parametrize("text", [" 1 ,\t0\n0,+1\n", "1,0\n\n0, 1 \n"])
+def test_csv_fields_take_ascii_whitespace_and_a_sign(tmp_path, text):
+    assert io.load_table(_table_file(tmp_path, "t.csv", text)).rows() == [[1, 0], [0, 1]]
 
 
 def test_fiber_jsonl_and_csv():
@@ -175,28 +217,39 @@ def test_json_inputs_reject_non_integers(tmp_path):
     path = tmp_path / "t.json"
     path.write_text('{"rows": [[1, 0], [0, true]]}')
     with pytest.raises(InvalidDimensionError, match="row 2, column 2"):
-        io.load_rows(path)
+        io.load_table(path)
     with pytest.raises(InvalidDimensionError, match="constraint 2 row"):
         io.parse_constraints('[[1, 2], ["1.5", 1]]')
     with pytest.raises(InvalidDimensionError, match="constraint 1 column"):
         io.parse_constraints("[[1, false]]")
 
 
-@pytest.mark.parametrize("reader, label", [
-    ("parse_table_json", "JSON"),
-    ("load_rows", "JSON"),
-    ("parse_constraints", "constraint JSON"),
-])
+# a table file's malformed JSON is a row of test_every_command_reads_a_table_file_alike
+@pytest.mark.parametrize("reader, label", [("parse_constraints", "constraint JSON")])
 def test_json_inputs_report_malformed_json(tmp_path, reader, label):
     text = "[[1, 2],"
     with pytest.raises(json.JSONDecodeError) as decode:
         json.loads(text)
-    path = tmp_path / "bad.json"
-    path.write_text(text)
-    argument = text if reader in ("parse_table_json", "parse_constraints") else path
     with pytest.raises(InvalidDimensionError) as exc:
-        getattr(io, reader)(argument)
+        getattr(io, reader)(text)
     assert str(exc.value) == f"invalid {label}: {decode.value}"
+
+
+@pytest.mark.parametrize("text, message", [
+    # Python 3.10 bounds the digits of an int only from its 3.10.7 release on
+    pytest.param("[[" + "1" * 5000 + "]]", "Exceeds the limit", id="too-many-digits",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="no digit limit")),
+    pytest.param("[" * 100_000, "maximum recursion depth exceeded", id="nested-too-deep"),
+])
+def test_json_past_the_decoders_limits_is_a_data_error(tmp_path, capsys, text, message):
+    # json.loads raises ValueError and RecursionError here, not JSONDecodeError
+    path = _table_file(tmp_path, "t.json", text)
+    assert main(["decompose", "--table", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid JSON: {message}") and err.count("\n") == 1
+    with pytest.raises(InvalidDimensionError, match=f"^invalid constraint JSON: {message}"):
+        io.parse_constraints(text)
 
 
 # --- CLI ---
@@ -387,8 +440,9 @@ def test_cli_malformed_table_json_is_a_data_error(tmp_path, capsys, command, pay
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
-    with pytest.raises(InvalidDimensionError):
-        io.parse_table_json(MALFORMED_TABLE_JSON[payload])
+    with pytest.raises(FiberGraphsError) as exc:
+        io.load_table(table)
+    assert err == f"error: {exc.value}\n"
 
 
 def test_cli_sample_deterministic(tmp_path, capsys):
@@ -457,16 +511,72 @@ def test_cli_test_rejects_fractional_table(tmp_path, capsys):
     assert "row 1, column 1 is not an integer: 1.7" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("payload", [
-    "[[1, 2], [2, 1]]",
-    '{"rows": [[1, 2], [2, 1]]}',
-    '{"n": 2, "rows": [[1, 2], [2, 1]]}',
-    '{"n": 2, "r": 3, "rows": [[1, 2], [2, 1]]}',
-])
-def test_load_rows_takes_rows_alone_or_with_a_fitting_n_and_r(tmp_path, payload):
-    path = tmp_path / "t.json"
-    path.write_text(payload)
-    assert io.load_rows(path) == [[1, 2], [2, 1]]
+def _malformed_json_message():
+    with pytest.raises(json.JSONDecodeError) as decode:
+        json.loads("[[1, 2],")
+    return f"invalid JSON: {decode.value}"
+
+
+# each table file, then the rows every command reads from it or the error line
+# every command prints for it
+TABLE_FILES = {
+    "csv": ("t.csv", "1,2\n2,1\n", [[1, 2], [2, 1]]),
+    "json-array": ("t.json", "[[1, 2], [2, 1]]", [[1, 2], [2, 1]]),
+    "json-rows": ("t.json", '{"rows": [[1, 2], [2, 1]]}', [[1, 2], [2, 1]]),
+    "json-n": ("t.json", '{"n": 2, "rows": [[1, 2], [2, 1]]}', [[1, 2], [2, 1]]),
+    "json-n-r": ("t.json", '{"n": 2, "r": 3, "rows": [[1, 2], [2, 1]]}', [[1, 2], [2, 1]]),
+    "csv-unequal-margins": ("t.csv", "3,0\n1,3\n",
+                            "margins are not all equal: row sums [3, 4], column sums [4, 3]"),
+    "csv-ragged": ("t.csv", "1,2,0\n2,1\n", "row 1 has 3 entries, expected 2 (the number of rows)"),
+    "json-empty": ("t.json", "[]", "table dimension must be >= 1, got 0"),
+    "json-empty-row": ("t.json", "[[]]", "row 1 has 0 entries, expected 1 (the number of rows)"),
+    "json-n-misfit": ("t.json", '{"n": 3, "rows": [[1, 2], [2, 1]]}',
+                      "expected an 3x3 array of entries"),
+    "json-r-misfit": ("t.json", '{"r": 4, "rows": [[1, 2], [2, 1]]}',
+                      "row 1 sums to 3, expected 4"),
+    "json-n-r-misfit": ("t.json", '{"n": 3, "r": 7, "rows": [[1, 2], [2, 1]]}',
+                        "expected an 3x3 array of entries"),
+    "json-malformed": ("t.json", "[[1, 2],", _malformed_json_message()),
+    "csv-empty": ("t.csv", "\n", "CSV input contains no rows"),
+}
+
+
+@pytest.mark.parametrize("kind", list(TABLE_FILES))
+def test_every_command_reads_a_table_file_alike(tmp_path, capsys, monkeypatch, kind):
+    # sample and decompose used to refuse a bare array, which test took, and
+    # the three gave different lines for unequal margins and ragged rows
+    name, text, expected = TABLE_FILES[kind]
+    path = _table_file(tmp_path, name, text)
+    load, read = io.load_table, []
+
+    def load_table(path):
+        read.append(load(path))
+        return read[-1]
+
+    monkeypatch.setattr(io, "load_table", load_table)
+    outcomes = {}
+    for command in TABLE_COMMANDS:
+        outcomes[command] = main(_table_argv(command, path)), capsys.readouterr()
+    if isinstance(expected, str):
+        for code, captured in outcomes.values():
+            assert (code, captured.err) == (1, f"error: {expected}\n")
+        return
+    assert [code for code, _ in outcomes.values()] == [0, 0, 0]
+    assert [t.rows() for t in read] == [expected] * 3
+    parts = json.loads(outcomes["decompose"][1].out)["parts"]
+    assert np.sum(parts, axis=0).tolist() == expected
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_decompose_refuses_a_margin_past_the_cap(tmp_path, capsys, suffix):
+    # one part and one round per unit of margin: this used to end in an OverflowError traceback
+    big = 2**70
+    rows = [[big, 0], [0, big]]
+    text = json.dumps(rows) if suffix == ".json" else f"{big},0\n0,{big}\n"
+    path = _table_file(tmp_path, "t" + suffix, text)
+    assert main(["decompose", "--table", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: decomposition into {big} parts exceeded the configured cap of 10000000\n")
 
 
 @pytest.mark.parametrize("command", ["test", "sample"])
@@ -477,9 +587,8 @@ def test_cli_refuses_an_unknown_table_extension(tmp_path, capsys, command):
     argv = [command, "--table", str(table), "--steps", "10", "--seed", "1"]
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: unrecognized table extension: '.tsv'\n"
-    for reader in (io.load_rows, io.load_table):
-        with pytest.raises(InvalidDimensionError, match="unrecognized table extension: '.tsv'"):
-            reader(table)
+    with pytest.raises(InvalidDimensionError, match="unrecognized table extension: '.tsv'"):
+        io.load_table(table)
 
 
 @pytest.mark.parametrize("command", ["test", "sample"])
@@ -488,6 +597,17 @@ def test_cli_missing_table_file(tmp_path, capsys, command):
     argv = [command, "--table", str(missing), "--steps", "10", "--seed", "1"]
     assert main(argv) == 1
     assert str(missing) in capsys.readouterr().err
+
+
+def test_table_file_that_is_not_text_is_a_data_error(tmp_path, capsys):
+    # read_text used to raise UnicodeDecodeError, which ended in a traceback
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"\xff,1\n1,1\n")
+    for command in TABLE_COMMANDS:
+        assert main(_table_argv(command, path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {str(path)!r}: ") and err.count("\n") == 1
+        assert "can't decode byte 0xff in position 0" in err
 
 
 def test_cli_rejects_options_the_subcommand_ignores(tmp_path, capsys):

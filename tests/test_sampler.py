@@ -20,12 +20,11 @@ from fibergraphs.sampler import (
     VisitCounter,
     WalkConfig,
     advance,
-    as_equal_margin_table,
     chi_square_statistic,
     exact_test,
     run_walk,
 )
-from fibergraphs.tables import move_cells, validate_table
+from fibergraphs.tables import as_equal_margin_table, move_cells, validate_table
 
 from oracles import acceptance_ratio, hypergeometric_mass, transition_probabilities
 
