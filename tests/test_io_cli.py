@@ -224,14 +224,22 @@ def test_json_inputs_reject_non_integers(tmp_path):
         io.parse_constraints("[[1, false]]")
 
 
-# a table file's malformed JSON is a row of test_every_command_reads_a_table_file_alike
-@pytest.mark.parametrize("reader, label", [("parse_constraints", "constraint JSON")])
+# parse_table_json and load_rows read a table's JSON object and bare JSON array;
+# io.load_table reads both now
+@pytest.mark.parametrize("reader, label", [
+    ("parse_table_json", "JSON"),
+    ("load_rows", "JSON"),
+    ("parse_constraints", "constraint JSON"),
+])
 def test_json_inputs_report_malformed_json(tmp_path, reader, label):
-    text = "[[1, 2],"
+    text = '{"rows": [[1, 2],' if reader == "parse_table_json" else "[[1, 2],"
     with pytest.raises(json.JSONDecodeError) as decode:
         json.loads(text)
     with pytest.raises(InvalidDimensionError) as exc:
-        getattr(io, reader)(text)
+        if reader == "parse_constraints":
+            io.parse_constraints(text)
+        else:
+            io.load_table(_table_file(tmp_path, "bad.json", text))
     assert str(exc.value) == f"invalid {label}: {decode.value}"
 
 
