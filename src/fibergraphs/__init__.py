@@ -22,7 +22,7 @@ _EXPORTS = {
     "decomposition": ("MatchingDecomposition", "decompose"),
     "enumeration": ("Fiber", "count_fiber", "enumerate_fiber"),
     "graphs": (
-        "CsrGraph", "FiberGraph", "OrientedFiberGraph", "WeightVector", "build_graph",
+        "CsrGraph", "FiberGraph", "OrientedFiberGraph", "build_graph",
         "export_graph", "find_sinks", "is_acyclic", "orient",
     ),
     "sampler": (

@@ -84,11 +84,8 @@ def _bfs(
     while frontier.size:
         level += 1
         nbrs = indices[row_arcs(indptr, frontier)]
-        fresh = np.sort(nbrs[dist[nbrs] < 0])
-        if fresh.size == 0:
-            break
-        frontier = fresh[np.diff(fresh, prepend=-1) > 0]  # np.unique is many times slower
-        dist[frontier] = level
+        dist[nbrs[dist[nbrs] < 0]] = level
+        frontier = np.flatnonzero(dist == level)
     dist[blocked] = -1
     return dist
 

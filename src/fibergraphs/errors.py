@@ -53,10 +53,6 @@ class SizeLimitExceededError(FiberGraphsError):
 
 # --- graph construction ---
 
-class ZeroWeightEdgeError(FiberGraphsError):
-    pass
-
-
 class UnsupportedFormatError(FiberGraphsError):
     pass
 

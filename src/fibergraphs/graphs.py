@@ -12,9 +12,9 @@ basis moves, so they act on the graph as automorphisms: a group of order
 2(n!)^2, generated by a row swap, a row n-cycle and the transpose.  Each
 acts on a table's row-major cells as one permutation of the n^2 cells.
 
-Orienting every edge toward the strictly smaller value of a weight vector
-turns the graph into a DAG; with the standard weight (row + col)^2 the DAG
-has a unique sink, located at the anti-diagonal table.
+Orienting every edge toward the strictly smaller value of the weight
+(row + col)^2, summed over a table's cells, turns the graph into a DAG with
+a unique sink, located at the anti-diagonal table.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .errors import (
     NotAnAutomorphismError,
     SizeLimitExceededError,
     UnsupportedFormatError,
-    ZeroWeightEdgeError,
 )
 from .io import format_rows, json_row_separators
 from .tables import move_cells
@@ -239,34 +238,15 @@ def build_graph(fiber: Fiber) -> FiberGraph:
     return FiberGraph(indptr, v[order], fiber=fiber, move_ids=np.concatenate(labels)[order])
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Cell weights used to orient edges; w[i][j] is 1-based via construction."""
-
-    n: int
-    w: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def standard(cls, n: int) -> "WeightVector":
-        """The (row + col)^2 weight, 1-based: symmetric and strictly increasing."""
-        return cls(n, tuple(
-            tuple((i + j + 2) ** 2 for j in range(n)) for i in range(n)
-        ))
-
-    def negate(self) -> "WeightVector":
-        return WeightVector(self.n, tuple(tuple(-x for x in row) for row in self.w))
-
-
 @dataclass(frozen=True, eq=False)
 class OrientedFiberGraph:
-    """Edge orientation of a fiber graph: u -> v whenever w.(v - u) < 0.
+    """Edge orientation of a fiber graph by ``orient``: u -> v whenever w.(v - u) < 0.
 
     The arcs out of u are ``indices[indptr[u]:indptr[u + 1]]``, the down
     arcs of the base graph's CSR row u, so each row stays sorted.
     """
 
     base: FiberGraph
-    weight: WeightVector
     indptr: np.ndarray
     indices: np.ndarray
 
@@ -317,30 +297,22 @@ def two_hop_pairs(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> 
     return np.stack(np.divmod(np.concatenate(blocks), max(size, 1)), axis=1)
 
 
-def orient(graph: FiberGraph, w: WeightVector) -> OrientedFiberGraph:
-    """Direct every edge toward the strictly smaller w-value.
+def orient(graph: FiberGraph) -> OrientedFiberGraph:
+    """Direct every edge toward the strictly smaller value of w.t, where
+    w[i][j] = (i + j)^2 with 1-based rows i and columns j.
 
-    Raises ZeroWeightEdgeError when some edge has weight change 0 (the
-    weight vector then does not induce an orientation).  Any successful
-    orientation is automatically acyclic: w.v strictly decreases along
-    every directed edge.
+    Every edge gets a direction: a move on rows i1 < i2 and columns
+    j1 < j2 changes w.t by (i1 + j1)^2 + (i2 + j2)^2 - (i1 + j2)^2 -
+    (i2 + j1)^2 = 2(i2 - i1)(j2 - j1), or by its negative, and never by 0.
+    The orientation is acyclic, since w.t strictly decreases along every arc.
     """
     n = graph.fiber.n
-    if w.n != n:
-        raise ZeroWeightEdgeError(
-            f"weight vector is for n={w.n}, graph is for n={n}"
-        )
-    flat = [x for row in w.w for x in row]
-    # w . (move as matrix): the weight change along an arc of each move
-    weights = [flat[c] + flat[d] - flat[a] - flat[b] for a, b, c, d in move_cells(n)]
-    zero = np.array([x == 0 for x in weights], dtype=bool)[graph.move_ids]
-    if zero.any():
-        arc = int(np.argmax(zero))
-        u = int(np.searchsorted(graph.indptr, arc, side="right")) - 1
-        raise ZeroWeightEdgeError(f"edge {u} -- {graph.indices[arc]} has zero weight change under w")
-    down = np.array([x < 0 for x in weights], dtype=bool)[graph.move_ids]
+    w = [(i + j + 2) ** 2 for i in range(n) for j in range(n)]  # row-major, 0-based i and j
+    # each move's sign from the cells it subtracts from (a, b) and adds to (c, d)
+    down = np.array([w[c] + w[d] < w[a] + w[b] for a, b, c, d in move_cells(n)], dtype=bool)
+    down = down[graph.move_ids]
     indptr = np.concatenate(([0], np.cumsum(down)))[graph.indptr]
-    return OrientedFiberGraph(graph, w, indptr, graph.indices[down])
+    return OrientedFiberGraph(graph, indptr, graph.indices[down])
 
 
 def find_sinks(og: OrientedFiberGraph) -> list[int]:

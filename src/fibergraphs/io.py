@@ -1,16 +1,18 @@
 """File formats: table JSON/CSV and fiber exports.
 
 ``load_table`` is the one reader of a table file.  Table CSV is n lines of n
-comma-separated integers.  Table JSON is an array of rows, or an object
-{"rows": [[int, ...], ...]} that may also state "n" and "r".  Where a file
-states no margin r, ``tables.as_equal_margin_table`` works it out and checks
-that every row and column sums to it.  Malformed input is rejected with
-positional messages (1-based lines and fields, rows and columns).
+comma-separated integers, each line ended by "\\n" ("\\r\\n" and "\\r" are read
+as "\\n").  Table JSON is an array of rows, or an object {"rows": [[int, ...],
+...]} that may also state "n" and "r".  Where a file states no margin r,
+``tables.as_equal_margin_table`` works it out and checks that every row and
+column sums to it.  Malformed input is rejected with positional messages
+(1-based lines and fields, rows and columns).
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Sequence
 
@@ -43,26 +45,32 @@ def _integer(value: object, where: str) -> int:
     return value
 
 
+_ASCII_SPACE = " \t\n\r\f\v"  # the whitespace a CSV field may carry
+
+
 def parse_rows_csv(text: str) -> list[list[int]]:
-    """Raw integer rows from CSV text; positional errors on malformed fields."""
+    """Raw integer rows from CSV text whose lines end at "\\n" only;
+    positional errors on malformed fields."""
     rows: list[list[int]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+    # str.splitlines() would also end a line at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip(_ASCII_SPACE):
             continue
         row = []
         for colno, cell in enumerate(line.split(","), start=1):
             # optional ASCII whitespace around an optional sign and ASCII digits:
             # int() alone also takes '1_0', non-ASCII digits and other whitespace
-            field = cell.strip(" \t\n\r\f\v")
+            field = cell.strip(_ASCII_SPACE)
             digits = field[1:] if field[:1] in ("+", "-") else field
-            try:
-                if not (digits.isascii() and digits.isdigit()):
-                    raise ValueError
-                row.append(int(field))  # ValueError past sys.get_int_max_str_digits()
-            except ValueError:
+            if not (digits.isascii() and digits.isdigit()):
                 raise InvalidDimensionError(
-                    f"line {lineno}, field {colno}: {cell!r} is not an integer"
-                ) from None
+                    f"line {lineno}, field {colno}: {cell!r} is not an integer")
+            try:
+                row.append(int(field))
+            except ValueError:  # the grammar holds, so only the digit limit is left
+                raise InvalidDimensionError(
+                    f"line {lineno}, field {colno}: {len(digits)} digits exceed the integer "
+                    f"string limit of {sys.get_int_max_str_digits()}") from None
         rows.append(row)
     if not rows:
         raise InvalidDimensionError("CSV input contains no rows")

@@ -8,6 +8,7 @@ Tables are plain tuples of rows here.  These references left the package,
 which no command called them from, and check it from outside:
 
 * ``degree_by_support_pairs``: a table's degree from its positive cells.
+* ``orientation_weight``: w.t for the (row + col)^2 weight that orients the graph.
 * ``transpose`` and ``permute``: the symmetries that relabel a table.
 * ``acceptance_ratio`` and ``transition_probabilities``: the sampler's
   kernel as exact fractions.
@@ -243,6 +244,11 @@ def degree_by_support_pairs(entries) -> int:
     and distinct columns, each the subtracted cells of one valid move."""
     pos = [(i, j) for i, row in enumerate(entries) for j, x in enumerate(row) if x > 0]
     return sum(a[0] != b[0] and a[1] != b[1] for a, b in combinations(pos, 2))
+
+
+def orientation_weight(entries) -> int:
+    """w.t for w[i][j] = (i + j)^2, rows i and columns j numbered from 1."""
+    return sum((i + j + 2) ** 2 * x for i, row in enumerate(entries) for j, x in enumerate(row))
 
 
 def transpose(entries) -> tuple[tuple[int, ...], ...]:

@@ -22,7 +22,7 @@ from fibergraphs.analysis import (
 )
 from fibergraphs.decomposition import decompose, decompose_tables
 from fibergraphs.enumeration import count_fiber, enumerate_fiber
-from fibergraphs.graphs import CsrGraph, WeightVector, build_graph, find_sinks, is_acyclic, orient
+from fibergraphs.graphs import CsrGraph, build_graph, find_sinks, is_acyclic, orient
 from fibergraphs.sampler import (
     Target,
     WalkConfig,
@@ -144,7 +144,7 @@ def test_acceptance_6_groebner_orientation():
     for n in (2, 3, 4):
         for r in (1, 2, 3):
             graph = build_graph(enumerate_fiber(n, r))
-            og = orient(graph, WeightVector.standard(n))
+            og = orient(graph)
             assert is_acyclic(og), (n, r)
             sinks = find_sinks(og)
             assert len(sinks) == 1, (n, r)

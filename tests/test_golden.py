@@ -154,8 +154,7 @@ def _verify_report(flags, out) -> bytes:
     assert main(["verify", *flags, "--out", str(out)]) == 0
     suite = json.loads(out.read_text())
     for result in suite["results"]:
-        if not result.get("skipped"):  # a skipped check has no runtime; every other must
-            del result["runtime_ms"]
+        del result["runtime_ms"]
     return (json.dumps(suite, indent=2) + "\n").encode()
 
 
@@ -173,10 +172,6 @@ GOLDEN_VERIFY_PATHS = {
     "outside-hypotheses": (
         [["--n", "1", "--r", "2"], ["--n", "2", "--r", "0"]],
         "280f3ab784c165640c7e4c2103fdf4207ba5b3837ed685161d21cb8097479406",
-    ),
-    "skipped-without-long": (
-        [["--n", "4", "--r", "3"]],
-        "d1b4f415a98c78861563f5a938666fb7dacbb41c4ca4fab0bdcd8bfc130e69cc",
     ),
     "repeated-checks": (
         [["--n", "3", "--r", "3", "--checks", "liu,degrees,liu"]],
@@ -199,6 +194,15 @@ def test_verify_path_reports_unchanged(kind, tmp_path):
         digest.update((" ".join(flags) + "\n").encode())
         digest.update(_verify_report(flags, tmp_path / "v.json"))
     assert digest.hexdigest() == expected
+
+
+def test_verify_without_long_runs_every_check(tmp_path):
+    # --long is accepted and ignored: kappa and Liu run on G(4,3)'s 2,008 vertices either way
+    flags = ["--n", "4", "--r", "3"]
+    plain = _verify_report(flags, tmp_path / "v.json")
+    assert plain == _verify_report([*flags, "--long"], tmp_path / "v.json")
+    names = [result["name"] for result in json.loads(plain)["results"]]
+    assert "connectivity" in names and "liu" in names
 
 
 # --- permutation parts of every table, with and without prefix constraints ---

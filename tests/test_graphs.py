@@ -12,12 +12,10 @@ from fibergraphs.errors import (
     NotAnAutomorphismError,
     SizeLimitExceededError,
     UnsupportedFormatError,
-    ZeroWeightEdgeError,
 )
 from fibergraphs.graphs import (
     FiberGraph,
     OrientedFiberGraph,
-    WeightVector,
     build_graph,
     export_graph,
     find_sinks,
@@ -35,7 +33,7 @@ from fibergraphs.tables import (
     validate_table,
 )
 
-from oracles import permute, rows_of, transpose
+from oracles import orientation_weight, permute, rows_of, transpose
 
 
 def test_g22_is_a_path(graph_2_2):
@@ -104,44 +102,20 @@ def _heads(og, u):
     return og.indices[og.indptr[u]:og.indptr[u + 1]].tolist()
 
 
-def _weight(w, t):
-    """w . t, summed over the cells."""
-    return sum(x * y for wrow, trow in zip(w.w, t.entries) for x, y in zip(wrow, trow))
-
-
-def test_standard_weight_values():
-    w = WeightVector.standard(2)
-    assert w.w == ((4, 9), (9, 16))
-    w3 = WeightVector.standard(3)
-    assert all(w3.w[i][j] == w3.w[j][i] for i in range(3) for j in range(3))
-    for row in w3.w:
-        assert list(row) == sorted(row) and len(set(row)) == 3
-
-
 def test_orientation_hand_computed_edge(graph_2_2):
-    # w.(2I) = 40, w.[[1,1],[1,1]] = 38: the edge points at the flat table
-    w = WeightVector.standard(2)
+    # w = [[4, 9], [9, 16]]: w.(2I) = 40, w.[[1,1],[1,1]] = 38, so the edge points at the flat table
     fiber = graph_2_2.fiber
     flat = fiber.index_of(validate_table(2, 2, [[1, 1], [1, 1]]))
     diag = fiber.index_of(scaled_permutation(2, 2, [0, 1]))
-    assert _weight(w, fiber[diag]) == 40
-    assert _weight(w, fiber[flat]) == 38
-    og = orient(graph_2_2, w)
+    assert orientation_weight(fiber[diag].entries) == 40
+    assert orientation_weight(fiber[flat].entries) == 38
+    og = orient(graph_2_2)
     assert flat in _heads(og, diag)
     assert diag not in _heads(og, flat)
 
 
-def test_orientation_reversal(graph_3_2):
-    w = WeightVector.standard(3)
-    forward = orient(graph_3_2, w)
-    backward = orient(graph_3_2, w.negate())
-    for u in range(graph_3_2.vertex_count):
-        for v in rows_of(graph_3_2)[u]:
-            assert (v in _heads(forward, u)) != (v in _heads(backward, u))
-
-
 def test_orientation_is_acyclic(graph_3_2):
-    og = orient(graph_3_2, WeightVector.standard(3))
+    og = orient(graph_3_2)
     assert is_acyclic(og)
 
 
@@ -151,21 +125,23 @@ def test_is_acyclic_detects_a_cycle(graph_3_1):
         indptr = np.cumsum([0] + [len(h) for h in heads])
         return indptr, np.array([v for h in heads for v in h], dtype=np.intp)
 
-    w = WeightVector.standard(3)
-    cyclic = OrientedFiberGraph(graph_3_1, w, *arcs([[1], [2], [0], [4], [5], []]))
+    cyclic = OrientedFiberGraph(graph_3_1, *arcs([[1], [2], [0], [4], [5], []]))
     assert is_acyclic(cyclic) is False
     assert find_sinks(cyclic) == [5]
-    path = OrientedFiberGraph(graph_3_1, w, *arcs([[1], [2], [], [4], [5], []]))
+    path = OrientedFiberGraph(graph_3_1, *arcs([[1], [2], [], [4], [5], []]))
     assert is_acyclic(path) is True
 
 
-def test_every_directed_edge_decreases_weight(graph_3_3):
-    w = WeightVector.standard(3)
-    og = orient(graph_3_3, w)
-    values = [_weight(w, t) for t in graph_3_3.fiber]
-    for u in range(graph_3_3.vertex_count):
-        for v in _heads(og, u):
-            assert values[v] < values[u]
+def test_every_directed_edge_decreases_weight():
+    # and every edge is directed one way: the arcs out of u and out of v hold it once
+    for n in range(1, 5):
+        for r in range(4):
+            graph = build_graph(enumerate_fiber(n, r))
+            og = orient(graph)
+            values = np.array([orientation_weight(t.entries) for t in graph.fiber])
+            tails = np.repeat(np.arange(graph.vertex_count), np.diff(og.indptr))
+            assert (values[og.indices] < values[tails]).all(), (n, r)
+            assert len(og.indices) == graph.edge_count, (n, r)
 
 
 @pytest.mark.parametrize(
@@ -174,21 +150,14 @@ def test_every_directed_edge_decreases_weight(graph_3_3):
 )
 def test_unique_sink_is_antidiagonal(n, r):
     graph = build_graph(enumerate_fiber(n, r))
-    og = orient(graph, WeightVector.standard(n))
+    og = orient(graph)
     sinks = find_sinks(og)
     assert len(sinks) == 1
     anti = scaled_permutation(n, r, [n - 1 - i for i in range(n)])
     assert graph.fiber[sinks[0]].entries == anti.entries
     # the sink minimizes the weight over the whole fiber
-    w = WeightVector.standard(n)
-    values = [_weight(w, t) for t in graph.fiber]
+    values = [orientation_weight(t.entries) for t in graph.fiber]
     assert values[sinks[0]] == min(values)
-
-
-def test_zero_weight_edge_rejected(graph_2_2):
-    flat_w = WeightVector(2, ((1, 1), (1, 1)))
-    with pytest.raises(ZeroWeightEdgeError):
-        orient(graph_2_2, flat_w)
 
 
 def test_export_edge_list(graph_2_2):
@@ -205,7 +174,7 @@ def test_export_dot(graph_2_2):
 
 
 def test_export_oriented_directions(graph_2_2):
-    og = orient(graph_2_2, WeightVector.standard(2))
+    og = orient(graph_2_2)
     listing = export_graph(og, "edge-list")
     assert listing == "1 0\n2 1\n"
     dot = export_graph(og, "dot")

@@ -16,7 +16,7 @@ import fibergraphs
 EXPORTS = """
     ChainState ConnectivityReport ContingencyTable CsrGraph DetourPathReport ExactTestResult
     Fiber FiberGraph LiuCheckResult MarkovMove MatchingDecomposition MaxDegreeBound
-    OrientedFiberGraph Target VisitCounter WalkConfig WeightVector advance apply_move
+    OrientedFiberGraph Target VisitCounter WalkConfig advance apply_move
     articulation_vertices as_equal_margin_table build_graph chi_square_statistic count_fiber
     decompose detour_paths diameter diameter_witness_pair
     distance_between distance_two_pairs enumerate_basis_moves enumerate_fiber exact_test

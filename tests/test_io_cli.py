@@ -16,7 +16,7 @@ from fibergraphs.errors import (
     MarginMismatchError,
     RowSumMismatchError,
 )
-from fibergraphs.graphs import WeightVector, build_graph, export_graph, orient, vertex_map_json
+from fibergraphs.graphs import build_graph, export_graph, orient, vertex_map_json
 
 
 def _table_file(tmp_path, name, text):
@@ -73,9 +73,33 @@ def test_csv_fields_are_ascii_integers(tmp_path, field):
         io.load_table(path)
 
 
-@pytest.mark.parametrize("text", [" 1 ,\t0\n0,+1\n", "1,0\n\n0, 1 \n"])
+# the file is read with universal newlines, so "\r\n" and "\r" reach the parser as "\n"
+@pytest.mark.parametrize("text", [" 1 ,\t0\n0,+1\n", "1,0\n\n0, 1 \n", "1,0\r\n0,1\r\n", "1,0\r0,1\r"])
 def test_csv_fields_take_ascii_whitespace_and_a_sign(tmp_path, text):
     assert io.load_table(_table_file(tmp_path, "t.csv", text)).rows() == [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("text, where, cell", [
+    *((f"1,0{sep}0,1\n", "line 1, field 2", f"0{sep}0")
+      for sep in ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]),
+    ("1,0\n\u2028\n0,1\n", "line 2, field 1", "\u2028"),
+], ids=["VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS", "line-of-LS"])
+def test_csv_lines_end_only_at_newline(tmp_path, text, where, cell):
+    # str.splitlines() ended a line at each of these, and dropped a line holding only \u2028
+    message = f"{where}: {cell!r} is not an integer"
+    with pytest.raises(InvalidDimensionError, match=f"^{re.escape(message)}$"):
+        io.load_table(_table_file(tmp_path, "t.csv", text))
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no digit limit")
+def test_csv_field_past_the_digit_limit_is_named_not_quoted(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    path = _table_file(tmp_path, "t.csv", "1" * (limit + 1) + ",0\n0,1\n")
+    assert main(["decompose", "--table", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: line 1, field 1: {limit + 1} digits exceed the integer string "
+                   f"limit of {limit}\n")
 
 
 def test_fiber_jsonl_and_csv():
@@ -183,7 +207,7 @@ def test_formatter_blocks_join_up(monkeypatch, fiber):
 @pytest.mark.parametrize("oriented", [False, True])
 def test_edge_list_blocks_join_up(monkeypatch, oriented):
     graph = build_graph(enumerate_fiber(3, 3))
-    target = orient(graph, WeightVector.standard(3)) if oriented else graph
+    target = orient(graph) if oriented else graph
     if oriented:
         tails = np.repeat(np.arange(graph.vertex_count), np.diff(target.indptr))
         pairs = zip(tails.tolist(), target.indices.tolist())
@@ -351,12 +375,6 @@ def test_cli_verify_informational_below_hypothesis(capsys):
         assert result["hypothesis_met"] is False
         assert result["pass"] is True
         assert result["expected"] is None
-
-
-def test_cli_verify_gates_expensive_without_long(capsys):
-    assert main(["verify", "--n", "4", "--r", "3", "--checks", "connectivity"]) == 0
-    suite = json.loads(capsys.readouterr().out)
-    assert suite["results"][0]["skipped"] is True
 
 
 @pytest.mark.parametrize("n, r", [(1, 2), (1, 0), (3, 0)])
