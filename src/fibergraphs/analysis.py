@@ -47,13 +47,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import (
-    AdjacentPairError,
-    DisconnectedGraphError,
-    FiberGraphsError,
-    InvalidDimensionError,
-    NotDistanceTwoError,
-)
+from .errors import FiberGraphsError
 from .graphs import (CsrGraph, FiberGraph, row_arcs, stabiliser, two_hop_pairs, vertex_orbits,
                      weakly_memoised)
 from .tables import (
@@ -101,16 +95,16 @@ def diameter(graph: CsrGraph) -> int:
 
     One vectorized BFS runs from each vertex-orbit representative (module
     docstring): 38 sources on G(4,4), not 10,147.  Vertex 0 is always one,
-    so a disconnected graph raises DisconnectedGraphError from the first BFS.
+    so a disconnected graph raises FiberGraphsError from the first BFS.
     """
     n = graph.vertex_count
     if n == 0:
-        raise InvalidDimensionError("diameter of an empty graph is undefined")
+        raise FiberGraphsError("diameter of an empty graph is undefined")
     best = 0
     for s in _first_members(_vertex_labels(graph)).tolist():
         dist = _bfs(graph.indptr, graph.indices, s)
         if (dist < 0).any():
-            raise DisconnectedGraphError(
+            raise FiberGraphsError(
                 f"vertex {int(np.flatnonzero(dist < 0)[0])} unreachable from {s}"
             )
         best = max(best, int(dist.max()))
@@ -120,7 +114,7 @@ def diameter(graph: CsrGraph) -> int:
 def diameter_witness_pair(n: int, r: int) -> tuple[ContingencyTable, ContingencyTable]:
     """The pair (r*I, r*P), P the n-cycle sending row i to column i-1, at distance (n-1)r."""
     if n < 2:
-        raise InvalidDimensionError(f"need n >= 2, got {n}")
+        raise FiberGraphsError(f"need n >= 2, got {n}")
     identity = scaled_permutation(n, r, list(range(n)))
     cycle = scaled_permutation(n, r, [(i - 1) % n for i in range(n)])
     return identity, cycle
@@ -244,9 +238,9 @@ def local_connectivity(graph: CsrGraph, u: int, v: int) -> int:
     """Maximum number of internally vertex-disjoint u-v paths (u, v non-adjacent)."""
     u, v = graph.check_vertex(u), graph.check_vertex(v)
     if u == v:
-        raise InvalidDimensionError("local connectivity needs two distinct vertices")
+        raise FiberGraphsError("local connectivity needs two distinct vertices")
     if v in graph.neighbors(u):
-        raise AdjacentPairError(
+        raise FiberGraphsError(
             f"vertices {u} and {v} are adjacent; the split-network reduction "
             "does not define their local connectivity"
         )
@@ -379,7 +373,7 @@ def vertex_connectivity(graph: CsrGraph) -> ConnectivityReport:
     """
     n = graph.vertex_count
     if n < 2:
-        raise InvalidDimensionError("connectivity needs at least two vertices")
+        raise FiberGraphsError("connectivity needs at least two vertices")
     degrees = np.diff(graph.indptr)
     min_degree = int(degrees.min())
     if not is_connected(graph):
@@ -477,7 +471,7 @@ def detour_paths(graph: FiberGraph, u: int, v: int) -> DetourPathReport:
     rows = _MoveRows(graph)
     decompositions = sum(v in rows[x] for x in rows[u] if x >= 0)
     if u == v or v in rows[u] or not decompositions:
-        raise NotDistanceTwoError(f"vertices {u} and {v} are not at distance 2")
+        raise FiberGraphsError(f"vertices {u} and {v} are not at distance 2")
     kept = _detour_family(rows, u, v, len(rows[u]))  # no family outgrows the moves
     x, moves = kept[0][1], enumerate_basis_moves(graph.fiber.n)  # kept[0] is u, u + d1, v
     middle = moves[rows[u].index(x)], moves[rows[x].index(v)]
@@ -531,7 +525,7 @@ def hemmecke_graph(k: int) -> tuple[CsrGraph, ConnectivityReport]:
     vertex), which is why its fiber needs large margins to be excluded.
     """
     if k < 1:
-        raise InvalidDimensionError(f"need k >= 1, got {k}")
+        raise FiberGraphsError(f"need k >= 1, got {k}")
     size = 1 << k
     adj: list[list[int]] = [[] for _ in range(2 * size)]
     for side in (0, 1):

@@ -5,7 +5,10 @@ All reports are JSON (streams are JSON lines) and every run is deterministic
 given its flags, seeds included.
 
 Exit codes: 0 success, 1 failed check or module error, 2 usage error,
-3 resource guard tripped.
+3 resource guard tripped.  A command raises one of the three types of
+``errors`` (``FiberGraphsError``, ``UsageError``, ``SizeLimitExceededError``)
+and ``main`` alone maps it to its exit code and one ``error:`` line on stderr;
+argparse reports its own parse errors, exit 2.
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ import numpy as np
 import fibergraphs as fg
 
 from . import enumeration, io, tables
-from .errors import FiberGraphsError, SizeLimitExceededError
+from .errors import FiberGraphsError, SizeLimitExceededError, UsageError
 
 HEMMECKE_MAX_K = 12
 CONSTRAINED_TRIALS = 500
+_EXIT_CODES = {UsageError: 2, SizeLimitExceededError: 3}  # any other FiberGraphsError: 1
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -274,8 +278,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     names = list(CHECK_NAMES) if args.checks is None else args.checks.split(",")
     for name in names:
         if name not in _CHECKS:
-            print(f"unknown check {name!r}; valid: {', '.join(CHECK_NAMES)}", file=sys.stderr)
-            return 2
+            raise UsageError(f"unknown check {name!r}; valid: {', '.join(CHECK_NAMES)}")
     ctx = _VerifyContext(args.n, args.r, args.cap)
     results = []
     overall = True
@@ -367,8 +370,7 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 def cmd_hemmecke(args: argparse.Namespace) -> int:
     if args.k < 1:
-        print(f"error: hemmecke needs 1 <= k <= {HEMMECKE_MAX_K}, got k={args.k}", file=sys.stderr)
-        return 2
+        raise UsageError(f"hemmecke needs 1 <= k <= {HEMMECKE_MAX_K}, got k={args.k}")
     if args.k > HEMMECKE_MAX_K:
         raise SizeLimitExceededError(HEMMECKE_MAX_K, context=f"hemmecke k={args.k}")
     graph, report = fg.analysis.hemmecke_graph(args.k)
@@ -461,12 +463,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--cap must be at least 1, got {args.cap}")
     try:
         return args.func(args)
-    except SizeLimitExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except FiberGraphsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _EXIT_CODES.get(type(exc), 1)
 
 
 if __name__ == "__main__":

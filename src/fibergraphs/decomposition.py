@@ -40,6 +40,8 @@ command all take their verdicts from it.
 
 from __future__ import annotations
 
+import operator
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -48,8 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .enumeration import DEFAULT_CAP
-from .errors import (ConstraintInfeasibleError, FiberGraphsError, NoPerfectMatchingError,
-                     SizeLimitExceededError)
+from .errors import FiberGraphsError, SizeLimitExceededError
 from .tables import ContingencyTable
 
 Position = tuple[int, int]  # 1-based (row, col)
@@ -125,7 +126,7 @@ def _least_matchings(residual: np.ndarray, forced: np.ndarray, n: int) -> np.nda
     """(B, n) row-major cells i * n + j of each residual's least perfect
     matching on its positive cells, through the cell forced[b] unless it is -1.
 
-    Raises NoPerfectMatchingError when some residual has none.
+    Raises FiberGraphsError when some residual has none.
     """
     positive = residual > 0
     if n > TABLE_MAX_N:
@@ -153,13 +154,13 @@ def _least_matchings(residual: np.ndarray, forced: np.ndarray, n: int) -> np.nda
 
 
 def _no_matching(positive: np.ndarray, forced: np.ndarray, b: int,
-                 n: int) -> NoPerfectMatchingError:
+                 n: int) -> FiberGraphsError:
     """The error for residual b, which has no matching through forced[b]."""
     if forced[b] >= 0 and not positive[b, forced[b]]:
         i, j = divmod(int(forced[b]), n)
-        return NoPerfectMatchingError(
+        return FiberGraphsError(
             f"forced cell {(i + 1, j + 1)} is outside the support of the table")
-    return NoPerfectMatchingError("support admits no perfect matching")
+    return FiberGraphsError("support admits no perfect matching")
 
 
 def decompose_tables(cells: np.ndarray, n: int, r: int,
@@ -174,11 +175,10 @@ def decompose_tables(cells: np.ndarray, n: int, r: int,
     (B, r, n) array whose [b, l, i] is the 0-based column of row i in part l
     of table b.
 
-    Raises ConstraintInfeasibleError when some table has more constraints
-    than parts, a constraint outside the table or a cell listed more often
-    than it holds, NoPerfectMatchingError for margin 0, and
-    SizeLimitExceededError for a margin above ``enumeration.DEFAULT_CAP``:
-    r is the number of parts and of rounds.
+    Raises FiberGraphsError when some table has more constraints than
+    parts, a constraint outside the table or a cell listed more often than
+    it holds, or margin 0, and SizeLimitExceededError for a margin above
+    ``enumeration.DEFAULT_CAP``: r is the number of parts and of rounds.
     """
     if r > DEFAULT_CAP:
         raise SizeLimitExceededError(DEFAULT_CAP, context=f"decomposition into {r} parts")
@@ -193,12 +193,12 @@ def decompose_tables(cells: np.ndarray, n: int, r: int,
     # the first `most` rounds have any
     most = alive.sum(axis=1).max(initial=0)
     if most > r:
-        raise ConstraintInfeasibleError(f"{most} constraints but only {r} parts")
+        raise FiberGraphsError(f"{most} constraints but only {r} parts")
     if r < 1:
-        raise NoPerfectMatchingError("a table with margin 0 has no permutation parts")
+        raise FiberGraphsError("a table with margin 0 has no permutation parts")
     if most:
         if (pending >= n * n).any():
-            raise ConstraintInfeasibleError(
+            raise FiberGraphsError(
                 f"constraint cell {pending.max()} is outside the {n} x {n} table")
         # a cell listed m times by a table must hold at least m
         required = ((pending[:, :, None] == pending[:, None, :]) & alive[:, None, :]).sum(axis=2)
@@ -206,7 +206,7 @@ def decompose_tables(cells: np.ndarray, n: int, r: int,
         if short.any():
             b, k = np.argwhere(short)[0]
             i, j = divmod(int(pending[b, k]), n)
-            raise ConstraintInfeasibleError(
+            raise FiberGraphsError(
                 f"cell ({i + 1}, {j + 1}) holds {residual[b, pending[b, k]]} "
                 f"but the constraints require {required[b, k]}"
             )
@@ -294,6 +294,15 @@ class MatchingDecomposition:
         return tuple(map(_permutation, self.matchings))
 
 
+def _position(pair: Sequence[int]) -> Position:
+    """pair as two Python ints; numpy integers pass, booleans and floats do not."""
+    i, j = pair
+    if not isinstance(i, bool) and not isinstance(j, bool):
+        with suppress(TypeError):
+            return operator.index(i), operator.index(j)
+    raise FiberGraphsError(f"position {tuple(pair)} is not a pair of integers")
+
+
 def decompose(table: ContingencyTable,
               constraints: Sequence[Position] = ()) -> MatchingDecomposition:
     """Split a table into r permutation patterns whose prefixes cover the
@@ -302,14 +311,15 @@ def decompose(table: ContingencyTable,
     compatible subset of the remaining constraints (greedy in the given
     order), and recurse on the residual table with the constraints left over.
 
-    Raises ConstraintInfeasibleError for a constraint cell outside the table,
-    and ``decompose_tables``'s errors otherwise.
+    Raises FiberGraphsError for a constraint cell that is not a pair of
+    integers or lies outside the table, and ``decompose_tables``'s errors
+    otherwise.
     """
     n = table.n
-    positions = tuple((int(i), int(j)) for i, j in constraints)
+    positions = tuple(map(_position, constraints))
     for pos in positions:
         if not (1 <= pos[0] <= n and 1 <= pos[1] <= n):
-            raise ConstraintInfeasibleError(f"position {pos} is outside the table")
+            raise FiberGraphsError(f"position {pos} is outside the table")
     cells = [[(i - 1) * n + j - 1 for i, j in positions]]
     matchings = decompose_tables([table.row_major()], n, table.r, cells)[0]
     return MatchingDecomposition(tuple(map(tuple, matchings.tolist())), positions)

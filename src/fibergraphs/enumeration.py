@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidDimensionError, SizeLimitExceededError
+from .errors import FiberGraphsError, SizeLimitExceededError
 from .tables import ContingencyTable
 
 DEFAULT_CAP = 10_000_000
@@ -113,9 +113,9 @@ def enumerate_fiber(n: int, r: int, cap: int = DEFAULT_CAP) -> Fiber:
     Raises SizeLimitExceededError as soon as more than ``cap`` tables exist.
     """
     if n < 1:
-        raise InvalidDimensionError(f"need n >= 1, got {n}")
+        raise FiberGraphsError(f"need n >= 1, got {n}")
     if r < 0:
-        raise InvalidDimensionError(f"need r >= 0, got {r}")
+        raise FiberGraphsError(f"need r >= 0, got {r}")
     # every row composition starts some table (n >= 2), and every frontier
     # below extends to at least as many tables as it has rows
     if math.comb(r + n - 1, n - 1) > cap:
@@ -156,9 +156,9 @@ def count_fiber(n: int, r: int) -> int:
     column-symmetric states.  Exact big-integer arithmetic throughout.
     """
     if n < 1:
-        raise InvalidDimensionError(f"need n >= 1, got {n}")
+        raise FiberGraphsError(f"need n >= 1, got {n}")
     if r < 0:
-        raise InvalidDimensionError(f"need r >= 0, got {r}")
+        raise FiberGraphsError(f"need r >= 0, got {r}")
 
     @lru_cache(maxsize=None)
     def walk(rows_left: int, residual: tuple[int, ...]) -> int:

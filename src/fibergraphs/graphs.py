@@ -30,13 +30,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .enumeration import Fiber
-from .errors import (
-    FiberGraphsError,
-    InvalidDimensionError,
-    NotAnAutomorphismError,
-    SizeLimitExceededError,
-    UnsupportedFormatError,
-)
+from .errors import FiberGraphsError, SizeLimitExceededError
 from .io import format_rows, json_row_separators
 from .tables import move_cells
 
@@ -86,10 +80,10 @@ class CsrGraph:
         return len(self.indices) // 2
 
     def check_vertex(self, x: int) -> int:
-        """x as a Python int; InvalidDimensionError unless 0 <= x < vertex_count."""
+        """x as a Python int; FiberGraphsError unless 0 <= x < vertex_count."""
         x = operator.index(x)
         if not 0 <= x < self.vertex_count:
-            raise InvalidDimensionError(f"vertex {x} is not in 0..{self.vertex_count - 1}")
+            raise FiberGraphsError(f"vertex {x} is not in 0..{self.vertex_count - 1}")
         return x
 
     def neighbors(self, u: int) -> np.ndarray:
@@ -126,7 +120,7 @@ class FiberGraph(CsrGraph):
         """The fiber's memoised ``symmetry_generators``, proven on the graph.
 
         Each is checked to be a bijection that maps the arc set onto itself
-        (their sorted u*V + v keys are compared); NotAnAutomorphismError is
+        (their sorted u*V + v keys are compared); FiberGraphsError is
         raised when one does not.  The graph's own keys are not sorted but
         checked to increase strictly, as the sorted CSR rows make them.
         """
@@ -139,7 +133,7 @@ class FiberGraph(CsrGraph):
         for name, perm in generators.items():
             image = np.sort(perm[tails] * size + perm[self.indices])
             if not (np.array_equal(np.sort(perm), np.arange(size)) and np.array_equal(image, arcs)):
-                raise NotAnAutomorphismError(f"the {name} does not map the edges onto edges")
+                raise FiberGraphsError(f"the {name} does not map the edges onto edges")
         return tuple(generators.values())
 
 
@@ -362,7 +356,7 @@ def export_graph(graph: FiberGraph | OrientedFiberGraph, fmt: str) -> str:
         nodes = format_rows(["  ", ' [label="', *between, '"];\n'], [ids, *base.fiber.cells.T])
         edges = format_rows(["  ", f" {arrow} ", ";\n"], [tails, heads])
         return f"{name} fiber {{\n" + nodes + edges + "}\n"
-    raise UnsupportedFormatError(f"unknown graph format {fmt!r}")
+    raise FiberGraphsError(f"unknown graph format {fmt!r}")
 
 
 def vertex_map_json(graph: FiberGraph | OrientedFiberGraph) -> str:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .enumeration import Fiber
-from .errors import FiberGraphsError, InvalidDimensionError
+from .errors import FiberGraphsError
 from .tables import ContingencyTable, as_equal_margin_table
 
 
@@ -35,13 +35,13 @@ def _parse_json(text: str, what: str = "JSON") -> object:
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too many digits, or nesting too deep
-        raise InvalidDimensionError(f"invalid {what}: {exc}") from None
+        raise FiberGraphsError(f"invalid {what}: {exc}") from None
 
 
 def _integer(value: object, where: str) -> int:
     """value itself when it is an int; booleans, floats and strings are refused."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidDimensionError(f"{where} is not an integer: {value!r}")
+        raise FiberGraphsError(f"{where} is not an integer: {value!r}")
     return value
 
 
@@ -63,17 +63,17 @@ def parse_rows_csv(text: str) -> list[list[int]]:
             field = cell.strip(_ASCII_SPACE)
             digits = field[1:] if field[:1] in ("+", "-") else field
             if not (digits.isascii() and digits.isdigit()):
-                raise InvalidDimensionError(
+                raise FiberGraphsError(
                     f"line {lineno}, field {colno}: {cell!r} is not an integer")
             try:
                 row.append(int(field))
             except ValueError:  # the grammar holds, so only the digit limit is left
-                raise InvalidDimensionError(
+                raise FiberGraphsError(
                     f"line {lineno}, field {colno}: {len(digits)} digits exceed the integer "
                     f"string limit of {sys.get_int_max_str_digits()}") from None
         rows.append(row)
     if not rows:
-        raise InvalidDimensionError("CSV input contains no rows")
+        raise FiberGraphsError("CSV input contains no rows")
     return rows
 
 
@@ -88,7 +88,7 @@ def load_table(path: str | Path) -> ContingencyTable:
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix not in (".json", ".csv"):
-        raise InvalidDimensionError(f"unrecognized table extension: {path.suffix!r}")
+        raise FiberGraphsError(f"unrecognized table extension: {path.suffix!r}")
     text = _read_text(path)
     if suffix == ".csv":
         return as_equal_margin_table(parse_rows_csv(text))
@@ -96,7 +96,7 @@ def load_table(path: str | Path) -> ContingencyTable:
     stated = payload if isinstance(payload, dict) else {"rows": payload}
     rows = stated.get("rows")
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise InvalidDimensionError("table JSON must hold its rows as an array of arrays")
+        raise FiberGraphsError("table JSON must hold its rows as an array of arrays")
     rows = [[_integer(x, f"entry at row {i}, column {j}") for j, x in enumerate(row, 1)]
             for i, row in enumerate(rows, 1)]
     n, r = (_integer(stated[k], k) if k in stated else None for k in ("n", "r"))
@@ -168,11 +168,11 @@ def parse_constraints(value: str) -> list[tuple[int, int]]:
         text = _read_text(Path(value))
     payload = _parse_json(text, "constraint JSON")
     if not isinstance(payload, list):
-        raise InvalidDimensionError("constraints must be a JSON array of [i, j] pairs")
+        raise FiberGraphsError("constraints must be a JSON array of [i, j] pairs")
     out = []
     for k, pair in enumerate(payload, start=1):
         if not (isinstance(pair, list) and len(pair) == 2):
-            raise InvalidDimensionError(f"constraint {k} is not an [i, j] pair")
+            raise FiberGraphsError(f"constraint {k} is not an [i, j] pair")
         out.append((_integer(pair[0], f"constraint {k} row"),
                     _integer(pair[1], f"constraint {k} column")))
     return out

@@ -43,7 +43,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidDimensionError
+from .errors import FiberGraphsError
 from .tables import ContingencyTable, as_equal_margin_table, move_cells
 
 
@@ -68,18 +68,18 @@ class WalkConfig:
 
     def __post_init__(self) -> None:
         if self.steps < 0:
-            raise InvalidDimensionError(f"steps must be >= 0, got {self.steps}")
+            raise FiberGraphsError(f"steps must be >= 0, got {self.steps}")
         if self.burn_in < 0:
-            raise InvalidDimensionError(f"burn_in must be >= 0, got {self.burn_in}")
+            raise FiberGraphsError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.thinning < 1:
-            raise InvalidDimensionError(f"thinning must be >= 1, got {self.thinning}")
+            raise FiberGraphsError(f"thinning must be >= 1, got {self.thinning}")
         if not 0 <= self.seed < 2**64:
-            raise InvalidDimensionError("seed must fit in an unsigned 64-bit integer")
+            raise FiberGraphsError("seed must fit in an unsigned 64-bit integer")
         if self.steps > 0:
             if self.burn_in >= self.steps:
-                raise InvalidDimensionError("burn_in must be smaller than steps")
+                raise FiberGraphsError("burn_in must be smaller than steps")
             if self.thinning > self.steps - self.burn_in:
-                raise InvalidDimensionError(
+                raise FiberGraphsError(
                     "thinning cannot exceed the post-burn-in step count"
                 )
         object.__setattr__(self, "target", Target(self.target))
@@ -263,7 +263,7 @@ def _chain(state: ChainState, config: WalkConfig, count: int, every: int) -> Ite
                     assert _margins_ok(n, r, entries)
                     moved = False
                 if t % 4096 == 0 and not _margins_ok(n, r, entries):
-                    raise InvalidDimensionError("chain state left the fiber (corrupted margins)")
+                    raise FiberGraphsError("chain state left the fiber (corrupted margins)")
                 if not m:
                     continue
                 k = -1
@@ -354,7 +354,7 @@ def run_walk(
 def chi_square_statistic(t: ContingencyTable) -> float:
     """Pearson statistic against the flat expectation r/n in every cell (r >= 1)."""
     if t.r == 0:
-        raise InvalidDimensionError("chi-square is undefined for r = 0: every expected count is 0")
+        raise FiberGraphsError("chi-square is undefined for r = 0: every expected count is 0")
     expected = Fraction(t.r, t.n)
     total = sum(
         (Fraction(x) - expected) ** 2 / expected

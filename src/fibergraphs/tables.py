@@ -21,14 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .errors import (
-    ColumnSumMismatchError,
-    InvalidDimensionError,
-    InvalidMoveError,
-    MarginMismatchError,
-    NegativeEntryError,
-    RowSumMismatchError,
-)
+from .errors import FiberGraphsError
 
 Entries = tuple[tuple[int, ...], ...]
 
@@ -57,31 +50,31 @@ class ContingencyTable:
 def validate_table(n: int, r: int, entries: Sequence[Sequence[int]]) -> ContingencyTable:
     """Check shape, non-negativity and both margin constraints; return the table.
 
-    Raises NegativeEntryError, RowSumMismatchError or ColumnSumMismatchError
-    with 1-based positions.
+    Raises FiberGraphsError naming the first failed check, with 1-based
+    positions.
     """
     if n < 1:
-        raise InvalidDimensionError(f"table dimension must be >= 1, got {n}")
+        raise FiberGraphsError(f"table dimension must be >= 1, got {n}")
     if r < 0:
-        raise InvalidDimensionError(f"margin must be >= 0, got {r}")
+        raise FiberGraphsError(f"margin must be >= 0, got {r}")
     if len(entries) != n or any(len(row) != n for row in entries):
-        raise InvalidDimensionError(f"expected an {n}x{n} array of entries")
+        raise FiberGraphsError(f"expected an {n}x{n} array of entries")
     for i, row in enumerate(entries):
         for j, x in enumerate(row):
             if not isinstance(x, int) or isinstance(x, bool):
-                raise InvalidDimensionError(
+                raise FiberGraphsError(
                     f"entry at row {i + 1}, column {j + 1} is not an integer: {x!r}"
                 )
             if x < 0:
-                raise NegativeEntryError(i + 1, j + 1, x)
+                raise FiberGraphsError(f"negative entry {x} at row {i + 1}, column {j + 1}")
     for i, row in enumerate(entries):
         s = sum(row)
         if s != r:
-            raise RowSumMismatchError(i + 1, s, r)
+            raise FiberGraphsError(f"row {i + 1} sums to {s}, expected {r}")
     for j in range(n):
         s = sum(entries[i][j] for i in range(n))
         if s != r:
-            raise ColumnSumMismatchError(j + 1, s, r)
+            raise FiberGraphsError(f"column {j + 1} sums to {s}, expected {r}")
     return ContingencyTable(n, r, tuple(tuple(row) for row in entries))
 
 
@@ -90,7 +83,7 @@ def as_equal_margin_table(rows: Sequence[Sequence[int]], n: int | None = None,
     """Validate raw rows as a table with every margin r; n defaults to the
     number of rows, and r, when not given, is worked out as their common margin.
 
-    Raises MarginMismatchError when r is not given and the rows are not
+    Raises FiberGraphsError when r is not given and the rows are not
     square or their row and column sums are not all equal (such tables are
     outside this package's scope), and ``validate_table``'s errors otherwise.
     """
@@ -98,13 +91,13 @@ def as_equal_margin_table(rows: Sequence[Sequence[int]], n: int | None = None,
         size = len(rows)
         for i, row in enumerate(rows, start=1):
             if len(row) != size:
-                raise MarginMismatchError(
+                raise FiberGraphsError(
                     f"row {i} has {len(row)} entries, expected {size} (the number of rows)")
         row_sums = [sum(row) for row in rows]
         col_sums = [sum(col) for col in zip(*rows)]
         if len(set(row_sums + col_sums)) > 1:
-            raise MarginMismatchError(f"margins are not all equal: row sums {row_sums}, "
-                                      f"column sums {col_sums}")
+            raise FiberGraphsError(f"margins are not all equal: row sums {row_sums}, "
+                                   f"column sums {col_sums}")
         r = row_sums[0] if rows else 0
     return validate_table(len(rows) if n is None else n, r, rows)
 
@@ -134,11 +127,11 @@ class MarkovMove:
 
     def __post_init__(self) -> None:
         if not (1 <= self.i1 < self.i2 and 1 <= self.j1 < self.j2):
-            raise InvalidMoveError(
+            raise FiberGraphsError(
                 f"need 1 <= i1 < i2 and 1 <= j1 < j2, got {self!r}"
             )
         if self.sign not in (-1, 1):
-            raise InvalidMoveError(f"sign must be -1 or +1, got {self.sign}")
+            raise FiberGraphsError(f"sign must be -1 or +1, got {self.sign}")
 
     def negate(self) -> "MarkovMove":
         return MarkovMove(self.i1, self.j1, self.i2, self.j2, -self.sign)
@@ -159,7 +152,7 @@ class MarkovMove:
 def enumerate_basis_moves(n: int) -> tuple[MarkovMove, ...]:
     """All 2*C(n,2)^2 moves for n x n tables, in canonical order (one cached tuple)."""
     if n < 2:
-        raise InvalidDimensionError(f"moves require n >= 2, got {n}")
+        raise FiberGraphsError(f"moves require n >= 2, got {n}")
     out = []
     for i1 in range(1, n):
         for j1 in range(1, n):
@@ -194,7 +187,7 @@ def apply_move(t: ContingencyTable, m: MarkovMove) -> ContingencyTable:
     apply_move(apply_move(t, m), m.negate()) == t.
     """
     if not is_valid_move(t, m):
-        raise InvalidMoveError(f"move {m!r} subtracts from a zero entry of the table")
+        raise FiberGraphsError(f"move {m!r} subtracts from a zero entry of the table")
     rows = [list(row) for row in t.entries]
     for (i, j) in m.added_cells():
         rows[i][j] += 1
@@ -225,6 +218,6 @@ def max_degree_value(n: int, r: int) -> MaxDegreeBound:
     is only an upper bound, signalled by attained=False.
     """
     if n < 1 or r < 1:
-        raise InvalidDimensionError(f"need n >= 1 and r >= 1, got ({n}, {r})")
+        raise FiberGraphsError(f"need n >= 1 and r >= 1, got ({n}, {r})")
     value = n * r * (n * r - 2 * r + 1) // 2
     return MaxDegreeBound(value, attained=n >= r)

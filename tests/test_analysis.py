@@ -28,13 +28,7 @@ from fibergraphs.analysis import (
 )
 from fibergraphs.cli import main
 from fibergraphs.enumeration import enumerate_fiber
-from fibergraphs.errors import (
-    AdjacentPairError,
-    DisconnectedGraphError,
-    FiberGraphsError,
-    InvalidDimensionError,
-    NotDistanceTwoError,
-)
+from fibergraphs.errors import FiberGraphsError
 from fibergraphs.graphs import (TWO_HOP_BLOCK, CsrGraph, _orbit_labels, build_graph, stabiliser,
                                 two_hop_pairs)
 from fibergraphs.tables import scaled_permutation, valid_moves, validate_table
@@ -126,7 +120,8 @@ def test_distance_diag_to_antidiagonal_g32(graph_3_2):
 def test_out_of_range_vertices_are_refused(graph_3_3, call, args):
     # G(3,3) has 55 vertices, so -1 and 55 are both outside it
     assert graph_3_3.vertex_count == 55
-    with pytest.raises(InvalidDimensionError):
+    bad = next(x for x in args if not 0 <= x < 55)
+    with pytest.raises(FiberGraphsError, match=rf"^vertex {bad} is not in 0\.\.54$"):
         call(graph_3_3, *args)
 
 
@@ -146,7 +141,7 @@ def test_diameter_witness_pair_attains():
 
 
 def test_diameter_disconnected_raises():
-    with pytest.raises(DisconnectedGraphError):
+    with pytest.raises(FiberGraphsError, match="^vertex 2 unreachable from 0$"):
         diameter(CsrGraph.from_rows(((1,), (0,), ())))
 
 
@@ -272,7 +267,7 @@ def test_verify_without_flow_checks_builds_no_neighbour_tuples(monkeypatch, tmp_
 
 
 def test_local_connectivity_adjacent_rejected(graph_2_2):
-    with pytest.raises(AdjacentPairError):
+    with pytest.raises(FiberGraphsError, match="^vertices 0 and 1 are adjacent; "):
         local_connectivity(graph_2_2, 0, 1)
 
 
@@ -453,11 +448,11 @@ def test_detour_paths_g22_endpoints(graph_2_2):
 
 
 def test_detour_paths_not_distance_two(graph_3_3):
-    with pytest.raises(NotDistanceTwoError):
+    with pytest.raises(FiberGraphsError, match="^vertices 0 and 0 are not at distance 2$"):
         detour_paths(graph_3_3, 0, 0)
     u = 0
     v = rows_of(graph_3_3)[0][0]
-    with pytest.raises(NotDistanceTwoError):
+    with pytest.raises(FiberGraphsError, match=f"^vertices {u} and {v} are not at distance 2$"):
         detour_paths(graph_3_3, u, v)
 
 

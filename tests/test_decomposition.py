@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -14,11 +15,7 @@ import pytest
 from fibergraphs.decomposition import decompose, decompose_tables, failed_tables
 from fibergraphs import cli, decomposition, graphs
 from fibergraphs.enumeration import DEFAULT_CAP, enumerate_fiber
-from fibergraphs.errors import (
-    ConstraintInfeasibleError,
-    NoPerfectMatchingError,
-    SizeLimitExceededError,
-)
+from fibergraphs.errors import FiberGraphsError, SizeLimitExceededError
 from fibergraphs.graphs import FiberGraph
 from fibergraphs.tables import validate_table
 
@@ -57,10 +54,10 @@ def test_perfect_matching_lex_least():
 
 def test_perfect_matching_forced_zero_cell_rejected():
     t = validate_table(2, 2, [[2, 0], [0, 2]])
-    with pytest.raises(ConstraintInfeasibleError, match=r"cell \(1, 2\) holds 0"):
+    with pytest.raises(FiberGraphsError, match=r"cell \(1, 2\) holds 0"):
         decompose(t, [(1, 2)])
     # a round's search refuses a forced cell that the residual has used up
-    with pytest.raises(NoPerfectMatchingError, match=r"forced cell \(1, 2\) is outside"):
+    with pytest.raises(FiberGraphsError, match=r"forced cell \(1, 2\) is outside"):
         decomposition._least_matchings(np.array([t.row_major()]), np.array([1]), 2)
 
 
@@ -161,10 +158,10 @@ def test_konig_check_builds_no_automorphisms(monkeypatch, tmp_path):
 
 def test_decompose_zero_table_has_no_parts():
     zero = validate_table(2, 0, [[0, 0], [0, 0]])
-    with pytest.raises(NoPerfectMatchingError):
-        decompose(zero)
-    with pytest.raises(NoPerfectMatchingError):
-        decompose(zero, [])
+    for constraints in ((), []):
+        with pytest.raises(FiberGraphsError,
+                           match="^a table with margin 0 has no permutation parts$"):
+            decompose(zero, constraints)
 
 
 def test_residual_regularity():
@@ -230,6 +227,21 @@ def test_constrained_duplicate_position():
     assert decomposition_holds(t.entries, dec.matchings, dec.constraints)
 
 
+@pytest.mark.parametrize("position", [(1.9, 2.2), (True, True), (1, 2.0), (1, True), ("1", 2),
+                                      (1, np.float64(2)), (np.True_, 1)])
+def test_constraint_positions_are_integers(position):
+    # int() read (1.9, 2.2) as (1, 2) and (True, True) as (1, 1)
+    message = f"position {position} is not a pair of integers"
+    with pytest.raises(FiberGraphsError, match=f"^{re.escape(message)}$"):
+        decompose(J3, [position])
+
+
+def test_constraint_positions_may_be_numpy_integers():
+    dec = decompose(J3, [(np.int64(1), np.int32(2))])
+    assert dec.constraints == ((1, 2),)
+    assert {type(x) for pos in dec.constraints for x in pos} == {int}
+
+
 def _cells(matchings, n):
     """The row-major cells that parts sum to, whether or not they are permutations."""
     cells = [0] * (n * n)
@@ -293,14 +305,15 @@ def test_checker_agrees_with_the_oracle_on_corrupted_decompositions(n, r):
 
 def test_constrained_infeasible_entrywise():
     t = validate_table(2, 2, [[2, 0], [0, 2]])
-    with pytest.raises(ConstraintInfeasibleError):
+    with pytest.raises(FiberGraphsError,
+                       match=r"^cell \(1, 2\) holds 0 but the constraints require 1$"):
         decompose(t, [(1, 2)])
-    with pytest.raises(ConstraintInfeasibleError):
+    with pytest.raises(FiberGraphsError, match="^3 constraints but only 2 parts$"):
         decompose(t, [(1, 1), (1, 1), (1, 1)])
 
 
 def test_constrained_too_many_positions():
-    with pytest.raises(ConstraintInfeasibleError):
+    with pytest.raises(FiberGraphsError, match="^4 constraints but only 3 parts$"):
         decompose(J3, [(1, 1)] * 4)
 
 
@@ -437,14 +450,14 @@ def test_each_side_of_the_table_size_runs_its_own_search(monkeypatch):
 
 def test_kernel_refuses_what_the_single_table_calls_refuse():
     j3 = np.array([J3.row_major()] * 2)
-    with pytest.raises(ConstraintInfeasibleError, match="4 constraints but only 3 parts"):
+    with pytest.raises(FiberGraphsError, match="4 constraints but only 3 parts"):
         decompose_tables(j3, 3, 3, [[0, 0, 0, -1], [0, 1, 2, 3]])
-    with pytest.raises(ConstraintInfeasibleError, match="cell 9 is outside the 3 x 3 table"):
+    with pytest.raises(FiberGraphsError, match="cell 9 is outside the 3 x 3 table"):
         decompose_tables(j3, 3, 3, [[0, -1], [9, -1]])
-    with pytest.raises(ConstraintInfeasibleError,
+    with pytest.raises(FiberGraphsError,
                        match=r"cell \(1, 2\) holds 1 but the constraints require 2"):
         decompose_tables(j3, 3, 3, [[0, -1], [1, 1]])
-    with pytest.raises(NoPerfectMatchingError, match="margin 0"):
+    with pytest.raises(FiberGraphsError, match="margin 0"):
         decompose_tables(np.zeros((2, 4)), 2, 0)
     # -1 pads a shorter list; a table without constraints decomposes freely
     parts = decompose_tables(j3, 3, 3, [[4, -1], [-1, -1]])

@@ -7,12 +7,7 @@ import pytest
 
 from fibergraphs.analysis import diameter, liu_check, vertex_connectivity
 from fibergraphs.enumeration import enumerate_fiber
-from fibergraphs.errors import (
-    FiberGraphsError,
-    NotAnAutomorphismError,
-    SizeLimitExceededError,
-    UnsupportedFormatError,
-)
+from fibergraphs.errors import FiberGraphsError, SizeLimitExceededError
 from fibergraphs.graphs import (
     FiberGraph,
     OrientedFiberGraph,
@@ -182,7 +177,7 @@ def test_export_oriented_directions(graph_2_2):
 
 
 def test_export_unknown_format(graph_2_2):
-    with pytest.raises(UnsupportedFormatError):
+    with pytest.raises(FiberGraphsError, match="^unknown graph format 'graphml'$"):
         export_graph(graph_2_2, "graphml")
 
 
@@ -263,7 +258,8 @@ def test_a_broken_symmetry_is_refused(graph_3_2):
         broken = _without_edge(graph, u, v)
         assert broken.edge_count == graph.edge_count - 1
         for use in uses:
-            with pytest.raises(NotAnAutomorphismError):
+            with pytest.raises(FiberGraphsError,
+                               match="^the row swap does not map the edges onto edges$"):
                 use(broken)
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from fibergraphs import sampler
 from fibergraphs.enumeration import enumerate_fiber
-from fibergraphs.errors import InvalidDimensionError, MarginMismatchError
+from fibergraphs.errors import FiberGraphsError
 from fibergraphs.sampler import (
     ChainState,
     Target,
@@ -37,13 +37,15 @@ T5 = validate_table(5, 15, [[4, 3, 7, 0, 1], [5, 3, 3, 4, 0], [0, 2, 3, 4, 6],
 
 
 def test_config_validation():
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(FiberGraphsError, match="^burn_in must be smaller than steps$"):
         WalkConfig(steps=10, seed=1, burn_in=10)
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(FiberGraphsError,
+                       match="^thinning cannot exceed the post-burn-in step count$"):
         WalkConfig(steps=10, seed=1, thinning=11)
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(FiberGraphsError, match="^steps must be >= 0, got -1$"):
         WalkConfig(steps=-1, seed=1)
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(FiberGraphsError,
+                       match="^seed must fit in an unsigned 64-bit integer$"):
         WalkConfig(steps=5, seed=2**64)
     WalkConfig(steps=0, seed=0)  # the empty walk is allowed
 
@@ -279,22 +281,24 @@ def test_chi_square_statistic_values():
 def test_zero_margin_fails_before_the_walk(monkeypatch):
     # every expected count is 0, so the statistic is undefined
     zero = validate_table(2, 0, [[0, 0], [0, 0]])
-    with pytest.raises(InvalidDimensionError):
+    undefined = "^chi-square is undefined for r = 0: every expected count is 0$"
+    with pytest.raises(FiberGraphsError, match=undefined):
         chi_square_statistic(zero)
 
     def no_walk(state, config, count, every):
         raise AssertionError("the walk started")
 
     monkeypatch.setattr(sampler, "_chain", no_walk)
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(FiberGraphsError, match=undefined):
         exact_test([[0, 0], [0, 0]], WalkConfig(steps=3, seed=1))
 
 
 MARGIN_CHECK_SCRIPT = """
-from fibergraphs.errors import InvalidDimensionError
+from fibergraphs.errors import FiberGraphsError
 from fibergraphs.sampler import ChainState, WalkConfig, advance
 from fibergraphs.tables import validate_table
 
+LEFT_THE_FIBER = "chain state left the fiber (corrupted margins)"
 config = WalkConfig(steps=0, seed=5)
 state = ChainState.from_table(validate_table(3, 3, [[1, 1, 1]] * 3), config)
 advance(state, config, 1)
@@ -304,8 +308,8 @@ try:
         advance(state, config, 1)
 except AssertionError:
     print("assert", state.step_index)
-except InvalidDimensionError:
-    print("check", state.step_index)
+except FiberGraphsError as exc:
+    print("check" if str(exc) == LEFT_THE_FIBER else repr(exc), state.step_index)
 """
 
 
@@ -322,10 +326,11 @@ def test_corrupted_margins_are_caught(flags, expected):
 
 
 BREAKING_MOVE_SCRIPT = """
-from fibergraphs.errors import InvalidDimensionError
+from fibergraphs.errors import FiberGraphsError
 from fibergraphs.sampler import ChainState, WalkConfig, advance
 from fibergraphs.tables import validate_table
 
+LEFT_THE_FIBER = "chain state left the fiber (corrupted margins)"
 config = WalkConfig(steps=0, seed=7, target="hypergeometric")
 state = ChainState.from_table(validate_table(3, 3, [[1, 1, 1]] * 3), config)
 state.moves = ((0, 4, 1, 1),)  # cell 1 gains two: row 1 and column 2 then sum to 4
@@ -333,8 +338,9 @@ try:
     advance(state, config, 10_000)
 except AssertionError:
     print("assert", state.step_index, state.accepted_count)
-except InvalidDimensionError:
-    print("check", state.step_index, state.accepted_count)
+except FiberGraphsError as exc:
+    print("check" if str(exc) == LEFT_THE_FIBER else repr(exc), state.step_index,
+          state.accepted_count)
 """
 
 
@@ -436,9 +442,11 @@ def test_proven_moves_skip_the_margin_assert(monkeypatch):
 
 
 def test_as_equal_margin_table_rejects_unequal():
-    with pytest.raises(MarginMismatchError):
+    with pytest.raises(FiberGraphsError, match=r"^margins are not all equal: "
+                       r"row sums \[1, 2\], column sums \[1, 2\]$"):
         as_equal_margin_table([[1, 0], [0, 2]])
-    with pytest.raises(MarginMismatchError):
+    with pytest.raises(FiberGraphsError,
+                       match=r"^row 1 has 3 entries, expected 2 \(the number of rows\)$"):
         as_equal_margin_table([[1, 0, 0], [0, 1, 0]])
 
 
