@@ -30,9 +30,8 @@ _EXPORTS = {
         "chi_square_statistic", "exact_test", "run_walk",
     ),
     "tables": (
-        "ContingencyTable", "MarkovMove", "MaxDegreeBound", "apply_move", "as_equal_margin_table",
-        "enumerate_basis_moves", "is_valid_move", "max_degree_value", "scaled_permutation",
-        "valid_moves", "validate_table",
+        "ContingencyTable", "MaxDegreeBound", "apply_move", "as_equal_margin_table",
+        "max_degree_value", "move_cells", "scaled_permutation", "valid_moves", "validate_table",
     ),
 }
 _MODULES = (*_EXPORTS, "cli", "errors", "io")

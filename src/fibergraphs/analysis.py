@@ -50,13 +50,7 @@ import numpy as np
 from .errors import FiberGraphsError
 from .graphs import (CsrGraph, FiberGraph, row_arcs, stabiliser, two_hop_pairs, vertex_orbits,
                      weakly_memoised)
-from .tables import (
-    ContingencyTable,
-    MarkovMove,
-    enumerate_basis_moves,
-    move_cells,
-    scaled_permutation,
-)
+from .tables import ContingencyTable, move_cells, scaled_permutation
 
 _POPCOUNT = np.array([bin(x).count("1") for x in range(256)], dtype=np.uint8)
 
@@ -448,7 +442,7 @@ def min_common_moves_over_close_pairs(graph: FiberGraph) -> tuple[int, tuple[int
 class DetourPathReport:
     u: int
     v: int
-    middle_moves: tuple[MarkovMove, MarkovMove]
+    middle_moves: tuple[int, int]  # the move ids d1, d2 of u -> u + d1 -> v
     count_disjoint: int
     decomposition_count: int
     paths: tuple[tuple[int, ...], ...]  # kept pairwise internally-disjoint paths
@@ -464,8 +458,9 @@ def detour_paths(graph: FiberGraph, u: int, v: int) -> DetourPathReport:
     other extra move M.  Candidates are kept first-come in canonical move
     order whenever their interior avoids all previously kept paths.
 
-    Moves are basis-move ids: the neighbour of x by move k is read from the
-    CSR row of x, and move k ^ 1 is the negation of move k.
+    Moves are ids, rows of ``move_cells(n)``: the neighbour of x by move k
+    is read from the CSR row of x, and move k ^ 1 is the negation of move k.
+    ``middle_moves`` reports (d1, d2) as two such ids.
     """
     u, v = graph.check_vertex(u), graph.check_vertex(v)
     rows = _MoveRows(graph)
@@ -473,8 +468,8 @@ def detour_paths(graph: FiberGraph, u: int, v: int) -> DetourPathReport:
     if u == v or v in rows[u] or not decompositions:
         raise FiberGraphsError(f"vertices {u} and {v} are not at distance 2")
     kept = _detour_family(rows, u, v, len(rows[u]))  # no family outgrows the moves
-    x, moves = kept[0][1], enumerate_basis_moves(graph.fiber.n)  # kept[0] is u, u + d1, v
-    middle = moves[rows[u].index(x)], moves[rows[x].index(v)]
+    x = kept[0][1]  # kept[0] is u, u + d1, v
+    middle = rows[u].index(x), rows[x].index(v)
     return DetourPathReport(u, v, middle, len(kept), decompositions, tuple(kept))
 
 

@@ -40,7 +40,6 @@ command all take their verdicts from it.
 
 from __future__ import annotations
 
-import operator
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
@@ -51,7 +50,7 @@ import numpy as np
 
 from .enumeration import DEFAULT_CAP
 from .errors import FiberGraphsError, SizeLimitExceededError
-from .tables import ContingencyTable
+from .tables import ContingencyTable, as_integer
 
 Position = tuple[int, int]  # 1-based (row, col)
 
@@ -295,12 +294,14 @@ class MatchingDecomposition:
 
 
 def _position(pair: Sequence[int]) -> Position:
-    """pair as two Python ints; numpy integers pass, booleans and floats do not."""
-    i, j = pair
-    if not isinstance(i, bool) and not isinstance(j, bool):
-        with suppress(TypeError):
-            return operator.index(i), operator.index(j)
-    raise FiberGraphsError(f"position {tuple(pair)} is not a pair of integers")
+    """pair as two Python ints; numpy integers pass, booleans, floats and
+    sequences of another length do not (a non-iterable is shown by its repr)."""
+    with suppress(TypeError):  # a non-iterable pair
+        pair = tuple(pair)
+        ints = tuple(map(as_integer, pair))
+        if len(ints) == 2 and None not in ints:
+            return ints
+    raise FiberGraphsError(f"position {pair!r} is not a pair of integers")
 
 
 def decompose(table: ContingencyTable,

@@ -20,7 +20,6 @@ a unique sink, located at the anti-diagonal table.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import permutations
@@ -32,7 +31,7 @@ import numpy as np
 from .enumeration import Fiber
 from .errors import FiberGraphsError, SizeLimitExceededError
 from .io import format_rows, json_row_separators
-from .tables import move_cells
+from .tables import as_integer, move_cells
 
 DOT_VERTEX_LIMIT = 500
 
@@ -80,11 +79,11 @@ class CsrGraph:
         return len(self.indices) // 2
 
     def check_vertex(self, x: int) -> int:
-        """x as a Python int; FiberGraphsError unless 0 <= x < vertex_count."""
-        x = operator.index(x)
-        if not 0 <= x < self.vertex_count:
+        """x as a Python int; FiberGraphsError unless it is a vertex id (an integer, no bool)."""
+        u = as_integer(x)
+        if u is None or not 0 <= u < self.vertex_count:
             raise FiberGraphsError(f"vertex {x} is not in 0..{self.vertex_count - 1}")
-        return x
+        return u
 
     def neighbors(self, u: int) -> np.ndarray:
         """The CSR row of u."""
@@ -107,9 +106,9 @@ class CsrGraph:
 class FiberGraph(CsrGraph):
     """The graph on a fiber, its CSR arcs labelled by move.
 
-    The arcs of u are sorted by neighbour; ``move_ids[a]`` indexes
-    ``enumerate_basis_moves(n)`` and ``move_cells(n)``.  Each valid move
-    gives exactly one arc, because distinct moves are distinct matrices.
+    The arcs of u are sorted by neighbour; ``move_ids[a]`` is the id of the
+    arc's move, its row in ``move_cells(n)``.  Each valid move gives exactly
+    one arc, because distinct moves are distinct matrices.
     """
 
     fiber: Fiber

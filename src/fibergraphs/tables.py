@@ -6,17 +6,18 @@ subtract 1 from two cells arranged in a rectangle, which preserves all margins.
 Entries are plain Python integers, so arithmetic is exact at any size.
 
 The module holds what the commands use: table validation, which works the
-margin out where it is not given, the r-scaled permutations, the canonical
-move basis with each move's row-major cells, the valid moves at a table and
-their application, and the maximum-degree formula.  A table's degree in
-the fiber graph is ``len(valid_moves(t))``; its minimum over a fiber is C(n, 2).
+margin out where it is not given, the r-scaled permutations, the moves, the
+valid moves at a table and their application, and the maximum-degree
+formula.  Every layer names a move by its id, its row in ``move_cells(n)``.
+A table's degree is ``len(valid_moves(t))``; its minimum over a fiber is C(n, 2).
 
-Index convention: moves and error messages use 1-based indices (the same
-convention as the file formats); internal array access is 0-based.
+Error messages use 1-based row and column indices (the same convention as
+the file formats); internal array access is 0-based.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -110,99 +111,59 @@ def scaled_permutation(n: int, r: int, perm: Sequence[int]) -> ContingencyTable:
     return validate_table(n, r, ent)
 
 
-@dataclass(frozen=True, order=True)
-class MarkovMove:
-    """Signed rectangle swap on rows i1 < i2 and columns j1 < j2 (1-based).
-
-    As a matrix the move is sign * (E(i1,j1) + E(i2,j2) - E(i1,j2) - E(i2,j1)).
-    Field order gives the canonical sort: lexicographic on (i1, j1, i2, j2)
-    with sign -1 before +1.
-    """
-
-    i1: int
-    j1: int
-    i2: int
-    j2: int
-    sign: int
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.i1 < self.i2 and 1 <= self.j1 < self.j2):
-            raise FiberGraphsError(
-                f"need 1 <= i1 < i2 and 1 <= j1 < j2, got {self!r}"
-            )
-        if self.sign not in (-1, 1):
-            raise FiberGraphsError(f"sign must be -1 or +1, got {self.sign}")
-
-    def negate(self) -> "MarkovMove":
-        return MarkovMove(self.i1, self.j1, self.i2, self.j2, -self.sign)
-
-    def added_cells(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """0-based cells the move adds 1 to."""
-        if self.sign == 1:
-            return (self.i1 - 1, self.j1 - 1), (self.i2 - 1, self.j2 - 1)
-        return (self.i1 - 1, self.j2 - 1), (self.i2 - 1, self.j1 - 1)
-
-    def subtracted_cells(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """0-based cells the move subtracts 1 from."""
-        if self.sign == 1:
-            return (self.i1 - 1, self.j2 - 1), (self.i2 - 1, self.j1 - 1)
-        return (self.i1 - 1, self.j1 - 1), (self.i2 - 1, self.j2 - 1)
-
-@lru_cache(maxsize=None)
-def enumerate_basis_moves(n: int) -> tuple[MarkovMove, ...]:
-    """All 2*C(n,2)^2 moves for n x n tables, in canonical order (one cached tuple)."""
-    if n < 2:
-        raise FiberGraphsError(f"moves require n >= 2, got {n}")
-    out = []
-    for i1 in range(1, n):
-        for j1 in range(1, n):
-            for i2 in range(i1 + 1, n + 1):
-                for j2 in range(j1 + 1, n + 1):
-                    out.append(MarkovMove(i1, j1, i2, j2, -1))
-                    out.append(MarkovMove(i1, j1, i2, j2, 1))
-    return tuple(out)
+def as_integer(x: object) -> int | None:
+    """x as a Python int if it is an integer, numpy's included, and not a bool; else None."""
+    try:
+        return None if isinstance(x, bool) else operator.index(x)
+    except TypeError:
+        return None
 
 
 @lru_cache(maxsize=None)
 def move_cells(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """For each basis move in canonical order, the row-major cells it
-    subtracts from and then the cells it adds to: (sub1, sub2, add1, add2).
-    Row k ^ 1 is row k with its halves swapped (the negated move); empty for n < 2.
+    """Row k: the row-major cells move k subtracts from, then those it adds
+    to (sub1, sub2, add1, add2).  Each rectangle i1 < i2, j1 < j2, in lex
+    order of (i1, j1, i2, j2), gives the move subtracting from its diagonal,
+    then its negation k ^ 1, subtracting from the anti-diagonal.  Empty for n < 2."""
+    out = []
+    for i1 in range(n - 1):
+        for j1 in range(n - 1):
+            for i2 in range(i1 + 1, n):
+                for j2 in range(j1 + 1, n):
+                    diagonal, anti = (i1 * n + j1, i2 * n + j2), (i1 * n + j2, i2 * n + j1)
+                    out += (*diagonal, *anti), (*anti, *diagonal)
+    return tuple(out)
+
+
+def valid_moves(t: ContingencyTable) -> list[int]:
+    """Ids of the moves applicable at t, ascending: those whose two
+    subtracted cells are positive."""
+    cells = t.row_major()
+    return [k for k, (a, b, _, _) in enumerate(move_cells(t.n)) if min(cells[a], cells[b]) >= 1]
+
+
+def apply_move(t: ContingencyTable, k: int) -> ContingencyTable:
+    """Apply the valid move with id k; the result stays in the same fiber.
+
+    apply_move(apply_move(t, k), k ^ 1) == t.  Raises FiberGraphsError when
+    k is not a move id of t's size or subtracts from a zero entry of t.
     """
-    return tuple(
-        tuple(i * n + j for i, j in (*m.subtracted_cells(), *m.added_cells()))
-        for m in (enumerate_basis_moves(n) if n >= 2 else ())
-    )
-
-
-def is_valid_move(t: ContingencyTable, m: MarkovMove) -> bool:
-    """True when both cells the move subtracts from are positive in t."""
-    (a, b), (c, d) = m.subtracted_cells()
-    return t.entries[a][b] >= 1 and t.entries[c][d] >= 1
-
-
-def apply_move(t: ContingencyTable, m: MarkovMove) -> ContingencyTable:
-    """Apply a valid move; the result stays in the same fiber.
-
-    apply_move(apply_move(t, m), m.negate()) == t.
-    """
-    if not is_valid_move(t, m):
-        raise FiberGraphsError(f"move {m!r} subtracts from a zero entry of the table")
-    rows = [list(row) for row in t.entries]
-    for (i, j) in m.added_cells():
-        rows[i][j] += 1
-        # margins fixed at r make overflow impossible; guard against misuse
-        assert rows[i][j] <= t.r, "entry exceeded the margin, input table was invalid"
-    for (i, j) in m.subtracted_cells():
-        rows[i][j] -= 1
-    return ContingencyTable(t.n, t.r, tuple(tuple(row) for row in rows))
-
-
-def valid_moves(t: ContingencyTable) -> list[MarkovMove]:
-    """Moves applicable at t, in canonical order."""
-    if t.n < 2:
-        return []
-    return [m for m in enumerate_basis_moves(t.n) if is_valid_move(t, m)]
+    moves = move_cells(t.n)
+    move = as_integer(k)
+    if move is None or not 0 <= move < len(moves):
+        raise FiberGraphsError(f"move {k} is not one of the {len(moves)} move ids of "
+                               f"{t.n}x{t.n} tables")
+    a, b, c, d = moves[move]
+    cells = [x for row in t.entries for x in row]
+    if min(cells[a], cells[b]) < 1:
+        raise FiberGraphsError(f"move {move} subtracts from a zero entry of the table")
+    cells[a] -= 1
+    cells[b] -= 1
+    cells[c] += 1
+    cells[d] += 1
+    # margins fixed at r make overflow impossible; guard against misuse
+    assert max(cells[c], cells[d]) <= t.r, "entry exceeded the margin, input table was invalid"
+    return ContingencyTable(t.n, t.r, tuple(zip(*[iter(cells)] * t.n)))  # rows of n cells
 
 
 class MaxDegreeBound(NamedTuple):

@@ -8,6 +8,7 @@ Tables are plain tuples of rows here.  These references left the package,
 which no command called them from, and check it from outside:
 
 * ``degree_by_support_pairs``: a table's degree from its positive cells.
+* ``move_rectangle``: a move's rectangle and sign, read from its cells.
 * ``orientation_weight``: w.t for the (row + col)^2 weight that orients the graph.
 * ``transpose`` and ``permute``: the symmetries that relabel a table.
 * ``acceptance_ratio`` and ``transition_probabilities``: the sampler's
@@ -244,6 +245,16 @@ def degree_by_support_pairs(entries) -> int:
     and distinct columns, each the subtracted cells of one valid move."""
     pos = [(i, j) for i, row in enumerate(entries) for j, x in enumerate(row) if x > 0]
     return sum(a[0] != b[0] and a[1] != b[1] for a, b in combinations(pos, 2))
+
+
+def move_rectangle(n: int, cells) -> tuple[int, int, int, int, int]:
+    """The 1-based rows i1 < i2, columns j1 < j2 and sign of the move that
+    subtracts 1 from row-major cells[:2] and adds 1 to cells[2:]; the sign is
+    -1 when it subtracts from the diagonal (i1, j1), (i2, j2).  The cells must
+    list the upper row's cell first in both halves."""
+    (i1, a), (i2, b) = divmod(cells[0], n), divmod(cells[1], n)
+    assert i1 < i2 and a != b and tuple(cells[2:]) == (i1 * n + b, i2 * n + a), cells
+    return i1 + 1, min(a, b) + 1, i2 + 1, max(a, b) + 1, -1 if a < b else 1
 
 
 def orientation_weight(entries) -> int:

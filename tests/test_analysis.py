@@ -116,11 +116,14 @@ def test_distance_diag_to_antidiagonal_g32(graph_3_2):
     pytest.param(local_connectivity, (-1, 0), id="local_connectivity(-1,0)"),
     pytest.param(detour_paths, (-1, 2), id="detour_paths(-1,2)"),
     pytest.param(detour_paths, (0, 55), id="detour_paths(0,55)"),
+    pytest.param(distance_between, (True, False), id="distance_between(True,False)"),
+    pytest.param(distance_between, (1.0, 0), id="distance_between(1.0,0)"),
 ])
 def test_out_of_range_vertices_are_refused(graph_3_3, call, args):
-    # G(3,3) has 55 vertices, so -1 and 55 are both outside it
+    # G(3,3) has 55 vertices, so -1 and 55 are both outside it; a bool or a
+    # float is no vertex id (True was read as 1 and 1.0 raised a TypeError)
     assert graph_3_3.vertex_count == 55
-    bad = next(x for x in args if not 0 <= x < 55)
+    bad = next(x for x in args if type(x) is not int or not 0 <= x < 55)
     with pytest.raises(FiberGraphsError, match=rf"^vertex {bad} is not in 0\.\.54$"):
         call(graph_3_3, *args)
 

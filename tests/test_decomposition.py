@@ -228,9 +228,10 @@ def test_constrained_duplicate_position():
 
 
 @pytest.mark.parametrize("position", [(1.9, 2.2), (True, True), (1, 2.0), (1, True), ("1", 2),
-                                      (1, np.float64(2)), (np.True_, 1)])
+                                      (1, np.float64(2)), (np.True_, 1), (1, 2, 3), (1,), 5])
 def test_constraint_positions_are_integers(position):
-    # int() read (1.9, 2.2) as (1, 2) and (True, True) as (1, 1)
+    # int() read (1.9, 2.2) as (1, 2) and (True, True) as (1, 1); unpacking
+    # (1, 2, 3), (1,) and 5 raised a bare ValueError or TypeError
     message = f"position {position} is not a pair of integers"
     with pytest.raises(FiberGraphsError, match=f"^{re.escape(message)}$"):
         decompose(J3, [position])

@@ -27,7 +27,6 @@ import hashlib
 import json
 import random
 import tracemalloc
-from dataclasses import astuple
 
 import pytest
 
@@ -37,9 +36,9 @@ from fibergraphs.decomposition import decompose, decompose_tables
 from fibergraphs.enumeration import count_fiber, enumerate_fiber
 from fibergraphs.graphs import DOT_VERTEX_LIMIT, build_graph
 from fibergraphs.sampler import ChainState, WalkConfig, advance
-from fibergraphs.tables import validate_table
+from fibergraphs.tables import move_cells, validate_table
 
-from oracles import decomposition_holds
+from oracles import decomposition_holds, move_rectangle
 
 INSTANCES = [(n, r) for n in range(1, 5) for r in range(4)]
 
@@ -340,7 +339,8 @@ def test_huge_margin_walk_memory_stays_flat(target):
     assert peak < 2**20
 
 
-# (n, r) -> sha256 of the detour report of every distance-2 pair, in order
+# (n, r) -> sha256 of the detour report of every distance-2 pair, in order, each
+# middle move written as its 1-based rectangle and sign (i1, j1, i2, j2, sign)
 GOLDEN_DETOURS = {
     (3, 2): "47931867d92f3ad2252d1b27430cf91795015ad6d31690213d205232abb5eb17",
     (3, 3): "1ce3e3d6ea96e0cf1cfedc4397f4fc827d26c382a910e611bf3fed4bfce60198",
@@ -355,9 +355,9 @@ def test_detour_reports_unchanged(n, r):
     digest = hashlib.sha256()
     for u, v in distance_two_pairs(graph).tolist():
         report = detour_paths(graph, u, v)
-        d1, d2 = report.middle_moves
+        d1, d2 = (move_rectangle(n, move_cells(n)[k]) for k in report.middle_moves)
         digest.update(
-            f"{report.u} {report.v} {astuple(d1)} {astuple(d2)} {report.count_disjoint} "
+            f"{report.u} {report.v} {d1} {d2} {report.count_disjoint} "
             f"{report.decomposition_count} {report.paths!r}\n".encode()
         )
     assert digest.hexdigest() == GOLDEN_DETOURS[n, r]

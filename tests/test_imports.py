@@ -15,14 +15,14 @@ import fibergraphs
 # the public names of the package, each resolved from its module on first use
 EXPORTS = """
     ChainState ConnectivityReport ContingencyTable CsrGraph DetourPathReport ExactTestResult
-    Fiber FiberGraph LiuCheckResult MarkovMove MatchingDecomposition MaxDegreeBound
+    Fiber FiberGraph LiuCheckResult MatchingDecomposition MaxDegreeBound
     OrientedFiberGraph Target VisitCounter WalkConfig advance apply_move
     articulation_vertices as_equal_margin_table build_graph chi_square_statistic count_fiber
     decompose detour_paths diameter diameter_witness_pair
-    distance_between distance_two_pairs enumerate_basis_moves enumerate_fiber exact_test
-    export_graph find_sinks hemmecke_graph is_acyclic is_connected is_valid_move liu_check
-    local_connectivity max_degree_value orient run_walk scaled_permutation valid_moves
-    validate_table vertex_connectivity
+    distance_between distance_two_pairs enumerate_fiber exact_test
+    export_graph find_sinks hemmecke_graph is_acyclic is_connected liu_check
+    local_connectivity max_degree_value move_cells orient run_walk scaled_permutation
+    valid_moves validate_table vertex_connectivity
 """.split()
 
 HEAVY = {"analysis", "graphs", "decomposition", "sampler"}

@@ -1,16 +1,16 @@
 from __future__ import annotations
 
+import hashlib
+import re
 from math import comb
 
+import numpy as np
 import pytest
 
 from fibergraphs.enumeration import enumerate_fiber
 from fibergraphs.errors import FiberGraphsError
 from fibergraphs.tables import (
-    MarkovMove,
     apply_move,
-    enumerate_basis_moves,
-    is_valid_move,
     max_degree_value,
     move_cells,
     scaled_permutation,
@@ -18,7 +18,7 @@ from fibergraphs.tables import (
     validate_table,
 )
 
-from oracles import degree_by_support_pairs
+from oracles import degree_by_support_pairs, move_rectangle
 
 
 def degree(t):
@@ -57,40 +57,58 @@ def test_validate_hand_checked_3x3():
     assert t.n == 3 and t.r == 2
 
 
+# n -> sha256 of repr(move_cells(n)): the move ids every layer and report use
+MOVE_CELLS_SHA256 = {
+    1: "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+    2: "941701f4929e222865acb3eed979fc1ed7f79d6b164956571fa3f5b5e2f1154f",
+    3: "04d1a28a9a8e64241a9cbe20775c1a9ed7749b2833fc3df1fafc6cc056ce1cc6",
+    4: "9711f9871dc109befa76c603848984fa172311b178ae23cc96a011000a6ca25d",
+    5: "042356d91461b76478241d345120d9b0c8d8ccae99a67382d90a1c2e5dbc1d7f",
+    6: "f05d0d634f01097f88dafd5b5af4221227e77681e5160b005ac811aa829db843",
+    7: "ebe28fc18d35bcafdcd08510616062c87c4ae20a02d87eafb3d63e52005efee4",
+    8: "826ae4b66adf14a7065114a8d7cc16825cefc0e5e9d0059822f7bc1dcf7e9f30",
+}
+
+
 @pytest.mark.parametrize("n,count", [(2, 2), (3, 18), (4, 72)])
 def test_basis_move_count(n, count):
-    moves = enumerate_basis_moves(n)
-    assert len(moves) == count
+    moves = move_cells(n)
+    assert len(moves) == count == 2 * comb(n, 2) ** 2
     assert len(set(moves)) == count
 
 
 def test_basis_moves_need_two_rows():
-    with pytest.raises(FiberGraphsError, match="^moves require n >= 2, got 1$"):
-        enumerate_basis_moves(1)
+    # a 1 x 1 table has no moves: no ids and none valid (applying one: [one-by-one] below)
+    t = validate_table(1, 3, [[3]])
+    assert move_cells(1) == ()
+    assert valid_moves(t) == []
 
 
 def test_basis_moves_canonical_order_and_negation_closure():
-    moves = enumerate_basis_moves(3)
-    keyed = [(m.i1, m.j1, m.i2, m.j2, m.sign) for m in moves]
-    assert keyed == sorted(keyed)
-    assert {m.negate() for m in moves} == set(moves)
+    decoded = [move_rectangle(3, cells) for cells in move_cells(3)]
+    assert decoded == sorted(decoded) and len(set(decoded)) == 18
+    assert {(*m[:4], -m[4]) for m in decoded} == set(decoded)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_move_cells(n):
-    """Row k is move k's subtracted then added cells, row-major; move k ^ 1 is
-    move k's negation, so a CSR walk can undo a move by id."""
+    """Row k is move k's subtracted then added cells, row-major: the
+    rectangles in lex order of (i1, j1, i2, j2), each first with sign -1
+    (subtracting from its diagonal); move k ^ 1 is move k's negation, so a
+    CSR walk can undo a move by id."""
     cells = move_cells(n)
-    if n == 1:
-        assert cells == ()
-        return
-    moves = enumerate_basis_moves(n)
-    assert len(cells) == len(moves)
-    for k, m in enumerate(moves):
-        flat = tuple(i * n + j for i, j in (*m.subtracted_cells(), *m.added_cells()))
-        assert cells[k] == flat
-        assert moves[k ^ 1] == m.negate()
-        assert cells[k ^ 1] == cells[k][2:] + cells[k][:2]
+    pairs = [(i1, j1, i2, j2) for i1 in range(1, n + 1) for j1 in range(1, n + 1)
+             for i2 in range(i1 + 1, n + 1) for j2 in range(j1 + 1, n + 1)]
+    decoded = [move_rectangle(n, row) for row in cells]
+    assert decoded == [(*p, sign) for p in pairs for sign in (-1, 1)]
+    for k, row in enumerate(cells):
+        assert decoded[k ^ 1] == (*decoded[k][:4], -decoded[k][4])
+        assert cells[k ^ 1] == row[2:] + row[:2]
+
+
+@pytest.mark.parametrize("n", sorted(MOVE_CELLS_SHA256))
+def test_move_cells_are_pinned(n):
+    assert hashlib.sha256(repr(move_cells(n)).encode()).hexdigest() == MOVE_CELLS_SHA256[n]
 
 
 def test_move_matrix_margins_are_zero():
@@ -103,45 +121,54 @@ def test_move_matrix_margins_are_zero():
             assert sorted(c % n for c in sub) == sorted(c % n for c in add)
 
 
-def test_move_requires_ordered_indices():
-    with pytest.raises(FiberGraphsError, match=r"^need 1 <= i1 < i2 and 1 <= j1 < j2, got "
-                       r"MarkovMove\(i1=2, j1=1, i2=1, j2=2, sign=1\)$"):
-        MarkovMove(2, 1, 1, 2, 1)
-    with pytest.raises(FiberGraphsError, match=r"^sign must be -1 or \+1, got 0$"):
-        MarkovMove(1, 1, 2, 2, 0)
-
-
 def test_move_validity_on_diagonal():
+    # move 0 subtracts from the diagonal, its negation 1 from the empty anti-diagonal
     t = validate_table(2, 2, [[2, 0], [0, 2]])
-    subtract_diag = MarkovMove(1, 1, 2, 2, -1)
-    subtract_off = MarkovMove(1, 1, 2, 2, 1)
-    assert is_valid_move(t, subtract_diag)
-    assert not is_valid_move(t, subtract_off)
+    assert valid_moves(t) == [0]
 
 
 def test_move_validity_zero_cell():
     t = validate_table(3, 2, [[1, 1, 0], [1, 0, 1], [0, 1, 1]])
-    # any move subtracting from the zero cell (1,3) is invalid
-    for m in enumerate_basis_moves(3):
-        if (0, 2) in m.subtracted_cells():
-            assert not is_valid_move(t, m)
+    # a move is valid exactly when neither cell it subtracts from is the zero
+    # cell (1,3) or (2,2) or (3,1), row-major 2, 4 and 6
+    valid = valid_moves(t)
+    assert valid == sorted(valid)
+    assert valid == [k for k, cells in enumerate(move_cells(3)) if not {2, 4, 6} & set(cells[:2])]
 
 
 def test_apply_move_chain_and_round_trip():
     t = validate_table(2, 2, [[2, 0], [0, 2]])
-    m = MarkovMove(1, 1, 2, 2, -1)
-    u = apply_move(t, m)
+    u = apply_move(t, 0)
     assert u.entries == ((1, 1), (1, 1))
-    w = apply_move(u, m)
+    w = apply_move(u, 0)
     assert w.entries == ((0, 2), (2, 0))
-    assert apply_move(u, m.negate()).entries == t.entries
+    assert apply_move(u, 1).entries == t.entries
+    assert apply_move(t, np.int64(0)) == u  # a numpy integer is an id too
+    for table in enumerate_fiber(3, 2):
+        for k in valid_moves(table):
+            assert apply_move(apply_move(table, k), k ^ 1) == table
 
 
-def test_apply_move_rejects_invalid():
-    t = validate_table(2, 2, [[2, 0], [0, 2]])
-    with pytest.raises(FiberGraphsError, match=r"^move MarkovMove\(i1=1, j1=1, i2=2, j2=2, "
-                       r"sign=1\) subtracts from a zero entry of the table$"):
-        apply_move(t, MarkovMove(1, 1, 2, 2, 1))
+DIAGONAL = validate_table(2, 2, [[2, 0], [0, 2]])
+
+
+@pytest.mark.parametrize("table, move, message", [
+    pytest.param(DIAGONAL, 1, "move 1 subtracts from a zero entry of the table",
+                 id="zero-entry"),
+    pytest.param(DIAGONAL, True, "move True is not one of the 2 move ids of 2x2 tables",
+                 id="bool"),
+    pytest.param(DIAGONAL, 1.0, "move 1.0 is not one of the 2 move ids of 2x2 tables",
+                 id="float"),
+    pytest.param(DIAGONAL, -1, "move -1 is not one of the 2 move ids of 2x2 tables",
+                 id="negative"),
+    pytest.param(DIAGONAL, 2, "move 2 is not one of the 2 move ids of 2x2 tables",
+                 id="past-the-last"),
+    pytest.param(validate_table(1, 3, [[3]]), 0,
+                 "move 0 is not one of the 0 move ids of 1x1 tables", id="one-by-one"),
+])
+def test_apply_move_rejects_invalid(table, move, message):
+    with pytest.raises(FiberGraphsError, match=f"^{re.escape(message)}$"):
+        apply_move(table, move)
 
 
 def test_degree_examples():
