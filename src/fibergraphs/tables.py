@@ -51,8 +51,8 @@ class ContingencyTable:
 def validate_table(n: int, r: int, entries: Sequence[Sequence[int]]) -> ContingencyTable:
     """Check shape, non-negativity and both margin constraints; return the table.
 
-    Raises FiberGraphsError naming the first failed check, with 1-based
-    positions.
+    Entries are integers, numpy's included, stored as Python ints.  Raises
+    FiberGraphsError naming the first failed check, with 1-based positions.
     """
     if n < 1:
         raise FiberGraphsError(f"table dimension must be >= 1, got {n}")
@@ -60,23 +60,24 @@ def validate_table(n: int, r: int, entries: Sequence[Sequence[int]]) -> Continge
         raise FiberGraphsError(f"margin must be >= 0, got {r}")
     if len(entries) != n or any(len(row) != n for row in entries):
         raise FiberGraphsError(f"expected an {n}x{n} array of entries")
-    for i, row in enumerate(entries):
+    rows = [[as_integer(x) for x in row] for row in entries]
+    for i, row in enumerate(rows):
         for j, x in enumerate(row):
-            if not isinstance(x, int) or isinstance(x, bool):
+            if x is None:
                 raise FiberGraphsError(
-                    f"entry at row {i + 1}, column {j + 1} is not an integer: {x!r}"
+                    f"entry at row {i + 1}, column {j + 1} is not an integer: {entries[i][j]!r}"
                 )
             if x < 0:
                 raise FiberGraphsError(f"negative entry {x} at row {i + 1}, column {j + 1}")
-    for i, row in enumerate(entries):
+    for i, row in enumerate(rows):
         s = sum(row)
         if s != r:
             raise FiberGraphsError(f"row {i + 1} sums to {s}, expected {r}")
     for j in range(n):
-        s = sum(entries[i][j] for i in range(n))
+        s = sum(rows[i][j] for i in range(n))
         if s != r:
             raise FiberGraphsError(f"column {j + 1} sums to {s}, expected {r}")
-    return ContingencyTable(n, r, tuple(tuple(row) for row in entries))
+    return ContingencyTable(n, r, tuple(tuple(row) for row in rows))
 
 
 def as_equal_margin_table(rows: Sequence[Sequence[int]], n: int | None = None,

@@ -148,6 +148,66 @@ def test_diameter_disconnected_raises():
         diameter(CsrGraph.from_rows(((1,), (0,), ())))
 
 
+def test_diameter_matches_the_queue_bfs_oracle():
+    # the bit-parallel sweep against the largest queue-BFS distance from every vertex
+    rng = random.Random(3131)
+    graphs = [cycle_graph(n) for n in (3, 4, 9)] + [path_graph(n) for n in (1, 2, 7)]
+    graphs += [rows_of(hemmecke_graph(k)[0]) for k in (1, 2, 4)]
+    for n in rng.choices(range(1, 40), k=80):
+        graphs.append(random_graph(rng, n, rng.uniform(1.0, 4.0) / n))
+    connected = 0
+    for adj in graphs:
+        dist = [brute_bfs_distances(adj, s) for s in range(len(adj))]
+        unreached = [v for v, d in enumerate(dist[0]) if d < 0]
+        if unreached:  # vertex 0 is the least source, and it misses these
+            message = f"^vertex {unreached[0]} unreachable from 0$"
+            with pytest.raises(FiberGraphsError, match=message):
+                diameter(CsrGraph.from_rows(adj))
+        else:
+            connected += 1
+            assert diameter(CsrGraph.from_rows(adj)) == max(map(max, dist)), adj
+    assert 20 < connected < len(graphs)
+
+
+def _two_tails(rng, core, tail):
+    """A sparse random graph on ``core`` vertices, then two paths of ``tail``
+    vertices each hanging from vertex 0: only the tails' ends, both past
+    the core, are at the diameter."""
+    adj = [list(row) for row in random_graph(rng, core, 8.0 / core)]
+    for first in (core, core + tail):
+        chain = [0, *range(first, first + tail)]
+        adj += [[] for _ in range(tail)]
+        for a, b in zip(chain, chain[1:]):
+            adj[a].append(b)
+            adj[b].append(a)
+    return CsrGraph.from_rows(adj)
+
+
+@pytest.mark.parametrize("tail", [0, 40])
+def test_diameter_across_source_batches(tail):
+    # a plain graph's sources are all its vertices: more than one batch holds
+    graph = _two_tails(random.Random(31 + tail), 1100 - 2 * tail, tail)
+    assert graph.vertex_count > 64 * analysis._SOURCE_WORDS
+    by_bfs = [int(_bfs(graph.indptr, graph.indices, s).max()) for s in range(graph.vertex_count)]
+    assert min(by_bfs) >= 0 and diameter(graph) == max(by_bfs)
+    assert (max(by_bfs) == 2 * tail) if tail else (max(by_bfs) <= 8)
+
+
+def test_diameter_names_the_first_vertex_the_least_source_misses():
+    # two components, {0, 1, 4} and {2, 3}: vertex 0 misses 2 first, not the last vertex
+    with pytest.raises(FiberGraphsError, match="^vertex 2 unreachable from 0$"):
+        diameter(CsrGraph.from_rows(((1, 4), (0,), (3,), (2,), (0,))))
+
+
+@pytest.mark.long
+def test_diameter_g45_matches_the_per_source_loop():
+    graph = build_graph(enumerate_fiber(4, 5))
+    sources = analysis._first_members(_vertex_labels(graph)).tolist()
+    assert len(sources) == 90
+    by_bfs = max(int(_bfs(graph.indptr, graph.indices, s).max()) for s in sources)
+    assert diameter(graph) == by_bfs == 15
+
+
 def test_fiber_graphs_connected():
     for n, r in [(2, 3), (3, 2), (3, 3), (4, 2)]:
         assert is_connected(build_graph(enumerate_fiber(n, r)))

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from fibergraphs import cli
-from fibergraphs.analysis import detour_paths, diameter, local_connectivity
+from fibergraphs.analysis import detour_paths, diameter, hemmecke_graph, local_connectivity
 from fibergraphs.decomposition import decompose
 from fibergraphs.enumeration import enumerate_fiber
 from fibergraphs.errors import FiberGraphsError, SizeLimitExceededError, UsageError
@@ -75,6 +75,9 @@ ERRORS = [
     pytest.param(lambda: detour_paths(build_graph(enumerate_fiber(3, 2)), 0, 0),
                  FiberGraphsError, "vertices 0 and 0 are not at distance 2", None, None,
                  id="not-distance-two"),
+    pytest.param(lambda: detour_paths(hemmecke_graph(2)[0], 0, 3), FiberGraphsError,
+                 "detour paths need a fiber graph's move labels", None, None,
+                 id="detours-of-a-plain-graph"),
     pytest.param(lambda: local_connectivity(build_graph(enumerate_fiber(2, 2)), 0, 1),
                  FiberGraphsError, "vertices 0 and 1 are adjacent; the split-network "
                  "reduction does not define their local connectivity", None, None,

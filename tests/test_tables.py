@@ -52,6 +52,19 @@ def test_validate_non_integer_rejected():
         validate_table(2, 2, [[1.0, 1.0], [1.0, 1.0]])
 
 
+def test_validate_reads_numpy_integers_as_ints():
+    t = validate_table(2, 1, [[np.int64(1), np.uint8(0)], [0, np.int32(1)]])
+    assert t == validate_table(2, 1, [[1, 0], [0, 1]])
+    assert all(type(x) is int for x in t.row_major())
+
+
+@pytest.mark.parametrize("bad, shown", [(True, "True"), (np.float64(1.0), r"np\.float64\(1\.0\)")])
+def test_validate_refuses_bools_and_floats(bad, shown):
+    with pytest.raises(FiberGraphsError,
+                       match=rf"^entry at row 1, column 1 is not an integer: {shown}$"):
+        validate_table(2, 1, [[bad, 0], [0, 1]])
+
+
 def test_validate_hand_checked_3x3():
     t = validate_table(3, 2, [[1, 1, 0], [1, 0, 1], [0, 1, 1]])
     assert t.n == 3 and t.r == 2
