@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, isnan
-from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -37,13 +37,16 @@ CONSTRAINED_TRIALS = 500
 _EXIT_CODES = {UsageError: 2, SizeLimitExceededError: 3}  # any other FiberGraphsError: 1
 
 
-def _write_output(text: str, out: str | None) -> None:
-    """Write text to the file out, or to stdout; a failed write is one error line."""
+def _write_output(blocks: Iterable[bytes], out: str | None) -> None:
+    """Write each block as it comes to the file out, or decoded to stdout; a
+    failed open, write or close of out is one error line."""
     if not out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(block.decode() for block in blocks)
         return
     try:
-        Path(out).write_text(text)
+        with open(out, "wb") as sink:
+            for block in blocks:
+                sink.write(block)
     except OSError as exc:
         raise FiberGraphsError(f"cannot write {out!r}: {exc.strerror}") from None
 
@@ -59,8 +62,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             f"says {expected}"
         )
     if args.out:
-        text = io.fiber_to_csv(fiber) if args.format == "csv" else io.fiber_to_jsonl(fiber)
-        _write_output(text, args.out)
+        blocks = io.fiber_to_csv(fiber) if args.format == "csv" else io.fiber_to_jsonl(fiber)
+        _write_output(blocks, args.out)
     print(f"{len(fiber)} tables")
     return 0
 
@@ -298,7 +301,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         results.append(outcome)
         overall &= bool(outcome["pass"])
     suite = {"n": args.n, "r": args.r, "pass": overall, "results": results}
-    _write_output(json.dumps(suite, indent=2) + "\n", args.out)
+    _write_output([json.dumps(suite, indent=2).encode() + b"\n"], args.out)
     return 0 if overall else 1
 
 
@@ -315,7 +318,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         "parts": [p.rows() for p in dec.parts],
         "constraints_satisfied": ok,
     }
-    _write_output(json.dumps(payload, indent=2) + "\n", args.out)
+    _write_output([json.dumps(payload, indent=2).encode() + b"\n"], args.out)
     return 0 if ok else 1
 
 
@@ -362,7 +365,7 @@ def cmd_test(args: argparse.Namespace) -> int:
         "standard_error": se,
         "samples_used": result.samples_used,
     }
-    _write_output(json.dumps(payload, indent=2) + "\n", args.out)
+    _write_output([json.dumps(payload, indent=2).encode() + b"\n"], args.out)
     return 0
 
 
@@ -382,7 +385,7 @@ def cmd_hemmecke(args: argparse.Namespace) -> int:
         "conjecture_holds": report.conjecture_holds,
         "articulation_vertices": fg.analysis.articulation_vertices(graph),
     }
-    _write_output(json.dumps(payload, indent=2) + "\n", args.out)
+    _write_output([json.dumps(payload, indent=2).encode() + b"\n"], args.out)
     return 0
 
 

@@ -22,8 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import permutations
-from typing import Iterable, Sequence
+from itertools import chain, permutations
+from typing import Iterable, Iterator, Sequence
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -327,14 +327,14 @@ def is_acyclic(og: OrientedFiberGraph) -> bool:
     return removed == len(indeg)
 
 
-def export_graph(graph: FiberGraph | OrientedFiberGraph, fmt: str) -> str:
-    """Deterministic rendering of a graph.
+def export_graph(graph: FiberGraph | OrientedFiberGraph, fmt: str) -> Iterator[bytes]:
+    """Deterministic rendering of a graph, as blocks of ASCII bytes.
 
     Edges are read from the graph's CSR rows, so they come out sorted by
     (u, v).  ``edge-list``: one "u v" line per edge with u < v; directed
     graphs list u -> v pairs.  There is no multiplicity column, because each
     edge comes from exactly one move.  ``dot``: Graphviz source with tables
-    as node labels, guarded to 500 vertices.
+    as node labels, guarded to 500 vertices (checked before any block).
     """
     oriented = isinstance(graph, OrientedFiberGraph)
     base = graph.base if oriented else graph
@@ -354,13 +354,17 @@ def export_graph(graph: FiberGraph | OrientedFiberGraph, fmt: str) -> str:
         ids = np.arange(base.vertex_count)
         nodes = format_rows(["  ", ' [label="', *between, '"];\n'], [ids, *base.fiber.cells.T])
         edges = format_rows(["  ", f" {arrow} ", ";\n"], [tails, heads])
-        return f"{name} fiber {{\n" + nodes + edges + "}\n"
+        return chain([f"{name} fiber {{\n".encode("ascii")], nodes, edges, [b"}\n"])
     raise FiberGraphsError(f"unknown graph format {fmt!r}")
 
 
-def vertex_map_json(graph: FiberGraph | OrientedFiberGraph) -> str:
-    """Sidecar JSON mapping vertex id -> table rows, for the edge-list export."""
+def vertex_map_json(graph: FiberGraph | OrientedFiberGraph) -> Iterator[bytes]:
+    """Sidecar JSON mapping vertex id -> table rows, for the edge-list export, in blocks."""
     fiber = (graph.base if isinstance(graph, OrientedFiberGraph) else graph).fiber
-    # every entry ends in a comma; the last one's becomes the closing brace
+    # every entry ends in a comma; the last block's becomes the closing brace
     literals = ['"', '":[[', *json_row_separators(fiber.n), "]],"]
-    return "{" + format_rows(literals, [np.arange(len(fiber)), *fiber.cells.T])[:-1] + "}"
+    held = b"{"
+    for block in format_rows(literals, [np.arange(len(fiber)), *fiber.cells.T]):
+        yield held
+        held = block
+    yield held[:-1] + b"}"

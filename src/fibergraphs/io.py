@@ -7,6 +7,9 @@ as "\\n").  Table JSON is an array of rows, or an object {"rows": [[int, ...],
 ``tables.as_equal_margin_table`` works it out and checks that every row and
 column sums to it.  Malformed input is rejected with positional messages
 (1-based lines and fields, rows and columns).
+
+An export is a stream of ASCII byte blocks from ``format_rows``, each ending
+at a row boundary, that the caller writes as they come: none is held whole.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -106,20 +109,19 @@ def load_table(path: str | Path) -> ContingencyTable:
 FORMAT_BLOCK = 1 << 14  # rows rendered at a time by format_rows
 
 
-def format_rows(literals: Sequence[str], columns: Sequence[np.ndarray]) -> str:
+def format_rows(literals: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[bytes]:
     """Row i is literals[0], columns[0][i], literals[1], ..., columns[-1][i],
     literals[-1], each entry a non-negative integer in decimal.
 
-    Rendered FORMAT_BLOCK rows at a time, column-major: the block is a
-    (width, rows) matrix of ASCII bytes, so each literal byte and each digit
-    position is one contiguous row.  A column below 10 is its own digit row;
-    a wider one is split by repeated % 10 and // 10 in its own dtype (an
-    object array of Python ints included) and its leading zeros are masked
-    out.  The block's text is the kept bytes of the transposed matrix.
+    Yields FORMAT_BLOCK rows at a time as ASCII bytes, each block rendered
+    column-major: a (width, rows) matrix of bytes, so each literal byte and
+    each digit position is one contiguous row.  A column below 10 is its own
+    digit row; a wider one is split by repeated % 10 and // 10 in its own
+    dtype (an object array of Python ints included) and its leading zeros are
+    masked out.  The block is the kept bytes of the transposed matrix.
     """
     assert len(literals) == len(columns) + 1
     pieces = [np.frombuffer(lit.encode("ascii"), dtype=np.uint8) for lit in literals]
-    out = []
     for start in range(0, len(columns[0]), FORMAT_BLOCK):
         block = [col[start:start + FORMAT_BLOCK] for col in columns]
         widths = [len(str(col.max())) for col in block]
@@ -133,12 +135,12 @@ def format_rows(literals: Sequence[str], columns: Sequence[np.ndarray]) -> str:
                 text[k] = col % 10
                 col = col // 10
             text[at] = col
-            keep[at:at + width - 1] = np.logical_or.accumulate(text[at:at + width - 1] != 0)
+            if width > 1:
+                keep[at:at + width - 1] = np.logical_or.accumulate(text[at:at + width - 1] != 0)
             text[at:at + width] += ord("0")
             at += width
         text[at:] = pieces[-1][:, None]
-        out.append(text.T[keep.T].tobytes().decode("ascii"))
-    return "".join(out)
+        yield text.T[keep.T].tobytes()
 
 
 def json_row_separators(n: int) -> list[str]:
@@ -146,18 +148,18 @@ def json_row_separators(n: int) -> list[str]:
     return ["],[" if j % n == 0 else "," for j in range(1, n * n)]
 
 
-def fiber_to_jsonl(fiber: Fiber) -> str:
-    """One table per line, canonical order: {"id": k, "rows": [...]}."""
+def fiber_to_jsonl(fiber: Fiber) -> Iterator[bytes]:
+    """One table per line, canonical order: {"id": k, "rows": [...]}, in blocks."""
     literals = ['{"id":', ',"rows":[[', *json_row_separators(fiber.n), "]]}\n"]
     return format_rows(literals, [np.arange(len(fiber)), *fiber.cells.T])
 
 
-def fiber_to_csv(fiber: Fiber) -> str:
-    """Vertex id column plus row-major entry columns, with a header line."""
+def fiber_to_csv(fiber: Fiber) -> Iterator[bytes]:
+    """Vertex id column plus row-major entry columns, with a header line, in blocks."""
     n = fiber.n
     header = "id," + ",".join(f"r{i}c{j}" for i in range(1, n + 1) for j in range(1, n + 1))
-    columns = [np.arange(len(fiber)), *fiber.cells.T]
-    return header + "\n" + format_rows(["", *[","] * (n * n), "\n"], columns)
+    yield (header + "\n").encode("ascii")
+    yield from format_rows(["", *[","] * (n * n), "\n"], [np.arange(len(fiber)), *fiber.cells.T])
 
 
 def parse_constraints(value: str) -> list[tuple[int, int]]:

@@ -153,24 +153,29 @@ def test_unique_sink_is_antidiagonal(n, r):
     assert values[sinks[0]] == min(values)
 
 
+def _text(blocks) -> str:
+    """An export's byte blocks joined into its text."""
+    return b"".join(blocks).decode("ascii")
+
+
 def test_export_edge_list(graph_2_2):
-    assert export_graph(graph_2_2, "edge-list") == "0 1\n1 2\n"
-    sidecar = json.loads(vertex_map_json(graph_2_2))
+    assert _text(export_graph(graph_2_2, "edge-list")) == "0 1\n1 2\n"
+    sidecar = json.loads(_text(vertex_map_json(graph_2_2)))
     assert sidecar["0"] == [[0, 2], [2, 0]]
     assert sidecar["2"] == [[2, 0], [0, 2]]
 
 
 def test_export_dot(graph_2_2):
-    dot = export_graph(graph_2_2, "dot")
+    dot = _text(export_graph(graph_2_2, "dot"))
     assert dot.count("--") == 2
     assert dot.count("[label=") == 3
 
 
 def test_export_oriented_directions(graph_2_2):
     og = orient(graph_2_2)
-    listing = export_graph(og, "edge-list")
+    listing = _text(export_graph(og, "edge-list"))
     assert listing == "1 0\n2 1\n"
-    dot = export_graph(og, "dot")
+    dot = _text(export_graph(og, "dot"))
     assert "digraph" in dot and "->" in dot
 
 

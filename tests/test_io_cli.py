@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from fibergraphs import io
+from fibergraphs import cli, io
 from fibergraphs.cli import main
 from fibergraphs.enumeration import Fiber, enumerate_fiber
 from fibergraphs.errors import FiberGraphsError
 from fibergraphs.graphs import build_graph, export_graph, orient, vertex_map_json
+from fibergraphs.sampler import WalkConfig, run_walk
 
 
 def _table_file(tmp_path, name, text):
@@ -97,12 +100,17 @@ def test_csv_field_past_the_digit_limit_is_named_not_quoted(tmp_path, capsys):
                    f"limit of {limit}\n")
 
 
+def _text(blocks) -> str:
+    """An export's byte blocks joined into its text."""
+    return b"".join(blocks).decode("ascii")
+
+
 def test_fiber_jsonl_and_csv():
     fiber = enumerate_fiber(2, 2)
-    lines = io.fiber_to_jsonl(fiber).splitlines()
+    lines = _text(io.fiber_to_jsonl(fiber)).splitlines()
     assert len(lines) == 3
     assert json.loads(lines[0]) == {"id": 0, "rows": [[0, 2], [2, 0]]}
-    csv = io.fiber_to_csv(fiber).splitlines()
+    csv = _text(io.fiber_to_csv(fiber)).splitlines()
     assert csv[0] == "id,r1c1,r1c2,r2c1,r2c2"
     assert csv[1] == "0,0,2,2,0"
 
@@ -125,8 +133,8 @@ def _csv_per_line(fiber):
 
 
 def _assert_per_line(fiber):
-    assert io.fiber_to_jsonl(fiber) == _jsonl_per_line(fiber)
-    assert io.fiber_to_csv(fiber) == _csv_per_line(fiber)
+    assert _text(io.fiber_to_jsonl(fiber)) == _jsonl_per_line(fiber)
+    assert _text(io.fiber_to_csv(fiber)) == _csv_per_line(fiber)
 
 
 def test_formatter_digit_widths_of_a_uint64_fiber():
@@ -134,7 +142,7 @@ def test_formatter_digit_widths_of_a_uint64_fiber():
     cells = np.array([entries, entries[::-1]], dtype=">u8")
     fiber = Fiber(3, 0, cells)  # margins are not the formatter's concern
     _assert_per_line(fiber)
-    assert "18446744073709551615" in io.fiber_to_csv(fiber)
+    assert "18446744073709551615" in _text(io.fiber_to_csv(fiber))
 
 
 def test_formatter_object_entries():
@@ -172,20 +180,20 @@ def test_formatter_matches_reference(monkeypatch, dtype, block):
     monkeypatch.setattr(io, "FORMAT_BLOCK", block)
     columns = [np.array(col, dtype=dtype) for col in _MIXED_WIDTHS]
     literals = ['{"a":', ',"b":[', ",", "]}\n"]
-    assert io.format_rows(literals, columns) == _format_rows_reference(literals, columns)
+    assert _text(io.format_rows(literals, columns)) == _format_rows_reference(literals, columns)
 
 
 def test_formatter_one_column_without_literals():
     values = np.array([7, 0, 12, 305], dtype=np.uint16)
-    assert io.format_rows(["", ""], [values]) == "7012305"
-    assert io.format_rows(["", "", ""], [values[:1], values[2:3]]) == "712"
+    assert _text(io.format_rows(["", ""], [values])) == "7012305"
+    assert _text(io.format_rows(["", "", ""], [values[:1], values[2:3]])) == "712"
 
 
 @pytest.mark.parametrize("n, r", [(3, 2), (2, 120)], ids=str)
 def test_formatter_ids_gain_a_digit(n, r):
     fiber = enumerate_fiber(n, r)  # ids 0..20 and 0..120
     _assert_per_line(fiber)
-    assert '{"id":10,' in io.fiber_to_jsonl(fiber)
+    assert '{"id":10,' in _text(io.fiber_to_jsonl(fiber))
 
 
 @pytest.mark.parametrize("fiber", [
@@ -210,7 +218,84 @@ def test_edge_list_blocks_join_up(monkeypatch, oriented):
         pairs = graph.edges()
     expected = "".join(f"{u} {v}\n" for u, v in pairs)
     monkeypatch.setattr(io, "FORMAT_BLOCK", 7)
-    assert export_graph(target, "edge-list") == expected
+    assert _text(export_graph(target, "edge-list")) == expected
+
+
+# --- exports that span blocks: the one-block reference's bytes, cut at row ends ---
+
+def _block_exports(fiber):
+    """Each streamed export of fiber and of its graph: its blocks, the text the
+    one-block reference renders, the length of its header and the bytes that end
+    one of its rows."""
+    n, ref = fiber.n, _format_rows_reference
+    ids, cells = np.arange(len(fiber)), list(fiber.cells.T)
+    graph = build_graph(fiber)
+    edges = [np.array(side) for side in zip(*graph.edges())]
+    entries = io.json_row_separators(n)
+    csv_header = "id," + ",".join(f"r{i}c{j}" for i in range(1, n + 1)
+                                  for j in range(1, n + 1)) + "\n"
+    labels = ["\\n" if j % n == 0 else " " for j in range(1, n * n)]
+    dot_header = "graph fiber {\n"
+    dot = (ref(["  ", ' [label="', *labels, '"];\n'], [ids, *cells])
+           + ref(["  ", " -- ", ";\n"], edges))
+    sidecar = ref(['"', '":[[', *entries, "]],"], [ids, *cells])
+    return {
+        "jsonl": (io.fiber_to_jsonl(fiber),
+                  ref(['{"id":', ',"rows":[[', *entries, "]]}\n"], [ids, *cells]), 0, "\n"),
+        "csv": (io.fiber_to_csv(fiber),
+                csv_header + ref(["", *[","] * (n * n), "\n"], [ids, *cells]),
+                len(csv_header), "\n"),
+        "edge-list": (export_graph(graph, "edge-list"), ref(["", " ", "\n"], edges), 0, "\n"),
+        "dot": (export_graph(graph, "dot"), dot_header + dot + "}\n", len(dot_header), "\n"),
+        "vertex-map": (vertex_map_json(graph), "{" + sidecar[:-1] + "}", 1, "]],"),
+    }
+
+
+@pytest.mark.parametrize("export", ["jsonl", "csv", "edge-list", "dot", "vertex-map"])
+def test_exports_span_blocks_cut_at_row_ends(monkeypatch, export):
+    # G(3,3) has 55 tables and 108 edges, so 7-row blocks cut each export 8 ways or more
+    monkeypatch.setattr(io, "FORMAT_BLOCK", 7)
+    blocks, expected, header, row_end = _block_exports(enumerate_fiber(3, 3))[export]
+    blocks = list(blocks)
+    assert all(isinstance(block, bytes) for block in blocks)
+    assert b"".join(blocks).decode("ascii") == expected
+    assert len(blocks) >= 8
+    assert max(block.decode("ascii").count(row_end) for block in blocks) <= 7
+    row_ends = {m.end() for m in re.finditer(re.escape(row_end), expected)}
+    cuts = set(np.cumsum([len(block) for block in blocks]).tolist())
+    assert cuts <= row_ends | {header, len(expected)}
+
+
+def test_vertex_map_trims_the_last_comma_of_the_last_block(monkeypatch):
+    monkeypatch.setattr(io, "FORMAT_BLOCK", 7)
+    blocks = list(vertex_map_json(build_graph(enumerate_fiber(3, 2))))  # 21 tables
+    assert blocks[0] == b"{" and len(blocks) == 4
+    assert all(block.endswith(b"]],") for block in blocks[1:-1])
+    assert blocks[-1].endswith(b"]]}")
+    sidecar = json.loads(b"".join(blocks))
+    assert len(sidecar) == 21 and sidecar["20"] == [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
+
+
+@pytest.mark.parametrize("emit", [True, False], ids=["file", "stdout"])
+def test_sample_stream_spans_blocks(monkeypatch, tmp_path, capsys, emit):
+    table = _table_file(tmp_path, "t.csv", "2,0,1\n0,2,1\n1,1,1\n")
+    write, written = cli._write_output, []
+
+    def spy(blocks, out):
+        write((written.append(block) or block for block in blocks), out)
+
+    monkeypatch.setattr(io, "FORMAT_BLOCK", 7)
+    monkeypatch.setattr(cli, "_write_output", spy)
+    out = tmp_path / "s.jsonl"
+    argv = ["sample", "--table", str(table), "--steps", "100", "--seed", "3"]
+    assert main(argv + (["--emit", str(out)] if emit else [])) == 0
+    stream = out.read_text() if emit else capsys.readouterr().out
+    _, samples = run_walk(io.load_table(table), WalkConfig(steps=100, seed=3))
+    columns = list(np.array(samples).T)
+    assert stream == _format_rows_reference(['{"rows":[[', *io.json_row_separators(3), "]]}\n"],
+                                            columns)
+    assert [block.count(b"\n") for block in written] == [7] * 14 + [2]
+    assert all(block.endswith(b"]]}\n") for block in written)
 
 
 def test_parse_constraints_inline_and_file(tmp_path):
@@ -294,9 +379,9 @@ def test_outputs_of_an_object_dtype_fiber(tmp_path):
     # r >= 2**64 does not fit a fixed-width entry, so the fiber holds Python ints
     fiber = enumerate_fiber(1, 2**64)
     assert fiber.cells.dtype == object
-    assert io.fiber_to_jsonl(fiber) == '{"id":0,"rows":[[18446744073709551616]]}\n'
-    assert io.fiber_to_csv(fiber) == "id,r1c1\n0,18446744073709551616\n"
-    assert vertex_map_json(build_graph(fiber)) == '{"0":[[18446744073709551616]]}'
+    assert _text(io.fiber_to_jsonl(fiber)) == '{"id":0,"rows":[[18446744073709551616]]}\n'
+    assert _text(io.fiber_to_csv(fiber)) == "id,r1c1\n0,18446744073709551616\n"
+    assert _text(vertex_map_json(build_graph(fiber))) == '{"0":[[18446744073709551616]]}'
 
 
 def test_cli_enumerate_writes_fiber(tmp_path, capsys):
@@ -701,3 +786,63 @@ def test_cli_graph_unwritable_vertex_map(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: cannot write {str(out) + '.vertices.json'!r}: Is a directory\n"
     )
+
+
+_CLI = [sys.executable, "-m", "fibergraphs.cli"]
+_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(io.__file__))}
+
+
+_FULL = "/dev/full"  # every write to it fails with ENOSPC
+_NO_SPACE = f"error: cannot write {_FULL!r}: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists(_FULL), reason=f"no {_FULL}")
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "4", "--r", "3", "--out", _FULL],
+    ["sample", "--table", "{table}", "--steps", "3000", "--seed", "1", "--emit", _FULL],
+], ids=["enumerate", "sample"])
+def test_a_full_device_is_an_error_line(tmp_path, argv):
+    table = _table_file(tmp_path, "t.csv", "1,1,0\n0,1,1\n1,0,1\n")
+    argv = [arg.format(table=table) for arg in argv]
+    proc = subprocess.run(_CLI + argv, env=_ENV, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (1, _NO_SPACE)
+
+
+@pytest.mark.skipif(not os.path.exists(_FULL), reason=f"no {_FULL}")
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "3", "--r", "5", "--out"],  # 7-row blocks fill the buffer mid-stream
+    ["enumerate", "--n", "2", "--r", "1", "--out"],  # fits the buffer: the close fails
+    ["graph", "--n", "3", "--r", "3", "--format", "dot", "--out"],
+    ["verify", "--n", "2", "--r", "1", "--checks", "degrees", "--out"],
+], ids=["mid-stream", "at-close", "dot", "json"])
+def test_a_full_device_fails_any_write_or_the_close(monkeypatch, capsys, argv):
+    monkeypatch.setattr(io, "FORMAT_BLOCK", 7)
+    assert main(argv + [_FULL]) == 1
+    assert capsys.readouterr().err == _NO_SPACE
+
+
+# A child's peak RSS counts what its parent held when it was forked, so the command
+# is started from a fresh interpreter, not from this one.
+_PEAK_MB = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss / 1024)  # ru_maxrss is in kilobytes on Linux
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_an_export_is_written_as_it_is_rendered(tmp_path):
+    # G(5,3)'s 12.6 MB of JSONL once sat in memory three times over, 27 MB above the
+    # same run without --out; written block by block it adds about one block
+    peaks = []
+    for out in ([], ["--out", str(tmp_path / "x.jsonl")]):
+        argv = _CLI + ["enumerate", "--n", "5", "--r", "3", *out]
+        proc = subprocess.run([sys.executable, "-c", _PEAK_MB, *argv], env=_ENV,
+                              capture_output=True, text=True, timeout=120, check=True)
+        code, peak = proc.stdout.split()
+        assert code == "0", proc.stderr
+        peaks.append(float(peak))
+    assert peaks[1] - peaks[0] < 10, peaks
