@@ -12,8 +12,10 @@ kernel symmetric (a lazy walk).  Two stationary targets are supported:
 
 ``advance``, ``run_walk`` and ``exact_test`` run each stretch of steps (burn-in,
 then the sampled steps) as one loop of the kernel.  The kernel sums all n^2
-entries on entry and every 4096 steps; after an accepted move it sums them
-again only when ``_keeps_margins`` cannot prove that the move keeps them.
+entries and their squares, the score it keeps, on entry and every 4096 steps;
+after an accepted move it sums them again only when ``_keeps_margins`` cannot
+prove that the move keeps the margins, and else updates the score from the
+four cells.  It reads log k from a list of log(0..r) when r <= 4096.
 
 Randomness comes from numpy's PCG64 bit generator seeded with a 64-bit
 integer.  The walk fetches its raw 64-bit outputs in blocks, decodes each
@@ -32,18 +34,16 @@ generator or the decoding would be a breaking interface change.
 from __future__ import annotations
 
 import enum
-import hashlib
 import math
 import struct
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import FiberGraphsError
+from .errors import FiberGraphsError, UsageError
 from .tables import ContingencyTable, as_equal_margin_table, move_cells
 
 
@@ -68,20 +68,18 @@ class WalkConfig:
 
     def __post_init__(self) -> None:
         if self.steps < 0:
-            raise FiberGraphsError(f"steps must be >= 0, got {self.steps}")
+            raise UsageError(f"steps must be >= 0, got {self.steps}")
         if self.burn_in < 0:
-            raise FiberGraphsError(f"burn_in must be >= 0, got {self.burn_in}")
+            raise UsageError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.thinning < 1:
-            raise FiberGraphsError(f"thinning must be >= 1, got {self.thinning}")
+            raise UsageError(f"thinning must be >= 1, got {self.thinning}")
         if not 0 <= self.seed < 2**64:
-            raise FiberGraphsError("seed must fit in an unsigned 64-bit integer")
+            raise UsageError("seed must fit in an unsigned 64-bit integer")
         if self.steps > 0:
             if self.burn_in >= self.steps:
-                raise FiberGraphsError("burn_in must be smaller than steps")
+                raise UsageError("burn_in must be smaller than steps")
             if self.thinning > self.steps - self.burn_in:
-                raise FiberGraphsError(
-                    "thinning cannot exceed the post-burn-in step count"
-                )
+                raise UsageError("thinning cannot exceed the post-burn-in step count")
         object.__setattr__(self, "target", Target(self.target))
 
     @property
@@ -121,6 +119,7 @@ class VisitCounter:
         except struct.error:
             width = max(x.bit_length() for x in key) // 8 + 1
             packed = b"".join(x.to_bytes(width, "big", signed=True) for x in key)
+        import hashlib  # only past the cap, so a walk need not load it
         return int.from_bytes(hashlib.blake2b(packed, digest_size=8).digest(), "big")
 
     def record(self, key: tuple[int, ...]) -> None:
@@ -238,67 +237,87 @@ def _keeps_margins(n: int, move: tuple[int, int, int, int]) -> bool:
 
 
 def _chain(state: ChainState, config: WalkConfig, count: int, every: int) -> Iterator[int]:
-    """Run count transitions in one loop (see ``advance``), yielding the step
-    index after every ``every`` of them and after the last; a move id of -1
-    is Lemire's rejection and draws again.
+    """Run count transitions in one loop (see ``advance``), yielding the kept
+    score, the sum of squared entries, after every ``every`` of them and after
+    the last; a move id of -1 is Lemire's rejection and draws again.  A close at
+    an earlier yield, the top of the next step, leaves the index on that step.
 
-    The full margin assert is skipped after a move that ``_keeps_margins``
-    proves, which is sound only while nothing else writes ``state.entries``
-    between yields: ``advance`` ignores them there, and ``run_walk`` and
-    ``exact_test`` only read them.
+    The full margin assert and the score's re-sum are skipped after a move that
+    ``_keeps_margins`` proves, which is sound only while nothing else writes
+    ``state.entries`` between yields: ``advance`` ignores them there, and
+    ``run_walk`` and ``exact_test`` only read them.  A proven move adds
+    2 (c + d - a - b) to the score, c and d the added cells' new values.  The
+    log list holds a fiber member's terms, a, b, c, d <= r (an added cell shares
+    a row with a subtracted cell >= 1); an index past it raises as the check does.
     """
     n, r, entries, moves = state.n, state.r, state.entries, state.moves
     m = len(moves)
     keeps = [None] * m  # _keeps_margins of each move id, filled when first accepted
     hypergeometric = config.target is Target.HYPERGEOMETRIC
-    log, exp, bitgen, block = _Logs(), math.exp, state.bitgen, _BLOCK
+    log = [0.0, *map(math.log, range(1, r + 1))] if r <= 4096 else _Logs()
+    exp, bitgen, block = math.exp, state.bitgen, _BLOCK
     lows, highs, uniforms, cursor, half = (
         state.lows, state.highs, state.uniforms, state.cursor, state.half)
     t, accepted, stop = state.step_index, state.accepted_count, state.step_index + count
+    score = sum(map(mul, entries, entries))
+    due = t + every  # the step the next yield follows
     moved = True  # the entries may have changed since the last assert
     try:
-        while t < stop:
-            for t in range(t + 1, min(t + every, stop) + 1):
-                if moved:
-                    assert _margins_ok(n, r, entries)
-                    moved = False
-                if t % 4096 == 0 and not _margins_ok(n, r, entries):
+        for t in range(t + 1, stop + 1):
+            if t > due:
+                yield score
+                due += every
+            if moved:
+                assert _margins_ok(n, r, entries)
+                moved = False
+            if t % 4096 == 0:
+                if not _margins_ok(n, r, entries):
                     raise FiberGraphsError("chain state left the fiber (corrupted margins)")
-                if not m:
-                    continue
-                k = -1
-                while k < 0:
-                    if half is None:
-                        if cursor == block:
-                            lows, highs, uniforms = _decode_block(bitgen, m)
-                            cursor = 0
-                        k, half = lows[cursor], highs[cursor]
-                        cursor += 1
-                    else:
-                        k, half = half, None
-                sub1, sub2, add1, add2 = moves[k]
-                a, b = entries[sub1], entries[sub2]
-                if a < 1 or b < 1:
-                    continue  # lazy self-loop
-                if hypergeometric:
-                    log_ratio = log[a] + log[b] - log[entries[add1] + 1] - log[entries[add2] + 1]
-                    if log_ratio < 0:
-                        if cursor == block:
-                            lows, highs, uniforms = _decode_block(bitgen, m)
-                            cursor = 0
-                        cursor += 1
-                        if uniforms[cursor - 1] >= exp(log_ratio):
-                            continue
-                entries[sub1] = a - 1
-                entries[sub2] = b - 1
-                entries[add1] += 1
-                entries[add2] += 1
-                accepted += 1
-                keep = keeps[k]
-                if keep is None:
-                    keep = keeps[k] = _keeps_margins(n, moves[k])
-                moved = not keep
-            yield t
+                score = sum(map(mul, entries, entries))
+            if not m:
+                continue
+            k = -1
+            while k < 0:
+                if half is None:
+                    if cursor == block:
+                        lows, highs, uniforms = _decode_block(bitgen, m)
+                        cursor = 0
+                    k, half = lows[cursor], highs[cursor]
+                    cursor += 1
+                else:
+                    k, half = half, None
+            sub1, sub2, add1, add2 = moves[k]
+            a, b = entries[sub1], entries[sub2]
+            if a < 1 or b < 1:
+                continue  # lazy self-loop
+            c, d = entries[add1] + 1, entries[add2] + 1
+            if hypergeometric:
+                log_ratio = log[a] + log[b] - log[c] - log[d]
+                if log_ratio < 0:
+                    if cursor == block:
+                        lows, highs, uniforms = _decode_block(bitgen, m)
+                        cursor = 0
+                    cursor += 1
+                    if uniforms[cursor - 1] >= exp(log_ratio):
+                        continue
+            entries[sub1] = a - 1
+            entries[sub2] = b - 1
+            entries[add1] = c
+            entries[add2] = d
+            score += 2 * (c + d - a - b)
+            accepted += 1
+            keep = keeps[k]
+            if keep is None:
+                keep = keeps[k] = _keeps_margins(n, moves[k])
+            if not keep:
+                moved = True
+                score = sum(map(mul, entries, entries))
+        if count:
+            yield score
+    except IndexError:
+        if _margins_ok(n, r, entries):
+            raise
+        raise FiberGraphsError("chain state left the fiber (corrupted margins)") from None
     finally:
         state.step_index, state.accepted_count = t, accepted
         state.lows, state.highs, state.uniforms = lows, highs, uniforms
@@ -321,8 +340,8 @@ def advance(state: ChainState, config: WalkConfig, count: int) -> ChainState:
     distinct entries by -1, -1, +1, +1 on the same two rows and the same two
     columns, so a check skipped after a rejection or a proven move would
     repeat one that passed.  The margins are also checked unconditionally
-    every 4096 steps.  The counters and the stream position are written back
-    even when a check raises.
+    every 4096 steps; the kept score is re-summed at each full check, under -O
+    too.  The counters and the stream position are written back on a raise.
     """
     for _ in _chain(state, config, count, count):
         pass
@@ -340,13 +359,11 @@ def run_walk(
     """
     state = ChainState.from_table(start, config)
     samples: list[tuple[int, ...]] = []
-    if not config.steps:
-        return state, samples
     advance(state, config, config.burn_in)
-    for t in _chain(state, config, config.steps - config.burn_in, 1):
+    for t, _ in enumerate(_chain(state, config, config.steps - config.burn_in, 1), 1):
         key = tuple(state.entries)
         state.visits.record(key)
-        if (t - config.burn_in) % config.thinning == 0:
+        if t % config.thinning == 0:
             samples.append(key)
     return state, samples
 
@@ -355,13 +372,8 @@ def chi_square_statistic(t: ContingencyTable) -> float:
     """Pearson statistic against the flat expectation r/n in every cell (r >= 1)."""
     if t.r == 0:
         raise FiberGraphsError("chi-square is undefined for r = 0: every expected count is 0")
-    expected = Fraction(t.r, t.n)
-    total = sum(
-        (Fraction(x) - expected) ** 2 / expected
-        for row in t.entries
-        for x in row
-    )
-    return float(total)
+    # sum (x - r/n)^2 / (r/n) = sum (n x - r)^2 / (n r), one correctly rounded division
+    return sum((t.n * x - t.r) ** 2 for row in t.entries for x in row) / (t.n * t.r)
 
 
 @dataclass(frozen=True)
@@ -378,9 +390,9 @@ def exact_test(
     """Monte Carlo exact test of the flat-table null for an equal-margin table.
 
     Samples the hypergeometric target from the observed table and estimates
-    p = P(statistic >= observed), ties included, scoring the running chain at
-    each thinned sample.  The score is the integer sum of squared entries:
-    with every margin r, sum (n*x - r)^2 = n^2 (sum x^2 - r^2), so it orders
+    p = P(statistic >= observed), ties included, from the kernel's kept score
+    at each thinned sample, the integer sum of squared entries.  With every
+    margin r, sum (n*x - r)^2 = n^2 (sum x^2 - r^2), so it orders
     tables exactly as the statistic does, ties included, without any float
     comparison.  The standard error comes from batch means over the hits,
     which accounts for the autocorrelation an i.i.d. binomial formula would
@@ -393,11 +405,9 @@ def exact_test(
     cells = observed.row_major()
     threshold = sum(map(mul, cells, cells))
     state = ChainState.from_table(observed, config)
-    hits: list[bool] = []
-    if config.steps:
-        advance(state, config, config.burn_in)
-        for _ in _chain(state, config, config.samples_expected * config.thinning, config.thinning):
-            hits.append(sum(map(mul, state.entries, state.entries)) >= threshold)
+    advance(state, config, config.burn_in)
+    steps = config.samples_expected * config.thinning
+    hits = [score >= threshold for score in _chain(state, config, steps, config.thinning)]
     if not hits:
         return ExactTestResult(statistic, float("nan"), float("nan"), 0)
     m = len(hits)

@@ -12,7 +12,7 @@ which no command called them from, and check it from outside:
 * ``orientation_weight``: w.t for the (row + col)^2 weight that orients the graph.
 * ``transpose`` and ``permute``: the symmetries that relabel a table.
 * ``acceptance_ratio`` and ``transition_probabilities``: the sampler's
-  kernel as exact fractions.
+  kernel as exact fractions; ``chi_square_fraction``: its statistic.
 * ``resum`` and ``satisfies_constraints``, joined in ``decomposition_holds``:
   the reference for ``decomposition.failed_tables``.
 """
@@ -269,6 +269,14 @@ def transpose(entries) -> tuple[tuple[int, ...], ...]:
 def permute(entries, row_perm, col_perm) -> tuple[tuple[int, ...], ...]:
     """Relabel rows and columns: new[i][j] = old[row_perm[i]][col_perm[j]] (0-based)."""
     return tuple(tuple(entries[i][j] for j in col_perm) for i in row_perm)
+
+
+def chi_square_fraction(entries) -> Fraction:
+    """Pearson's statistic against the flat expectation r/n, summed cell by cell as
+    exact fractions: sum (x - r/n)^2 / (r/n)."""
+    n, r = len(entries), sum(entries[0])
+    expected = Fraction(r, n)
+    return sum(((x - expected) ** 2 / expected for row in entries for x in row), Fraction(0))
 
 
 def acceptance_ratio(u, v) -> Fraction:

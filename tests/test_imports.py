@@ -28,14 +28,18 @@ EXPORTS = """
 HEAVY = {"analysis", "graphs", "decomposition", "sampler"}
 
 
-def _loaded_modules(code: str) -> set[str]:
-    """The fibergraphs modules a fresh interpreter has loaded after running code."""
+def _all_modules(code: str) -> set[str]:
+    """Every module a fresh interpreter has loaded after running code."""
     report = "import json, sys; print(json.dumps(sorted(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(Path(fibergraphs.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    modules = json.loads(proc.stdout.splitlines()[-1])
-    return {m.split(".", 1)[1] for m in modules if m.startswith("fibergraphs.")}
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _loaded_modules(code: str) -> set[str]:
+    """The fibergraphs modules a fresh interpreter has loaded after running code."""
+    return {m.split(".", 1)[1] for m in _all_modules(code) if m.startswith("fibergraphs.")}
 
 
 def test_importing_the_package_loads_no_module():
@@ -67,6 +71,17 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, heavy):
     (tmp_path / "t.csv").write_text("3,1,0\n0,2,2\n1,1,2\n")
     code = _cli(*(arg.format(tmp=tmp_path) for arg in argv))
     assert _loaded_modules(code) & HEAVY == heavy
+
+
+def test_the_test_command_loads_no_hashlib_or_fractions_of_its_own(tmp_path):
+    # the statistic is exact in integers and only the visit sketch, past 100,000
+    # distinct tables, hashes; numpy.random itself loads hashlib (secrets, hmac)
+    (tmp_path / "t.csv").write_text("3,1,0\n0,2,2\n1,1,2\n")
+    lean = {"hashlib", "fractions"}
+    assert not lean & _all_modules("import fibergraphs.sampler")
+    code = _cli("test", "--table", f"{tmp_path}/t.csv", "--steps", "50", "--seed", "1",
+                "--out", f"{tmp_path}/p.json")
+    assert not lean & (_all_modules(code) - _all_modules("import numpy.random"))
 
 
 def test_every_public_name_resolves_to_its_module_object():

@@ -758,6 +758,24 @@ def test_cli_hemmecke_guard(capsys):
         assert "1 <= k <= 12" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["test", "sample"])
+@pytest.mark.parametrize("flags, message", [
+    (["--thin", "0"], "thinning must be >= 1, got 0"),
+    (["--steps", "-1"], "steps must be >= 0, got -1"),
+    (["--burn-in", "-1"], "burn_in must be >= 0, got -1"),
+    (["--burn-in", "10"], "burn_in must be smaller than steps"),
+    (["--thin", "6", "--burn-in", "5"], "thinning cannot exceed the post-burn-in step count"),
+    (["--seed", "-1"], "seed must fit in an unsigned 64-bit integer"),
+])
+def test_cli_walk_flags_out_of_range_are_usage_errors(tmp_path, capsys, command, flags, message):
+    table = tmp_path / "t.csv"
+    table.write_text("2,0\n0,2\n")
+    walk = {"--steps": "10", "--seed": "1", **dict(zip(flags[::2], flags[1::2]))}
+    argv = [command, "--table", str(table), *(x for pair in walk.items() for x in pair)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 _WRITERS = {
     "enumerate": ["enumerate", "--n", "3", "--r", "2", "--format", "csv", "--out"],
     "graph": ["graph", "--n", "2", "--r", "2", "--out"],

@@ -26,7 +26,8 @@ from fibergraphs.sampler import (
 )
 from fibergraphs.tables import as_equal_margin_table, move_cells, validate_table
 
-from oracles import acceptance_ratio, hypergeometric_mass, transition_probabilities
+from oracles import (acceptance_ratio, chi_square_fraction, hypergeometric_mass,
+                     transition_probabilities)
 
 T0 = validate_table(2, 2, [[0, 2], [2, 0]])
 T1 = validate_table(2, 2, [[1, 1], [1, 1]])
@@ -278,6 +279,19 @@ def test_chi_square_statistic_values():
     assert chi_square_statistic(validate_table(3, 2, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])) == 12.0
 
 
+@pytest.mark.parametrize("tables", [
+    pytest.param(lambda: enumerate_fiber(3, 3), id="G(3,3)"),
+    pytest.param(lambda: enumerate_fiber(2, 5), id="G(2,5)"),
+    pytest.param(lambda: [validate_table(2, 10**15, [[10**15 - 7, 7], [7, 10**15 - 7]]),
+                          validate_table(2, 2**65, [[2**64] * 2] * 2)], id="huge-margins"),
+])
+def test_chi_square_statistic_is_the_rounded_fraction(tables):
+    # one int / int division: the float nearest the exact sum, bit for bit
+    for table in tables():
+        expected = float(chi_square_fraction(table.entries))
+        assert chi_square_statistic(table).hex() == expected.hex(), table.entries
+
+
 def test_zero_margin_fails_before_the_walk(monkeypatch):
     # every expected count is 0, so the statistic is undefined
     zero = validate_table(2, 0, [[0, 0], [0, 0]])
@@ -333,7 +347,7 @@ from fibergraphs.tables import validate_table
 LEFT_THE_FIBER = "chain state left the fiber (corrupted margins)"
 config = WalkConfig(steps=0, seed=7, target="hypergeometric")
 state = ChainState.from_table(validate_table(3, 3, [[1, 1, 1]] * 3), config)
-state.moves = ((0, 4, 1, 1),)  # cell 1 gains two: row 1 and column 2 then sum to 4
+state.moves = ((0, 4, 1, 1),)  # cells 0 and 4 lose one: row 2 and column 1 then sum to 2
 try:
     advance(state, config, 10_000)
 except AssertionError:
@@ -416,6 +430,101 @@ def test_malformed_moves_are_caught_on_the_next_step(move):
     with pytest.raises(AssertionError):
         advance(state, config, 10_000)
     assert (state.step_index, state.accepted_count) == (accepted_at + 1, 1)
+
+
+@pytest.mark.parametrize("target", ["uniform", "hypergeometric"])
+@pytest.mark.parametrize("table", [T5, T1], ids=["T5", "G(2,2)"])
+def test_kept_score_is_the_sum_of_squares_at_every_yield(table, target):
+    # steps 3,001 to 8,000: across block refills and the check at step 4,096; a run
+    # yielding every 7 steps yields the per-step scores at its stride, then the last
+    config = WalkConfig(steps=0, seed=16, target=target)
+    runs = {}
+    for every in (1, 7):
+        state = ChainState.from_table(table, config)
+        advance(state, config, 3000)
+        runs[every] = []
+        for score in sampler._chain(state, config, 5000, every):
+            assert score == sum(x * x for x in state.entries)
+            runs[every].append(score)
+        assert state.step_index == 8000
+    assert runs[7] == runs[1][6::7] + runs[1][-1:]
+    assert len(set(runs[1])) > 1
+
+
+KEPT_SCORE_SCRIPT = """
+from fibergraphs import sampler
+from fibergraphs.errors import FiberGraphsError
+from fibergraphs.sampler import ChainState, WalkConfig
+from fibergraphs.tables import validate_table
+
+config = WalkConfig(steps=0, seed=7, target="hypergeometric")
+state = ChainState.from_table(validate_table(3, 3, [[1, 1, 1]] * 3), config)
+state.moves = ({move!r},)
+wrong = 0
+try:
+    for score in sampler._chain(state, config, 10_000, 1):
+        wrong += score != sum(x * x for x in state.entries)
+except FiberGraphsError:
+    pass
+print(state.accepted_count, wrong)
+"""
+
+
+@pytest.mark.parametrize("move", [(0, 0, 1, 3), (1, 3, 0, 0), (0, 0, 0, 0), (0, 4, -1, 8),
+                                  (0, 4, 6, 7), (0, 4, 2, 5), (0, 4, 1, 1)])
+def test_kept_score_is_resummed_after_an_unproven_move(move):
+    # under -O no assert stops the walk after the malformed move is accepted
+    env = {**os.environ, "PYTHONPATH": str(Path(sampler.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", KEPT_SCORE_SCRIPT.format(move=move)],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    accepted, wrong = map(int, out.split())
+    assert accepted >= 1 and wrong == 0
+
+
+@pytest.mark.parametrize("r", [1, 15, 4096, 4097])
+def test_log_terms_are_math_log_bit_for_bit(r):
+    # a list of log(0..r) up to r = 4096, the bounded memo above
+    config = WalkConfig(steps=0, seed=1, target="hypergeometric")
+    chain = sampler._chain(ChainState.from_table(
+        validate_table(2, r, [[r, 0], [0, r]]), config), config, 1, 1)
+    next(chain)
+    log = chain.gi_frame.f_locals["log"]
+    chain.close()
+    if r > 4096:
+        assert isinstance(log, sampler._Logs)
+        return
+    assert len(log) == r + 1
+    assert [x.hex() for x in log[1:]] == [math.log(k).hex() for k in range(1, r + 1)]
+
+
+ABOVE_THE_MARGIN_SCRIPT = """
+from fibergraphs.sampler import ChainState, WalkConfig, advance
+from fibergraphs.tables import validate_table
+
+config = WalkConfig(steps=0, seed=5, target="hypergeometric")
+state = ChainState.from_table(validate_table(2, 2, [[1, 1], [1, 1]]), config)
+advance(state, config, 1)
+state.entries[:] = [5, 5, 5, 5]  # every entry past the log list of r = 2
+try:
+    advance(state, config, 10)
+except Exception as exc:
+    print(type(exc).__name__, state.step_index, exc)
+"""
+
+
+@pytest.mark.parametrize("flags, expected", [
+    ([], "AssertionError 2 "),
+    (["-O"], "FiberGraphsError 2 chain state left the fiber (corrupted margins)"),
+])
+def test_an_entry_above_the_margin_is_a_corrupted_state(flags, expected):
+    env = {**os.environ, "PYTHONPATH": str(Path(sampler.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", ABOVE_THE_MARGIN_SCRIPT],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert out == expected + "\n"
 
 
 def test_proven_moves_skip_the_margin_assert(monkeypatch):
