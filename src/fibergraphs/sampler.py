@@ -34,6 +34,7 @@ generator or the decoding would be a breaking interface change.
 from __future__ import annotations
 
 import enum
+import hashlib
 import math
 import struct
 from dataclasses import dataclass, field, replace
@@ -119,7 +120,6 @@ class VisitCounter:
         except struct.error:
             width = max(x.bit_length() for x in key) // 8 + 1
             packed = b"".join(x.to_bytes(width, "big", signed=True) for x in key)
-        import hashlib  # only past the cap, so a walk need not load it
         return int.from_bytes(hashlib.blake2b(packed, digest_size=8).digest(), "big")
 
     def record(self, key: tuple[int, ...]) -> None:
@@ -239,8 +239,7 @@ def _keeps_margins(n: int, move: tuple[int, int, int, int]) -> bool:
 def _chain(state: ChainState, config: WalkConfig, count: int, every: int) -> Iterator[int]:
     """Run count transitions in one loop (see ``advance``), yielding the kept
     score, the sum of squared entries, after every ``every`` of them and after
-    the last; a move id of -1 is Lemire's rejection and draws again.  A close at
-    an earlier yield, the top of the next step, leaves the index on that step.
+    the last; a move id of -1 is Lemire's rejection and draws again.
 
     The full margin assert and the score's re-sum are skipped after a move that
     ``_keeps_margins`` proves, which is sound only while nothing else writes
@@ -248,7 +247,8 @@ def _chain(state: ChainState, config: WalkConfig, count: int, every: int) -> Ite
     ``run_walk`` and ``exact_test`` only read them.  A proven move adds
     2 (c + d - a - b) to the score, c and d the added cells' new values.  The
     log list holds a fiber member's terms, a, b, c, d <= r (an added cell shares
-    a row with a subtracted cell >= 1); an index past it raises as the check does.
+    a row with a subtracted cell >= 1); an index past its end, or an added cell
+    below 1, raises as the check does.
     """
     n, r, entries, moves = state.n, state.r, state.entries, state.moves
     m = len(moves)
@@ -260,59 +260,57 @@ def _chain(state: ChainState, config: WalkConfig, count: int, every: int) -> Ite
         state.lows, state.highs, state.uniforms, state.cursor, state.half)
     t, accepted, stop = state.step_index, state.accepted_count, state.step_index + count
     score = sum(map(mul, entries, entries))
-    due = t + every  # the step the next yield follows
     moved = True  # the entries may have changed since the last assert
     try:
-        for t in range(t + 1, stop + 1):
-            if t > due:
-                yield score
-                due += every
-            if moved:
-                assert _margins_ok(n, r, entries)
-                moved = False
-            if t % 4096 == 0:
-                if not _margins_ok(n, r, entries):
-                    raise FiberGraphsError("chain state left the fiber (corrupted margins)")
-                score = sum(map(mul, entries, entries))
-            if not m:
-                continue
-            k = -1
-            while k < 0:
-                if half is None:
-                    if cursor == block:
-                        lows, highs, uniforms = _decode_block(bitgen, m)
-                        cursor = 0
-                    k, half = lows[cursor], highs[cursor]
-                    cursor += 1
-                else:
-                    k, half = half, None
-            sub1, sub2, add1, add2 = moves[k]
-            a, b = entries[sub1], entries[sub2]
-            if a < 1 or b < 1:
-                continue  # lazy self-loop
-            c, d = entries[add1] + 1, entries[add2] + 1
-            if hypergeometric:
-                log_ratio = log[a] + log[b] - log[c] - log[d]
-                if log_ratio < 0:
-                    if cursor == block:
-                        lows, highs, uniforms = _decode_block(bitgen, m)
-                        cursor = 0
-                    cursor += 1
-                    if uniforms[cursor - 1] >= exp(log_ratio):
-                        continue
-            entries[sub1] = a - 1
-            entries[sub2] = b - 1
-            entries[add1] = c
-            entries[add2] = d
-            score += 2 * (c + d - a - b)
-            accepted += 1
-            keep = keeps[k]
-            if keep is None:
-                keep = keeps[k] = _keeps_margins(n, moves[k])
-            if not keep:
-                moved = True
-                score = sum(map(mul, entries, entries))
-        if count:
+        while t < stop:
+            for t in range(t + 1, min(t + every, stop) + 1):
+                if moved:
+                    assert _margins_ok(n, r, entries)
+                    moved = False
+                if t % 4096 == 0:
+                    if not _margins_ok(n, r, entries):
+                        raise FiberGraphsError("chain state left the fiber (corrupted margins)")
+                    score = sum(map(mul, entries, entries))
+                if not m:
+                    continue
+                k = -1
+                while k < 0:
+                    if half is None:
+                        if cursor == block:
+                            lows, highs, uniforms = _decode_block(bitgen, m)
+                            cursor = 0
+                        k, half = lows[cursor], highs[cursor]
+                        cursor += 1
+                    else:
+                        k, half = half, None
+                sub1, sub2, add1, add2 = moves[k]
+                a, b = entries[sub1], entries[sub2]
+                if a < 1 or b < 1:
+                    continue  # lazy self-loop
+                c, d = entries[add1] + 1, entries[add2] + 1
+                if hypergeometric:
+                    if c < 1 or d < 1:  # a negative entry, before the list's start
+                        raise FiberGraphsError("chain state left the fiber (corrupted margins)")
+                    log_ratio = log[a] + log[b] - log[c] - log[d]
+                    if log_ratio < 0:
+                        if cursor == block:
+                            lows, highs, uniforms = _decode_block(bitgen, m)
+                            cursor = 0
+                        cursor += 1
+                        if uniforms[cursor - 1] >= exp(log_ratio):
+                            continue
+                entries[sub1] = a - 1
+                entries[sub2] = b - 1
+                entries[add1] = c
+                entries[add2] = d
+                score += 2 * (c + d - a - b)
+                accepted += 1
+                keep = keeps[k]
+                if keep is None:
+                    keep = keeps[k] = _keeps_margins(n, moves[k])
+                if not keep:
+                    moved = True
+                    score = sum(map(mul, entries, entries))
             yield score
     except IndexError:
         if _margins_ok(n, r, entries):
@@ -359,6 +357,8 @@ def run_walk(
     """
     state = ChainState.from_table(start, config)
     samples: list[tuple[int, ...]] = []
+    if not config.steps:
+        return state, samples
     advance(state, config, config.burn_in)
     for t, _ in enumerate(_chain(state, config, config.steps - config.burn_in, 1), 1):
         key = tuple(state.entries)
@@ -405,11 +405,11 @@ def exact_test(
     cells = observed.row_major()
     threshold = sum(map(mul, cells, cells))
     state = ChainState.from_table(observed, config)
+    if not config.steps:
+        return ExactTestResult(statistic, float("nan"), float("nan"), 0)
     advance(state, config, config.burn_in)
     steps = config.samples_expected * config.thinning
     hits = [score >= threshold for score in _chain(state, config, steps, config.thinning)]
-    if not hits:
-        return ExactTestResult(statistic, float("nan"), float("nan"), 0)
     m = len(hits)
     p_hat = sum(hits) / m
     n_batches = min(100, m)

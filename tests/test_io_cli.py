@@ -776,6 +776,21 @@ def test_cli_walk_flags_out_of_range_are_usage_errors(tmp_path, capsys, command,
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_cli_empty_walk_with_a_burn_in(tmp_path, capsys):
+    # --steps 0 accepts any --burn-in and runs no step, burn-in included
+    table = tmp_path / "t.csv"
+    table.write_text("2,0\n0,2\n")
+    walk = ["--table", str(table), "--steps", "0", "--burn-in", "5", "--seed", "1"]
+    assert main(["sample", *walk]) == 0
+    out, err = capsys.readouterr()
+    summary = json.loads(err)
+    assert out == ""
+    assert (summary["steps"], summary["accepted"], summary["samples"]) == (0, 0, 0)
+    assert main(["test", *walk]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["samples_used"] == 0 and report["p_value_estimate"] is None
+
+
 _WRITERS = {
     "enumerate": ["enumerate", "--n", "3", "--r", "2", "--format", "csv", "--out"],
     "graph": ["graph", "--n", "2", "--r", "2", "--out"],

@@ -106,6 +106,18 @@ def test_empty_walk():
     assert tuple(state.entries) == T2.row_major()
 
 
+def test_an_empty_walk_runs_no_burn_in(monkeypatch):
+    # steps = 0 accepts any burn-in and asks for no step, so no kernel runs
+    def no_kernel(*args):
+        raise AssertionError("a kernel run for an empty walk")
+    monkeypatch.setattr(sampler, "_chain", no_kernel)
+    config = WalkConfig(steps=0, seed=5, burn_in=5)
+    state, samples = run_walk(T2, config)
+    assert (samples, state.step_index, state.visits.counts) == ([], 0, {})
+    result = exact_test(T1, config)
+    assert result.samples_used == 0 and math.isnan(result.p_value_estimate)
+
+
 def test_step_preserves_fiber_membership():
     config = WalkConfig(steps=0, seed=31, target=Target.HYPERGEOMETRIC)
     state = ChainState.from_table(T1, config)
@@ -451,6 +463,22 @@ def test_kept_score_is_the_sum_of_squares_at_every_yield(table, target):
     assert len(set(runs[1])) > 1
 
 
+def test_a_closed_kernel_run_leaves_its_last_completed_step():
+    # a yield follows its stretch's last step, so a close there loses no step and
+    # runs none twice: the rest of the walk matches an uninterrupted one
+    config = WalkConfig(steps=0, seed=16, target="hypergeometric")
+    state, whole = (ChainState.from_table(T5, config) for _ in range(2))
+    chain = sampler._chain(state, config, 100, 7)
+    for _ in range(3):
+        next(chain)
+    chain.close()
+    assert state.step_index == 21
+    advance(state, config, 79)
+    advance(whole, config, 100)
+    assert (state.step_index, state.accepted_count, state.entries) == (
+        whole.step_index, whole.accepted_count, whole.entries)
+
+
 KEPT_SCORE_SCRIPT = """
 from fibergraphs import sampler
 from fibergraphs.errors import FiberGraphsError
@@ -499,14 +527,14 @@ def test_log_terms_are_math_log_bit_for_bit(r):
     assert [x.hex() for x in log[1:]] == [math.log(k).hex() for k in range(1, r + 1)]
 
 
-ABOVE_THE_MARGIN_SCRIPT = """
+CORRUPTED_ENTRY_SCRIPT = """
 from fibergraphs.sampler import ChainState, WalkConfig, advance
 from fibergraphs.tables import validate_table
 
 config = WalkConfig(steps=0, seed=5, target="hypergeometric")
-state = ChainState.from_table(validate_table(2, 2, [[1, 1], [1, 1]]), config)
+state = ChainState.from_table(validate_table(3, 3, [[1, 1, 1]] * 3), config)
 advance(state, config, 1)
-state.entries[:] = [5, 5, 5, 5]  # every entry past the log list of r = 2
+state.entries[:] = {entries!r}
 try:
     advance(state, config, 10)
 except Exception as exc:
@@ -514,16 +542,23 @@ except Exception as exc:
 """
 
 
-@pytest.mark.parametrize("flags, expected", [
-    ([], "AssertionError 2 "),
-    (["-O"], "FiberGraphsError 2 chain state left the fiber (corrupted margins)"),
+@pytest.mark.parametrize("entries, step", [
+    pytest.param([5] * 9, 2, id="past-the-end"),  # every entry past log 0..3
+    pytest.param([-1, 2, 2, 2, -1, 2, 2, 2, -1], 3, id="log-0"),  # c = 0 would read 0.0
+    pytest.param([-1] + [1] * 8, 4, id="log-0-margins"),
+    pytest.param([-2] + [1] * 8, 4, id="wraps-to-log-3"),  # c = -1 would read log 3
 ])
-def test_an_entry_above_the_margin_is_a_corrupted_state(flags, expected):
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
+def test_an_entry_outside_0_to_r_is_a_corrupted_state(flags, entries, step):
+    # the assert on entry catches each; under -O the log read does, on the
+    # first step that would read it, and never as an IndexError or a wrong term
     env = {**os.environ, "PYTHONPATH": str(Path(sampler.__file__).parents[1])}
+    script = CORRUPTED_ENTRY_SCRIPT.format(entries=entries)
     out = subprocess.run(
-        [sys.executable, *flags, "-c", ABOVE_THE_MARGIN_SCRIPT],
-        capture_output=True, text=True, env=env, check=True,
+        [sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env, check=True,
     ).stdout
+    expected = ("FiberGraphsError {} chain state left the fiber (corrupted margins)".format(step)
+                if flags else "AssertionError 2 ")
     assert out == expected + "\n"
 
 
