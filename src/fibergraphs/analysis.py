@@ -35,9 +35,9 @@ pair.  By (1) all pairs read from one orbit share u, and a symmetry maps
 (u, w) to (u, x) by fixing u, or by sending w to u, which one coset of
 Stab(u) does when w and u share a vertex orbit: so (2) reads one pair per
 orbit, two at most when its tables share a vertex orbit.  A fiber graph
-reads its fiber's ``graphs.vertex_orbits``, once ``automorphisms`` has
-proven the generators on its arcs; a plain ``CsrGraph`` has no symmetry, so
-there every vertex is a representative and every pair its own orbit.
+reads its fiber's ``graphs.vertex_orbits``, whose generators are proven on
+the cells alone; a plain ``CsrGraph`` has no symmetry, so there every
+vertex is a representative and every pair its own orbit.
 """
 
 from __future__ import annotations
@@ -291,8 +291,10 @@ def distance_two_pairs(graph: CsrGraph) -> np.ndarray:
 
 
 def _vertex_labels(graph: CsrGraph) -> np.ndarray:
-    """The fiber's ``vertex_orbits``, read once ``graph.automorphisms`` proves the generators."""
-    return vertex_orbits(graph.fiber) if graph.automorphisms else np.arange(graph.vertex_count)
+    """A fiber graph's ``vertex_orbits``; a plain graph's vertices are each their own orbit."""
+    if isinstance(graph, FiberGraph):
+        return vertex_orbits(graph.fiber)
+    return np.arange(graph.vertex_count)
 
 
 def _first_members(labels: np.ndarray) -> np.ndarray:
@@ -351,7 +353,7 @@ def _orbit_first_pairs(graph: CsrGraph) -> np.ndarray:
     Vertex ids follow the canonical order of the tables' cells, so the rule
     compares w's table with its images and looks up no vertex."""
     pairs = _anchored_pairs(graph)
-    if not (graph.automorphisms and len(pairs)):
+    if not (isinstance(graph, FiberGraph) and len(pairs)):
         return pairs
     reps, which = np.unique(pairs[:, 0], return_inverse=True)
     stabs = [stabiliser(graph.fiber.cells[x]) for x in reps.tolist()]

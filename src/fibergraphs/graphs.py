@@ -7,10 +7,10 @@ basis move at a time: the move is added to every row of the fiber's cell
 array whose two subtracted cells are positive, and the results are looked
 up in the fiber by binary search, O(|V| log |V|) per move.
 
-Row permutations, column permutations and the transpose map basis moves to
-basis moves, so they act on the graph as automorphisms: a group of order
-2(n!)^2, generated by a row swap, a row n-cycle and the transpose.  Each
-acts on a table's row-major cells as one permutation of the n^2 cells.
+Row permutations, column permutations and the transpose act on the graph as
+automorphisms: a group of order 2(n!)^2, generated by a row swap, a row
+n-cycle and the transpose.  Each is one permutation of a table's n^2
+cells, proven with no graph to map lines onto lines.
 
 Orienting every edge toward the strictly smaller value of the weight
 (row + col)^2, summed over a table's cells, turns the graph into a DAG with
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import wraps
 from itertools import chain, permutations
 from typing import Iterable, Iterator, Sequence
 from weakref import WeakKeyDictionary
@@ -53,14 +53,12 @@ class CsrGraph:
     """Undirected simple graph as CSR: the neighbours of u are
     ``indices[indptr[u]:indptr[u + 1]]``.
 
-    A plain graph has no known symmetry: ``automorphisms`` is empty, so
-    every vertex and pair is its own orbit.
+    A plain graph has no known symmetry, so every vertex and pair is its
+    own orbit.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-
-    automorphisms = ()  # unannotated, so a class attribute and not a field
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "CsrGraph":
@@ -114,45 +112,43 @@ class FiberGraph(CsrGraph):
     fiber: Fiber
     move_ids: np.ndarray
 
-    @cached_property
-    def automorphisms(self) -> tuple[np.ndarray, ...]:
-        """The fiber's memoised ``symmetry_generators``, proven on the graph.
 
-        Each is checked to be a bijection that maps the arc set onto itself
-        (their sorted u*V + v keys are compared); FiberGraphsError is
-        raised when one does not.  The graph's own keys are not sorted but
-        checked to increase strictly, as the sorted CSR rows make them.
-        """
-        size = self.vertex_count
-        tails = np.repeat(np.arange(size), np.diff(self.indptr))
-        arcs = tails * size + self.indices
-        if not (arcs[1:] > arcs[:-1]).all():
-            raise FiberGraphsError("the graph's arcs are not sorted by tail, then head")
-        generators = symmetry_generators(self.fiber)
-        for name, perm in generators.items():
-            image = np.sort(perm[tails] * size + perm[self.indices])
-            if not (np.array_equal(np.sort(perm), np.arange(size)) and np.array_equal(image, arcs)):
-                raise FiberGraphsError(f"the {name} does not map the edges onto edges")
-        return tuple(generators.values())
+def _check_line_maps(cell_perms: dict[str, np.ndarray]) -> None:
+    """Raise FiberGraphsError, naming it, for the first (n, n) array p of
+    cell ids whose rows and columns are not, as sets, the grid's 2n lines.
+
+    p maps a table t to t[p], whose lines read t on the lines of p.  When
+    these are the grid's lines, each cell is in two of them, so once in p,
+    and every margin stays: p maps the fiber onto itself (``Fiber.ids_of``
+    looks the images up).  The rows of p are disjoint lines, and a row meets
+    every column, so they are all rows or all columns: p permutes rows and
+    columns, with or without the transpose.  So it maps each rectangle's
+    diagonal to a rectangle's diagonal, and the rows of ``move_cells(n)``
+    onto themselves.  As ``build_graph`` joins exactly the move
+    differences, p is an automorphism of every G(n, r).
+    """
+    for name, p in cell_perms.items():
+        lines = [{frozenset(line) for line in chain(a.tolist(), a.T.tolist())}
+                 for a in (p, np.arange(p.size).reshape(p.shape))]
+        if lines[0] != lines[1]:
+            raise FiberGraphsError(f"the {name} does not map the lines of a table onto lines")
+
+
+def _cell_symmetries(n: int) -> dict[str, np.ndarray]:
+    """A row swap, a row n-cycle and the transpose as checked (n, n) arrays of cell ids."""
+    grid, rows = np.arange(n * n).reshape(n, n), np.arange(n)
+    cell_perms = {"row swap": grid[np.r_[rows[1::-1], rows[2:]]],
+                  "row cycle": grid[np.roll(rows, 1)], "transpose": grid.T}
+    _check_line_maps(cell_perms)
+    return cell_perms
 
 
 @weakly_memoised
 def symmetry_generators(fiber: Fiber) -> dict[str, np.ndarray]:
-    """Vertex permutations of a row swap, a row n-cycle and the transpose.
-
-    Together they generate all 2(n!)^2 row and column permutations, with and
-    without transpose.  Each maps every table of the fiber to a table of the
-    fiber; whether it is also a graph automorphism is checked by
-    ``FiberGraph.automorphisms``.  They are read-only, computed once per fiber.
-    """
-    n = fiber.n
-    grid = np.arange(n * n).reshape(n, n)
-    swap = np.arange(n)
-    swap[:2] = swap[1::-1]
-    cell_perms = {"row swap": grid[swap], "row cycle": grid[np.roll(np.arange(n), 1)],
-                  "transpose": grid.T}
-    # each vertex x maps to the table whose row-major cells are cells[x][p]
-    generators = {name: fiber.ids_of(fiber.cells[:, p.ravel()]) for name, p in cell_perms.items()}
+    """Vertex permutations of ``_cell_symmetries``, read-only, computed once per
+    fiber: they generate the 2(n!)^2 row and column permutations and transposes."""
+    generators = {name: fiber.ids_of(fiber.cells[:, p.ravel()])
+                  for name, p in _cell_symmetries(fiber.n).items()}
     for perm in generators.values():
         perm.flags.writeable = False
     return generators

@@ -30,7 +30,7 @@ from fibergraphs.cli import main
 from fibergraphs.enumeration import enumerate_fiber
 from fibergraphs.errors import FiberGraphsError
 from fibergraphs.graphs import (TWO_HOP_BLOCK, CsrGraph, _orbit_labels, build_graph, stabiliser,
-                                two_hop_pairs)
+                                symmetry_generators, two_hop_pairs)
 from fibergraphs.tables import scaled_permutation, valid_moves, validate_table
 
 from oracles import (
@@ -51,6 +51,11 @@ from oracles import (
     rows_of,
     transpose,
 )
+
+
+def _generators(graph):
+    """The fiber's symmetry generators, as a list of vertex permutations."""
+    return list(symmetry_generators(graph.fiber).values())
 
 
 # --- distances ---
@@ -277,7 +282,7 @@ def test_two_hop_pairs_of_chosen_rows_match_the_two_hop_oracle():
 def test_anchored_pairs_are_the_rows_of_representatives(n, r):
     graph = build_graph(enumerate_fiber(n, r))
     labels, pairs = _vertex_labels(graph), _anchored_pairs(graph)
-    assert labels.tolist() == _orbit_labels(graph.vertex_count, graph.automorphisms).tolist()
+    assert labels.tolist() == _orbit_labels(graph.vertex_count, _generators(graph)).tolist()
     full = distance_two_pairs(graph)
     # u a representative, and (rule 1) w's representative no smaller than u
     expected = full[(labels[full[:, 0]] == full[:, 0]) & (labels[full[:, 1]] >= full[:, 0])]
@@ -314,7 +319,7 @@ def test_verify_computes_distance_two_pairs_once(monkeypatch, tmp_path):
             "--out", str(tmp_path / "report.json")]
     assert main(argv) == 0
     graph = build_graph(enumerate_fiber(3, 3))
-    reps = len(np.unique(_orbit_labels(graph.vertex_count, graph.automorphisms)))
+    reps = len(np.unique(_orbit_labels(graph.vertex_count, _generators(graph))))
     assert reps < graph.vertex_count == 55
     assert calls == [(55, reps)]
 
@@ -650,7 +655,7 @@ def _canonical(table):
 @pytest.mark.parametrize("n,r", [(3, 3), (3, 4), (4, 2)])
 def test_vertex_orbits_are_the_table_classes(n, r):
     graph = build_graph(enumerate_fiber(n, r))
-    labels = _orbit_labels(graph.vertex_count, graph.automorphisms).tolist()
+    labels = _orbit_labels(graph.vertex_count, _generators(graph)).tolist()
     classes = [_canonical(table) for table in graph.fiber]
     first_of_class: dict = {}
     for x, key in enumerate(classes):
@@ -743,7 +748,7 @@ def test_anchored_sweep_pairs_are_the_orbit_first_members(n, r):
     full, size = distance_two_pairs(graph), graph.vertex_count
     keys = full @ np.array([size, 1])
     images = [np.searchsorted(keys, np.sort(perm[full], axis=1) @ np.array([size, 1]))
-              for perm in graph.automorphisms]
+              for perm in _generators(graph)]
     orbits = _orbit_labels(len(full), images)
     pairs = _orbit_first_pairs(graph)
     swept = np.searchsorted(keys, pairs @ np.array([size, 1]))

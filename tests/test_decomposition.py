@@ -16,7 +16,6 @@ from fibergraphs.decomposition import decompose, decompose_tables, failed_tables
 from fibergraphs import cli, decomposition, graphs
 from fibergraphs.enumeration import DEFAULT_CAP, enumerate_fiber
 from fibergraphs.errors import FiberGraphsError, SizeLimitExceededError
-from fibergraphs.graphs import FiberGraph
 from fibergraphs.tables import validate_table
 
 from oracles import decomposition_holds, satisfies_constraints
@@ -116,8 +115,8 @@ def test_konig_check_builds_no_graph(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("checks", ["konig,commonchoices", "commonchoices,konig"])
 def test_verify_labels_the_orbits_once_in_either_order(monkeypatch, tmp_path, checks):
-    # konig reads the fiber's orbits; commonchoices reads the same labels once
-    # its graph has proven the memoised generators on its arcs
+    # konig reads the fiber's orbits; commonchoices reads the same labels,
+    # built from the memoised generators once per fiber
     def report(*options):
         out = tmp_path / "report.json"
         argv = ["verify", "--n", "4", "--r", "3", *options, "--out", str(out)]
@@ -140,20 +139,6 @@ def test_verify_labels_the_orbits_once_in_either_order(monkeypatch, tmp_path, ch
     ordered = report("--checks", checks)
     assert calls == {"symmetry_generators": 1, "_orbit_labels": 1}
     assert ordered == {name: default[name] for name in checks.split(",")}
-
-
-def test_konig_check_builds_no_automorphisms(monkeypatch, tmp_path):
-    # degrees builds the graph but not its automorphisms, which the konig
-    # check must not build either: the symmetry generators label the orbits
-    def refuse(graph):
-        raise AssertionError("the konig check built the graph's automorphisms")
-
-    monkeypatch.setattr(FiberGraph, "automorphisms", property(refuse))
-    out = tmp_path / "konig.json"
-    argv = ["verify", "--n", "4", "--r", "3", "--checks", "degrees,konig", "--out", str(out)]
-    assert cli.main(argv) == 0
-    _, konig = json.loads(out.read_text())["results"]
-    assert konig["computed"] == {"tables": 2008, "failures": 0}
 
 
 def test_decompose_zero_table_has_no_parts():

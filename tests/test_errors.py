@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 
-import numpy as np
 import pytest
 
 from fibergraphs import cli
@@ -20,7 +19,7 @@ from fibergraphs.analysis import detour_paths, diameter, hemmecke_graph, local_c
 from fibergraphs.decomposition import decompose
 from fibergraphs.enumeration import enumerate_fiber
 from fibergraphs.errors import FiberGraphsError, SizeLimitExceededError, UsageError
-from fibergraphs.graphs import CsrGraph, FiberGraph, build_graph, export_graph
+from fibergraphs.graphs import CsrGraph, build_graph, export_graph
 from fibergraphs.tables import apply_move, as_equal_margin_table, validate_table
 
 FILES = {
@@ -34,14 +33,6 @@ FILES = {
 IDENTITY = validate_table(2, 1, [[1, 0], [0, 1]])
 VALID_CHECKS = ("degrees, connmax, maxdeg, commonchoices, connectivity, liu, diameter, sink, "
                 "dag, konig, decomp-constrained")
-
-
-def _one_edge_of_g22() -> FiberGraph:
-    """G(2,2), the path 0 - 1 - 2, without its edge 1 - 2: the row swap maps
-    the edge 0 - 1 onto the missing one."""
-    g = build_graph(enumerate_fiber(2, 2))
-    return FiberGraph(np.array([0, 1, 2, 2]), g.indices[:2], fiber=g.fiber,
-                      move_ids=g.move_ids[:2])
 
 
 ERRORS = [
@@ -84,9 +75,6 @@ ERRORS = [
                  id="adjacent-pair"),
     pytest.param(lambda: diameter(CsrGraph.from_rows(((1,), (0,), ()))), FiberGraphsError,
                  "vertex 2 unreachable from 0", None, None, id="disconnected-diameter"),
-    pytest.param(lambda: _one_edge_of_g22().automorphisms, FiberGraphsError,
-                 "the row swap does not map the edges onto edges", None, None,
-                 id="broken-automorphism"),
     pytest.param(lambda: enumerate_fiber(0, 1), FiberGraphsError, "need n >= 1, got 0",
                  ["enumerate", "--n", "0", "--r", "1"], 1, id="bad-dimension"),
     pytest.param(None, SizeLimitExceededError, "hemmecke k=13 exceeded the configured cap of 12",

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 
-from fibergraphs.analysis import diameter, liu_check, vertex_connectivity
 from fibergraphs.enumeration import enumerate_fiber
 from fibergraphs.errors import FiberGraphsError, SizeLimitExceededError
 from fibergraphs.graphs import (
-    FiberGraph,
     OrientedFiberGraph,
+    _cell_symmetries,
+    _check_line_maps,
     build_graph,
     export_graph,
     find_sinks,
@@ -22,6 +24,8 @@ from fibergraphs.graphs import (
 )
 from fibergraphs.tables import (
     ContingencyTable,
+    apply_move,
+    move_cells,
     scaled_permutation,
     valid_moves,
     validate_table,
@@ -63,15 +67,19 @@ def test_adjacency_symmetric_no_loops(graph_3_2):
             assert u in nbrs[v]
 
 
-def test_pair_multiplicity_is_one(graph_3_3):
+def test_pair_multiplicity_is_one():
     # distinct basis moves are distinct matrices, so a vertex pair is never
-    # connected by two different moves: each valid move gives exactly one arc
-    g = graph_3_3
-    for u, t in enumerate(g.fiber):
-        row = g.indices[g.indptr[u]:g.indptr[u + 1]]
-        assert (np.diff(row) > 0).all()
-        labels = g.move_ids[g.indptr[u]:g.indptr[u + 1]]
-        assert sorted(labels.tolist()) == valid_moves(t)
+    # connected by two different moves: each valid move gives exactly one arc,
+    # from u to the table that move gives, and each CSR row strictly increases
+    for n, r in itertools.product(range(1, 5), range(4)):
+        g = build_graph(enumerate_fiber(n, r))
+        for u, t in enumerate(g.fiber):
+            row = g.neighbors(u).tolist()
+            assert row == sorted(set(row)), (n, r, u)
+            labels = g.move_ids[g.indptr[u]:g.indptr[u + 1]].tolist()
+            assert sorted(labels) == valid_moves(t), (n, r, u)
+            heads = [tuple(g.fiber.cells[v].tolist()) for v in row]
+            assert heads == [apply_move(t, k).row_major() for k in labels], (n, r, u)
 
 
 def test_wide_keys_on_a_long_path():
@@ -211,6 +219,7 @@ def _edge_set(graph, perm=None):
 
 @pytest.mark.parametrize("n,r", [(n, r) for n in (2, 3, 4) for r in range(4)])
 def test_generators_are_automorphisms(n, r):
+    # the arc-level reference for what _check_line_maps proves on the cells
     graph = build_graph(enumerate_fiber(n, r))
     rows = list(range(n))
     rows[:2] = rows[1::-1]
@@ -221,7 +230,7 @@ def test_generators_are_automorphisms(n, r):
         transpose,
     )
     edges = _edge_set(graph)
-    for perm, act in zip(graph.automorphisms, actions):
+    for perm, act in zip(symmetry_generators(graph.fiber).values(), actions):
         assert sorted(perm.tolist()) == list(range(graph.vertex_count))
         assert _edge_set(graph, perm) == edges
         assert all(graph.fiber[int(perm[x])].entries == act(t.entries)
@@ -232,7 +241,6 @@ def test_generators_and_orbits_are_read_only_and_computed_once_per_fiber(graph_3
     fiber = graph_3_3.fiber
     generators, labels = symmetry_generators(fiber), vertex_orbits(fiber)
     assert symmetry_generators(fiber) is generators and vertex_orbits(fiber) is labels
-    assert all(a is b for a, b in zip(generators.values(), graph_3_3.automorphisms))
     for array in (*generators.values(), labels):
         with pytest.raises(ValueError):
             array[0] = 1
@@ -241,39 +249,42 @@ def test_generators_and_orbits_are_read_only_and_computed_once_per_fiber(graph_3
     assert again is not labels and np.array_equal(again, labels)
 
 
-def _without_edge(graph, u, v):
-    keep = np.ones(len(graph.indices), dtype=bool)
-    for a, b in ((u, v), (v, u)):
-        row = np.arange(graph.indptr[a], graph.indptr[a + 1])
-        keep[row[graph.indices[row] == b]] = False
-    indptr = np.concatenate(([0], np.cumsum(keep)))[graph.indptr]
-    return FiberGraph(indptr, graph.indices[keep], fiber=graph.fiber, move_ids=graph.move_ids[keep])
+def _exchange(n, *cells):
+    """The (n, n) cell ids with two cells, given as (row, column), exchanged."""
+    p = np.arange(n * n).reshape(n, n)
+    (a, b), (c, d) = cells
+    p[a, b], p[c, d] = p[c, d], p[a, b]
+    return p
 
 
-def test_a_broken_symmetry_is_refused(graph_3_2):
-    u, v = graph_3_2.edges()[0]
-    # the second graph's fiber has its orbits labelled before its graph is
-    # broken: the sweeps must still wait for the generators' proof
-    memoised = build_graph(enumerate_fiber(3, 2))
-    vertex_orbits(memoised.fiber)
-    uses = (lambda g: g.automorphisms, diameter, vertex_connectivity, lambda g: liu_check(g, 3))
-    for graph in (graph_3_2, memoised):
-        broken = _without_edge(graph, u, v)
-        assert broken.edge_count == graph.edge_count - 1
-        for use in uses:
-            with pytest.raises(FiberGraphsError,
-                               match="^the row swap does not map the edges onto edges$"):
-                use(broken)
+@pytest.mark.parametrize("n, cells", [(2, ((0, 0), (0, 1))), (3, ((0, 0), (1, 1))),
+                                      (4, ((0, 0), (1, 1))), (3, ((0, 0), (2, 2)))])
+def test_the_line_check_refuses_a_cell_exchange(n, cells):
+    name = f"exchange of cells {cells[0]} and {cells[1]}"
+    with pytest.raises(FiberGraphsError,
+                       match=f"^the {re.escape(name)} does not map the lines of a table onto lines$"):
+        _check_line_maps({"transpose": np.arange(n * n).reshape(n, n).T, name: _exchange(n, *cells)})
+    # a repeated cell is refused as well: it leaves some line short
+    repeated = np.arange(n * n).reshape(n, n)
+    repeated[-1, -1] = 0
+    with pytest.raises(FiberGraphsError, match="^the repeat does not map"):
+        _check_line_maps({"repeat": repeated})
 
 
-def test_unsorted_rows_are_refused(graph_3_2):
-    # the automorphism check compares image keys against the graph's own keys,
-    # which it takes to be sorted because build_graph sorts every CSR row
-    end = graph_3_2.indptr[1]
-    indices = graph_3_2.indices.copy()
-    indices[:end] = indices[:end][::-1]
-    moves = graph_3_2.move_ids.copy()
-    moves[:end] = moves[:end][::-1]
-    unsorted = FiberGraph(graph_3_2.indptr, indices, fiber=graph_3_2.fiber, move_ids=moves)
-    with pytest.raises(FiberGraphsError, match="not sorted"):
-        unsorted.automorphisms
+def test_the_line_check_accepts_the_antitranspose_of_a_2x2_table():
+    # for n = 2, exchanging cells (0, 0) and (1, 1) reflects the table in its
+    # anti-diagonal, a row swap and a column swap after the transpose
+    _check_line_maps({"exchange": _exchange(2, (0, 0), (1, 1))})
+    assert _exchange(2, (0, 0), (1, 1)).tolist() == np.arange(4).reshape(2, 2).T[::-1, ::-1].tolist()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cell_symmetries_map_moves_onto_moves(n):
+    # a table's cells t map to t[p], so a move's vector m maps to m[p]
+    moves = np.zeros((len(move_cells(n)), n * n), dtype=int)
+    for k, (a, b, c, d) in enumerate(move_cells(n)):
+        moves[k, [a, b]], moves[k, [c, d]] = -1, 1
+    rows = {tuple(m) for m in moves.tolist()}
+    assert len(rows) == len(moves)
+    for p in _cell_symmetries(n).values():
+        assert {tuple(m) for m in moves[:, p.ravel()].tolist()} == rows
