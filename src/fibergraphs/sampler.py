@@ -37,6 +37,7 @@ import enum
 import hashlib
 import math
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from operator import mul
@@ -98,18 +99,22 @@ def _packer(length: int) -> struct.Struct:
 
 
 class VisitCounter:
-    """Exact per-table visit counts up to a cap, then a distinct-count sketch.
+    """The number of distinct tables a walk visits: exact up to a cap, then estimated.
 
-    Past the cap the counter stops admitting new tables and switches to a
-    k-minimum-values sketch over stable 64-bit hashes, flagged approximate.
+    ``seen`` holds the row-major keys of the first VISIT_COUNTER_CAP distinct
+    tables.  The first new key past the cap starts a k-minimum-values sketch,
+    the sorted list of the _KMV_SIZE least stable 64-bit hashes of every
+    distinct key recorded, those in ``seen`` included, and flags the count
+    approximate.
     """
 
-    def __init__(self, cap: int = VISIT_COUNTER_CAP):
-        self.cap = cap
-        self.counts: dict[tuple[int, ...], int] = {}
-        self.approximate = False
-        self._kmv: list[int] = []
-        self._kmv_members: set[int] = set()
+    def __init__(self) -> None:
+        self.seen: set[tuple[int, ...]] = set()
+        self._kmv: list[int] | None = None
+
+    @property
+    def approximate(self) -> bool:
+        return self._kmv is not None
 
     @staticmethod
     def _hash(key: tuple[int, ...]) -> int:
@@ -123,36 +128,27 @@ class VisitCounter:
         return int.from_bytes(hashlib.blake2b(packed, digest_size=8).digest(), "big")
 
     def record(self, key: tuple[int, ...]) -> None:
-        if key in self.counts:
-            self.counts[key] += 1
+        seen = self.seen
+        if len(seen) < VISIT_COUNTER_CAP:
+            seen.add(key)
             return
-        if len(self.counts) < self.cap:
-            self.counts[key] = 1
+        if key in seen:
             return
-        if not self.approximate:
-            self.approximate = True
-            self._kmv = sorted(self._hash(k) for k in self.counts)[:_KMV_SIZE]
-            self._kmv_members = set(self._kmv)
-        h = self._hash(key)
-        if h in self._kmv_members:
-            return
-        if len(self._kmv) < _KMV_SIZE:
-            self._kmv.append(h)
-            self._kmv.sort()
-            self._kmv_members.add(h)
-        elif h < self._kmv[-1]:
-            self._kmv_members.discard(self._kmv[-1])
-            self._kmv[-1] = h
-            self._kmv.sort()
-            self._kmv_members.add(h)
+        if self._kmv is None:
+            self._kmv = sorted(map(self._hash, seen))[:_KMV_SIZE]
+        kmv, h = self._kmv, self._hash(key)
+        i = bisect_left(kmv, h)
+        if i < _KMV_SIZE and h not in kmv[i : i + 1]:
+            kmv.insert(i, h)
+            del kmv[_KMV_SIZE:]
 
     def distinct_estimate(self) -> int:
-        if not self.approximate:
-            return len(self.counts)
-        k = len(self._kmv)
-        if k < _KMV_SIZE:
-            return max(len(self.counts), k)
-        return max(len(self.counts), int((k - 1) * (2**64) / self._kmv[-1]))
+        kmv = self._kmv
+        if kmv is None:
+            return len(self.seen)
+        k = len(kmv)
+        estimate = k if k < _KMV_SIZE else int((k - 1) * (2**64) / kmv[-1])
+        return max(len(self.seen), estimate)
 
 
 _BLOCK = 1024  # raw words fetched from the bit generator at a time
@@ -351,9 +347,9 @@ def run_walk(
 ) -> tuple[ChainState, list[tuple[int, ...]]]:
     """Run a full walk and collect the post-burn-in, thinned sample stream.
 
-    Each sample is the chain's row-major entry tuple, the key its visit is
-    counted under.  Visit counts cover every post-burn-in step (thinned or
-    not).  The stream is a pure function of (start, config).
+    Each sample is the chain's row-major entry tuple.  ``state.visits``
+    counts the distinct tables of every post-burn-in step, thinned or not,
+    under the same keys.  The stream is a pure function of (start, config).
     """
     state = ChainState.from_table(start, config)
     samples: list[tuple[int, ...]] = []

@@ -59,7 +59,7 @@ def validate_table(n: int, r: int, entries: Sequence[Sequence[int]]) -> Continge
     if r < 0:
         raise FiberGraphsError(f"margin must be >= 0, got {r}")
     if len(entries) != n or any(len(row) != n for row in entries):
-        raise FiberGraphsError(f"expected an {n}x{n} array of entries")
+        raise FiberGraphsError(f"expected shape {n}x{n}")
     rows = [[as_integer(x) for x in row] for row in entries]
     for i, row in enumerate(rows):
         for j, x in enumerate(row):

@@ -322,6 +322,19 @@ def test_huge_margin_walk_output_bytes_unchanged(kind, tmp_path, capsys):
     assert _walk_digest(HUGE_TABLES, flags, tmp_path, capsys) == expected
 
 
+def test_sample_summary_past_the_visit_cap(tmp_path, capsys):
+    # 150,000 post-burn-in steps on the CI 5 x 5 margin-15 table pass the
+    # 100,000-table cap, so the summary's distinct count is the sketch's estimate
+    table = tmp_path / "t5.csv"
+    table.write_text("4,3,7,0,1\n5,3,3,4,0\n0,2,3,4,6\n4,4,2,2,3\n2,3,0,5,5\n")
+    argv = ["sample", "--table", str(table), "--steps", "150000", "--thin", "1000",
+            "--seed", "16", "--emit", str(tmp_path / "s.jsonl")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == (
+        '{"steps":150000,"accepted":101656,"samples":150,'
+        '"distinct_visited":104958,"visit_count_approximate":true}\n')
+
+
 @pytest.mark.parametrize("target", ["uniform", "hypergeometric"])
 def test_huge_margin_walk_memory_stays_flat(target):
     # the hypergeometric kernel memoises log(k) by value: a table of logs

@@ -642,11 +642,11 @@ TABLE_FILES = {
     "json-empty": ("t.json", "[]", "table dimension must be >= 1, got 0"),
     "json-empty-row": ("t.json", "[[]]", "row 1 has 0 entries, expected 1 (the number of rows)"),
     "json-n-misfit": ("t.json", '{"n": 3, "rows": [[1, 2], [2, 1]]}',
-                      "expected an 3x3 array of entries"),
+                      "expected shape 3x3"),
     "json-r-misfit": ("t.json", '{"r": 4, "rows": [[1, 2], [2, 1]]}',
                       "row 1 sums to 3, expected 4"),
     "json-n-r-misfit": ("t.json", '{"n": 3, "r": 7, "rows": [[1, 2], [2, 1]]}',
-                        "expected an 3x3 array of entries"),
+                        "expected shape 3x3"),
     "json-malformed": ("t.json", "[[1, 2],", _malformed_json_message()),
     "csv-empty": ("t.csv", "\n", "CSV input contains no rows"),
 }

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -113,7 +114,7 @@ def test_an_empty_walk_runs_no_burn_in(monkeypatch):
     monkeypatch.setattr(sampler, "_chain", no_kernel)
     config = WalkConfig(steps=0, seed=5, burn_in=5)
     state, samples = run_walk(T2, config)
-    assert (samples, state.step_index, state.visits.counts) == ([], 0, {})
+    assert (samples, state.step_index, state.visits.seen) == ([], 0, set())
     result = exact_test(T1, config)
     assert result.samples_used == 0 and math.isnan(result.p_value_estimate)
 
@@ -228,14 +229,15 @@ def test_log_memo_stays_bounded():
 def test_uniform_walk_visits_whole_fiber():
     fiber = enumerate_fiber(3, 2)
     state, _ = run_walk(fiber[0], WalkConfig(steps=100_000, seed=7))
-    assert len(state.visits.counts) == 21
+    assert len(state.visits.seen) == 21
 
 
 def test_uniform_walk_frequencies_near_stationary():
     # the lazy uniform chain on G(2,2) has uniform stationary distribution
-    state, _ = run_walk(T2, WalkConfig(steps=300_000, seed=11))
-    total = sum(state.visits.counts.values())
-    for count in state.visits.counts.values():
+    _, samples = run_walk(T2, WalkConfig(steps=300_000, seed=11))
+    counts = Counter(samples)
+    total = sum(counts.values())
+    for count in counts.values():
         assert abs(count / total - 1 / 3) < 0.01  # seed-pinned regression
 
 
@@ -246,10 +248,11 @@ def test_uniform_walk_tv_shrinks_with_run_length():
     start = fiber[0]
 
     def tv(steps: int) -> float:
-        state, _ = run_walk(start, WalkConfig(steps=steps, seed=7))
-        total = sum(state.visits.counts.values())
+        _, samples = run_walk(start, WalkConfig(steps=steps, seed=7))
+        counts = Counter(samples)
+        total = sum(counts.values())
         return 0.5 * sum(
-            abs(state.visits.counts.get(t.row_major(), 0) / total - 1 / 21)
+            abs(counts[t.row_major()] / total - 1 / 21)
             for t in fiber
         )
 
@@ -264,8 +267,9 @@ def test_thinning_and_burn_in_sample_count():
     assert len(samples) == (1000 - 100) // 9 == config.samples_expected
 
 
-def test_visit_counter_cap_degrades_to_sketch():
-    counter = VisitCounter(cap=50)
+def test_visit_counter_cap_degrades_to_sketch(monkeypatch):
+    monkeypatch.setattr(sampler, "VISIT_COUNTER_CAP", 50)
+    counter = VisitCounter()
     for x in range(50):
         counter.record((x,))
     assert not counter.approximate
@@ -276,14 +280,41 @@ def test_visit_counter_cap_degrades_to_sketch():
     assert 200 <= estimate <= 800  # sketch accuracy, not exactness
 
 
-def test_visit_counter_sketch_takes_entries_past_64_bits():
-    counter = VisitCounter(cap=10)
+def test_visit_counter_sketch_takes_entries_past_64_bits(monkeypatch):
+    monkeypatch.setattr(sampler, "VISIT_COUNTER_CAP", 10)
+    counter = VisitCounter()
     keys = [(x, 2**64 - 1 - x) for x in range(200)] + [(2**70 + x, x) for x in range(200)]
     for key in keys:
         counter.record(key)
     hashes = {VisitCounter._hash(key) for key in keys}
     assert len(hashes) == len(keys)
     assert 200 <= counter.distinct_estimate() <= 800
+
+
+@pytest.mark.parametrize("cap", [10, 300, 5_000])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_visit_counter_sketch_matches_brute_force(monkeypatch, cap, seed):
+    # the sketch holds the _KMV_SIZE least hashes of every distinct key recorded,
+    # those admitted below the cap included, whatever order the keys come in
+    monkeypatch.setattr(sampler, "VISIT_COUNTER_CAP", cap)
+    rng = random.Random(seed)
+    pool = [(rng.randrange(50), rng.choice([rng.randrange(2**63, 2**64), rng.randrange(9)]))
+            for _ in range(3_000)]
+    keys = [rng.choice(pool) for _ in range(6_000)]
+    counter = VisitCounter()
+    for key in keys:
+        counter.record(key)
+    least = sorted({VisitCounter._hash(key) for key in set(keys)})[:sampler._KMV_SIZE]
+    distinct = len(set(keys))
+    assert counter.approximate == (distinct > cap)
+    if not counter.approximate:
+        assert counter.distinct_estimate() == distinct
+        return
+    assert counter._kmv == least
+    k = len(least)
+    expected = (max(cap, k) if k < sampler._KMV_SIZE
+                else max(cap, int((k - 1) * 2**64 / least[-1])))
+    assert counter.distinct_estimate() == expected
 
 
 def test_chi_square_statistic_values():
