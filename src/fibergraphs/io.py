@@ -117,8 +117,11 @@ def format_rows(literals: Sequence[str], columns: Sequence[np.ndarray]) -> Itera
     column-major: a (width, rows) matrix of bytes, so each literal byte and
     each digit position is one contiguous row.  A column below 10 is its own
     digit row; a wider one is split by repeated % 10 and // 10 in its own
-    dtype (an object array of Python ints included) and its leading zeros are
-    masked out.  The block is the kept bytes of the transposed matrix.
+    dtype (an object array of Python ints included).  A block where every
+    column's min and max have the same digit count is the transposed matrix
+    as it stands.  Otherwise a mask is built over it, and only the columns
+    whose digit count varies mark their leading zeros in it; the block is the
+    kept bytes of the transposed matrix.
     """
     assert len(literals) == len(columns) + 1
     pieces = [np.frombuffer(lit.encode("ascii"), dtype=np.uint8) for lit in literals]
@@ -126,21 +129,24 @@ def format_rows(literals: Sequence[str], columns: Sequence[np.ndarray]) -> Itera
         block = [col[start:start + FORMAT_BLOCK] for col in columns]
         widths = [len(str(col.max())) for col in block]
         text = np.empty((sum(map(len, pieces)) + sum(widths), len(block[0])), dtype=np.uint8)
-        keep = np.ones(text.shape, dtype=bool)
+        keep = None
         at = 0
         for piece, col, width in zip(pieces, block, widths):
             text[at:at + len(piece)] = piece[:, None]
             at += len(piece)
+            varies = width > 1 and len(str(col.min())) < width
             for k in range(at + width - 1, at, -1):
                 text[k] = col % 10
                 col = col // 10
             text[at] = col
-            if width > 1:
+            if varies:
+                if keep is None:
+                    keep = np.ones(text.shape, dtype=bool)
                 keep[at:at + width - 1] = np.logical_or.accumulate(text[at:at + width - 1] != 0)
             text[at:at + width] += ord("0")
             at += width
         text[at:] = pieces[-1][:, None]
-        yield text.T[keep.T].tobytes()
+        yield text.T.tobytes() if keep is None else text.T[keep.T].tobytes()
 
 
 def json_row_separators(n: int) -> list[str]:

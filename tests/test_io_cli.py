@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -165,12 +166,14 @@ def _format_rows_reference(literals, columns):
     return "".join(lines)
 
 
-# In blocks of 4 rows the first column stays one digit wide, the others change
-# width from block to block, and the second block is one digit wide throughout.
+# In blocks of 4 rows the first column stays one digit wide, the second and third
+# change width from block to block, and the fourth varies but stays two digits
+# wide.  The second block has no column whose width varies: it needs no mask.
 _MIXED_WIDTHS = [
     [3, 0, 9, 1, 0, 2, 5, 7, 8, 4, 6, 1, 0, 9, 2],
     [0, 10, 7, 255, 9, 1, 1, 0, 99, 5, 3, 250, 10, 1, 0],
     [0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 42, 99, 100, 200, 255],
+    [10, 99, 42, 57, 13, 88, 20, 31, 64, 75, 11, 90, 55, 23, 46],
 ]
 
 
@@ -179,7 +182,7 @@ _MIXED_WIDTHS = [
 def test_formatter_matches_reference(monkeypatch, dtype, block):
     monkeypatch.setattr(io, "FORMAT_BLOCK", block)
     columns = [np.array(col, dtype=dtype) for col in _MIXED_WIDTHS]
-    literals = ['{"a":', ',"b":[', ",", "]}\n"]
+    literals = ['{"a":', ',"b":[', ",", '],"c":', "}\n"]
     assert _text(io.format_rows(literals, columns)) == _format_rows_reference(literals, columns)
 
 
@@ -853,6 +856,62 @@ def test_a_full_device_fails_any_write_or_the_close(monkeypatch, capsys, argv):
     monkeypatch.setattr(io, "FORMAT_BLOCK", 7)
     assert main(argv + [_FULL]) == 1
     assert capsys.readouterr().err == _NO_SPACE
+
+
+# stdout is block-buffered, as it is by default, so a failed write leaves bytes
+# behind for the interpreter's flush at exit
+_BUFFERED_ENV = {k: v for k, v in _ENV.items() if k != "PYTHONUNBUFFERED"}
+
+
+@pytest.mark.parametrize("sink", ["closed-pipe", "full-device"])
+@pytest.mark.parametrize("argv", [
+    ["graph", "--n", "4", "--r", "3"],  # an export of 200 kB
+    ["verify", "--n", "3", "--r", "2"],
+    ["enumerate", "--n", "3", "--r", "2"],  # its one line of count
+], ids=lambda argv: argv[0])
+def test_a_failed_write_to_stdout_is_an_error_line(argv, sink):
+    if sink == "closed-pipe":
+        read, stdout = os.pipe()
+        os.close(read)  # no reader: every write fails with EPIPE
+        reason = "Broken pipe"
+    elif os.path.exists(_FULL):
+        stdout = os.open(_FULL, os.O_WRONLY)
+        reason = "No space left on device"
+    else:
+        pytest.skip(f"no {_FULL}")
+    try:
+        proc = subprocess.run(_CLI + argv, env=_BUFFERED_ENV, stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(stdout)
+    # no traceback, and no "Exception ignored" from the flush at exit
+    assert (proc.returncode, proc.stderr) == (1, f"error: cannot write to standard output: {reason}\n")
+
+
+def test_a_closed_stdout_is_no_error(tmp_path):
+    # started with descriptor 1 closed, the process has no sys.stdout: the count line,
+    # like print, is dropped
+    out = tmp_path / "x.jsonl"
+    argv = _CLI + ["enumerate", "--n", "3", "--r", "2", "--out", str(out)]
+    proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv], env=_BUFFERED_ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out.read_bytes().count(b"\n") == 21
+
+
+def test_main_freezes_nothing():
+    frozen = gc.get_freeze_count()
+    assert main(["enumerate", "--n", "3", "--r", "2"]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_the_entry_point_freezes_the_heap_before_main():
+    code = ("import gc, sys\nfrom fibergraphs import cli\n"
+            "cli.main = lambda: print(gc.get_freeze_count()) or 5\nsys.exit(cli.run())")
+    proc = subprocess.run([sys.executable, "-c", code], env=_ENV, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 5, proc.stderr  # run returns main's exit code
+    assert int(proc.stdout) > 1000  # numpy alone leaves thousands of tracked objects
 
 
 # A child's peak RSS counts what its parent held when it was forked, so the command
