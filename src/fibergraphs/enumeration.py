@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import chain
 from typing import Iterator, Sequence
 
@@ -26,17 +26,18 @@ from .tables import ContingencyTable
 
 DEFAULT_CAP = 10_000_000
 FRONTIER_BLOCK = 1 << 16  # (partial table, row composition) candidates tested at a time
+KEY_LIMIT = 2 ** 63  # keys are int64 while (r+1)^((n-1)^2) is at most this
 
 
 @dataclass(frozen=True, eq=False)
 class Fiber:
     """All tables with the given margins, in canonical (row-major lex) order.
 
-    ``cells`` holds the row-major entries of every table, row k holding
-    vertex k.  Entries are big-endian unsigned ints of one fixed width (an
-    object array of Python ints when r needs more than 64 bits), so
-    comparing the bytes of two rows compares their tables in canonical order.
-    Tables are built from their rows when read, with Python int entries.
+    ``cells`` holds the row-major entries of every table, row k holding vertex
+    k: big-endian unsigned ints of one width, or Python ints past 64 bits;
+    tables are built from their rows when read.  ``keys`` reads each table's
+    leading (n-1) x (n-1) block as base-(r+1) digits, most significant first.
+    The margins fix the other cells, so the keys rise strictly with vertex id.
     """
 
     n: int
@@ -53,16 +54,29 @@ class Fiber:
         return self._table(self.cells[vertex_id].tolist())
 
     def _table(self, flat: list[int]) -> ContingencyTable:
-        n = self.n
-        return ContingencyTable(n, self.r, tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n)))
+        return ContingencyTable(self.n, self.r, tuple(zip(*[iter(flat)] * self.n)))  # rows of n
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Each row-major cell's weight in the keys, 0 off the block, in the keys' dtype."""
+        n, base = self.n, self.r + 1
+        weights = np.zeros((n, n), dtype=np.int64 if base ** ((n - 1) ** 2) <= KEY_LIMIT else object)
+        weights[:-1, :-1].flat = [base ** k for k in reversed(range((n - 1) ** 2))]
+        return weights.ravel()
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        return self._keys(self.cells)
+
+    def _keys(self, rows: np.ndarray) -> np.ndarray:
+        block = np.flatnonzero(self.weights)  # the other cells may pass int64
+        return np.clip(rows[:, block], 0, self.r).astype(self.weights.dtype) @ self.weights[block]
 
     def ids_of(self, rows: np.ndarray) -> np.ndarray:
-        """Vertex ids of (k, n^2) row-major entry rows; KeyError names the first miss."""
-        keys = _row_keys(self.cells)
-        probe = _row_keys(np.ascontiguousarray(rows, dtype=self.cells.dtype))
-        ids = np.searchsorted(keys, probe)
-        found = ids < len(self)
-        found[found] = keys[ids[found]] == probe[found]
+        """Vertex ids of (k, n^2) row-major entry rows, each found by its key (block
+        clipped to 0..r) and checked cell by cell; KeyError names the first miss."""
+        ids = np.searchsorted(self.keys, self._keys(rows)).clip(max=len(self) - 1)
+        found = (self.cells[ids] == rows).all(axis=1)
         if not found.all():
             raise KeyError(tuple(rows[np.argmin(found)].tolist()))
         return ids
@@ -71,15 +85,7 @@ class Fiber:
         """Dense vertex id of a table; KeyError when t is not in the fiber."""
         if t.n != self.n or t.r != self.r:
             raise KeyError(t.entries)
-        return int(self.ids_of(np.array([t.row_major()], dtype=self.cells.dtype))[0])
-
-
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One key per row that sorts like the row: its bytes, or for an object
-    array (entries of 2**64 and more) the tuple of its Python ints."""
-    if rows.dtype == object:
-        return np.fromiter(map(tuple, rows.tolist()), dtype=object, count=len(rows))
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
+        return int(self.ids_of(np.array([t.row_major()], dtype=object))[0])
 
 
 def _row_compositions(total: int, budgets: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -97,9 +103,7 @@ def _row_compositions(total: int, budgets: Sequence[int]) -> Iterator[tuple[int,
                 row[pos] = remaining
                 yield tuple(row)
             return
-        # leave enough capacity in the later columns
-        later = sum(budgets[pos + 1:])
-        lo = max(0, remaining - later)
+        lo = max(0, remaining - sum(budgets[pos + 1:]))  # leave room in the later columns
         for v in range(lo, min(remaining, budgets[pos]) + 1):
             row[pos] = v
             yield from rec(pos + 1, remaining - v)
@@ -122,9 +126,8 @@ def enumerate_fiber(n: int, r: int, cap: int = DEFAULT_CAP) -> Fiber:
         raise SizeLimitExceededError(cap, context="fiber enumeration")
     dtype = np.min_scalar_type(r)
     # columns[j]: entry j of every row composition, compositions in lex order
-    columns = np.fromiter(
-        chain.from_iterable(_row_compositions(r, (r,) * n)), dtype=dtype,
-    ).reshape(-1, n).T.copy()
+    compositions = chain.from_iterable(_row_compositions(r, (r,) * n))
+    columns = np.fromiter(compositions, dtype=dtype).reshape(-1, n).T.copy()
     # several partial tables against every composition, or one against a run of them
     width = min(columns.shape[1], FRONTIER_BLOCK)
     step = max(1, FRONTIER_BLOCK // width)
@@ -160,16 +163,12 @@ def count_fiber(n: int, r: int) -> int:
     if r < 0:
         raise FiberGraphsError(f"need r >= 0, got {r}")
 
-    @lru_cache(maxsize=None)
-    def walk(rows_left: int, residual: tuple[int, ...]) -> int:
-        if rows_left == 0:
-            return 1 if all(x == 0 for x in residual) else 0
-        total = 0
-        for comp in _row_compositions(r, residual):
-            nxt = tuple(sorted(b - c for b, c in zip(residual, comp)))
-            total += walk(rows_left - 1, nxt)
-        return total
-
-    result = walk(n, (r,) * n)
-    walk.cache_clear()
-    return result
+    states = {(r,) * n: 1}  # state -> partial tables that reach it, a row at a time
+    for _ in range(n):
+        reached: dict[tuple[int, ...], int] = {}
+        for residual, ways in states.items():
+            for comp in _row_compositions(r, residual):
+                nxt = tuple(sorted(b - c for b, c in zip(residual, comp)))
+                reached[nxt] = reached.get(nxt, 0) + ways
+        states = reached
+    return states.get((0,) * n, 0)

@@ -76,6 +76,37 @@ def test_object_dtype_fiber_lookups():
         fiber.ids_of(np.array([[2**64 + 1]], dtype=object))
 
 
+@pytest.mark.parametrize("n, r, row", [
+    (2, 255, [-1, 256, 256, -1]),  # the uint8 cast read this as table 255, [[255, 0], [0, 255]]
+    (3, 2, [2, 0, 1, 0, 2, 0, 0, 0, 1]),  # the leading block of table [[2,0,0],[0,2,0],[0,0,2]]
+    (3, 2, [2, 0, 0, 0, 2, 0, 1, 0, 1]),  # the same block, but another last row
+    (2, 3, [2**70, -2**70, 0, 3]),  # no int64 holds these entries
+], ids=["out-of-range", "last-column", "last-row", "huge"])
+def test_ids_of_compares_every_cell_exactly(n, r, row):
+    fiber = enumerate_fiber(n, r)
+    with pytest.raises(KeyError) as caught:
+        fiber.ids_of(np.array([fiber.cells[0].tolist(), row]))
+    assert caught.value.args[0] == tuple(row)
+
+
+def _reference_key(n, r, flat):
+    """The key by its definition: the leading block's entries as base-(r+1) digits."""
+    key = 0
+    for i in range(n - 1):
+        for j in range(n - 1):
+            key = key * (r + 1) + flat[i * n + j]
+    return key
+
+
+@pytest.mark.parametrize("n, r", [*((n, r) for n in range(1, 5) for r in range(5)),
+                                  (2, 70_000), (1, 2**64)], ids=str)
+def test_keys_rise_strictly(n, r):
+    fiber = enumerate_fiber(n, r)
+    assert fiber.keys.dtype == np.int64
+    assert fiber.keys.tolist() == [_reference_key(n, r, flat) for flat in fiber.cells.tolist()]
+    assert (np.diff(fiber.keys) > 0).all()
+
+
 def test_fiber_symmetry_invariance():
     fiber = enumerate_fiber(3, 2)
     entries = {t.entries for t in fiber}

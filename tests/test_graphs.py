@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from fibergraphs.enumeration import enumerate_fiber
+from fibergraphs import enumeration, graphs
+from fibergraphs.enumeration import Fiber, enumerate_fiber
 from fibergraphs.errors import FiberGraphsError, SizeLimitExceededError
 from fibergraphs.graphs import (
     OrientedFiberGraph,
@@ -83,8 +84,8 @@ def test_pair_multiplicity_is_one():
 
 
 def test_wide_keys_on_a_long_path():
-    # 70,001 tables whose entries need 32 bits; (r+1)^4 > 2^63, so a table
-    # cannot be packed into one int64 and the lookup must compare wide keys
+    # 70,001 tables whose entries need 32 bits; a G(2, r) table's key is its
+    # top-left cell, so the keys are int64 and every lookup still compares cells
     graph = build_graph(enumerate_fiber(2, 70_000))
     fiber = graph.fiber
     assert graph.vertex_count == 70_001
@@ -94,8 +95,36 @@ def test_wide_keys_on_a_long_path():
     with pytest.raises(KeyError):
         fiber.index_of(validate_table(2, 69_999, [[0, 69_999], [69_999, 0]]))
     with pytest.raises(KeyError):
-        # same n and r, but no such row in the fiber: the byte-key search misses
+        # same n and r, and key 35,000, but table 35,000 has other cells
         fiber.index_of(ContingencyTable(2, 70_000, ((35_000, 35_001), (35_001, 35_000))))
+
+
+@pytest.mark.parametrize("block", [1, 50])
+@pytest.mark.parametrize("n, r", [(3, 3), (4, 2)], ids=str)
+def test_python_int_keys_and_tiny_blocks_build_the_same_graph(monkeypatch, n, r, block):
+    # G(9, 1) and G(10, 1) are the fibers under the cap whose keys pass the
+    # int64 limit; lowering it sends small fibers down their path, a few
+    # (table, move) pairs at a time
+    whole = build_graph(enumerate_fiber(n, r))
+    images = whole.fiber.cells[:, _cell_symmetries(n)["transpose"].ravel()]
+    monkeypatch.setattr(enumeration, "KEY_LIMIT", 1)
+    monkeypatch.setattr(graphs, "BUILD_BLOCK", block)
+    tiled = build_graph(enumerate_fiber(n, r))
+    assert tiled.fiber.keys.dtype == object
+    assert tiled.fiber.keys.tolist() == whole.fiber.keys.tolist()
+    for name in ("indptr", "indices", "move_ids"):
+        assert getattr(tiled, name).dtype == getattr(whole, name).dtype, name
+        assert np.array_equal(getattr(tiled, name), getattr(whole, name)), name
+    assert np.array_equal(tiled.fiber.ids_of(images), whole.fiber.ids_of(images))
+    with pytest.raises(KeyError):
+        tiled.fiber.ids_of(images + 1)
+
+
+def test_a_table_missing_from_the_fiber_is_a_key_error():
+    whole = enumerate_fiber(3, 2)
+    with pytest.raises(KeyError) as caught:
+        build_graph(Fiber(3, 2, np.delete(whole.cells, 5, axis=0)))
+    assert caught.value.args[0] == whole[5].entries
 
 
 def _heads(og, u):
