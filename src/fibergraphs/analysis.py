@@ -34,7 +34,8 @@ under Stab(u), the symmetries fixing u; else a symmetry gives a smaller
 pair.  By (1) all pairs read from one orbit share u, and a symmetry maps
 (u, w) to (u, x) by fixing u, or by sending w to u, which one coset of
 Stab(u) does when w and u share a vertex orbit: so (2) reads one pair per
-orbit, two at most when its tables share a vertex orbit.  A fiber graph
+orbit, two at most when its tables share a vertex orbit.  Rule (2) compares
+integer table keys, which sort as the tables do.  A fiber graph
 reads its fiber's ``graphs.vertex_orbits``, whose generators are proven on
 the cells alone; a plain ``CsrGraph`` has no symmetry, so there every
 vertex is a representative and every pair its own orbit.
@@ -348,40 +349,30 @@ def _distance_two_sweep(graph: CsrGraph) -> MinFlow:
     return best
 
 
+_IMAGE_BLOCK = 1 << 18  # stabiliser images whose keys one product holds in _orbit_first_pairs
+
+
 def _orbit_first_pairs(graph: CsrGraph) -> np.ndarray:
     """The anchored pairs (u, w) kept by rule (2) of the module docstring.
-    Vertex ids follow the canonical order of the tables' cells, so the rule
-    compares w's table with its images and looks up no vertex."""
+    Keys rise with vertex id, so w sorts below its image w[p] when its key
+    does: that of w[p] is w's cells dotted with ``moved[p] = Fiber.weights``.
+    The pairs of u are taken so that a product holds at most about
+    ``_IMAGE_BLOCK`` images of Stab(u); no vertex is looked up."""
     pairs = _anchored_pairs(graph)
     if not (isinstance(graph, FiberGraph) and len(pairs)):
         return pairs
-    reps, which = np.unique(pairs[:, 0], return_inverse=True)
-    stabs = [stabiliser(graph.fiber.cells[x]) for x in reps.tolist()]
-    return pairs[~_sorts_below(graph.fiber.cells[pairs[:, 1]], stabs, which)]
-
-
-_IMAGE_BLOCK = 1 << 18  # (table, permutation) images compared at a time by _sorts_below
-
-
-def _sorts_below(tables: np.ndarray, perms: list[np.ndarray], which: np.ndarray) -> np.ndarray:
-    """For each k, whether some image tables[k][p], p a row of
-    perms[which[k]], has cells that sort before those of tables[k].  Images
-    are compared a cell at a time, and only those still tied with their
-    table go on to the next."""
-    out = np.zeros(len(tables), dtype=bool)
-    lengths = np.array([len(p) for p in perms])
-    sizes, firsts = lengths[which], (np.cumsum(lengths) - lengths)[which]
-    stacked = np.concatenate(perms)
-    cuts = np.searchsorted(np.cumsum(sizes), np.arange(_IMAGE_BLOCK, sizes.sum(), _IMAGE_BLOCK))
-    for block in np.split(np.arange(len(tables)), cuts + 1):  # some blocks may be empty
-        k, size = np.repeat(block, sizes[block]), sizes[block]
-        p = np.arange(len(k)) - np.repeat(np.cumsum(size) - size - firsts[block], size)
-        for cell in range(stacked.shape[1]):
-            image, own = tables[k, stacked[p, cell]], tables[k, cell]
-            out[k[image < own]] = True
-            tied = (image == own) & ~out[k]
-            k, p = k[tied], p[tied]
-    return out
+    fiber, keep = graph.fiber, np.ones(len(pairs), dtype=bool)
+    reps, starts = np.unique(pairs[:, 0], return_index=True)
+    for u, start, stop in zip(reps.tolist(), starts.tolist(), [*starts[1:].tolist(), len(pairs)]):
+        perms = stabiliser(fiber.cells[u]).T  # column j: the j-th symmetry fixing u
+        moved = np.zeros(perms.shape, dtype=fiber.weights.dtype)
+        np.put_along_axis(moved, perms, fiber.weights[:, None], axis=0)
+        step = max(1, _IMAGE_BLOCK // moved.shape[1])
+        for first in range(start, stop, step):
+            w = pairs[first:min(first + step, stop), 1]
+            images = fiber.cells[w].astype(moved.dtype) @ moved
+            keep[first:first + len(w)] = (images >= fiber.keys[w, None]).all(axis=1)
+    return pairs[keep]
 
 
 @dataclass(frozen=True)

@@ -84,9 +84,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_graph(args: argparse.Namespace) -> int:
     fiber = enumeration.enumerate_fiber(args.n, args.r, cap=args.cap)
     graph = fg.graphs.build_graph(fiber)
-    target: fg.graphs.FiberGraph | fg.graphs.OrientedFiberGraph = graph
-    if args.oriented:
-        target = fg.graphs.orient(graph)
+    target = fg.graphs.orient(graph) if args.oriented else graph
     _write_output(fg.graphs.export_graph(target, args.format), args.out)
     if args.out:
         _write_output(fg.graphs.vertex_map_json(graph), args.out + ".vertices.json")
@@ -293,6 +291,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for name in names:
         if name not in _CHECKS:
             raise UsageError(f"unknown check {name!r}; valid: {', '.join(CHECK_NAMES)}")
+    enumeration.check_size(args.n, args.r)
     ctx = _VerifyContext(args.n, args.r, args.cap)
     results = []
     overall = True

@@ -88,6 +88,14 @@ class Fiber:
         return int(self.ids_of(np.array([t.row_major()], dtype=object))[0])
 
 
+def check_size(n: int, r: int) -> None:
+    """FiberGraphsError unless n >= 1 and r >= 0."""
+    if n < 1:
+        raise FiberGraphsError(f"need n >= 1, got {n}")
+    if r < 0:
+        raise FiberGraphsError(f"need r >= 0, got {r}")
+
+
 def _row_compositions(total: int, budgets: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Compositions of total into len(budgets) parts with part k <= budgets[k].
 
@@ -116,10 +124,7 @@ def enumerate_fiber(n: int, r: int, cap: int = DEFAULT_CAP) -> Fiber:
 
     Raises SizeLimitExceededError as soon as more than ``cap`` tables exist.
     """
-    if n < 1:
-        raise FiberGraphsError(f"need n >= 1, got {n}")
-    if r < 0:
-        raise FiberGraphsError(f"need r >= 0, got {r}")
+    check_size(n, r)
     # every row composition starts some table (n >= 2), and every frontier
     # below extends to at least as many tables as it has rows
     if math.comb(r + n - 1, n - 1) > cap:
@@ -158,10 +163,7 @@ def count_fiber(n: int, r: int) -> int:
     State = sorted tuple of residual column margins; sorting collapses
     column-symmetric states.  Exact big-integer arithmetic throughout.
     """
-    if n < 1:
-        raise FiberGraphsError(f"need n >= 1, got {n}")
-    if r < 0:
-        raise FiberGraphsError(f"need r >= 0, got {r}")
+    check_size(n, r)
 
     states = {(r,) * n: 1}  # state -> partial tables that reach it, a row at a time
     for _ in range(n):

@@ -13,7 +13,8 @@ cells, proven with no graph to map lines onto lines.
 
 Orienting every edge toward the strictly smaller value of the weight
 (row + col)^2, summed over a table's cells, turns the graph into a DAG with
-a unique sink, located at the anti-diagonal table.
+a unique sink, located at the anti-diagonal table.  The orientation is one
+mask over the graph's own arcs: an arc points down when its move id is even.
 """
 
 from __future__ import annotations
@@ -233,13 +234,12 @@ def build_graph(fiber: Fiber) -> FiberGraph:
 class OrientedFiberGraph:
     """Edge orientation of a fiber graph by ``orient``: u -> v whenever w.(v - u) < 0.
 
-    The arcs out of u are ``indices[indptr[u]:indptr[u + 1]]``, the down
-    arcs of the base graph's CSR row u, so each row stays sorted.
+    ``down[a]`` marks the arcs of the base graph's CSR that point down, one
+    byte per arc: each edge is held by the arc of its upper end.
     """
 
     base: FiberGraph
-    indptr: np.ndarray
-    indices: np.ndarray
+    down: np.ndarray
 
 
 def row_arcs(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -291,34 +291,32 @@ def orient(graph: FiberGraph) -> OrientedFiberGraph:
     """Direct every edge toward the strictly smaller value of w.t, where
     w[i][j] = (i + j)^2 with 1-based rows i and columns j.
 
-    Every edge gets a direction: a move on rows i1 < i2 and columns
-    j1 < j2 changes w.t by (i1 + j1)^2 + (i2 + j2)^2 - (i1 + j2)^2 -
-    (i2 + j1)^2 = 2(i2 - i1)(j2 - j1), or by its negative, and never by 0.
-    The orientation is acyclic, since w.t strictly decreases along every arc.
+    The move subtracting from the diagonal of rows i1 < i2 and columns
+    j1 < j2 changes w.t by (i1 + j2)^2 + (i2 + j1)^2 - (i1 + j1)^2 -
+    (i2 + j2)^2 = -2(i2 - i1)(j2 - j1) < 0, and its negation by the opposite.
+    ``move_cells`` numbers them 2k and 2k + 1, so an arc points down exactly
+    when its move id is even.  w.t falls along every arc, so no arcs cycle.
     """
-    n = graph.fiber.n
-    w = [(i + j + 2) ** 2 for i in range(n) for j in range(n)]  # row-major, 0-based i and j
-    # each move's sign from the cells it subtracts from (a, b) and adds to (c, d)
-    down = np.array([w[c] + w[d] < w[a] + w[b] for a, b, c, d in move_cells(n)], dtype=bool)
-    down = down.take(graph.move_ids)  # faster than down[graph.move_ids] for narrow ids
-    indptr = np.concatenate(([0], np.cumsum(down)))[graph.indptr]
-    return OrientedFiberGraph(graph, indptr, graph.indices[down])
+    return OrientedFiberGraph(graph, (graph.move_ids & 1) == 0)
 
 
 def find_sinks(og: OrientedFiberGraph) -> list[int]:
-    """Vertex ids with out-degree 0."""
-    return np.flatnonzero(np.diff(og.indptr) == 0).tolist()
+    """Vertex ids with out-degree 0: no down arc in their CSR row."""
+    before = np.searchsorted(np.flatnonzero(og.down), og.base.indptr)  # down arcs before each row
+    return np.flatnonzero(np.diff(before) == 0).tolist()
 
 
 def is_acyclic(og: OrientedFiberGraph) -> bool:
     """Kahn's algorithm one level at a time: remove every vertex of in-degree
     0 together with its arcs, and repeat; True when every vertex is removed."""
-    indeg = np.bincount(og.indices, minlength=len(og.indptr) - 1)
+    indptr, indices = og.base.indptr, og.base.indices
+    indeg = np.bincount(indices[og.down], minlength=len(indptr) - 1)
     level = np.flatnonzero(indeg == 0)
     removed = 0
     while level.size:
         removed += level.size
-        heads, counts = np.unique(og.indices[row_arcs(og.indptr, level)], return_counts=True)
+        arcs = row_arcs(indptr, level)
+        heads, counts = np.unique(indices[arcs[og.down[arcs]]], return_counts=True)
         indeg[heads] -= counts
         level = heads[indeg[heads] == 0]
     return removed == len(indeg)
@@ -335,11 +333,10 @@ def export_graph(graph: FiberGraph | OrientedFiberGraph, fmt: str) -> Iterator[b
     """
     oriented = isinstance(graph, OrientedFiberGraph)
     base = graph.base if oriented else graph
-    tails = np.repeat(np.arange(base.vertex_count), np.diff(graph.indptr))
-    heads = graph.indices
-    if not oriented:  # each edge once, as u < v
-        upper = tails < heads
-        tails, heads = tails[upper], heads[upper]
+    tails = np.repeat(np.arange(base.vertex_count), np.diff(base.indptr))
+    heads = base.indices
+    keep = graph.down if oriented else tails < heads  # undirected: each edge once, as u < v
+    tails, heads = tails[keep], heads[keep]
     if fmt == "edge-list":
         return format_rows(["", " ", "\n"], [tails, heads])
     if fmt == "dot":

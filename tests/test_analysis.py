@@ -6,7 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from fibergraphs import analysis
+from fibergraphs import analysis, enumeration
 from fibergraphs.analysis import (
     SplitNetwork,
     _anchored_pairs,
@@ -761,6 +761,34 @@ def test_anchored_sweep_pairs_are_the_orbit_first_members(n, r):
     labels = _vertex_labels(graph)
     u, w = full[swept[np.isin(orbits[swept], kept[counts == 2])]].T
     assert np.array_equal(labels[u], labels[w])
+
+
+def _lex_first_pairs(graph):
+    """The anchored pairs (u, w) whose w sorts, cell by cell, at or before
+    every image w[p] under the group elements p fixing u: rule (2) by brute force."""
+    group, cells = _cell_group(graph.fiber.n), graph.fiber.cells.astype(np.int64)
+    kept = []
+    for u, w in _anchored_pairs(graph).tolist():
+        images = cells[w][group[(cells[u][group] == cells[u]).all(axis=1)]]
+        differ = images != cells[w]
+        first = differ.argmax(axis=1)  # the first cell an image differs in
+        below = differ.any(axis=1) & (images[np.arange(len(images)), first] < cells[w][first])
+        if not below.any():
+            kept.append([u, w])
+    return kept
+
+
+@pytest.mark.parametrize("n,r", [(3, 3), (4, 2), (4, 3)])
+def test_orbit_first_pairs_match_a_lexicographic_reference(n, r, monkeypatch):
+    reference = _lex_first_pairs(build_graph(enumerate_fiber(n, r)))
+    assert _orbit_first_pairs(build_graph(enumerate_fiber(n, r))).tolist() == reference
+    # Python int keys, and products of a few images at a time, keep the same pairs
+    for block in (1, 5):
+        monkeypatch.setattr(enumeration, "KEY_LIMIT", 1)
+        monkeypatch.setattr(analysis, "_IMAGE_BLOCK", block)
+        graph = build_graph(enumerate_fiber(n, r))
+        assert graph.fiber.keys.dtype == object
+        assert _orbit_first_pairs(graph).tolist() == reference, block
 
 
 @pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (3, 3), (4, 2)])

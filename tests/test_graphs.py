@@ -11,6 +11,7 @@ from fibergraphs import enumeration, graphs
 from fibergraphs.enumeration import Fiber, enumerate_fiber
 from fibergraphs.errors import FiberGraphsError, SizeLimitExceededError
 from fibergraphs.graphs import (
+    CsrGraph,
     OrientedFiberGraph,
     _cell_symmetries,
     _check_line_maps,
@@ -128,8 +129,20 @@ def test_a_table_missing_from_the_fiber_is_a_key_error():
 
 
 def _heads(og, u):
-    """Heads of the arcs out of u, as Python ints."""
-    return og.indices[og.indptr[u]:og.indptr[u + 1]].tolist()
+    """Heads of the arcs out of u, as Python ints: the down arcs of its base row."""
+    a, b = og.base.indptr[u], og.base.indptr[u + 1]
+    return og.base.indices[a:b][og.down[a:b]].tolist()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_even_move_ids_are_the_moves_that_lower_the_weight(n):
+    # the change of w.t under a move is the weight of the move's own matrix
+    for k, (a, b, c, d) in enumerate(move_cells(n)):
+        matrix = [[0] * n for _ in range(n)]
+        for cell, sign in ((a, -1), (b, -1), (c, 1), (d, 1)):
+            matrix[cell // n][cell % n] = sign
+        change = orientation_weight(matrix)
+        assert change != 0 and (change < 0) == (k % 2 == 0), (n, k, change)
 
 
 def test_orientation_hand_computed_edge(graph_2_2):
@@ -149,17 +162,25 @@ def test_orientation_is_acyclic(graph_3_2):
     assert is_acyclic(og)
 
 
-def test_is_acyclic_detects_a_cycle(graph_3_1):
+def test_is_acyclic_detects_a_cycle():
     # the arcs 0 -> 1 -> 2 -> 0 form a cycle; 3 -> 4 -> 5 is a path
-    def arcs(heads):
-        indptr = np.cumsum([0] + [len(h) for h in heads])
-        return indptr, np.array([v for h in heads for v in h], dtype=np.intp)
+    def directed(heads):
+        base = CsrGraph.from_rows(heads)
+        return OrientedFiberGraph(base, np.ones(len(base.indices), dtype=bool))
 
-    cyclic = OrientedFiberGraph(graph_3_1, *arcs([[1], [2], [0], [4], [5], []]))
+    cyclic = directed([[1], [2], [0], [4], [5], []])
     assert is_acyclic(cyclic) is False
     assert find_sinks(cyclic) == [5]
-    path = OrientedFiberGraph(graph_3_1, *arcs([[1], [2], [], [4], [5], []]))
+    path = directed([[1], [2], [], [4], [5], []])
     assert is_acyclic(path) is True
+
+
+@pytest.mark.parametrize("n, r", [(1, 3), (3, 0)], ids=str)
+def test_a_single_table_is_the_one_sink_of_an_acyclic_graph(n, r):
+    og = orient(build_graph(enumerate_fiber(n, r)))
+    assert og.base.vertex_count == 1 and len(og.down) == 0
+    assert find_sinks(og) == [0]
+    assert is_acyclic(og) is True
 
 
 def test_every_directed_edge_decreases_weight():
@@ -169,9 +190,10 @@ def test_every_directed_edge_decreases_weight():
             graph = build_graph(enumerate_fiber(n, r))
             og = orient(graph)
             values = np.array([orientation_weight(t.entries) for t in graph.fiber])
-            tails = np.repeat(np.arange(graph.vertex_count), np.diff(og.indptr))
-            assert (values[og.indices] < values[tails]).all(), (n, r)
-            assert len(og.indices) == graph.edge_count, (n, r)
+            tails = np.repeat(np.arange(graph.vertex_count), np.diff(graph.indptr))[og.down]
+            heads = graph.indices[og.down]
+            assert (values[heads] < values[tails]).all(), (n, r)
+            assert len(heads) == graph.edge_count, (n, r)
 
 
 @pytest.mark.parametrize(

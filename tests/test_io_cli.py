@@ -215,8 +215,8 @@ def test_edge_list_blocks_join_up(monkeypatch, oriented):
     graph = build_graph(enumerate_fiber(3, 3))
     target = orient(graph) if oriented else graph
     if oriented:
-        tails = np.repeat(np.arange(graph.vertex_count), np.diff(target.indptr))
-        pairs = zip(tails.tolist(), target.indices.tolist())
+        tails = np.repeat(np.arange(graph.vertex_count), np.diff(graph.indptr))
+        pairs = zip(tails[target.down].tolist(), graph.indices[target.down].tolist())
     else:
         pairs = graph.edges()
     expected = "".join(f"{u} {v}\n" for u, v in pairs)
@@ -473,6 +473,16 @@ def test_cli_verify_outside_hypotheses_reports(capsys, n, r):
         assert result["hypothesis_met"] is False
         assert result["pass"] is True
         assert "n >= 2 and r >= 1" in result["reason"]
+
+
+@pytest.mark.parametrize("n, r, message", [
+    ("-5", "3", "need n >= 1, got -5"), ("0", "3", "need n >= 1, got 0"),
+    ("3", "-2", "need r >= 0, got -2"),
+])
+def test_cli_verify_refuses_sizes_enumerate_and_graph_refuse(capsys, n, r, message):
+    for command in ("enumerate", "graph", "verify"):
+        assert main([command, "--n", n, "--r", r]) == 1, command
+        assert capsys.readouterr() == ("", f"error: {message}\n"), command
 
 
 def test_cli_verify_unknown_check(capsys):
